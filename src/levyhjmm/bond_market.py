@@ -3,7 +3,8 @@ no-arbitrage drift condition and discounted-price martingale diagnostics.
 
 Moving frame stores r(t, x) with x the time to maturity; natural frame
 stores f(t, T) with T the maturity date, related by f(t,T) = r(t, T-t).
-On the aligned dt = dx grid the conversion is a lossless index remap.
+On the aligned dt = dx grid the conversion is a lossless index remap, the
+same one the solver sums along (`SolveGrid.to_natural`, `to_moving`).
 """
 
 from __future__ import annotations
@@ -51,11 +52,7 @@ def to_natural_frame(field: ForwardField) -> ForwardField:
     if field.frame != FRAME_MOVING:
         raise ValueError("to_natural_frame expects a moving-frame field")
     g = field.grid
-    out = np.full_like(field.values, np.nan)
-    for i in range(g.n_t + 1):
-        w = g.row_width(i)
-        out[i, i : i + w + 1] = field.values[i, : w + 1]
-    return ForwardField(frame=FRAME_NATURAL, values=out, grid=g, gamma=field.gamma)
+    return ForwardField(frame=FRAME_NATURAL, values=g.to_natural(field.values), grid=g, gamma=field.gamma)
 
 
 def to_moving_frame(field: ForwardField) -> ForwardField:
@@ -63,11 +60,7 @@ def to_moving_frame(field: ForwardField) -> ForwardField:
     if field.frame != FRAME_NATURAL:
         raise ValueError("to_moving_frame expects a natural-frame field")
     g = field.grid
-    out = np.full_like(field.values, np.nan)
-    for i in range(g.n_t + 1):
-        w = g.row_width(i)
-        out[i, : w + 1] = field.values[i, i : i + w + 1]
-    return ForwardField(frame=FRAME_MOVING, values=out, grid=g, gamma=field.gamma)
+    return ForwardField(frame=FRAME_MOVING, values=g.to_moving(field.values), grid=g, gamma=field.gamma)
 
 
 def _time_index(grid: SolveGrid, t: float, what: str) -> int:
@@ -195,7 +188,7 @@ def martingale_mc(
         if not reference:
             for T in maturities:
                 reference[T] = bond_price(field, 0.0, T)
-        v = np.array([short_rate(field, t) for t in grid.t])
+        v = rep.field[:, 0]  # the short rate r(t, 0)
         for t in t_checkpoints:
             i = _time_index(grid, t, "t_checkpoint")
             disc = math.exp(-float(trapezoid(v[: i + 1], dx=grid.dt))) if i > 0 else 1.0

@@ -137,12 +137,12 @@ def cmd_solve(sc: Scenario, out: Path, args) -> int:
         res = mild_residual(report, path, factor, sc.vol, exponent, sc.r0)
         report.residuals["mild_l2_max"] = float(np.max(res))
     g = sc.grid
+    t, x = [repr(v) for v in g.t.tolist()], [repr(v) for v in g.x.tolist()]
     with open(out / "field.csv", "w") as fh:
         _csv_header(fh, sc)
         fh.write("t,x,r\n")
-        for i in range(g.n_t + 1):
-            for j in range(min(g.row_width(i), g.n_x) + 1):
-                fh.write(f"{float(g.t[i])!r},{float(g.x_wide[j])!r},{float(report.field[i, j])!r}\n")
+        for ti, row in zip(t, report.field[:, : g.n_x + 1]):
+            fh.write("".join(f"{ti},{xj},{v!r}\n" for xj, v in zip(x, row.tolist())))
     payload = {
         "status": report.status,
         "n_iters": report.n_iters,
@@ -202,13 +202,14 @@ def cmd_price(sc: Scenario, out: Path, args) -> int:
         return EXIT_EXPLOSION if report.status == STATUS_EXPLOSION else 1
     g = sc.grid
     field = ForwardField(FRAME_MOVING, report.field, g, sc.gamma)
+    ts, xs = g.t.tolist(), g.x_wide.tolist()
     with open(out / "price.csv", "w") as fh:
         _csv_header(fh, sc)
         fh.write("t,T,price\n")
         for i in range(g.n_t + 1):
-            t = float(g.t[i])
+            t = ts[i]
             for j in range(min(g.row_width(i), g.n_x) + 1):
-                T = t + float(g.x_wide[j])
+                T = t + xs[j]
                 fh.write(f"{t!r},{T!r},{float(bond_price(field, t, T))!r}\n")
     return EXIT_OK
 

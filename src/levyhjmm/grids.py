@@ -6,11 +6,16 @@ time and space steps are the same number.  A field on the grid is a matrix
 over (t_i, x_j) whose row i is meaningful for x up to (n_w - i) cells: the
 triangle t + x <= x_max + t_star is self-contained under the moving-frame
 reads, everything beyond is NaN-poisoned.
+
+On this grid a moving-frame read at t - s + x walks down a column of the
+natural frame T = t + x, so every sum over s of G(s, t - s + x) is one
+cumulative sum per natural-frame column (`SolveGrid.sum_along_t`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,15 +45,15 @@ class SolveGrid:
         _cells(self.t_star, self.dt, "t_star")
         _cells(self.x_max, self.dt, "x_max")
 
-    @property
+    @cached_property
     def n_t(self) -> int:
         return _cells(self.t_star, self.dt, "t_star")
 
-    @property
+    @cached_property
     def n_x(self) -> int:
         return _cells(self.x_max, self.dt, "x_max")
 
-    @property
+    @cached_property
     def n_w(self) -> int:
         return self.n_t + self.n_x
 
@@ -72,11 +77,64 @@ class SolveGrid:
         """NaN-poisoned matrix; entries outside the triangle stay NaN."""
         return np.full((self.n_t + 1, self.n_w + 1), np.nan)
 
-    def valid_mask(self) -> np.ndarray:
+    @cached_property
+    def _mask(self) -> np.ndarray:
         i = np.arange(self.n_t + 1)[:, None]
         j = np.arange(self.n_w + 1)[None, :]
-        return i + j <= self.n_w
+        mask = i + j <= self.n_w
+        mask.flags.writeable = False
+        return mask
+
+    def valid_mask(self) -> np.ndarray:
+        """Read-only boolean matrix of the triangle t + x <= x_max + t_star."""
+        return self._mask
 
     def nan_sup(self, field: np.ndarray) -> float:
         """Sup of |field| over the valid triangle."""
-        return float(np.nanmax(np.abs(np.where(self.valid_mask(), field, np.nan))))
+        return float(np.nanmax(np.abs(np.where(self._mask, field, np.nan))))
+
+    @cached_property
+    def _frames(self) -> tuple[np.ndarray, np.ndarray]:
+        """Flat indices of the triangle in the moving (i, j) and the natural
+        (i, T = i + j) frame, in row-major order of the triangle."""
+        i, j = np.nonzero(self._mask)
+        width = self.n_w + 1
+        return i * width + j, i * width + i + j
+
+    def _remap(self, values: np.ndarray, src: np.ndarray, dst: np.ndarray, fill: float):
+        out = np.full((self.n_t + 1, self.n_w + 1), fill)
+        out.ravel()[dst] = np.asarray(values, dtype=float).ravel()[src]
+        return out
+
+    def to_natural(self, field: np.ndarray, fill: float = np.nan) -> np.ndarray:
+        """f[i, T] = field[i, T - i] for T >= i; `fill` elsewhere."""
+        moving, natural = self._frames
+        return self._remap(field, moving, natural, fill)
+
+    def to_moving(self, field: np.ndarray) -> np.ndarray:
+        """r[i, j] = field[i, i + j] on the triangle; NaN beyond it."""
+        moving, natural = self._frames
+        return self._remap(field, natural, moving, np.nan)
+
+    def shifted(self, curve: np.ndarray) -> np.ndarray:
+        """The curve read in the moving frame, curve(t_i + x_j), on the triangle."""
+        return self.to_moving(np.broadcast_to(curve[: self.n_w + 1], (self.n_t + 1, self.n_w + 1)))
+
+    def sum_along_t(self, G: np.ndarray, rule: str = "trapezoid") -> np.ndarray:
+        """E[i, j] = sum_{k <= i} w_k G[k, i - k + j] over the triangle, NaN beyond.
+
+        rule "trapezoid": w_0 = w_i = 1/2, 1 in between, E[0] = 0;
+        rule "left": w_k = 1 for k < i, w_i = 0.  The terms are summed in
+        order of k, so E equals the row-by-row loop over k bit for bit, and
+        nothing is subtracted, so an infinite term never turns into NaN.
+        """
+        Gn = self.to_natural(G, fill=0.0)
+        if rule == "trapezoid":
+            Gn[0] *= 0.5
+        elif rule != "left":
+            raise ValueError(f"rule must be 'trapezoid' or 'left', got {rule!r}")
+        En = np.zeros_like(Gn)
+        np.cumsum(Gn[:-1], axis=0, out=En[1:])
+        if rule == "trapezoid":
+            En[1:] += 0.5 * Gn[1:]
+        return self.to_moving(En)

@@ -84,16 +84,32 @@ def _cumtrapz_rows(mat: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
+def _on_triangle(fn, z: np.ndarray, grid: SolveGrid, what: str | None = None) -> np.ndarray:
+    """fn(z) in one call over the valid triangle, NaN beyond it.
+
+    With `what` set, an infinite value raises ExponentDomainError at the
+    first such z in row-major order.
+    """
+    mask = grid.valid_mask()
+    zs = z[mask]
+    vals = fn(zs)
+    if what is not None:
+        inf = np.isinf(vals)
+        if np.any(inf):
+            raise ExponentDomainError(zs[np.argmax(inf)], what=what)
+    out = grid.empty_field()
+    out[mask] = vals
+    return out
+
+
 def field_row_norms(field_mat: np.ndarray, grid: SolveGrid, gamma: float) -> np.ndarray:
     """Weighted L2 norm of each time slice over its valid x-range."""
-    weights = np.exp(gamma * grid.x_wide)
-    out = np.empty(grid.n_t + 1)
+    mask = grid.valid_mask()
     with np.errstate(over="ignore"):
-        for i in range(grid.n_t + 1):
-            w = grid.row_width(i)
-            row = field_mat[i, : w + 1]
-            out[i] = math.sqrt(trapezoid(row * row * weights[: w + 1], dx=grid.dt))
-    return out
+        y = np.where(mask, field_mat * field_mat * np.exp(gamma * grid.x_wide), 0.0)
+        # trapezoid per row; a panel counts when its right node is on the triangle
+        panels = np.where(mask[:, 1:], grid.dt * (y[:, 1:] + y[:, :-1]) / 2.0, 0.0)
+        return np.sqrt(panels.sum(axis=1))
 
 
 def apply_K(
@@ -109,24 +125,10 @@ def apply_K(
     grid = factor.grid
     lam_w = vol.lam(grid.x_wide)
     cum = _cumtrapz_rows(lam_w[None, :] * h, grid.dt)
-
-    out = grid.empty_field()
-    out[0, :] = factor.a[0, :]
-    dt = grid.dt
     with np.errstate(over="ignore"):
-        for i in range(1, grid.n_t + 1):
-            w = grid.row_width(i)
-            E = np.zeros(w + 1)
-            for k in range(i + 1):
-                sl = slice(i - k, i - k + w + 1)
-                jp = exponent.J_prime(cum[k, sl])
-                if np.any(np.isinf(jp)):
-                    bad = cum[k, sl][np.isinf(jp)][0]
-                    raise ExponentDomainError(bad)
-                wt = 0.5 if k in (0, i) else 1.0
-                E += wt * jp * lam_w[sl]
-            out[i, : w + 1] = factor.a[i, : w + 1] * np.exp(dt * E)
-    return out
+        jp = _on_triangle(exponent.J_prime, cum, grid, what="J'")
+        # row 0 sums nothing, so exp(0) keeps it equal to a(0, x)
+        return factor.a * np.exp(grid.dt * grid.sum_along_t(jp * lam_w))
 
 
 def a_priori_c1(
@@ -197,9 +199,7 @@ def solve_monotone(
         raise ExponentDomainError(z_probe)
 
     if h0 == "zero":
-        h = grid.empty_field()
-        for i in range(grid.n_t + 1):
-            h[i, : grid.row_width(i) + 1] = 0.0
+        h = np.where(grid.valid_mask(), 0.0, np.nan)
     elif h0 == "factor":
         h = factor.a.copy()
     else:
@@ -284,7 +284,6 @@ def mild_residual(
     r = report.field
     model = path.model
     lam_w = vol.lam(grid.x_wide)
-    r0v = r0.values
     cum = _cumtrapz_rows(lam_w[None, :] * r, grid.dt)
     dt = grid.dt
     weights = np.exp(report.gamma * grid.x_wide)
@@ -292,33 +291,23 @@ def mild_residual(
     dW = path.brownian_increments
     dLc = (model.a - path.m_n) * dt + dW[: grid.n_t] if dW.size else np.full(grid.n_t, (model.a - path.m_n) * dt)
 
-    out = np.zeros(grid.n_t + 1)
-    for i in range(grid.n_t + 1):
-        w = grid.row_width(i)
-        rhs = r0v[i : i + w + 1].copy()
-        for k in range(i + 1):
-            sl = slice(i - k, i - k + w + 1)
-            jp = exponent.J_prime(cum[k, sl])
-            wt = 0.5 if k in (0, i) else 1.0
-            rhs += dt * wt * jp * lam_w[sl] * r[k, sl]
-            if k < i:
-                rhs += lam_w[sl] * r[k, sl] * dLc[k]
-        for s_m, y_m in zip(path.jump_times, path.jump_sizes):
-            if s_m > grid.t[i]:
-                break
-            k = int(np.searchsorted(grid.t, s_m, side="left")) - 1
-            k = max(k, 0)
-            wk = grid.row_width(k)
-            args = (grid.t[i] - s_m) + grid.x_wide[: w + 1]
-            lam_v = vol.lam(args)
-            r_left = np.interp(args, grid.x_wide[: wk + 1], r[k, : wk + 1])
-            rhs += lam_v * r_left * y_m
-        diff = r[i, : w + 1] - rhs
-        nx = min(w, grid.n_x)
-        out[i] = math.sqrt(
-            trapezoid(diff[: nx + 1] ** 2 * weights[: nx + 1], dx=dt)
-        )
-    return out
+    jp = _on_triangle(exponent.J_prime, cum, grid)
+    lam_r = lam_w * r
+    drift = dt * grid.sum_along_t(jp * lam_r)
+    # the t = 0 row keeps the k = 0 drift term at weight 1/2
+    drift[0] = 0.5 * dt * jp[0] * lam_r[0]
+    dLc_rows = np.append(dLc, 0.0)[:, None]
+    rhs = grid.shifted(r0.values) + drift + grid.sum_along_t(lam_r * dLc_rows, rule="left")
+    for s_m, y_m in zip(path.jump_times, path.jump_sizes):
+        # the jump enters every row with t_i >= s_m, at the field's left limit
+        i0 = int(np.searchsorted(grid.t, s_m, side="left"))
+        k = max(i0 - 1, 0)
+        wk = grid.row_width(k)
+        args = (grid.t[i0:, None] - s_m) + grid.x_wide
+        r_left = np.interp(args, grid.x_wide[: wk + 1], r[k, : wk + 1])
+        rhs[i0:] += vol.lam(args) * r_left * y_m
+    diff = (r - rhs)[:, : grid.n_x + 1]
+    return np.sqrt(trapezoid(diff**2 * weights[: grid.n_x + 1], dx=dt, axis=1))
 
 
 @dataclass(frozen=True)
@@ -347,22 +336,13 @@ def gronwall_check(
         raise ValueError("d must be nonnegative")
     inner = _cumtrapz_rows(np.where(mask, d, 0.0), grid.dt)
     dt = grid.dt
-    holds = True
+    rhs = grid.sum_along_t(inner) * dt
+    bad = d > C * rhs + atol
+    holds = not np.any(bad)
     witness = None
-    for i in range(grid.n_t + 1):
-        w = grid.row_width(i)
-        rhs = np.zeros(w + 1)
-        if i > 0:
-            for k in range(i + 1):
-                wt = 0.5 if k in (0, i) else 1.0
-                rhs += wt * inner[k, i - k : i - k + w + 1]
-            rhs *= dt
-        bad = d[i, : w + 1] > C * rhs + atol
-        if np.any(bad):
-            holds = False
-            j = int(np.argmax(bad))
-            witness = (float(grid.t[i]), float(grid.x_wide[j]))
-            break
+    if not holds:
+        i, j = np.unravel_index(np.argmax(bad), bad.shape)
+        witness = (float(grid.t[i]), float(grid.x_wide[j]))
 
     sup_d = float(np.nanmax(dv))
     n = n_induction
@@ -416,7 +396,10 @@ def strong_residual(
 
     r = report.field
     cum = _cumtrapz_rows(lam * np.where(grid.valid_mask(), r, 0.0), grid.dt)
+    jpp = _on_triangle(exponent.J_second, cum, grid, what="J''")
     dt = grid.dt
+    term = grid.sum_along_t(jpp * r) * (dt * lam * lam)
+    rhs = r * (grid.shifted(r0p) / grid.shifted(r0v) + term)
     weights = np.exp(report.gamma * grid.x_wide)
     per_t = np.zeros(grid.n_t + 1)
     sup = 0.0
@@ -424,21 +407,9 @@ def strong_residual(
         w = grid.row_width(i)
         # second-order one-sided boundaries keep the whole check O(dx^2)
         lhs = np.gradient(r[i, : w + 1], dt, edge_order=2 if w >= 2 else 1)
-        term = np.zeros(w + 1)
-        if i > 0:
-            for k in range(i + 1):
-                sl = slice(i - k, i - k + w + 1)
-                jpp = exponent.J_second(cum[k, sl])
-                if np.any(np.isinf(jpp)):
-                    raise ExponentDomainError(cum[k, sl][np.isinf(jpp)][0], what="J''")
-                wt = 0.5 if k in (0, i) else 1.0
-                term += wt * jpp * r[k, sl]
-            term *= dt * lam * lam
-        rhs = r[i, : w + 1] * (r0p[i : i + w + 1] / r0v[i : i + w + 1] + term)
-        diff = lhs - rhs
-        nx = min(w, grid.n_x)
-        per_t[i] = math.sqrt(trapezoid(diff[: nx + 1] ** 2 * weights[: nx + 1], dx=dt))
-        sup = max(sup, float(np.max(np.abs(diff[: nx + 1]))))
+        diff = (lhs - rhs[i, : w + 1])[: grid.n_x + 1]
+        per_t[i] = math.sqrt(trapezoid(diff**2 * weights[: grid.n_x + 1], dx=dt))
+        sup = max(sup, float(np.max(np.abs(diff))))
     return StrongResidual(sup=sup, l2=float(np.max(per_t)), per_t=per_t)
 
 

@@ -82,6 +82,7 @@ def _stable_f2(x: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         direct = 2.0 - (x * x + 2.0 * x + 2.0) * np.exp(-x)
     direct = np.where(x == INF, 2.0, direct)
+    direct = np.where(x == -INF, -INF, direct)
     return np.where(small, series, direct)
 
 

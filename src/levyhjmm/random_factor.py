@@ -168,22 +168,11 @@ def _check_grid_alignment(path: LevyPathRecord, grid: SolveGrid) -> None:
 def compute_I1(path: LevyPathRecord, vol: Volatility, grid: SolveGrid) -> np.ndarray:
     """Integration-by-parts form of int_0^t lambda(t-s+x) dL(s), trapezoid in s."""
     _check_grid_alignment(path, grid)
-    L = path.grid_values
-    lam_w = vol.lam(grid.x_wide)
-    out = grid.empty_field()
-    constant = vol.is_constant
-    lam_p = None if constant else vol.lam_prime(grid.x_wide)
-    for i in range(grid.n_t + 1):
-        w = grid.row_width(i)
-        acc = lam_w[: w + 1] * L[i]
-        if not constant and i > 0:
-            integ = np.zeros(w + 1)
-            for k in range(i + 1):
-                wt = 0.5 if k in (0, i) else 1.0
-                integ += wt * lam_p[i - k : i - k + w + 1] * L[k]
-            acc = acc + grid.dt * integ
-        out[i, : w + 1] = acc
-    return out
+    L = path.grid_values[: grid.n_t + 1, None]
+    out = vol.lam(grid.x_wide) * L
+    if not vol.is_constant:
+        out = out + grid.dt * grid.sum_along_t(vol.lam_prime(grid.x_wide) * L)
+    return np.where(grid.valid_mask(), out, np.nan)
 
 
 def compute_I2(
@@ -198,23 +187,17 @@ def compute_I2(
     expected lowers the flag but the field value is still recorded.
     """
     _check_grid_alignment(path, grid)
-    out = grid.empty_field()
-    for i in range(grid.n_t + 1):
-        out[i, : grid.row_width(i) + 1] = 1.0
+    mask = grid.valid_mask()
+    out = np.where(mask, 1.0, np.nan)
     positivity_ok = True
-    t_grid = grid.t
     for s_m, y_m in zip(path.jump_times, path.jump_sizes):
         if s_m > grid.t_star:
             break
-        i0 = int(np.searchsorted(t_grid, s_m - 1e-15 * max(1.0, s_m), side="left"))
-        for i in range(i0, grid.n_t + 1):
-            w = grid.row_width(i)
-            args = (t_grid[i] - s_m) + grid.x_wide[: w + 1]
-            lam_v = vol.lam(args)
-            factor = (1.0 + lam_v * y_m) * np.exp(-lam_v * y_m)
-            if expect_positive and np.any(1.0 + lam_v * y_m <= 0.0):
-                positivity_ok = False
-            out[i, : w + 1] *= factor
+        i0 = int(np.searchsorted(grid.t, s_m - 1e-15 * max(1.0, s_m), side="left"))
+        lam_v = vol.lam((grid.t[i0:, None] - s_m) + grid.x_wide)
+        if expect_positive and np.any((1.0 + lam_v * y_m <= 0.0) & mask[i0:]):
+            positivity_ok = False
+        out[i0:] *= (1.0 + lam_v * y_m) * np.exp(-lam_v * y_m)
     return out, positivity_ok
 
 
@@ -238,35 +221,19 @@ def compute_a(
     I1 = compute_I1(path, vol, grid)
     I2, positivity_ok = compute_I2(path, vol, grid, expect_positive=expect_positive)
 
+    mask = grid.valid_mask()
     lam_sq = vol.lam(grid.x_wide) ** 2
-    Q = grid.empty_field()
     if q == 0.0:
-        for i in range(grid.n_t + 1):
-            Q[i, : grid.row_width(i) + 1] = 0.0
+        Q = np.where(mask, 0.0, np.nan)
     elif vol.is_constant:
         # trapezoid of a constant is exact
-        for i in range(grid.n_t + 1):
-            Q[i, : grid.row_width(i) + 1] = lam_sq[0] * grid.t[i]
+        Q = np.where(mask, lam_sq[0] * grid.t[:, None], np.nan)
     else:
-        for i in range(grid.n_t + 1):
-            w = grid.row_width(i)
-            if i == 0:
-                Q[0, : w + 1] = 0.0
-                continue
-            integ = np.zeros(w + 1)
-            for k in range(i + 1):
-                wt = 0.5 if k in (0, i) else 1.0
-                integ += wt * lam_sq[i - k : i - k + w + 1]
-            Q[i, : w + 1] = grid.dt * integ
+        Q = grid.dt * grid.sum_along_t(np.broadcast_to(lam_sq, mask.shape))
 
     with np.errstate(over="ignore"):
         b = np.exp(I1 - 0.5 * q * q * Q) * I2
-    r0v = r0.values
-    a = grid.empty_field()
-    for i in range(grid.n_t + 1):
-        w = grid.row_width(i)
-        a[i, : w + 1] = r0v[i : i + w + 1] * b[i, : w + 1]
-    mask = grid.valid_mask()
+    a = grid.shifted(r0.values) * b
     b_bar = float(np.nanmax(np.where(mask, b, np.nan)))
     return RandomFactorField(
         grid=grid, I1=I1, I2=I2, a=a, b=b, b_bar=b_bar, r0=r0, positivity_ok=positivity_ok
@@ -276,11 +243,10 @@ def compute_a(
 def write_factor_csv(path_file, field: RandomFactorField) -> None:
     """Field dump: t,x,I1,I2,a rows over the valid triangle."""
     g = field.grid
+    t, x = [repr(v) for v in g.t.tolist()], [repr(v) for v in g.x_wide.tolist()]
+    I1, I2, a = field.I1.tolist(), field.I2.tolist(), field.a.tolist()
     with open(path_file, "w") as fh:
         fh.write("t,x,I1,I2,a\n")
         for i in range(g.n_t + 1):
             for j in range(g.row_width(i) + 1):
-                fh.write(
-                    f"{float(g.t[i])!r},{float(g.x_wide[j])!r},{float(field.I1[i, j])!r},"
-                    f"{float(field.I2[i, j])!r},{float(field.a[i, j])!r}\n"
-                )
+                fh.write(f"{t[i]},{x[j]},{I1[i][j]!r},{I2[i][j]!r},{a[i][j]!r}\n")

@@ -6,11 +6,13 @@ from levyhjmm.grids import SolveGrid
 from levyhjmm.levy_analysis import ExponentDomainError, ExponentHandle
 from levyhjmm.levy_model import INF, Exponential, LevyMeasureSpec, LevyModel
 from levyhjmm.path_sim import SimConfig, refine_path, simulate
-from levyhjmm.random_factor import ConstantVol, compute_a
+from levyhjmm.random_factor import ConstantVol, ExpAffineVol, compute_a
 from levyhjmm.hjmm_solver import (
     STATUS_CONVERGED,
     STATUS_EXPLOSION,
+    SolveReport,
     SolverConfig,
+    _cumtrapz_rows,
     a_priori_c1,
     apply_K,
     explosion_sweep,
@@ -93,8 +95,112 @@ class TestApplyK:
         h = zero_field(GRID)
         mask = GRID.valid_mask()
         h[mask] = 50.0  # pushes the inner integral far beyond beta
-        with pytest.raises(ExponentDomainError):
+        with pytest.raises(ExponentDomainError) as excinfo:
             apply_K(h, factor, ConstantVol(1.0), handle)
+        assert excinfo.value.what == "J'"
+        assert np.isinf(handle.J_prime(np.array([excinfo.value.z]))[0])
+
+    def test_domain_error_reported_for_second_derivative(self):
+        model = LevyModel(
+            nu=LevyMeasureSpec(density_parts=(Exponential(c=1.0, beta=0.5, support=(-INF, -1.0)),))
+        )
+        handle = ExponentHandle(model)
+        field = np.where(GRID.valid_mask(), 50.0, np.nan)
+        rep = SolveReport(
+            status=STATUS_CONVERGED, field=field, iterate_sup_norms=[], iterate_l2_norms=[],
+            c1=None, n_iters=1, grid=GRID, gamma=1.0,
+        )
+        with pytest.raises(ExponentDomainError) as excinfo:
+            strong_residual(rep, r0_exp(), ConstantVol(1.0), handle)
+        assert excinfo.value.what == "J''"
+        assert np.isinf(handle.J_second(np.array([excinfo.value.z]))[0])
+
+
+def loop_sum(grid, G, rule="trapezoid"):
+    """sum_{k<=i} w_k G[k, i-k+j], one row and one k at a time."""
+    out = grid.empty_field()
+    for i in range(grid.n_t + 1):
+        w = grid.row_width(i)
+        E = np.zeros(w + 1)
+        for k in range(i + 1 if rule == "trapezoid" else i):
+            wt = 0.5 if rule == "trapezoid" and k in (0, i) else 1.0
+            E += wt * G[k, i - k : i - k + w + 1]
+        out[i, : w + 1] = E if i > 0 else 0.0
+    return out
+
+
+def loop_apply_K(h, factor, vol, exponent):
+    """The fixed-point operator with one J' call per (row, k) pair."""
+    grid = factor.grid
+    lam_w = vol.lam(grid.x_wide)
+    cum = _cumtrapz_rows(lam_w[None, :] * h, grid.dt)
+    out = grid.empty_field()
+    out[0, :] = factor.a[0, :]
+    for i in range(1, grid.n_t + 1):
+        w = grid.row_width(i)
+        E = np.zeros(w + 1)
+        for k in range(i + 1):
+            sl = slice(i - k, i - k + w + 1)
+            wt = 0.5 if k in (0, i) else 1.0
+            E += wt * exponent.J_prime(cum[k, sl]) * lam_w[sl]
+        out[i, : w + 1] = factor.a[i, : w + 1] * np.exp(grid.dt * E)
+    return out
+
+
+def assert_same_triangle(grid, got, want, rtol):
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert np.array_equal(np.isnan(got), ~grid.valid_mask())
+    mask = grid.valid_mask()
+    scale = np.maximum(np.abs(want[mask]), 1e-300)
+    assert np.max(np.abs(got[mask] - want[mask]) / scale) <= rtol
+
+
+class TestNaturalFrameKernel:
+    @pytest.mark.parametrize("dt", [1.0 / 4, 1.0 / 16, 1.0 / 128])
+    @pytest.mark.parametrize("vol", [ConstantVol(0.3), ExpAffineVol(c0=0.2, c1=0.1, beta=1.0)])
+    def test_apply_K_matches_loop(self, dt, vol):
+        grid = SolveGrid(t_star=0.5, dt=dt, x_max=1.0)
+        model = LevyModel(a=0.2, q=1.0, nu=LevyMeasureSpec(atoms=((1.0, 0.5), (-0.2, 0.3))))
+        r0 = WeightedCurve(dx=dt, values=np.exp(-grid.x_wide), gamma=1.0)
+        _, factor, handle, _ = setup(model, grid=grid, seed=3, vol=vol, r0=r0)
+        rng = np.random.default_rng(int(1 / dt))
+        for _ in range(2):
+            h = np.where(grid.valid_mask(), rng.uniform(0.0, 2.0, size=grid.valid_mask().shape), np.nan)
+            want = loop_apply_K(h, factor, vol, handle)
+            assert_same_triangle(grid, apply_K(h, factor, vol, handle), want, 1e-14)
+
+    @pytest.mark.parametrize("rule", ["trapezoid", "left"])
+    def test_sum_along_t_matches_loop(self, rule):
+        grid = SolveGrid(t_star=0.75, dt=0.125, x_max=0.5)
+        G = np.random.default_rng(9).normal(size=grid.valid_mask().shape)
+        assert_same_triangle(grid, grid.sum_along_t(G, rule=rule), loop_sum(grid, G, rule), 1e-14)
+
+    def test_sum_along_t_rejects_unknown_rule(self):
+        with pytest.raises(ValueError):
+            GRID.sum_along_t(np.zeros(GRID.valid_mask().shape), rule="midpoint")
+
+    def test_frame_round_trip(self):
+        grid = SolveGrid(t_star=0.75, dt=0.125, x_max=0.5)
+        mask = grid.valid_mask()
+        r = np.where(mask, np.random.default_rng(4).normal(size=mask.shape), np.nan)
+        nat = grid.to_natural(r)
+        for i in range(grid.n_t + 1):
+            assert np.all(np.isnan(nat[i, :i]))
+            np.testing.assert_array_equal(nat[i, i:], r[i, : grid.row_width(i) + 1])
+        np.testing.assert_array_equal(grid.to_moving(nat), r)
+        np.testing.assert_array_equal(grid.to_natural(grid.to_moving(nat)), nat)
+
+    def test_grid_caches(self):
+        grid = SolveGrid(t_star=0.75, dt=0.125, x_max=0.5)
+        assert (grid.n_t, grid.n_x, grid.n_w) == (6, 4, 10)
+        mask = grid.valid_mask()
+        assert mask is grid.valid_mask()
+        with pytest.raises(ValueError):
+            mask[0, 0] = False
+        assert grid == SolveGrid(t_star=0.75, dt=0.125, x_max=0.5)
+        assert hash(grid) == hash(SolveGrid(t_star=0.75, dt=0.125, x_max=0.5))
+        with pytest.raises(ValueError):
+            SolveGrid(t_star=0.7, dt=0.125, x_max=0.5)
 
 
 class TestSolveMonotone:

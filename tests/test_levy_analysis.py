@@ -187,6 +187,16 @@ class TestDomain:
         assert math.isfinite(eval_J(model, 1.0))
         assert eval_J(model, 2.5) == INF
 
+    def test_negative_exponential_tail_derivatives(self):
+        # past the domain every derivative diverges to +inf, never NaN
+        model = LevyModel(
+            nu=LevyMeasureSpec(density_parts=(Exponential(c=1.0, beta=2.0, support=(-INF, -1.0)),))
+        )
+        assert math.isfinite(eval_J_second(model, 1.0))
+        for z in (2.5, 50.0):
+            assert eval_J_prime(model, z) == INF
+            assert eval_J_second(model, z) == INF
+
     def test_negative_powerlaw_tail(self):
         model = LevyModel(
             nu=LevyMeasureSpec(density_parts=(PowerLaw(c=1.0, alpha=1.5, support=(-INF, -1.0)),))
