@@ -136,11 +136,17 @@ class MartingaleRow:
 class MartingaleReport:
     rows: tuple[MartingaleRow, ...]
     n_paths: int
-    n_excluded_explosions: int
+    n_exploded: int
+    n_not_converged: int
     note: str = (
         "plain expectation-constancy check; a genuinely local (non-true) "
         "martingale could fail it"
     )
+
+    @property
+    def n_excluded_explosions(self) -> int:
+        """Paths left out of the means: exploded plus not converged."""
+        return self.n_exploded + self.n_not_converged
 
 
 def martingale_mc(
@@ -159,8 +165,8 @@ def martingale_mc(
 
     Simulates n_paths, solves each path, forms the discounted price
     P^(t,T) = exp(-int_0^t v(s) ds) P(t,T) and compares its cross-path mean
-    at each checkpoint against P(0,T).  Exploding paths are excluded and
-    counted.
+    at each checkpoint against P(0,T).  Paths that explode or reach the
+    iteration cap without converging are excluded and counted apart.
     """
     maturities = [float(T) for T in maturities]
     t_checkpoints = [float(t) for t in t_checkpoints]
@@ -170,7 +176,7 @@ def martingale_mc(
         (T, t): [] for T in maturities for t in t_checkpoints
     }
     reference: dict[float, float] = {}
-    excluded = 0
+    n_exploded = n_not_converged = 0
     for ps in seeds:
         path = simulate(
             model,
@@ -178,11 +184,11 @@ def martingale_mc(
         )
         factor = compute_a(path, vol, r0, model.q, grid)
         rep = solve_monotone(factor, vol, exponent, solver_cfg)
-        if rep.status == STATUS_EXPLOSION:
-            excluded += 1
-            continue
         if rep.status != STATUS_CONVERGED:
-            excluded += 1
+            if rep.status == STATUS_EXPLOSION:
+                n_exploded += 1
+            else:
+                n_not_converged += 1
             continue
         field = ForwardField(FRAME_MOVING, rep.field, grid, solver_cfg.gamma)
         if not reference:
@@ -195,7 +201,7 @@ def martingale_mc(
             for T in maturities:
                 samples[(T, t)].append(disc * bond_price(field, t, T))
     rows = []
-    n_eff = n_paths - excluded
+    n_eff = n_paths - n_exploded - n_not_converged
     for T in maturities:
         for t in t_checkpoints:
             vals = np.array(samples[(T, t)])
@@ -211,4 +217,6 @@ def martingale_mc(
                     n_paths=n_eff,
                 )
             )
-    return MartingaleReport(rows=tuple(rows), n_paths=n_paths, n_excluded_explosions=excluded)
+    return MartingaleReport(
+        rows=tuple(rows), n_paths=n_paths, n_exploded=n_exploded, n_not_converged=n_not_converged
+    )

@@ -113,21 +113,17 @@ def cmd_simulate_path(sc: Scenario, out: Path, args) -> int:
     path = simulate(
         sc.model, SimConfig(t_star=sc.grid.t_star, dt=sc.grid.dt, seed=sc.seed)
     )
-    target = out / "path.csv"
-    write_path_csv(target, path)
-    text = target.read_text()
-    target.write_text(
-        f"# scenario_hash={sc.scenario_hash} seed={sc.seed} version={__version__} "
-        f"rng={path.rng_algorithm}\n" + text
-    )
+    with open(out / "path.csv", "w") as fh:
+        fh.write(
+            f"# scenario_hash={sc.scenario_hash} seed={sc.seed} version={__version__} "
+            f"rng={path.rng_algorithm}\n"
+        )
+        write_path_csv(fh, path)
     if args.dump_factor:
         factor = compute_a(path, sc.vol, sc.r0, sc.model.q, sc.grid)
-        ftarget = out / "factor.csv"
-        write_factor_csv(ftarget, factor)
-        ftarget.write_text(
-            f"# scenario_hash={sc.scenario_hash} seed={sc.seed} version={__version__}\n"
-            + ftarget.read_text()
-        )
+        with open(out / "factor.csv", "w") as fh:
+            _csv_header(fh, sc)
+            write_factor_csv(fh, factor)
     return EXIT_OK
 
 
@@ -240,7 +236,8 @@ def cmd_check_martingale(sc: Scenario, out: Path, args) -> int:
             }
             for r in report.rows
         ],
-        "n_excluded_explosions": report.n_excluded_explosions,
+        "n_exploded": report.n_exploded,
+        "n_not_converged": report.n_not_converged,
         "note": report.note,
         "rng_algorithm": RNG_ALGORITHM,
         **_meta(sc),

@@ -294,8 +294,6 @@ def mild_residual(
     jp = _on_triangle(exponent.J_prime, cum, grid)
     lam_r = lam_w * r
     drift = dt * grid.sum_along_t(jp * lam_r)
-    # the t = 0 row keeps the k = 0 drift term at weight 1/2
-    drift[0] = 0.5 * dt * jp[0] * lam_r[0]
     dLc_rows = np.append(dLc, 0.0)[:, None]
     rhs = grid.shifted(r0.values) + drift + grid.sum_along_t(lam_r * dLc_rows, rule="left")
     for s_m, y_m in zip(path.jump_times, path.jump_sizes):

@@ -8,9 +8,12 @@ the explicit representation
 with first derivative J'(z) = -a + q z + int y (1_{(-1,1)}(y) - exp(-z y)) nu(dy)
 and second derivative J''(z) = q + int y^2 exp(-z y) nu(dy).  Internally every
 evaluation runs through the four-piece split over (-inf,-1], (-1,0), (0,1),
-[1,inf); atoms and exponential/uniform density parts use closed forms
-(vectorized over z), power-law parts use adaptive quadrature with an analytic
-tail cut.  Divergence is decided symbolically and reported as +/-inf.
+[1,inf).  Atoms are summed in closed form here; every per-family integral
+of a density part (moments, masses and the exponent's closed forms) belongs
+to `levy_model`: exponential and uniform parts go through its
+`pow_exp_integral` (vectorized over z), power-law parts use adaptive
+quadrature with an analytic tail cut plus its symbolic power moments.
+Divergence is decided symbolically and reported as +/-inf.
 """
 
 from __future__ import annotations
@@ -29,8 +32,10 @@ from .levy_model import (
     PowerLaw,
     abs_support,
     moment_integral,
+    pow_exp_integral,
     small_jump_profile,
     support_lower_bound,
+    _powerlaw_moment,
     _quad,
 )
 
@@ -40,6 +45,8 @@ HOLDS = "holds"
 FAILS = "fails"
 UNDECIDABLE = "undecidable"
 
+#: largest w with exp(w) finite in double precision
+_LOG_MAX = math.log(np.finfo(float).max)
 #: rho-fit sample points x = 2^-k and goodness threshold
 _RHO_KS = np.arange(3, 13)
 RHO_FIT_RESIDUAL_MAX = 0.05
@@ -54,73 +61,6 @@ class ExponentDomainError(ValueError):
         self.z = float(z)
         self.what = what
         super().__init__(f"{what} is infinite at z={z!r}")
-
-
-# ---------------------------------------------------------------------------
-# stable building blocks: int_a^b s^k exp(-kappa s) ds, kappa an array
-# ---------------------------------------------------------------------------
-
-
-def _stable_f1(x: np.ndarray) -> np.ndarray:
-    """1 - (1+x) e^{-x}, accurate near 0."""
-    x = np.asarray(x, dtype=float)
-    small = np.abs(x) < 1e-3
-    xs = np.where(small, x, 0.0)
-    series = xs**2 / 2 - xs**3 / 3 + xs**4 / 8 - xs**5 / 30
-    with np.errstate(over="ignore", invalid="ignore"):
-        direct = 1.0 - (1.0 + x) * np.exp(-x)
-    direct = np.where(x == INF, 1.0, direct)
-    return np.where(small, series, direct)
-
-
-def _stable_f2(x: np.ndarray) -> np.ndarray:
-    """2 - (x^2 + 2x + 2) e^{-x}, accurate near 0."""
-    x = np.asarray(x, dtype=float)
-    small = np.abs(x) < 1e-3
-    xs = np.where(small, x, 0.0)
-    series = xs**3 / 3 - xs**4 / 4 + xs**5 / 10 - xs**6 / 36
-    with np.errstate(over="ignore", invalid="ignore"):
-        direct = 2.0 - (x * x + 2.0 * x + 2.0) * np.exp(-x)
-    direct = np.where(x == INF, 2.0, direct)
-    direct = np.where(x == -INF, -INF, direct)
-    return np.where(small, series, direct)
-
-
-def _i0(kappa: np.ndarray, a: float, b: float) -> np.ndarray:
-    """int_a^b e^{-kappa s} ds; +inf where it diverges (kappa <= 0, b = inf)."""
-    kappa = np.asarray(kappa, dtype=float)
-    L = b - a
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        val = np.exp(-kappa * a) * (-np.expm1(-kappa * L)) / kappa
-        val = np.where(kappa == 0.0, L, val)
-    return val
-
-
-def _i1(kappa: np.ndarray, a: float, b: float) -> np.ndarray:
-    """int_a^b s e^{-kappa s} ds."""
-    kappa = np.asarray(kappa, dtype=float)
-    L = b - a
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        ea = np.exp(-kappa * a)
-        val = a * _i0(kappa, a, b) + ea * _stable_f1(kappa * L) / kappa**2
-        val = np.where(kappa == 0.0, (b * b - a * a) / 2.0, val)
-    return val
-
-
-def _i2(kappa: np.ndarray, a: float, b: float) -> np.ndarray:
-    """int_a^b s^2 e^{-kappa s} ds."""
-    kappa = np.asarray(kappa, dtype=float)
-    L = b - a
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        ea = np.exp(-kappa * a)
-        x = kappa * L
-        val = (
-            a * a * _i0(kappa, a, b)
-            + 2.0 * a * ea * _stable_f1(x) / kappa**2
-            + ea * _stable_f2(x) / kappa**3
-        )
-        val = np.where(kappa == 0.0, (b**3 - a**3) / 3.0, val)
-    return val
 
 
 def _exp_tail_cut(z: float, e: float, coeff: float, start: float) -> float:
@@ -160,16 +100,9 @@ def _powerlaw_piece(part: PowerLaw, zs: np.ndarray, qty: str, comp: bool) -> np.
         return out
     c, al = part.c, part.alpha
 
-    def pow_moment(e: float) -> float:
-        # int_l^u s^e ds, +inf on symbolic divergence
-        if u == INF and e >= -1.0:
-            return INF
-        if l == 0.0 and e <= -1.0:
-            return INF
-        if e == -1.0:
-            return math.log(u / l)
-        top = 0.0 if u == INF else u ** (e + 1.0)
-        return (top - l ** (e + 1.0)) / (e + 1.0)
+    def pow_moment(p: int) -> float:
+        # c int_l^u s^(p-1-alpha) ds, +inf on symbolic divergence
+        return _powerlaw_moment(c, al, p, l, u, 0.0)
 
     for idx, z in enumerate(zs.flat):
         if sign > 0:
@@ -177,9 +110,9 @@ def _powerlaw_piece(part: PowerLaw, zs: np.ndarray, qty: str, comp: bool) -> np.
                 if qty == "J":
                     v = 0.0
                 elif qty == "Jp":
-                    v = 0.0 if comp else -c * pow_moment(-al)
+                    v = 0.0 if comp else -pow_moment(1)
                 else:
-                    v = c * pow_moment(1.0 - al)
+                    v = pow_moment(2)
             else:
                 if qty == "J":
                     if comp:
@@ -187,7 +120,7 @@ def _powerlaw_piece(part: PowerLaw, zs: np.ndarray, qty: str, comp: bool) -> np.
                     else:
                         hi = u if u != INF else _exp_tail_cut(z, -1 - al, c, l)
                         v = c * _quad(lambda s: math.exp(-z * s) * s ** (-1 - al), l, hi)
-                        v -= c * pow_moment(-1.0 - al)
+                        v -= pow_moment(0)
                 elif qty == "Jp":
                     if comp:
                         v = c * _quad(lambda s: -math.expm1(-z * s) * s**-al, l, u)
@@ -203,10 +136,11 @@ def _powerlaw_piece(part: PowerLaw, zs: np.ndarray, qty: str, comp: bool) -> np.
                 if qty == "J":
                     v = 0.0
                 elif qty == "Jp":
-                    v = 0.0 if comp else c * pow_moment(-al)
+                    v = 0.0 if comp else pow_moment(1)
                 else:
-                    v = c * pow_moment(1.0 - al)
-            elif u == INF:
+                    v = pow_moment(2)
+            elif u == INF or z * u > _LOG_MAX:
+                # divergent tail, or an integrand that overflows a double
                 v = INF
             else:
                 if qty == "J":
@@ -234,20 +168,23 @@ def _smooth_piece(part, zs: np.ndarray, qty: str, comp: bool) -> np.ndarray:
     c = part.c
     beta = part.beta if isinstance(part, Exponential) else 0.0
     kappa = beta + zs if sign > 0 else beta - zs
-    m0 = _i0(np.array(beta), l, u).item()
-    m1 = _i1(np.array(beta), l, u).item()
+
+    def moment(p: int, k) -> np.ndarray:
+        return pow_exp_integral(p, k, l, u)
+
+    m0, m1 = float(moment(0, beta)), float(moment(1, beta))
     if qty == "J":
         if comp:
-            body = _i0(kappa, l, u) - m0 + (zs * m1 if sign > 0 else -zs * m1)
+            body = moment(0, kappa) - m0 + (zs * m1 if sign > 0 else -zs * m1)
         else:
-            body = _i0(kappa, l, u) - m0
+            body = moment(0, kappa) - m0
     elif qty == "Jp":
         if comp:
-            body = (m1 - _i1(kappa, l, u)) if sign > 0 else (_i1(kappa, l, u) - m1)
+            body = (m1 - moment(1, kappa)) if sign > 0 else (moment(1, kappa) - m1)
         else:
-            body = -_i1(kappa, l, u) if sign > 0 else _i1(kappa, l, u)
+            body = -moment(1, kappa) if sign > 0 else moment(1, kappa)
     else:
-        body = _i2(kappa, l, u)
+        body = moment(2, kappa)
     return c * body
 
 

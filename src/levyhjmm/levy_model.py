@@ -5,7 +5,10 @@ The jump measure is a finite sum of atoms and parametric density components
 Every moment integral needed by the regularity/growth conditions admits
 either a closed form or a single bounded 1-D quadrature; divergence is
 always decided symbolically (by exponent comparison), never by inspecting
-the size of a numerical result.
+the size of a numerical result.  This module owns every per-family
+integral: exponential and uniform parts reduce to the one kernel
+`pow_exp_integral`, which the exponent (vectorized over z), the moment
+integrals and the path intensities all call.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 
 INF = math.inf
 
@@ -107,15 +110,6 @@ def abs_support(part: DensityPart) -> tuple[int, float, float]:
     return 1, lo, hi
 
 
-def _density_abs(part: DensityPart, s: np.ndarray) -> np.ndarray:
-    """Density as a function of s = |y| on the part's abs-interval."""
-    if isinstance(part, PowerLaw):
-        return part.c * s ** (-1.0 - part.alpha)
-    if isinstance(part, Exponential):
-        return part.c * np.exp(-part.beta * s)
-    return part.c * np.ones_like(s)
-
-
 @dataclass(frozen=True)
 class LevyMeasureSpec:
     """Jump measure: atoms plus parametric density components.
@@ -148,10 +142,6 @@ class LevyMeasureSpec:
             if not isinstance(part, (PowerLaw, Exponential, Uniform)):
                 raise TypeError(f"unsupported density part {type(part).__name__}")
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.atoms and not self.density_parts
-
     def has_negative_mass(self) -> bool:
         """True iff nu charges (-inf, 0)."""
         if any(y < 0 for y, _ in self.atoms):
@@ -176,8 +166,6 @@ class LevyModel:
 # elementary integrals
 # ---------------------------------------------------------------------------
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-
 
 def _quad(f, a: float, b: float) -> float:
     """Adaptive quadrature on a bounded interval, absolute tolerance 1e-10."""
@@ -187,46 +175,56 @@ def _quad(f, a: float, b: float) -> float:
     return val
 
 
-def _int_pow_exp(p: int, kappa: float, a: float, b: float) -> float:
-    """integral_a^b s^p exp(-kappa*s) ds for integer p >= 0, 0 <= a <= b <= inf.
+#: Taylor terms of int_0^1 u^j e^{-xu} du used for |x| < 1 (the n-th is below 1/n!)
+_N_SERIES = 20
 
-    Returns +inf when the integral provably diverges (b = inf, kappa <= 0).
+
+def _unit_pow_exp(j: int, x: np.ndarray) -> np.ndarray:
+    """g_j(x) = int_0^1 u^j exp(-x*u) du, elementwise; +inf at x = -inf."""
+    out = np.empty_like(x)
+    small = np.abs(x) < 1.0
+    pos = x >= 1.0
+    neg = ~(small | pos)
+    # sum_n (-x)^n / (n! (n+j+1)) in Horner form: no cancellation for |x| < 1
+    xs = -x[small]
+    acc = np.zeros_like(xs)
+    for n in range(_N_SERIES, -1, -1):
+        acc = acc * xs + 1.0 / (math.factorial(n) * (n + j + 1))
+    out[small] = acc
+    xp = x[pos]
+    out[pos] = math.factorial(j) * special.gammainc(j + 1, xp) / xp ** (j + 1)
+    # x <= -1: e^y sum_k (-1)^k j!/(j-k)! y^-(k+1) - (-1)^j j! y^-(j+1), y = -x
+    y = -x[neg]
+    poly = np.zeros_like(y)
+    for k in range(j, -1, -1):
+        poly = poly / y + (-1) ** k * math.perm(j, k)
+    direct = np.exp(y) * poly / y - (-1) ** j * math.factorial(j) / y ** (j + 1)
+    out[neg] = np.where(y == INF, INF, direct)
+    return out
+
+
+def pow_exp_integral(p: int, kappa, a: float, b: float) -> np.ndarray:
+    """integral_a^b s^p exp(-kappa*s) ds for integer p >= 0, 0 <= a < b <= inf,
+    elementwise over kappa (any sign).
+
+    With L = b - a the integral is e^{-kappa a} sum_j C(p,j) a^(p-j) T_j,
+    T_j = int_0^L t^j e^{-kappa t} dt = L^(j+1) g_j(kappa L); every term is
+    nonnegative, so nothing cancels as kappa L -> 0.  The result is +inf
+    exactly where b = inf and kappa <= 0.
     """
-    if b <= a:
-        return 0.0
-    if b == INF:
-        if kappa <= 0.0:
-            return INF
-        # Gamma(p+1, kappa*a) / kappa^(p+1), expanded for integer p
-        x = kappa * a
-        e = math.exp(-x)
-        s = 0.0
-        term = 1.0
-        for j in range(p + 1):
-            if j > 0:
-                term *= x / j
-            s += term
-        return math.factorial(p) * e * s / kappa ** (p + 1)
-    if kappa == 0.0:
-        return (b ** (p + 1) - a ** (p + 1)) / (p + 1)
-    if abs(kappa) * (b - a) < 1e-4:
-        # antiderivative difference would cancel; fixed-order Gauss-Legendre
-        # is exact to machine here (integrand is a near-polynomial)
-        h = 0.5 * (b - a)
-        mid = 0.5 * (a + b)
-        s = mid + h * _GL_NODES
-        return float(h * np.sum(_GL_WEIGHTS * s**p * np.exp(-kappa * s)))
-    return _antideriv_pow_exp(p, kappa, a) - _antideriv_pow_exp(p, kappa, b)
-
-
-def _antideriv_pow_exp(p: int, kappa: float, s: float) -> float:
-    """F with F' = -s^p exp(-kappa*s), i.e. integral = F(a) - F(b)."""
+    kappa = np.asarray(kappa, dtype=float)
+    L = b - a
     total = 0.0
-    coef = 1.0
-    for j in range(p + 1):
-        coef *= (p - j + 1) if j > 0 else 1.0
-        total += coef * s ** (p - j) / kappa ** (j + 1)
-    return math.exp(-kappa * s) * total
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for j in range(p + 1) if a > 0.0 else (p,):
+            if L == INF:
+                t_j = np.where(kappa > 0.0, math.factorial(j) / kappa ** (j + 1), INF)
+            else:
+                t_j = L ** (j + 1) * _unit_pow_exp(j, kappa * L)
+            total = total + math.comb(p, j) * a ** (p - j) * t_j
+        if a > 0.0:
+            total = np.exp(-kappa * a) * total
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -272,9 +270,8 @@ def _family_moment(part: DensityPart, p: int, lo: float, hi: float, tilt: float)
     """Moment of one density part over the abs-interval [lo, hi] with tilt weight."""
     if isinstance(part, PowerLaw):
         return _powerlaw_moment(part.c, part.alpha, p, lo, hi, tilt)
-    if isinstance(part, Exponential):
-        return part.c * _int_pow_exp(p, part.beta - tilt, lo, hi)
-    return part.c * _int_pow_exp(p, -tilt, lo, hi)
+    beta = part.beta if isinstance(part, Exponential) else 0.0
+    return part.c * float(pow_exp_integral(p, beta - tilt, lo, hi))
 
 
 def moment_integral(

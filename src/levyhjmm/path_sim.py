@@ -27,6 +27,7 @@ from .levy_model import (
     PowerLaw,
     abs_support,
     moment_integral,
+    _family_moment,
 )
 
 RNG_ALGORITHM = "numpy-philox-4x64-10"
@@ -87,21 +88,6 @@ class _Component:
         return self.sign * s
 
 
-def _restricted_intensity(part: DensityPart, lo: float, hi: float) -> float:
-    if lo >= hi:
-        return 0.0
-    if isinstance(part, PowerLaw):
-        al = part.alpha
-        if al == 0.0:
-            return part.c * math.log(hi / lo)
-        top = 0.0 if hi == INF else hi**-al
-        return part.c * (lo**-al - top) / al
-    if isinstance(part, Exponential):
-        top = 0.0 if hi == INF else math.exp(-part.beta * hi)
-        return part.c * (math.exp(-part.beta * lo) - top) / part.beta
-    return part.c * (hi - lo)
-
-
 def _inv_cdf(part: DensityPart, lo: float, hi: float, u: np.ndarray) -> np.ndarray:
     """Quantile transform of the normalized restricted density on [lo, hi]."""
     if isinstance(part, PowerLaw):
@@ -126,7 +112,7 @@ def jump_components(nu: LevyMeasureSpec, threshold: float) -> list[_Component]:
     for part in nu.density_parts:
         sign, a, b = abs_support(part)
         lo = max(a, threshold)
-        lam = _restricted_intensity(part, lo, b)
+        lam = _family_moment(part, 0, lo, b, 0.0) if lo < b else 0.0
         if lam > 0.0:
             comps.append(_Component(sign=sign, intensity=lam, part=part, lo=lo, hi=b))
     return comps
@@ -172,20 +158,20 @@ class LevyPathRecord:
 
     def value_at(self, t: float) -> float:
         """L(t); the Brownian part is linearly interpolated between nodes."""
-        if not 0.0 <= t <= self.t_star + 1e-12:
-            raise ValueError(f"t={t} outside [0, {self.t_star}]")
-        w = float(np.interp(t, self.t, self._brownian_cum()))
-        k = int(np.searchsorted(self.jump_times, t, side="right"))
-        jumps = float(np.sum(self.jump_sizes[:k]))
-        return self.model.a * t - self.m_n * t + w + jumps
+        return _value(self, t, "right")
 
 
 def value_at_left_limit(path: LevyPathRecord, t: float) -> float:
     """L(t-): L(t) minus the jump at exactly t, if present."""
+    return _value(path, t, "left")
+
+
+def _value(path: LevyPathRecord, t: float, side: str) -> float:
+    """L(t) counting the jumps at times <= t (side "right") or < t ("left")."""
     if not 0.0 <= t <= path.t_star + 1e-12:
         raise ValueError(f"t={t} outside [0, {path.t_star}]")
     w = float(np.interp(t, path.t, path._brownian_cum()))
-    k = int(np.searchsorted(path.jump_times, t, side="left"))
+    k = int(np.searchsorted(path.jump_times, t, side=side))
     jumps = float(np.sum(path.jump_sizes[:k]))
     return path.model.a * t - path.m_n * t + w + jumps
 
@@ -318,12 +304,12 @@ def sample_terminal(
 # --- optional CSV dump: grid rows plus a jump-list trailer ------------------
 
 
-def write_path_csv(path_file, record: LevyPathRecord) -> None:
+def write_path_csv(fh, record: LevyPathRecord) -> None:
+    """Write the path to the open text stream fh, after any header already there."""
     import json
 
-    with open(path_file, "w") as fh:
-        fh.write("t,L\n")
-        for t, v in zip(record.t, record.grid_values):
-            fh.write(f"{float(t)!r},{float(v)!r}\n")
-        jumps = [[float(s), float(y)] for s, y in zip(record.jump_times, record.jump_sizes)]
-        fh.write("# jumps: " + json.dumps(jumps) + "\n")
+    fh.write("t,L\n")
+    for t, v in zip(record.t, record.grid_values):
+        fh.write(f"{float(t)!r},{float(v)!r}\n")
+    jumps = [[float(s), float(y)] for s, y in zip(record.jump_times, record.jump_sizes)]
+    fh.write("# jumps: " + json.dumps(jumps) + "\n")

@@ -240,13 +240,12 @@ def compute_a(
     )
 
 
-def write_factor_csv(path_file, field: RandomFactorField) -> None:
-    """Field dump: t,x,I1,I2,a rows over the valid triangle."""
+def write_factor_csv(fh, field: RandomFactorField) -> None:
+    """Field dump to the open text stream fh: t,x,I1,I2,a rows over the valid triangle."""
     g = field.grid
     t, x = [repr(v) for v in g.t.tolist()], [repr(v) for v in g.x_wide.tolist()]
     I1, I2, a = field.I1.tolist(), field.I2.tolist(), field.a.tolist()
-    with open(path_file, "w") as fh:
-        fh.write("t,x,I1,I2,a\n")
-        for i in range(g.n_t + 1):
-            for j in range(g.row_width(i) + 1):
-                fh.write(f"{t[i]},{x[j]},{I1[i][j]!r},{I2[i][j]!r},{a[i][j]!r}\n")
+    fh.write("t,x,I1,I2,a\n")
+    for i in range(g.n_t + 1):
+        for j in range(g.row_width(i) + 1):
+            fh.write(f"{t[i]},{x[j]},{I1[i][j]!r},{I2[i][j]!r},{a[i][j]!r}\n")

@@ -203,3 +203,22 @@ class TestMartingale:
         assert gap < 3.0 * row.std_error + 10.0 * grid.dt
         assert rep.n_excluded_explosions == 0
         assert "local" in rep.note
+
+    def test_not_converged_counted_apart(self):
+        grid = SolveGrid(t_star=1.0, dt=1.0 / 8, x_max=1.0)
+        r0 = WeightedCurve(dx=grid.dt, values=np.exp(-grid.x_wide), gamma=1.0)
+        rep = martingale_mc(
+            POISSON,
+            ConstantVol(0.3),
+            r0,
+            grid,
+            SolverConfig(max_iter=1),
+            n_paths=5,
+            maturities=[1.0],
+            t_checkpoints=[0.5],
+            seed=9,
+        )
+        assert rep.n_not_converged == rep.n_paths == 5
+        assert rep.n_exploded == 0
+        assert rep.n_excluded_explosions == 5
+        assert rep.rows[0].n_paths == 0

@@ -1,5 +1,6 @@
 import json
 
+import pytest
 
 from levyhjmm.cli import main
 
@@ -64,6 +65,27 @@ class TestSolve:
         }
         path = write_scenario(tmp_path, scen)
         assert main(["solve", path, "--out-dir", str(tmp_path / "out")]) == 3
+
+    @pytest.mark.parametrize("support", [[-2.0, -1.0], [-1.0, 0.0]])
+    def test_negative_powerlaw_solves(self, tmp_path, support):
+        # the a-priori bound probes J' up to z ~ 1e11, where e^{z s} overflows
+        scen = dict(DEGENERATE)
+        scen["levy_model"] = {
+            "a": 0.0,
+            "q": 0.0,
+            "nu": {
+                "atoms": [],
+                "density_parts": [
+                    {"kind": "power_law", "c": 1.0, "alpha": 0.5, "support": support}
+                ],
+            },
+        }
+        scen["volatility"] = {"kind": "constant", "value": 0.3}
+        scen["grid"] = {"t_star": 1.0, "dt": 0.125, "x_max": 1.0}
+        path = write_scenario(tmp_path, scen)
+        assert main(["solve", path, "--out-dir", str(tmp_path / "out")]) == 0
+        report = json.loads((tmp_path / "out" / "solve_report.json").read_text())
+        assert report["status"] == "Converged"
 
     def test_schema_error_exit_code(self, tmp_path, capsys):
         path = write_scenario(tmp_path, {"levy_model": {"a": "oops"}})
@@ -142,6 +164,7 @@ class TestOtherCommands:
         )
         report = json.loads((out / "martingale.json").read_text())
         assert report["rows"][0]["n_paths"] == 40
+        assert report["n_exploded"] == 0 and report["n_not_converged"] == 0
         assert "note" in report
 
 

@@ -327,6 +327,14 @@ class TestMildResidual:
         res = mild_residual(rep, path, factor, VOL, handle, r0)
         assert np.max(res) < 1e-13
 
+    def test_initial_row_is_zero(self):
+        # at t = 0 the drift and stochastic integrals run over [0, 0]
+        path, factor, handle, r0 = setup(POISSON)
+        rep = solve_monotone(factor, VOL, handle, SolverConfig())
+        res = mild_residual(rep, path, factor, VOL, handle, r0)
+        assert res[0] == 0.0
+        assert np.max(res) > 0.0
+
     def test_pure_drift_first_order(self):
         model = LevyModel(a=1.0)
         grid = SolveGrid(t_star=1.0, dt=1.0 / 64, x_max=1.0)

@@ -197,6 +197,20 @@ class TestDomain:
             assert eval_J_prime(model, z) == INF
             assert eval_J_second(model, z) == INF
 
+    @pytest.mark.parametrize("support", [(-2.0, -1.0), (-1.0, 0.0)])
+    def test_negative_powerlaw_overflow_is_infinite(self, support):
+        # e^{z s} leaves double range for z s > 709: +inf, not OverflowError
+        model = LevyModel(
+            nu=LevyMeasureSpec(density_parts=(PowerLaw(c=1.0, alpha=0.5, support=support),))
+        )
+        assert eval_J_prime(model, 800.0) == INF
+        assert math.isfinite(eval_J_prime(model, 1.0))
+
+    def test_uniform_second_derivative_near_zero(self):
+        # 40-digit mpmath value of int_0^1 s^2 e^{-0.0011 s} ds
+        model = LevyModel(nu=LevyMeasureSpec(density_parts=(Uniform(c=1.0, support=(0.0, 1.0)),)))
+        assert eval_J_second(model, 0.0011) == pytest.approx(0.33305845429636982, rel=1e-14)
+
     def test_negative_powerlaw_tail(self):
         model = LevyModel(
             nu=LevyMeasureSpec(density_parts=(PowerLaw(c=1.0, alpha=1.5, support=(-INF, -1.0)),))

@@ -14,6 +14,7 @@ from levyhjmm.levy_model import (
     levy_model_from_dict,
     levy_model_to_dict,
     moment_integral,
+    pow_exp_integral,
     small_jump_profile,
     support_lower_bound,
 )
@@ -86,6 +87,54 @@ class TestMomentIntegral:
         # tilt at/above the decay rate diverges, decided symbolically
         assert moment_integral(nu, 2, (-INF, -1.0), exp_tilt=3.0) == INF
         assert moment_integral(nu, 2, (-INF, -1.0), exp_tilt=4.0) == INF
+
+
+class TestPowExpIntegral:
+    """int_a^b s^p e^{-kappa s} ds against references that share none of its algebra."""
+
+    KAPPAS = [-5.0, -1.0, -0.3, 0.0, 1e-7, 1e-5, 1e-3, 1.0, 2.5, 10.0, 30.0]
+
+    @staticmethod
+    def _upper_gamma(p, kappa, a):
+        # Gamma(p+1, kappa a) / kappa^(p+1) = p! e^{-kappa a} sum_j (kappa a)^j / j! / kappa^(p+1)
+        x = kappa * a
+        series = sum(x**j / math.factorial(j) for j in range(p + 1))
+        return math.factorial(p) * math.exp(-x) * series / kappa ** (p + 1)
+
+    @pytest.mark.parametrize("p", [0, 1, 2, 3])
+    @pytest.mark.parametrize("a, b", [(0.0, 1.0), (0.0, 1e-3), (0.2, 6.0), (0.5, 1.0), (1.0, 1.0001)])
+    def test_bounded_matches_quadrature(self, p, a, b):
+        got = pow_exp_integral(p, np.array(self.KAPPAS), a, b)
+        for kappa, val in zip(self.KAPPAS, got):
+            ref = quad(lambda s: s**p * math.exp(-kappa * s), a, b, epsabs=0.0, epsrel=1e-13)[0]
+            assert val == pytest.approx(ref, rel=1e-12), (p, kappa, a, b)
+
+    @pytest.mark.parametrize("p", [0, 1, 2, 3])
+    @pytest.mark.parametrize("a", [0.0, 0.2, 1.0, 2.5])
+    def test_unbounded_closed_form_and_divergence(self, p, a):
+        got = pow_exp_integral(p, np.array(self.KAPPAS), a, INF)
+        for kappa, val in zip(self.KAPPAS, got):
+            if kappa <= 0.0:
+                assert val == INF
+            else:
+                ref = math.factorial(p) / kappa ** (p + 1) if a == 0.0 else self._upper_gamma(p, kappa, a)
+                assert val == pytest.approx(ref, rel=1e-12), (p, kappa, a)
+
+    def test_scalar_kappa(self):
+        assert float(pow_exp_integral(1, 0.0, 1.0, 3.0)) == pytest.approx(4.0, rel=1e-15)
+
+
+class TestPinnedValues:
+    """40-digit mpmath values where cancelling closed forms lost digits."""
+
+    def test_small_jump_profile_weak_exponential(self):
+        nu = LevyMeasureSpec(density_parts=(Exponential(c=1.0, beta=2e-4, support=(0.0, 1.0)),))
+        assert small_jump_profile(nu, 0.5) == pytest.approx(0.04166354179166319, rel=1e-14)
+
+    def test_tilted_cubic_moment(self):
+        nu = LevyMeasureSpec(density_parts=(Exponential(c=1.0, beta=1e-9, support=(-1.0, -0.5)),))
+        got = moment_integral(nu, 3, (-1.0, -0.5), exp_tilt=3e-4)
+        assert got == pytest.approx(0.23443313218965115, rel=1e-14)
 
 
 class TestSupportLowerBound:
