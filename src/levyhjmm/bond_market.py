@@ -21,13 +21,19 @@ from .hjmm_solver import (
     STATUS_CONVERGED,
     STATUS_EXPLOSION,
     SolverConfig,
-    solve_monotone,
+    solve_batch,
 )
 from .path_sim import SimConfig, simulate
 from .random_factor import Volatility, compute_a
 
 FRAME_MOVING = "Moving"
 FRAME_NATURAL = "Natural"
+
+#: martingale_mc solves its paths in blocks of at most this many field
+#: entries, paths x (n_t + 1) x (n_w + 1): enough paths that the per-call cost
+#: of an iteration is shared (29 at dt = 1/16 on [0, 1]^2), few enough that
+#: a block's arrays (128 KB each) stay in cache; larger blocks measured no faster
+_BLOCK_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -138,6 +144,9 @@ class MartingaleReport:
     n_paths: int
     n_exploded: int
     n_not_converged: int
+    n_iters_min: int
+    n_iters_median: float
+    n_iters_max: int
     note: str = (
         "plain expectation-constancy check; a genuinely local (non-true) "
         "martingale could fail it"
@@ -166,24 +175,43 @@ def martingale_mc(
     Simulates n_paths, solves each path, forms the discounted price
     P^(t,T) = exp(-int_0^t v(s) ds) P(t,T) and compares its cross-path mean
     at each checkpoint against P(0,T).  Paths that explode or reach the
-    iteration cap without converging are excluded and counted apart.
+    iteration cap without converging are excluded and counted apart; the
+    iteration counts of all paths are summarised by min, median and max.
+    Each path has its own seed stream; the paths are solved in blocks
+    (solve_batch), with the same result as one solve per path, errors
+    included: the first path that fails to simulate or to solve raises.
     """
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     maturities = [float(T) for T in maturities]
     t_checkpoints = [float(t) for t in t_checkpoints]
     exponent = ExponentHandle(model)
     seeds = np.random.SeedSequence(seed).generate_state(n_paths, dtype=np.uint64)
+    block = max(1, _BLOCK_ENTRIES // ((grid.n_t + 1) * (grid.n_w + 1)))
     samples: dict[tuple[float, float], list[float]] = {
         (T, t): [] for T in maturities for t in t_checkpoints
     }
     reference: dict[float, float] = {}
     n_exploded = n_not_converged = 0
-    for ps in seeds:
-        path = simulate(
-            model,
-            SimConfig(t_star=grid.t_star, dt=grid.dt, seed=int(ps), n_threshold=n_threshold),
-        )
-        factor = compute_a(path, vol, r0, model.q, grid)
-        rep = solve_monotone(factor, vol, exponent, solver_cfg)
+    n_iters: list[int] = []
+
+    def solved():
+        for start in range(0, n_paths, block):
+            factors, failure = [], None
+            for ps in seeds[start : start + block]:
+                sim_cfg = SimConfig(t_star=grid.t_star, dt=grid.dt, seed=int(ps), n_threshold=n_threshold)
+                try:
+                    factors.append(compute_a(simulate(model, sim_cfg), vol, r0, model.q, grid))
+                except Exception as exc:
+                    # raised once the paths before it are solved, as one path at a time would
+                    failure = exc
+                    break
+            yield from solve_batch(factors, vol, exponent, solver_cfg)
+            if failure is not None:
+                raise failure
+
+    for rep in solved():
+        n_iters.append(rep.n_iters)
         if rep.status != STATUS_CONVERGED:
             if rep.status == STATUS_EXPLOSION:
                 n_exploded += 1
@@ -218,5 +246,11 @@ def martingale_mc(
                 )
             )
     return MartingaleReport(
-        rows=tuple(rows), n_paths=n_paths, n_exploded=n_exploded, n_not_converged=n_not_converged
+        rows=tuple(rows),
+        n_paths=n_paths,
+        n_exploded=n_exploded,
+        n_not_converged=n_not_converged,
+        n_iters_min=min(n_iters),
+        n_iters_median=float(np.median(n_iters)),
+        n_iters_max=max(n_iters),
     )

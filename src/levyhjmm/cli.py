@@ -238,6 +238,9 @@ def cmd_check_martingale(sc: Scenario, out: Path, args) -> int:
         ],
         "n_exploded": report.n_exploded,
         "n_not_converged": report.n_not_converged,
+        "n_iters_min": report.n_iters_min,
+        "n_iters_median": report.n_iters_median,
+        "n_iters_max": report.n_iters_max,
         "note": report.note,
         "rng_algorithm": RNG_ALGORITHM,
         **_meta(sc),

@@ -89,32 +89,60 @@ class SolveGrid:
         """Read-only boolean matrix of the triangle t + x <= x_max + t_star."""
         return self._mask
 
-    def nan_sup(self, field: np.ndarray) -> float:
-        """Sup of |field| over the valid triangle."""
-        return float(np.nanmax(np.abs(np.where(self._mask, field, np.nan))))
+    def nan_sup(self, field: np.ndarray):
+        """Sup of |field| over the valid triangle: a float for one field, an
+        array over the leading axes for a stack of fields."""
+        sup = np.nanmax(np.abs(self.triangle(field)), axis=-1)
+        return float(sup) if sup.ndim == 0 else sup
 
     @cached_property
-    def _frames(self) -> tuple[np.ndarray, np.ndarray]:
-        """Flat indices of the triangle in the moving (i, j) and the natural
-        (i, T = i + j) frame, in row-major order of the triangle."""
-        i, j = np.nonzero(self._mask)
-        width = self.n_w + 1
-        return i * width + j, i * width + i + j
+    def _frames(self) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+        """The triangle in the moving (i, j) and the natural (i, T = i + j)
+        frame, each as a boolean mask and as flat indices; both frames list
+        it in the same row-major order."""
+        i = np.arange(self.n_t + 1)[:, None]
+        T = np.arange(self.n_w + 1)[None, :]
+        natural = T >= i
+        natural.flags.writeable = False
+        return (self._mask, np.flatnonzero(self._mask)), (natural, np.flatnonzero(natural))
 
-    def _remap(self, values: np.ndarray, src: np.ndarray, dst: np.ndarray, fill: float):
-        out = np.full((self.n_t + 1, self.n_w + 1), fill)
-        out.ravel()[dst] = np.asarray(values, dtype=float).ravel()[src]
+    # Fields may carry leading axes (a stack of paths); the helpers below act
+    # on the last two axes and keep the leading ones.
+
+    @staticmethod
+    def _gather(field, frame) -> np.ndarray:
+        field = np.asarray(field, dtype=float)
+        flat = field.reshape(field.shape[:-2] + (field.shape[-2] * field.shape[-1],))
+        return flat.take(frame[1], axis=-1)
+
+    @staticmethod
+    def _scatter(values: np.ndarray, frame, fill: float) -> np.ndarray:
+        mask, idx = frame
+        out = np.full(values.shape[:-1] + mask.shape, fill)
+        if values.size == idx.size:  # one field: a boolean assignment is fastest
+            out.reshape(mask.shape)[mask] = values.reshape(-1)
+        else:
+            rows = out.reshape(-1, mask.size)
+            rows[:, idx] = values.reshape(rows.shape[0], idx.size)
         return out
+
+    def triangle(self, field) -> np.ndarray:
+        """The entries of field on the triangle, in row-major order, along one last axis."""
+        return self._gather(field, self._frames[0])
+
+    def from_triangle(self, values: np.ndarray) -> np.ndarray:
+        """Inverse of `triangle`: the field, NaN beyond the triangle."""
+        return self._scatter(values, self._frames[0], np.nan)
 
     def to_natural(self, field: np.ndarray, fill: float = np.nan) -> np.ndarray:
         """f[i, T] = field[i, T - i] for T >= i; `fill` elsewhere."""
         moving, natural = self._frames
-        return self._remap(field, moving, natural, fill)
+        return self._scatter(self._gather(field, moving), natural, fill)
 
     def to_moving(self, field: np.ndarray) -> np.ndarray:
         """r[i, j] = field[i, i + j] on the triangle; NaN beyond it."""
         moving, natural = self._frames
-        return self._remap(field, natural, moving, np.nan)
+        return self._scatter(self._gather(field, natural), moving, np.nan)
 
     def shifted(self, curve: np.ndarray) -> np.ndarray:
         """The curve read in the moving frame, curve(t_i + x_j), on the triangle."""
@@ -130,11 +158,11 @@ class SolveGrid:
         """
         Gn = self.to_natural(G, fill=0.0)
         if rule == "trapezoid":
-            Gn[0] *= 0.5
+            Gn[..., 0, :] *= 0.5
         elif rule != "left":
             raise ValueError(f"rule must be 'trapezoid' or 'left', got {rule!r}")
         En = np.zeros_like(Gn)
-        np.cumsum(Gn[:-1], axis=0, out=En[1:])
+        np.cumsum(Gn[..., :-1, :], axis=-2, out=En[..., 1:, :])
         if rule == "trapezoid":
-            En[1:] += 0.5 * Gn[1:]
+            En[..., 1:, :] += 0.5 * Gn[..., 1:, :]
         return self.to_moving(En)

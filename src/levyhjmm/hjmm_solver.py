@@ -11,7 +11,9 @@ minimal nonnegative solution when it exists, and unbounded growth of the
 iterates is the numerical signature of explosion (non-existence on the
 horizon).  Everything is evaluated on the aligned dt = dx grid with
 trapezoidal quadrature in the inner (v) and outer (s) variables; all frame
-reads are grid-exact.
+reads are grid-exact.  Independent paths are iterated together as one stack
+(`solve_batch`), each with its own stopping rule; a single solve is a stack
+of one.
 """
 
 from __future__ import annotations
@@ -75,31 +77,33 @@ class SolveReport:
 
 
 def _cumtrapz_rows(mat: np.ndarray, dx: float) -> np.ndarray:
-    """Row-wise cumulative trapezoid with zero at the first node."""
+    """Cumulative trapezoid along the last axis with zero at the first node."""
     out = np.empty_like(mat)
-    out[:, 0] = 0.0
-    avg = 0.5 * (mat[:, 1:] + mat[:, :-1])
-    np.cumsum(avg, axis=1, out=out[:, 1:])
-    out[:, 1:] *= dx
+    out[..., 0] = 0.0
+    avg = 0.5 * (mat[..., 1:] + mat[..., :-1])
+    np.cumsum(avg, axis=-1, out=out[..., 1:])
+    out[..., 1:] *= dx
     return out
 
 
 def _on_triangle(fn, z: np.ndarray, grid: SolveGrid, what: str | None = None) -> np.ndarray:
-    """fn(z) in one call over the valid triangle, NaN beyond it.
+    """fn(z) in one call over the valid triangle of every field in z, NaN beyond it.
 
     With `what` set, an infinite value raises ExponentDomainError at the
-    first such z in row-major order.
+    first such z in row-major order; for a stack of fields its `path`
+    attribute is the index of that z's field along the (flattened) leading
+    axes.
     """
-    mask = grid.valid_mask()
-    zs = z[mask]
-    vals = fn(zs)
+    zs = grid.triangle(z)
+    vals = fn(zs.ravel()).reshape(zs.shape)
     if what is not None:
         inf = np.isinf(vals)
         if np.any(inf):
-            raise ExponentDomainError(zs[np.argmax(inf)], what=what)
-    out = grid.empty_field()
-    out[mask] = vals
-    return out
+            first = int(np.argmax(inf))
+            err = ExponentDomainError(zs.flat[first], what=what)
+            err.path = first // zs.shape[-1]
+            raise err
+    return grid.from_triangle(vals)
 
 
 def field_row_norms(field_mat: np.ndarray, grid: SolveGrid, gamma: float) -> np.ndarray:
@@ -108,8 +112,8 @@ def field_row_norms(field_mat: np.ndarray, grid: SolveGrid, gamma: float) -> np.
     with np.errstate(over="ignore"):
         y = np.where(mask, field_mat * field_mat * np.exp(gamma * grid.x_wide), 0.0)
         # trapezoid per row; a panel counts when its right node is on the triangle
-        panels = np.where(mask[:, 1:], grid.dt * (y[:, 1:] + y[:, :-1]) / 2.0, 0.0)
-        return np.sqrt(panels.sum(axis=1))
+        panels = np.where(mask[:, 1:], grid.dt * (y[..., 1:] + y[..., :-1]) / 2.0, 0.0)
+        return np.sqrt(panels.sum(axis=-1))
 
 
 def apply_K(
@@ -120,15 +124,33 @@ def apply_K(
 ) -> np.ndarray:
     """One application of the fixed-point operator on the grid.
 
-    Raises ExponentDomainError when J' is infinite at a needed argument.
+    h may be a stack of fields over leading axes, with factor.a stacked
+    alike.  Raises ExponentDomainError when J' is infinite at a needed
+    argument.
     """
     grid = factor.grid
     lam_w = vol.lam(grid.x_wide)
-    cum = _cumtrapz_rows(lam_w[None, :] * h, grid.dt)
+    cum = _cumtrapz_rows(lam_w * h, grid.dt)
     with np.errstate(over="ignore"):
         jp = _on_triangle(exponent.J_prime, cum, grid, what="J'")
         # row 0 sums nothing, so exp(0) keeps it equal to a(0, x)
         return factor.a * np.exp(grid.dt * grid.sum_along_t(jp * lam_w))
+
+
+def _c1_bounds(
+    B: np.ndarray, lambda_bar: float, t_star: float, gamma: float, exponent: ExponentHandle
+) -> list[float | None]:
+    """a_priori_c1 for each product B = b_bar ||r0||, with one J' scan for all."""
+    cs = 10.0 ** (np.arange(-8 * 60, 12 * 60 + 1) / 60.0)
+    zc = lambda_bar * cs / math.sqrt(gamma)
+    jp = exponent.J_prime(zc)
+    if np.all(jp <= 0.0):
+        return [b if b > 0.0 else None for b in B.tolist()]
+    growth = np.maximum(lambda_bar * t_star * jp, 0.0)
+    log_b = np.array([math.log(b) if b > 0.0 else math.nan for b in B.tolist()])
+    lhs = log_b[:, None] + growth
+    ok = np.isfinite(lhs) & (lhs <= np.log(cs))
+    return [float(cs[np.argmax(row)]) if row.any() else None for row in ok]
 
 
 def a_priori_c1(
@@ -146,19 +168,15 @@ def a_priori_c1(
     with  ln(b_bar ||r0||) + max(lambda_bar T* J'(lambda_bar c / sqrt(gamma)), 0)
     <= ln c  is returned; None when no grid point qualifies.
     """
-    B = b_bar * r0_norm
-    if B <= 0.0:
-        return None
-    cs = 10.0 ** (np.arange(-8 * 60, 12 * 60 + 1) / 60.0)
-    zc = lambda_bar * cs / math.sqrt(gamma)
-    jp = exponent.J_prime(zc)
-    if np.all(jp <= 0.0):
-        return B
-    lhs = math.log(B) + np.maximum(lambda_bar * t_star * jp, 0.0)
-    ok = np.isfinite(lhs) & (lhs <= np.log(cs))
-    if not np.any(ok):
-        return None
-    return float(cs[np.argmax(ok)])
+    return _c1_bounds(np.array([b_bar * r0_norm]), lambda_bar, t_star, gamma, exponent)[0]
+
+
+@dataclass(frozen=True)
+class _FactorStack:
+    """What apply_K reads of a random factor, for a stack of paths."""
+
+    grid: SolveGrid
+    a: np.ndarray
 
 
 def solve_monotone(
@@ -174,88 +192,149 @@ def solve_monotone(
     Stops Converged when the relative sup change drops below tol,
     ExplosionDetected when an iterate tops the cap or the sup norm grows by
     more than a factor 10 for 3 consecutive iterations, MaxIterReached
-    otherwise.  h0="factor" seeds the iteration at a instead (used by the
-    two-start uniqueness check).
+    otherwise; detail["rule"] names the rule that fired.  h0="factor" seeds
+    the iteration at a instead (used by the two-start uniqueness check).
+    This is solve_batch on a batch of one.
     """
-    grid = factor.grid
-    sup_r0 = float(np.max(np.abs(factor.r0.values[: grid.n_w + 1])))
-    cap = cfg.cap if cfg.cap is not None else 1e8 * (1.0 + sup_r0)
-    if cap <= sup_r0:
-        raise ValueError(f"cap={cap} must exceed sup r0={sup_r0}")
+    return solve_batch([factor], vol, exponent, cfg, h0=h0, keep_iterates=keep_iterates)[0]
 
-    r0_vals = factor.r0.values[: grid.n_w + 1]
-    r0_norm = math.sqrt(trapezoid(r0_vals**2 * np.exp(cfg.gamma * grid.x_wide), dx=grid.dt))
-    c1 = a_priori_c1(
-        factor.b_bar, r0_norm, vol.lambda_bar, grid.t_star, cfg.gamma, exponent
-    )
+
+def solve_batch(
+    factors,
+    vol: Volatility,
+    exponent: ExponentHandle,
+    cfg: SolverConfig,
+    h0: str = "zero",
+    keep_iterates: bool = False,
+) -> list[SolveReport]:
+    """solve_monotone for several paths on one grid, iterated as one stack.
+
+    Every path keeps its own cap, stopping rule and iteration count; a path
+    that stops leaves the stack, and its report equals the one-path solve
+    bit for bit.  When a path fails (cap below sup r0, or J' infinite at its
+    domain probe or during an iteration), it and every later path are
+    dropped, and after the stack is done the error of the lowest failing
+    path is raised, as solving the paths one after the other would.
+    """
+    if h0 not in ("zero", "factor"):
+        raise ValueError(f"h0 must be 'zero' or 'factor', got {h0!r}")
+    if not factors:
+        return []
+    grid = factors[0].grid
+    if any(f.grid != grid for f in factors):
+        raise ValueError("all factors of a batch must share one grid")
+    n_paths = len(factors)
+    error: Exception | None = None
+    active = np.arange(n_paths)
+
+    def fail(k: int, err: Exception) -> None:
+        """Record the error of active[k]; drop that path and every later one."""
+        nonlocal error, active
+        error, active = err, active[:k]
+
+    r0 = np.stack([f.r0.values[: grid.n_w + 1] for f in factors])
+    sup_r0 = np.max(np.abs(r0), axis=-1).tolist()
+    caps = [cfg.cap if cfg.cap is not None else 1e8 * (1.0 + s) for s in sup_r0]
+    for p in range(n_paths):
+        if caps[p] <= sup_r0[p]:
+            fail(p, ValueError(f"cap={caps[p]} must exceed sup r0={sup_r0[p]}"))
+            break
+
+    r0_norms = np.sqrt(trapezoid(r0**2 * np.exp(cfg.gamma * grid.x_wide), dx=grid.dt, axis=-1))
+    B = np.array([f.b_bar for f in factors]) * r0_norms
+    c1s = _c1_bounds(B, vol.lambda_bar, grid.t_star, cfg.gamma, exponent)
     # fail fast if J' is unreachable on the region the iteration can visit
-    z_probe = (
+    z_probe = [
         vol.lambda_bar * c1 / math.sqrt(cfg.gamma)
         if c1 is not None
         else vol.lambda_bar * cap * grid.x_max
-    )
-    probe = exponent.J_prime(np.array([z_probe]))
+        for c1, cap in zip(c1s, caps)
+    ]
+    probe = exponent.J_prime(np.array(z_probe)[active])
     if np.any(np.isinf(probe)):
-        raise ExponentDomainError(z_probe)
+        # active is still 0 .. m-1 here, so k is also the path's index
+        k = int(np.argmax(np.isinf(probe)))
+        fail(k, ExponentDomainError(z_probe[k]))
 
-    if h0 == "zero":
-        h = np.where(grid.valid_mask(), 0.0, np.nan)
-    elif h0 == "factor":
-        h = factor.a.copy()
-    else:
-        raise ValueError(f"h0 must be 'zero' or 'factor', got {h0!r}")
+    a = np.stack([f.a for f in factors])
+    h = np.where(grid.valid_mask(), 0.0, np.nan) if h0 == "zero" else a
+    h = np.broadcast_to(h, a.shape)
+    cap_arr = np.array(caps, dtype=float)
+    sup_hist = np.zeros((n_paths, cfg.max_iter))
+    l2_hist = np.zeros((n_paths, cfg.max_iter))
+    streak = np.zeros(n_paths, dtype=int)
+    last_change = np.zeros(n_paths)
+    iterates: list[list[np.ndarray]] = [[] for _ in range(n_paths)]
+    done: dict[int, tuple] = {}  # path -> (status, rule, field, n_iters)
 
-    sup_norms: list[float] = []
-    l2_norms: list[float] = []
-    iterates: list[np.ndarray] = []
-    status = STATUS_MAX_ITER
-    detail: dict = {"h0": h0, "cap": cap}
-    growth_streak = 0
-    n_iters = 0
-
+    # h and a_act hold the active paths, in order; a failure only shortens them
+    a_act = a
     for n in range(cfg.max_iter):
-        h_next = apply_K(h, factor, vol, exponent)
-        n_iters = n + 1
-        sup = grid.nan_sup(h_next)
-        sup_norms.append(sup)
-        l2_norms.append(float(np.max(field_row_norms(h_next, grid, cfg.gamma))))
-        if keep_iterates:
-            iterates.append(h_next.copy())
-
-        if not math.isfinite(sup) or sup > cap:
-            status = STATUS_EXPLOSION
-            detail["rule"] = "cap"
-            h = h_next
-            break
-        if n >= 1 and sup > _GROWTH_FACTOR * sup_norms[-2] > 0.0:
-            growth_streak += 1
-            if growth_streak >= _GROWTH_STREAK:
-                status = STATUS_EXPLOSION
-                detail["rule"] = f"growth-streak x{_GROWTH_FACTOR}"
-                h = h_next
+        h_next = None
+        while active.size:
+            try:
+                h_next = apply_K(h[: active.size], _FactorStack(grid, a_act[: active.size]), vol, exponent)
                 break
-        else:
-            growth_streak = 0
-
-        change = grid.nan_sup(h_next - h)
-        h = h_next
-        if change < cfg.tol * (1.0 + sup):
-            status = STATUS_CONVERGED
-            detail["last_change"] = change
+            except ExponentDomainError as err:
+                fail(err.path, err)
+        if h_next is None:
             break
+        h, a_act = h[: active.size], a_act[: active.size]
+        sup = grid.nan_sup(h_next)
+        sup_hist[active, n] = sup
+        l2_hist[active, n] = np.max(field_row_norms(h_next, grid, cfg.gamma), axis=-1)
+        if keep_iterates:
+            for k, p in enumerate(active.tolist()):
+                iterates[p].append(h_next[k].copy())
 
-    return SolveReport(
-        status=status,
-        field=h,
-        iterate_sup_norms=sup_norms,
-        iterate_l2_norms=l2_norms,
-        c1=c1,
-        n_iters=n_iters,
-        grid=grid,
-        gamma=cfg.gamma,
-        detail=detail,
-        iterates=iterates if keep_iterates else None,
-    )
+        cap_hit = ~np.isfinite(sup) | (sup > cap_arr[active])
+        if n >= 1:
+            prev = _GROWTH_FACTOR * sup_hist[active, n - 1]
+            streak[active] = np.where((sup > prev) & (prev > 0.0), streak[active] + 1, 0)
+        growth_hit = ~cap_hit & (streak[active] >= _GROWTH_STREAK)
+        going = ~(cap_hit | growth_hit)
+        with np.errstate(invalid="ignore"):  # inf - inf only where the cap was hit
+            change = grid.nan_sup(h_next - h)
+        converged = going & (change < cfg.tol * (1.0 + sup))
+        last_change[active] = change
+        keep = going & ~converged
+        if not keep.all():
+            for k in np.flatnonzero(~keep).tolist():
+                if cap_hit[k]:
+                    stop = (STATUS_EXPLOSION, "cap")
+                elif growth_hit[k]:
+                    stop = (STATUS_EXPLOSION, f"growth-streak x{_GROWTH_FACTOR}")
+                else:
+                    stop = (STATUS_CONVERGED, "tol")
+                done[int(active[k])] = (*stop, h_next[k], n + 1)
+            active, h_next, a_act = active[keep], h_next[keep], a_act[keep]
+        h = h_next
+    for k, p in enumerate(active.tolist()):
+        done[p] = (STATUS_MAX_ITER, "max_iter", h[k], cfg.max_iter)
+
+    if error is not None:
+        raise error
+    reports = []
+    for p in range(n_paths):
+        status, rule, fld, n_iters = done[p]
+        detail: dict = {"h0": h0, "cap": caps[p], "rule": rule}
+        if status != STATUS_EXPLOSION:
+            detail["last_change"] = float(last_change[p])
+        reports.append(
+            SolveReport(
+                status=status,
+                field=fld,
+                iterate_sup_norms=sup_hist[p, :n_iters].tolist(),
+                iterate_l2_norms=l2_hist[p, :n_iters].tolist(),
+                c1=c1s[p],
+                n_iters=n_iters,
+                grid=grid,
+                gamma=cfg.gamma,
+                detail=detail,
+                iterates=iterates[p] if keep_iterates else None,
+            )
+        )
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -463,25 +542,21 @@ def explosion_sweep(
 ) -> SweepResult:
     """Solve with flat initial curves r0 = k over a level range, one path.
 
-    Reports per-level status and the smallest exploding level, if any.
+    The levels are solved as one batch (solve_batch); each level's cap is
+    the default one, 1e8 (1 + k).  Reports per-level status and the
+    smallest exploding level, if any.
     """
     exponent = ExponentHandle(model)
     path = simulate(model, SimConfig(t_star=grid.t_star, dt=grid.dt, seed=seed, n_threshold=n_threshold))
-    rows: list[SweepRow] = []
-    first = None
-    for k in sorted(float(k) for k in r0_levels):
-        r0 = WeightedCurve(dx=grid.dt, values=np.full(grid.n_w + 1, k), gamma=gamma)
-        factor = compute_a(path, vol, r0, model.q, grid)
-        cfg = SolverConfig(tol=tol, max_iter=max_iter, cap=1e8 * (1.0 + k), gamma=gamma)
-        rep = solve_monotone(factor, vol, exponent, cfg)
-        rows.append(
-            SweepRow(
-                level=k,
-                status=rep.status,
-                n_iters=rep.n_iters,
-                max_sup=rep.iterate_sup_norms[-1] if rep.iterate_sup_norms else float("nan"),
-            )
-        )
-        if rep.status == STATUS_EXPLOSION and first is None:
-            first = k
-    return SweepResult(rows=tuple(rows), first_explosion_level=first)
+    levels = sorted(float(k) for k in r0_levels)
+    factors = [
+        compute_a(path, vol, WeightedCurve(dx=grid.dt, values=np.full(grid.n_w + 1, k), gamma=gamma), model.q, grid)
+        for k in levels
+    ]
+    reports = solve_batch(factors, vol, exponent, SolverConfig(tol=tol, max_iter=max_iter, gamma=gamma))
+    rows = tuple(
+        SweepRow(level=k, status=rep.status, n_iters=rep.n_iters, max_sup=rep.iterate_sup_norms[-1])
+        for k, rep in zip(levels, reports)
+    )
+    first = next((row.level for row in rows if row.status == STATUS_EXPLOSION), None)
+    return SweepResult(rows=rows, first_explosion_level=first)

@@ -35,6 +35,7 @@ from .levy_model import (
     pow_exp_integral,
     small_jump_profile,
     support_lower_bound,
+    _LOG_MAX,
     _powerlaw_moment,
     _quad,
 )
@@ -45,8 +46,6 @@ HOLDS = "holds"
 FAILS = "fails"
 UNDECIDABLE = "undecidable"
 
-#: largest w with exp(w) finite in double precision
-_LOG_MAX = math.log(np.finfo(float).max)
 #: rho-fit sample points x = 2^-k and goodness threshold
 _RHO_KS = np.arange(3, 13)
 RHO_FIT_RESIDUAL_MAX = 0.05
@@ -55,7 +54,13 @@ RHO_ONE_BAND = 0.05
 
 
 class ExponentDomainError(ValueError):
-    """J or a derivative was requested at a z where it is infinite."""
+    """J or a derivative was requested at a z where it is infinite.
+
+    When the z came from a stack of fields, `path` is the index of its field
+    along the stack (set by the solver); otherwise it stays None.
+    """
+
+    path: int | None = None
 
     def __init__(self, z: float, what: str = "J'"):
         self.z = float(z)
@@ -359,7 +364,10 @@ def check_condition(model: LevyModel, name: str, z0: float | None = None) -> str
         if z0 is None:
             raise ValueError(f"{name} needs a configured z0")
         p = 2 if name == "L1" else 3
-        neg = moment_integral(nu, p, (-INF, -1.0), exp_tilt=z0)
+        # e^{z0|y|} is bounded on atoms and bounded parts, so their untilted
+        # moment decides; only the parts unbounded below need the tilt
+        tails = LevyMeasureSpec(density_parts=[d for d in nu.density_parts if d.support[0] == -INF])
+        neg = moment_integral(nu, p, (-INF, -1.0)) + moment_integral(tails, p, (-INF, -1.0), exp_tilt=z0)
         pos = moment_integral(nu, p, (1.0, INF))
         return HOLDS if _finite(neg + pos) else FAILS
     if name == "B5":
@@ -575,10 +583,7 @@ def mgf_consistency(
 ) -> list[dict]:
     """Per-z gap |log E^ exp(-z L(t)) - t J(z)| with Monte Carlo standard errors.
 
-    z values outside the exponent domain are reported as skipped.  Note the
-    Gaussian convention: the exponent carries q z^2 / 2 while paths carry a
-    Gaussian part with variance q^2 t, so the gap is only expected to vanish
-    for q in {0, 1} (every scenario in this laboratory uses those).
+    z values outside the exponent domain are reported as skipped.
     """
     from .path_sim import sample_terminal
 

@@ -26,6 +26,8 @@ INF = math.inf
 QUAD_ABS_TOL = 1e-10
 #: neglected tail mass must be provably below this
 TAIL_MASS_TOL = 1e-12
+#: largest w with exp(w) finite in double precision
+_LOG_MAX = math.log(np.finfo(float).max)
 
 
 def _as_interval(support) -> tuple[float, float]:
@@ -151,7 +153,7 @@ class LevyMeasureSpec:
 
 @dataclass(frozen=True)
 class LevyModel:
-    """Levy triplet: drift a, Gaussian coefficient q >= 0, jump measure nu."""
+    """Levy triplet: drift a, Gaussian variance q >= 0, jump measure nu."""
 
     a: float = 0.0
     q: float = 0.0
@@ -159,7 +161,7 @@ class LevyModel:
 
     def __post_init__(self):
         if self.q < 0:
-            raise ValueError(f"Gaussian coefficient q must be >= 0, got {self.q}")
+            raise ValueError(f"Gaussian variance q must be >= 0, got {self.q}")
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +253,8 @@ def _powerlaw_moment(
     """integral_lo^hi s^(p-1-alpha) * exp(tilt*s) * c ds over s = |y| in [lo, hi]."""
     e = p - 1.0 - alpha
     if tilt > 0.0:
-        if hi == INF:
+        # an integrand that overflows a double counts as divergent
+        if hi == INF or tilt * hi > _LOG_MAX:
             return INF
         if lo == 0.0 and e <= -1.0:
             return INF
@@ -285,7 +288,8 @@ def moment_integral(
 ) -> float:
     """integral_region |y|^p * exp(exp_tilt*|y|*1_{y<0}) nu(dy), possibly +inf.
 
-    The exponential tilt acts on the negative axis only.  Endpoint openness
+    The exponential tilt acts on the negative axis only; where the tilt
+    weight overflows a double the result is +inf.  Endpoint openness
     matters for atoms only (densities never charge single points).  Raises
     ValueError for an empty region.
     """
@@ -299,8 +303,10 @@ def moment_integral(
     total = 0.0
     for y, m in nu.atoms:
         if _atom_in_region(y, lo, hi, open_lo, open_hi):
-            w = math.exp(exp_tilt * abs(y)) if (y < 0 and exp_tilt != 0.0) else 1.0
-            total += m * abs(y) ** p * w
+            tilt = exp_tilt * abs(y) if y < 0 else 0.0
+            if tilt > _LOG_MAX:
+                return INF
+            total += m * abs(y) ** p * math.exp(tilt)
 
     for part in nu.density_parts:
         sign, a, b = abs_support(part)

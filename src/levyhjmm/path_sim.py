@@ -197,8 +197,9 @@ def simulate(model: LevyModel, cfg: SimConfig) -> LevyPathRecord:
 
     Jump counts are Poisson with the restricted intensity, times uniform on
     (0, T*], sizes drawn by the inverse CDF of each normalized component;
-    Brownian increments are N(0, q^2 dt).  A count above max_jumps raises
-    JumpCapacityError rather than truncating silently.
+    Brownian increments are N(0, q dt), q being the Gaussian variance.  A
+    count above max_jumps raises JumpCapacityError rather than truncating
+    silently.
     """
     rng = _rng(cfg.seed)
     comps = jump_components(model.nu, 1.0 / cfg.n_threshold)
@@ -227,7 +228,7 @@ def simulate(model: LevyModel, cfg: SimConfig) -> LevyPathRecord:
     times, sizes = times[order], sizes[order]
 
     if model.q > 0.0:
-        dW = rng.normal(0.0, model.q * math.sqrt(cfg.dt), cfg.n_steps)
+        dW = rng.normal(0.0, math.sqrt(model.q * cfg.dt), cfg.n_steps)
     else:
         dW = np.zeros(cfg.n_steps)
 
@@ -255,7 +256,7 @@ def refine_path(path: LevyPathRecord, seed: int) -> LevyPathRecord:
     dW2 = np.zeros(2 * n)
     if path.model.q > 0.0:
         half = path.brownian_increments / 2.0
-        noise = rng.normal(0.0, path.model.q * math.sqrt(dt2) / math.sqrt(2.0), n)
+        noise = rng.normal(0.0, math.sqrt(path.model.q * dt2) / math.sqrt(2.0), n)
         dW2[0::2] = half + noise
         dW2[1::2] = half - noise
     grid_values = _grid_from_parts(
@@ -297,7 +298,7 @@ def sample_terminal(
             idx = np.repeat(np.arange(n_paths), counts)
             out += np.bincount(idx, weights=sizes, minlength=n_paths)
     if model.q > 0.0:
-        out += rng.normal(0.0, model.q * math.sqrt(t), n_paths)
+        out += rng.normal(0.0, math.sqrt(model.q * t), n_paths)
     return out
 
 

@@ -2,9 +2,10 @@
 
 Given a simulated path L and a volatility curve lambda, the field
 
-    a(t,x) = r0(t+x) * exp(I1(t,x) - q^2/2 * int_0^t lambda^2(t-s+x) ds) * I2(t,x)
+    a(t,x) = r0(t+x) * exp(I1(t,x) - q/2 * int_0^t lambda^2(t-s+x) ds) * I2(t,x)
 
-multiplies the nonlinear exponential in the fixed-point equation.  I1 is the
+multiplies the nonlinear exponential in the fixed-point equation (q is the
+variance of the Gaussian part, as in the exponent J).  I1 is the
 stochastic integral int_0^t lambda(t-s+x) dL(s) evaluated through the
 integration-by-parts identity
 
@@ -209,7 +210,7 @@ def compute_a(
     grid: SolveGrid,
     expect_positive: bool = False,
 ) -> RandomFactorField:
-    """Assemble the random factor a(t,x) = r0(t+x) exp(I1 - q^2/2 Q) I2."""
+    """Assemble the random factor a(t,x) = r0(t+x) exp(I1 - q/2 Q) I2."""
     _check_grid_alignment(path, grid)
     if abs(r0.dx - grid.dt) > 1e-12 * grid.dt:
         raise ValueError(f"r0 grid dx={r0.dx} does not match grid dt={grid.dt}")
@@ -232,7 +233,7 @@ def compute_a(
         Q = grid.dt * grid.sum_along_t(np.broadcast_to(lam_sq, mask.shape))
 
     with np.errstate(over="ignore"):
-        b = np.exp(I1 - 0.5 * q * q * Q) * I2
+        b = np.exp(I1 - 0.5 * q * Q) * I2
     a = grid.shifted(r0.values) * b
     b_bar = float(np.nanmax(np.where(mask, b, np.nan)))
     return RandomFactorField(

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -5,9 +6,10 @@ import pytest
 
 from levyhjmm.function_space import WeightedCurve, l1_bound_check
 from levyhjmm.grids import SolveGrid
-from levyhjmm.levy_analysis import ExponentHandle
-from levyhjmm.levy_model import LevyMeasureSpec, LevyModel
-from levyhjmm.path_sim import SimConfig, simulate
+from levyhjmm import bond_market
+from levyhjmm.levy_analysis import ExponentDomainError, ExponentHandle
+from levyhjmm.levy_model import INF, Exponential, LevyMeasureSpec, LevyModel
+from levyhjmm.path_sim import JumpCapacityError, SimConfig, simulate
 from levyhjmm.random_factor import ConstantVol, compute_a
 from levyhjmm.hjmm_solver import SolverConfig, solve_monotone
 from levyhjmm.bond_market import (
@@ -222,3 +224,81 @@ class TestMartingale:
         assert rep.n_exploded == 0
         assert rep.n_excluded_explosions == 5
         assert rep.rows[0].n_paths == 0
+
+    def test_iteration_spread_matches_serial(self):
+        # the benchmark's 16-path criterion-10 set-up
+        r0 = WeightedCurve(dx=GRID.dt, values=np.exp(-GRID.x_wide), gamma=1.0)
+        vol, cfg = ConstantVol(0.3), SolverConfig()
+        rep = martingale_mc(POISSON, vol, r0, GRID, cfg, n_paths=16, maturities=[1.0], t_checkpoints=[0.5], seed=1010)
+        iters = []
+        for ps in np.random.SeedSequence(1010).generate_state(16, dtype=np.uint64):
+            path = simulate(POISSON, SimConfig(t_star=GRID.t_star, dt=GRID.dt, seed=int(ps)))
+            factor = compute_a(path, vol, r0, POISSON.q, GRID)
+            iters.append(solve_monotone(factor, vol, ExponentHandle(POISSON), cfg).n_iters)
+        assert (rep.n_iters_min, rep.n_iters_median, rep.n_iters_max) == (
+            min(iters), float(np.median(iters)), max(iters)
+        )
+
+    def test_blocks_do_not_change_the_report(self, monkeypatch):
+        # 10 paths in blocks of 4 (the last one short) against one path per block
+        r0 = WeightedCurve(dx=GRID.dt, values=3.0 * np.exp(-GRID.x_wide), gamma=1.0)
+        model, vol = LevyModel(q=1.0, nu=LevyMeasureSpec(atoms=((0.5, 1.0),))), ConstantVol(1.0)
+        per_path = (GRID.n_t + 1) * (GRID.n_w + 1)
+        reports = []
+        for block in (4, 1):
+            monkeypatch.setattr(bond_market, "_BLOCK_ENTRIES", block * per_path)
+            reports.append(
+                martingale_mc(model, vol, r0, GRID, SolverConfig(), n_paths=10, maturities=[1.0, 2.0],
+                              t_checkpoints=[0.5], seed=21)
+            )
+        assert reports[0] == reports[1]
+        assert 0 < reports[0].n_exploded < 10
+
+    # J' is infinite past z = 2 on this model; some paths fail their domain probe
+    TAIL_MODEL = LevyModel(
+        nu=LevyMeasureSpec(atoms=((1.0, 1.0),), density_parts=(Exponential(c=1.0, beta=2.0, support=(-INF, -1.0)),))
+    )
+    TAIL_GRID = SolveGrid(t_star=1.0, dt=1.0 / 8, x_max=1.0)
+
+    def _serial_outcomes(self, seed, n_paths, max_jumps=SimConfig.max_jumps):
+        """Per path: None, or the error one path at a time meets."""
+        grid, model = self.TAIL_GRID, self.TAIL_MODEL
+        r0 = WeightedCurve(dx=grid.dt, values=np.exp(-grid.x_wide), gamma=1.0)
+        outcomes = []
+        for ps in np.random.SeedSequence(seed).generate_state(n_paths, dtype=np.uint64):
+            cfg = SimConfig(t_star=grid.t_star, dt=grid.dt, seed=int(ps), max_jumps=max_jumps)
+            try:
+                factor = compute_a(simulate(model, cfg), ConstantVol(0.5), r0, 0.0, grid)
+                solve_monotone(factor, ConstantVol(0.5), ExponentHandle(model), SolverConfig())
+                outcomes.append(None)
+            except (ExponentDomainError, JumpCapacityError) as err:
+                outcomes.append(err)
+        return outcomes
+
+    def _martingale(self, seed, n_paths):
+        grid = self.TAIL_GRID
+        r0 = WeightedCurve(dx=grid.dt, values=np.exp(-grid.x_wide), gamma=1.0)
+        return martingale_mc(self.TAIL_MODEL, ConstantVol(0.5), r0, grid, SolverConfig(), n_paths=n_paths,
+                             maturities=[1.0], t_checkpoints=[0.5], seed=seed)
+
+    def test_domain_error_matches_serial_loop(self):
+        outcomes = self._serial_outcomes(3, 12)
+        assert outcomes[0] is None and any(outcomes)
+        want = next(err for err in outcomes if err is not None)
+        with pytest.raises(ExponentDomainError) as excinfo:
+            self._martingale(3, 12)
+        assert (excinfo.value.z, excinfo.value.what) == (want.z, want.what)
+
+    @pytest.mark.parametrize("max_jumps, kind", [(2, ExponentDomainError), (1, JumpCapacityError)])
+    def test_simulation_error_keeps_path_order(self, monkeypatch, max_jumps, kind):
+        # seed 4: path 4 (2 jumps) fails its domain probe and path 6 has 3
+        # jumps, so the first error depends on max_jumps; all 12 paths share
+        # one block, which simulates path 6 before it solves path 4
+        want = next(err for err in self._serial_outcomes(4, 12, max_jumps) if err is not None)
+        assert type(want) is kind
+        monkeypatch.setattr(bond_market, "SimConfig", functools.partial(SimConfig, max_jumps=max_jumps))
+        with pytest.raises(kind) as excinfo:
+            self._martingale(4, 12)
+        assert str(excinfo.value) == str(want)
+        if kind is ExponentDomainError:
+            assert (excinfo.value.z, excinfo.value.what) == (want.z, want.what)

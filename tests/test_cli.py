@@ -39,6 +39,7 @@ class TestSolve:
         report = json.loads((tmp_path / "out" / "solve_report.json").read_text())
         assert report["status"] == "Converged"
         assert report["n_iters"] <= 2
+        assert report["detail"]["rule"] == "tol"
         assert (tmp_path / "out" / "field.csv").exists()
 
     def test_explosion_exit_code(self, tmp_path):
@@ -48,6 +49,7 @@ class TestSolve:
         assert main(["solve", path, "--out-dir", str(tmp_path / "out")]) == 4
         report = json.loads((tmp_path / "out" / "solve_report.json").read_text())
         assert report["status"] == "ExplosionDetected"
+        assert report["detail"]["rule"] in ("cap", "growth-streak x10.0")
 
     def test_exponent_domain_exit_code(self, tmp_path):
         # heavy negative exponential tail: J' is infinite beyond z = 0.2, and
@@ -165,6 +167,7 @@ class TestOtherCommands:
         report = json.loads((out / "martingale.json").read_text())
         assert report["rows"][0]["n_paths"] == 40
         assert report["n_exploded"] == 0 and report["n_not_converged"] == 0
+        assert 1 <= report["n_iters_min"] <= report["n_iters_median"] <= report["n_iters_max"]
         assert "note" in report
 
 

@@ -1,7 +1,10 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
-from levyhjmm.function_space import WeightedCurve
+from levyhjmm.function_space import WeightedCurve, trapezoid
 from levyhjmm.grids import SolveGrid
 from levyhjmm.levy_analysis import ExponentDomainError, ExponentHandle
 from levyhjmm.levy_model import INF, Exponential, LevyMeasureSpec, LevyModel
@@ -10,14 +13,17 @@ from levyhjmm.random_factor import ConstantVol, ExpAffineVol, compute_a
 from levyhjmm.hjmm_solver import (
     STATUS_CONVERGED,
     STATUS_EXPLOSION,
+    STATUS_MAX_ITER,
     SolveReport,
     SolverConfig,
     _cumtrapz_rows,
     a_priori_c1,
     apply_K,
     explosion_sweep,
+    field_row_norms,
     gronwall_check,
     mild_residual,
+    solve_batch,
     solve_monotone,
     strong_residual,
     uniqueness_constant,
@@ -453,3 +459,166 @@ class TestExplosionSweep:
         res = explosion_sweep(LevyModel(), VOL, [1.0, 4.0, 16.0], GRID, seed=5)
         assert all(r.status == STATUS_CONVERGED for r in res.rows)
         assert res.first_explosion_level is None
+
+
+# ---------------------------------------------------------------------------
+# batched solve: every path must match a one-path-at-a-time reference loop
+# ---------------------------------------------------------------------------
+
+
+def serial_solve(factor, vol, exponent, cfg, h0="zero", keep_iterates=False):
+    """The monotone iteration for one path, written as a plain loop."""
+    grid = factor.grid
+    r0v = factor.r0.values[: grid.n_w + 1]
+    sup_r0 = float(np.max(np.abs(r0v)))
+    cap = cfg.cap if cfg.cap is not None else 1e8 * (1.0 + sup_r0)
+    r0_norm = math.sqrt(trapezoid(r0v**2 * np.exp(cfg.gamma * grid.x_wide), dx=grid.dt))
+    c1 = a_priori_c1(factor.b_bar, r0_norm, vol.lambda_bar, grid.t_star, cfg.gamma, exponent)
+    z_probe = vol.lambda_bar * c1 / math.sqrt(cfg.gamma) if c1 is not None else vol.lambda_bar * cap * grid.x_max
+    if np.isinf(exponent.J_prime(np.array([z_probe]))[0]):
+        raise ExponentDomainError(z_probe)
+    h = np.where(grid.valid_mask(), 0.0, np.nan) if h0 == "zero" else factor.a.copy()
+    sups, l2s, iterates, streak = [], [], [], 0
+    detail = {"h0": h0, "cap": cap}
+    status = None
+    for n in range(cfg.max_iter):
+        h_next = apply_K(h, factor, vol, exponent)
+        sup = grid.nan_sup(h_next)
+        sups.append(sup)
+        l2s.append(float(np.max(field_row_norms(h_next, grid, cfg.gamma))))
+        iterates.append(h_next.copy())
+        if not math.isfinite(sup) or sup > cap:
+            status, detail["rule"], h = STATUS_EXPLOSION, "cap", h_next
+            break
+        if n >= 1 and sup > 10.0 * sups[-2] > 0.0:
+            streak += 1
+            if streak >= 3:
+                status, detail["rule"], h = STATUS_EXPLOSION, "growth-streak x10.0", h_next
+                break
+        else:
+            streak = 0
+        change = grid.nan_sup(h_next - h)
+        h = h_next
+        if change < cfg.tol * (1.0 + sup):
+            status, detail["rule"], detail["last_change"] = STATUS_CONVERGED, "tol", change
+            break
+    if status is None:
+        status, detail["rule"], detail["last_change"] = STATUS_MAX_ITER, "max_iter", change
+    return SolveReport(
+        status=status, field=h, iterate_sup_norms=sups, iterate_l2_norms=l2s, c1=c1,
+        n_iters=len(sups), grid=grid, gamma=cfg.gamma, detail=detail,
+        iterates=iterates if keep_iterates else None,
+    )
+
+
+def assert_same_report(got, want):
+    assert (got.status, got.n_iters, got.c1, got.detail) == (want.status, want.n_iters, want.c1, want.detail)
+    assert got.iterate_sup_norms == want.iterate_sup_norms
+    assert got.iterate_l2_norms == want.iterate_l2_norms
+    assert np.array_equal(got.field, want.field, equal_nan=True)
+    assert (got.iterates is None) == (want.iterates is None)
+    for a, b in zip(got.iterates or [], want.iterates or []):
+        assert np.array_equal(a, b, equal_nan=True)
+
+
+def path_factors(model, vol, grid, r0, n_paths=50, seed=1010):
+    seeds = np.random.SeedSequence(seed).generate_state(n_paths, dtype=np.uint64)
+    return [
+        compute_a(simulate(model, SimConfig(t_star=grid.t_star, dt=grid.dt, seed=int(s))), vol, r0, model.q, grid)
+        for s in seeds
+    ]
+
+
+MIXED = LevyModel(q=1.0, nu=LevyMeasureSpec(atoms=((0.5, 1.0),)))
+FINE_GRID = SolveGrid(t_star=0.5, dt=1.0 / 32, x_max=1.0)
+BATCH_SCENARIOS = {
+    # criterion 10's Poisson set-up: every path converges
+    "poisson": (LevyModel(nu=LevyMeasureSpec(atoms=((1.0, 0.5),))), ConstantVol(0.3), GRID, 1.0, {}),
+    # the benchmark's jump-diffusion model with exp-affine lambda
+    "jump_diffusion": (
+        LevyModel(a=0.2, q=1.0, nu=LevyMeasureSpec(atoms=((1.0, 0.5), (-0.2, 0.3)))),
+        ExpAffineVol(c0=0.2, c1=0.1, beta=1.0), FINE_GRID, 1.0, {},
+    ),
+    # r0 = k e^{-x}: k = 3 and 6 mix Converged and ExplosionDetected paths
+    "mixed_k1": (MIXED, ConstantVol(1.0), GRID, 1.0, {}),
+    "mixed_k3": (MIXED, ConstantVol(1.0), GRID, 3.0, {}),
+    "mixed_k6": (MIXED, ConstantVol(1.0), GRID, 6.0, {}),
+    # mixes MaxIterReached and ExplosionDetected
+    "mixed_k3_max_iter_4": (MIXED, ConstantVol(1.0), GRID, 3.0, {"max_iter": 4}),
+}
+
+
+class TestSolveBatch:
+    @pytest.mark.parametrize("name", sorted(BATCH_SCENARIOS))
+    def test_batch_matches_serial(self, name):
+        model, vol, grid, k, cfg_kw = BATCH_SCENARIOS[name]
+        r0 = WeightedCurve(dx=grid.dt, values=k * np.exp(-grid.x_wide), gamma=1.0)
+        factors = path_factors(model, vol, grid, r0)
+        cfg, handle = SolverConfig(**cfg_kw), ExponentHandle(model)
+        reports = solve_batch(factors, vol, handle, cfg)
+        for f, got in zip(factors, reports):
+            assert_same_report(got, serial_solve(f, vol, handle, cfg))
+            assert_same_report(solve_monotone(f, vol, handle, cfg), got)
+        statuses = {rep.status for rep in reports}
+        if name in ("mixed_k3", "mixed_k6"):
+            assert statuses == {STATUS_CONVERGED, STATUS_EXPLOSION}
+        if name == "mixed_k3_max_iter_4":
+            assert statuses == {STATUS_MAX_ITER, STATUS_EXPLOSION}
+
+    def test_factor_start_and_iterates(self):
+        model, vol, grid, k, _ = BATCH_SCENARIOS["mixed_k3"]
+        r0 = WeightedCurve(dx=grid.dt, values=k * np.exp(-grid.x_wide), gamma=1.0)
+        factors = path_factors(model, vol, grid, r0, n_paths=12)
+        cfg, handle = SolverConfig(), ExponentHandle(model)
+        reports = solve_batch(factors, vol, handle, cfg, h0="factor", keep_iterates=True)
+        for f, got in zip(factors, reports):
+            assert_same_report(got, serial_solve(f, vol, handle, cfg, h0="factor", keep_iterates=True))
+
+    def test_stopping_rule_named(self):
+        _, factor, handle, _ = setup(POISSON, seed=11)
+        rep = solve_monotone(factor, VOL, handle, SolverConfig(max_iter=1))
+        assert rep.status == STATUS_MAX_ITER
+        assert rep.detail["rule"] == "max_iter"
+        assert rep.detail["last_change"] > 0.0
+        assert solve_monotone(factor, VOL, handle, SolverConfig()).detail["rule"] == "tol"
+
+    def test_sweep_matches_level_loop(self):
+        model, vol = LevyModel(q=1.0), ConstantVol(1.0)
+        levels = [2.0**k for k in range(0, 13, 3)]
+        res = explosion_sweep(model, vol, levels, GRID, seed=5)
+        path = simulate(model, SimConfig(t_star=GRID.t_star, dt=GRID.dt, seed=5))
+        for k, row in zip(levels, res.rows):
+            r0 = WeightedCurve(dx=GRID.dt, values=np.full(GRID.n_w + 1, k), gamma=1.0)
+            factor = compute_a(path, vol, r0, model.q, GRID)
+            rep = serial_solve(factor, vol, ExponentHandle(model), SolverConfig(cap=1e8 * (1.0 + k)))
+            assert (row.level, row.status, row.n_iters, row.max_sup) == (
+                k, rep.status, rep.n_iters, rep.iterate_sup_norms[-1]
+            )
+        assert {row.status for row in res.rows} == {STATUS_CONVERGED, STATUS_EXPLOSION}
+
+    def test_lowest_failing_path_raises(self):
+        # path 1 fails in an iteration (a scaled up; the a-priori bound and the
+        # probe are unchanged), path 2 at its domain probe, which comes first
+        # in time; a one-path-at-a-time loop raises the lowest path's error
+        model = LevyModel(
+            nu=LevyMeasureSpec(
+                atoms=((1.0, 1.0),), density_parts=(Exponential(c=1.0, beta=2.0, support=(-INF, -1.0)),)
+            )
+        )
+        vol, handle, cfg = ConstantVol(0.5), ExponentHandle(model), SolverConfig()
+        grid = SolveGrid(t_star=1.0, dt=1.0 / 8, x_max=1.0)
+        factors = path_factors(model, vol, grid, r0_exp(grid), n_paths=3, seed=3)
+        factors[1] = dataclasses.replace(factors[1], a=factors[1].a * 40.0)
+        factors[2] = dataclasses.replace(factors[2], b_bar=1e6)
+        serial_solve(factors[0], vol, handle, cfg)
+        errors = {}
+        for p in (1, 2):
+            with pytest.raises(ExponentDomainError) as excinfo:
+                serial_solve(factors[p], vol, handle, cfg)
+            errors[p] = excinfo.value
+        assert errors[1].path is not None and errors[2].path is None  # iteration vs probe
+        for order in ([0, 1, 2], [0, 2, 1], [2, 0, 1], [1, 2]):
+            with pytest.raises(ExponentDomainError) as excinfo:
+                solve_batch([factors[p] for p in order], vol, handle, cfg)
+            want = errors[next(p for p in order if p in errors)]
+            assert (excinfo.value.z, excinfo.value.what) == (want.z, want.what)

@@ -265,6 +265,37 @@ class TestConditions:
         assert check_condition(model, "L1", z0=1.0) == "holds"
         assert check_condition(model, "L1", z0=2.5) == "fails"
 
+    @pytest.mark.parametrize("atoms", [(), ((-2.0, 1.0),)])
+    def test_l_conditions_bounded_negative_support_large_z0(self, atoms):
+        # e^{z0 |y|} overflows a double at z0 = 400, |y| = 2, but on a bounded
+        # support it is bounded, so the untilted moment decides
+        model = LevyModel(
+            nu=LevyMeasureSpec(
+                atoms=atoms, density_parts=(PowerLaw(c=1.0, alpha=0.5, support=(-2.0, -1.0)),)
+            )
+        )
+        assert check_condition(model, "L1", z0=400.0) == "holds"
+        assert check_condition(model, "L2", z0=400.0) == "holds"
+
+    @pytest.mark.parametrize(
+        "bounded",
+        [
+            {"atoms": ((-2.0, 1.0),)},
+            {"density_parts": (PowerLaw(c=1.0, alpha=0.5, support=(-2.0, -1.0)),)},
+        ],
+    )
+    def test_l_conditions_bounded_piece_with_light_unbounded_tail(self, bounded):
+        # the bounded piece's tilt weight e^{800} overflows, but the tilted
+        # moment is finite when the tail's e^{-beta |y|} beats e^{400 |y|}
+        def with_tail(beta):
+            tail = Exponential(c=1.0, beta=beta, support=(-INF, -3.0))
+            parts = bounded.get("density_parts", ()) + (tail,)
+            return LevyModel(nu=LevyMeasureSpec(atoms=bounded.get("atoms", ()), density_parts=parts))
+
+        assert check_condition(with_tail(1000.0), "L1", z0=400.0) == "holds"
+        assert check_condition(with_tail(1000.0), "L2", z0=400.0) == "holds"
+        assert check_condition(with_tail(300.0), "L1", z0=400.0) == "fails"
+
     def test_b1_implies_b0(self):
         rng = np.random.default_rng(3)
         for _ in range(15):
@@ -368,6 +399,13 @@ class TestMgfConsistency:
     def test_wiener(self):
         (row,) = mgf_consistency(WIENER, [1.0], t=1.0, n_paths=100_000, seed=43)
         assert row["t_J"] == pytest.approx(0.5)
+        assert row["gap"] < 3.0 * row["se"]
+
+    @pytest.mark.parametrize("q", [0.25, 1.0, 4.0])
+    def test_gaussian_variance_convention(self, q):
+        # J carries q z^2 / 2, so the paths must draw N(0, q t)
+        (row,) = mgf_consistency(LevyModel(q=q), [1.0], t=1.0, n_paths=100_000, seed=45)
+        assert row["t_J"] == pytest.approx(q / 2.0)
         assert row["gap"] < 3.0 * row["se"]
 
     def test_infinite_activity_truncation(self):

@@ -88,6 +88,15 @@ class TestMomentIntegral:
         assert moment_integral(nu, 2, (-INF, -1.0), exp_tilt=3.0) == INF
         assert moment_integral(nu, 2, (-INF, -1.0), exp_tilt=4.0) == INF
 
+    @pytest.mark.parametrize("atoms", [(), ((-2.0, 1.0),)])
+    def test_tilt_weight_overflow_is_infinite(self, atoms):
+        # e^{400 * 2} is beyond double range: +inf, not OverflowError
+        nu = LevyMeasureSpec(
+            atoms=atoms, density_parts=(PowerLaw(c=1.0, alpha=0.5, support=(-2.0, -1.0)),)
+        )
+        assert moment_integral(nu, 2, (-INF, -1.0), exp_tilt=400.0) == INF
+        assert math.isfinite(moment_integral(nu, 2, (-INF, -1.0), exp_tilt=1.0))
+
 
 class TestPowExpIntegral:
     """int_a^b s^p e^{-kappa s} ds against references that share none of its algebra."""
