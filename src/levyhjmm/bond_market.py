@@ -23,7 +23,7 @@ from .hjmm_solver import (
     SolverConfig,
     solve_batch,
 )
-from .path_sim import SimConfig, simulate
+from .path_sim import SimConfig, jump_law, simulate
 from .random_factor import Volatility, compute_a
 
 FRAME_MOVING = "Moving"
@@ -76,21 +76,37 @@ def _time_index(grid: SolveGrid, t: float, what: str) -> int:
     return i
 
 
+def _maturity_index(grid: SolveGrid, t: float, T: float) -> tuple[int, int]:
+    """(i, j) with t = t_i and T - t = x_j, both on the grid."""
+    if T < t:
+        raise ValueError(f"maturity T={T} before t={t}")
+    i = _time_index(grid, t, "t")
+    j = int(round((T - t) / grid.dt))
+    if abs(j * grid.dt - (T - t)) > 1e-9 * max(1.0, T) or j > grid.row_width(i):
+        raise ValueError(f"T-t={T - t} not within the grid for t={t}")
+    return i, j
+
+
 def bond_price(field: ForwardField, t: float, T: float) -> float:
     """P(t,T) = exp(-int_0^{T-t} r(t,v) dv) by trapezoid on the grid."""
     if field.frame != FRAME_MOVING:
         raise ValueError("bond_price expects a moving-frame field")
-    if T < t:
-        raise ValueError(f"maturity T={T} before t={t}")
-    g = field.grid
-    i = _time_index(g, t, "t")
-    j = int(round((T - t) / g.dt))
-    if abs(j * g.dt - (T - t)) > 1e-9 * max(1.0, T) or j > g.row_width(i):
-        raise ValueError(f"T-t={T - t} not within the grid for t={t}")
+    i, j = _maturity_index(field.grid, t, T)
     if j == 0:
         return 1.0
-    integral = float(trapezoid(field.values[i, : j + 1], dx=g.dt))
+    integral = float(trapezoid(field.values[i, : j + 1], dx=field.grid.dt))
     return math.exp(-integral)
+
+
+def _exp_neg_integrals(rows: np.ndarray, dx: float) -> list[float]:
+    """exp(-trapezoid(row)) for each row of a stack, 1.0 for a one-node row.
+
+    math.exp, not np.exp: it is the scalar exponential bond_price uses, and
+    np.exp can differ from it in the last bit.
+    """
+    if rows.shape[-1] < 2:
+        return [1.0] * rows.shape[0]
+    return [math.exp(-x) for x in trapezoid(rows, dx=dx, axis=-1).tolist()]
 
 
 def short_rate(field: ForwardField, t: float) -> float:
@@ -174,18 +190,23 @@ def martingale_mc(
 
     Simulates n_paths, solves each path, forms the discounted price
     P^(t,T) = exp(-int_0^t v(s) ds) P(t,T) and compares its cross-path mean
-    at each checkpoint against P(0,T).  Paths that explode or reach the
-    iteration cap without converging are excluded and counted apart; the
-    iteration counts of all paths are summarised by min, median and max.
-    Each path has its own seed stream; the paths are solved in blocks
-    (solve_batch), with the same result as one solve per path, errors
-    included: the first path that fails to simulate or to solve raises.
+    at each checkpoint against P(0,T), priced on the first converged path.
+    Paths that explode or reach the iteration cap without converging are
+    excluded and counted apart; the iteration counts of all paths are
+    summarised by min, median and max.
+
+    Each path is simulated from its own seed stream, with the model's jump
+    law built once.  The paths then go through in blocks: one stacked
+    compute_a, one solve_batch and one pricing pass per block, with the
+    same result as one path at a time, errors included: the first path that
+    fails to simulate or to solve raises.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     maturities = [float(T) for T in maturities]
     t_checkpoints = [float(t) for t in t_checkpoints]
     exponent = ExponentHandle(model)
+    law = jump_law(model, n_threshold)
     seeds = np.random.SeedSequence(seed).generate_state(n_paths, dtype=np.uint64)
     block = max(1, _BLOCK_ENTRIES // ((grid.n_t + 1) * (grid.n_w + 1)))
     samples: dict[tuple[float, float], list[float]] = {
@@ -195,39 +216,41 @@ def martingale_mc(
     n_exploded = n_not_converged = 0
     n_iters: list[int] = []
 
-    def solved():
-        for start in range(0, n_paths, block):
-            factors, failure = [], None
-            for ps in seeds[start : start + block]:
-                sim_cfg = SimConfig(t_star=grid.t_star, dt=grid.dt, seed=int(ps), n_threshold=n_threshold)
-                try:
-                    factors.append(compute_a(simulate(model, sim_cfg), vol, r0, model.q, grid))
-                except Exception as exc:
-                    # raised once the paths before it are solved, as one path at a time would
-                    failure = exc
-                    break
-            yield from solve_batch(factors, vol, exponent, solver_cfg)
-            if failure is not None:
-                raise failure
-
-    for rep in solved():
-        n_iters.append(rep.n_iters)
-        if rep.status != STATUS_CONVERGED:
-            if rep.status == STATUS_EXPLOSION:
-                n_exploded += 1
-            else:
-                n_not_converged += 1
-            continue
-        field = ForwardField(FRAME_MOVING, rep.field, grid, solver_cfg.gamma)
-        if not reference:
-            for T in maturities:
-                reference[T] = bond_price(field, 0.0, T)
-        v = rep.field[:, 0]  # the short rate r(t, 0)
-        for t in t_checkpoints:
-            i = _time_index(grid, t, "t_checkpoint")
-            disc = math.exp(-float(trapezoid(v[: i + 1], dx=grid.dt))) if i > 0 else 1.0
-            for T in maturities:
-                samples[(T, t)].append(disc * bond_price(field, t, T))
+    for start in range(0, n_paths, block):
+        paths, failure = [], None
+        for ps in seeds[start : start + block]:
+            sim_cfg = SimConfig(t_star=grid.t_star, dt=grid.dt, seed=int(ps), n_threshold=n_threshold)
+            try:
+                paths.append(simulate(model, sim_cfg, law))
+            except Exception as exc:
+                # raised once the paths before it are solved, as one path at a time would
+                failure = exc
+                break
+        fields = []
+        if paths:
+            factors = compute_a(paths, vol, r0, model.q, grid).unstack()
+            for rep in solve_batch(factors, vol, exponent, solver_cfg):
+                n_iters.append(rep.n_iters)
+                if rep.status == STATUS_CONVERGED:
+                    fields.append(rep.field)
+                elif rep.status == STATUS_EXPLOSION:
+                    n_exploded += 1
+                else:
+                    n_not_converged += 1
+        if fields:
+            if not reference:
+                first = ForwardField(FRAME_MOVING, fields[0], grid, solver_cfg.gamma)
+                reference = {T: bond_price(first, 0.0, T) for T in maturities}
+            stack = np.stack(fields)
+            for t in t_checkpoints:
+                i = _time_index(grid, t, "t_checkpoint")
+                disc = _exp_neg_integrals(stack[:, : i + 1, 0], grid.dt)  # of the short rate r(s, 0)
+                for T in maturities:
+                    j = _maturity_index(grid, t, T)[1]
+                    prices = _exp_neg_integrals(stack[:, i, : j + 1], grid.dt)
+                    samples[(T, t)].extend(d * p for d, p in zip(disc, prices))
+        if failure is not None:
+            raise failure
     rows = []
     n_eff = n_paths - n_exploded - n_not_converged
     for T in maturities:

@@ -27,6 +27,13 @@ def _cells(span: float, dt: float, what: str) -> int:
     return n
 
 
+def _nodes(dt: float, n: int) -> np.ndarray:
+    """dt * (0, 1, ..., n), read-only, since a grid builds it once and shares it."""
+    nodes = dt * np.arange(n + 1)
+    nodes.flags.writeable = False
+    return nodes
+
+
 @dataclass(frozen=True)
 class SolveGrid:
     """Uniform grid with dt = dx over t in [0, t_star], x in [0, x_max].
@@ -57,17 +64,17 @@ class SolveGrid:
     def n_w(self) -> int:
         return self.n_t + self.n_x
 
-    @property
+    @cached_property
     def t(self) -> np.ndarray:
-        return self.dt * np.arange(self.n_t + 1)
+        return _nodes(self.dt, self.n_t)
 
-    @property
+    @cached_property
     def x_wide(self) -> np.ndarray:
-        return self.dt * np.arange(self.n_w + 1)
+        return _nodes(self.dt, self.n_w)
 
-    @property
+    @cached_property
     def x(self) -> np.ndarray:
-        return self.dt * np.arange(self.n_x + 1)
+        return _nodes(self.dt, self.n_x)
 
     def row_width(self, i: int) -> int:
         """Last valid x-index of row i (inclusive)."""
@@ -96,29 +103,35 @@ class SolveGrid:
         return float(sup) if sup.ndim == 0 else sup
 
     @cached_property
-    def _frames(self) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-        """The triangle in the moving (i, j) and the natural (i, T = i + j)
-        frame, each as a boolean mask and as flat indices; both frames list
-        it in the same row-major order."""
+    def _triangle_idx(self) -> np.ndarray:
+        """Flat indices of the triangle, row-major."""
+        return np.flatnonzero(self._mask)
+
+    @cached_property
+    def _remaps(self) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+        """For to_natural and to_moving: the flat index each entry is read
+        from, and the mask of the entries that are filled instead (they read
+        an arbitrary entry of their row first)."""
         i = np.arange(self.n_t + 1)[:, None]
-        T = np.arange(self.n_w + 1)[None, :]
-        natural = T >= i
-        natural.flags.writeable = False
-        return (self._mask, np.flatnonzero(self._mask)), (natural, np.flatnonzero(natural))
+        j = np.arange(self.n_w + 1)[None, :]
+        row = i * (self.n_w + 1)
+        natural = (row + np.maximum(j - i, 0)).ravel(), j < i
+        moving = (row + np.minimum(i + j, self.n_w)).ravel(), ~self._mask
+        return natural, moving
 
     # Fields may carry leading axes (a stack of paths); the helpers below act
     # on the last two axes and keep the leading ones.
 
-    @staticmethod
-    def _gather(field, frame) -> np.ndarray:
+    def triangle(self, field) -> np.ndarray:
+        """The entries of field on the triangle, in row-major order, along one last axis."""
         field = np.asarray(field, dtype=float)
         flat = field.reshape(field.shape[:-2] + (field.shape[-2] * field.shape[-1],))
-        return flat.take(frame[1], axis=-1)
+        return flat.take(self._triangle_idx, axis=-1)
 
-    @staticmethod
-    def _scatter(values: np.ndarray, frame, fill: float) -> np.ndarray:
-        mask, idx = frame
-        out = np.full(values.shape[:-1] + mask.shape, fill)
+    def from_triangle(self, values: np.ndarray) -> np.ndarray:
+        """Inverse of `triangle`: the field, NaN beyond the triangle."""
+        mask, idx = self._mask, self._triangle_idx
+        out = np.full(values.shape[:-1] + mask.shape, np.nan)
         if values.size == idx.size:  # one field: a boolean assignment is fastest
             out.reshape(mask.shape)[mask] = values.reshape(-1)
         else:
@@ -126,23 +139,21 @@ class SolveGrid:
             rows[:, idx] = values.reshape(rows.shape[0], idx.size)
         return out
 
-    def triangle(self, field) -> np.ndarray:
-        """The entries of field on the triangle, in row-major order, along one last axis."""
-        return self._gather(field, self._frames[0])
-
-    def from_triangle(self, values: np.ndarray) -> np.ndarray:
-        """Inverse of `triangle`: the field, NaN beyond the triangle."""
-        return self._scatter(values, self._frames[0], np.nan)
+    @staticmethod
+    def _remap(field, remap, fill: float) -> np.ndarray:
+        idx, filled = remap
+        field = np.asarray(field, dtype=float)
+        out = field.reshape(field.shape[:-2] + (idx.size,)).take(idx, axis=-1).reshape(field.shape)
+        np.copyto(out, fill, where=filled)
+        return out
 
     def to_natural(self, field: np.ndarray, fill: float = np.nan) -> np.ndarray:
         """f[i, T] = field[i, T - i] for T >= i; `fill` elsewhere."""
-        moving, natural = self._frames
-        return self._scatter(self._gather(field, moving), natural, fill)
+        return self._remap(field, self._remaps[0], fill)
 
     def to_moving(self, field: np.ndarray) -> np.ndarray:
         """r[i, j] = field[i, i + j] on the triangle; NaN beyond it."""
-        moving, natural = self._frames
-        return self._scatter(self._gather(field, natural), moving, np.nan)
+        return self._remap(field, self._remaps[1], np.nan)
 
     def shifted(self, curve: np.ndarray) -> np.ndarray:
         """The curve read in the moving frame, curve(t_i + x_j), on the triangle."""

@@ -89,47 +89,58 @@ def _cumtrapz_rows(mat: np.ndarray, dx: float) -> np.ndarray:
 def _on_triangle(fn, z: np.ndarray, grid: SolveGrid, what: str | None = None) -> np.ndarray:
     """fn(z) in one call over the valid triangle of every field in z, NaN beyond it.
 
-    With `what` set, an infinite value raises ExponentDomainError at the
-    first such z in row-major order; for a stack of fields its `path`
-    attribute is the index of that z's field along the (flattened) leading
-    axes.
+    With `what` set, a field with a negative z (outside the domain the
+    exponent is evaluated on) or an infinite value raises
+    ExponentDomainError, at the first negative z of that field if it has
+    one, else at its first infinite value, in row-major order.  For a stack
+    of fields the lowest such field raises, and the error's `path`
+    attribute is its index along the (flattened) leading axes.
     """
     zs = grid.triangle(z)
-    vals = fn(zs.ravel()).reshape(zs.shape)
-    if what is not None:
-        inf = np.isinf(vals)
-        if np.any(inf):
-            first = int(np.argmax(inf))
-            err = ExponentDomainError(zs.flat[first], what=what)
-            err.path = first // zs.shape[-1]
-            raise err
-    return grid.from_triangle(vals)
+    if what is None:
+        return grid.from_triangle(fn(zs.ravel()).reshape(zs.shape))
+    rows = zs.reshape(-1, zs.shape[-1])
+    has_neg = (rows < 0.0).any(axis=-1)
+    n_ok = int(np.argmax(has_neg)) if has_neg.any() else rows.shape[0]
+    # fields from the first one with a negative z on are not evaluated
+    vals = fn(rows[:n_ok].ravel())
+    inf = np.isinf(vals)
+    if np.any(inf):
+        first = int(np.argmax(inf))
+        path, z_bad = first // rows.shape[-1], rows[:n_ok].flat[first]
+    elif n_ok < rows.shape[0]:
+        path, z_bad = n_ok, rows[n_ok, int(np.argmax(rows[n_ok] < 0.0))]
+    else:
+        return grid.from_triangle(vals.reshape(zs.shape))
+    err = ExponentDomainError(z_bad, what=what)
+    err.path = path
+    raise err
 
 
-def field_row_norms(field_mat: np.ndarray, grid: SolveGrid, gamma: float) -> np.ndarray:
-    """Weighted L2 norm of each time slice over its valid x-range."""
-    mask = grid.valid_mask()
+def field_row_norms(field_mat: np.ndarray, grid: SolveGrid, weights: np.ndarray) -> np.ndarray:
+    """Weighted L2 norm of each time slice over its valid x-range; weights
+    is e^{gamma x} on the wide x-grid."""
+    outside = ~grid.valid_mask()
     with np.errstate(over="ignore"):
-        y = np.where(mask, field_mat * field_mat * np.exp(gamma * grid.x_wide), 0.0)
+        y = field_mat * field_mat
+        y *= weights
+        np.copyto(y, 0.0, where=outside)
         # trapezoid per row; a panel counts when its right node is on the triangle
-        panels = np.where(mask[:, 1:], grid.dt * (y[..., 1:] + y[..., :-1]) / 2.0, 0.0)
+        panels = y[..., 1:] + y[..., :-1]
+        panels *= grid.dt
+        panels /= 2.0
+        np.copyto(panels, 0.0, where=outside[:, 1:])
         return np.sqrt(panels.sum(axis=-1))
 
 
-def apply_K(
-    h: np.ndarray,
-    factor: RandomFactorField,
-    vol: Volatility,
-    exponent: ExponentHandle,
-) -> np.ndarray:
+def apply_K(h: np.ndarray, factor: RandomFactorField, exponent: ExponentHandle) -> np.ndarray:
     """One application of the fixed-point operator on the grid.
 
     h may be a stack of fields over leading axes, with factor.a stacked
-    alike.  Raises ExponentDomainError when J' is infinite at a needed
-    argument.
+    alike; lambda is read from factor.lam_w.  Raises ExponentDomainError
+    when a needed argument of J' is negative or J' is infinite there.
     """
-    grid = factor.grid
-    lam_w = vol.lam(grid.x_wide)
+    grid, lam_w = factor.grid, factor.lam_w
     cum = _cumtrapz_rows(lam_w * h, grid.dt)
     with np.errstate(over="ignore"):
         jp = _on_triangle(exponent.J_prime, cum, grid, what="J'")
@@ -177,6 +188,7 @@ class _FactorStack:
 
     grid: SolveGrid
     a: np.ndarray
+    lam_w: np.ndarray
 
 
 def solve_monotone(
@@ -220,9 +232,11 @@ def solve_batch(
         raise ValueError(f"h0 must be 'zero' or 'factor', got {h0!r}")
     if not factors:
         return []
-    grid = factors[0].grid
+    grid, lam_w = factors[0].grid, factors[0].lam_w
     if any(f.grid != grid for f in factors):
         raise ValueError("all factors of a batch must share one grid")
+    if not all(f.lam_w is lam_w or np.array_equal(f.lam_w, lam_w) for f in factors):
+        raise ValueError("all factors of a batch must share one volatility")
     n_paths = len(factors)
     error: Exception | None = None
     active = np.arange(n_paths)
@@ -240,7 +254,8 @@ def solve_batch(
             fail(p, ValueError(f"cap={caps[p]} must exceed sup r0={sup_r0[p]}"))
             break
 
-    r0_norms = np.sqrt(trapezoid(r0**2 * np.exp(cfg.gamma * grid.x_wide), dx=grid.dt, axis=-1))
+    weights = np.exp(cfg.gamma * grid.x_wide)  # of the weighted norms, fixed for the solve
+    r0_norms = np.sqrt(trapezoid(r0**2 * weights, dx=grid.dt, axis=-1))
     B = np.array([f.b_bar for f in factors]) * r0_norms
     c1s = _c1_bounds(B, vol.lambda_bar, grid.t_star, cfg.gamma, exponent)
     # fail fast if J' is unreachable on the region the iteration can visit
@@ -273,16 +288,18 @@ def solve_batch(
         h_next = None
         while active.size:
             try:
-                h_next = apply_K(h[: active.size], _FactorStack(grid, a_act[: active.size]), vol, exponent)
+                h_next = apply_K(h[: active.size], _FactorStack(grid, a_act[: active.size], lam_w), exponent)
                 break
             except ExponentDomainError as err:
+                if err.path is None:  # not tied to one path: nothing to drop
+                    raise
                 fail(err.path, err)
         if h_next is None:
             break
         h, a_act = h[: active.size], a_act[: active.size]
         sup = grid.nan_sup(h_next)
         sup_hist[active, n] = sup
-        l2_hist[active, n] = np.max(field_row_norms(h_next, grid, cfg.gamma), axis=-1)
+        l2_hist[active, n] = np.max(field_row_norms(h_next, grid, weights), axis=-1)
         if keep_iterates:
             for k, p in enumerate(active.tolist()):
                 iterates[p].append(h_next[k].copy())

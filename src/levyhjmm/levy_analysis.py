@@ -54,7 +54,8 @@ RHO_ONE_BAND = 0.05
 
 
 class ExponentDomainError(ValueError):
-    """J or a derivative was requested at a z where it is infinite.
+    """J or a derivative was requested at a z where it is infinite, or at a
+    negative z, where it is not evaluated.
 
     When the z came from a stack of fields, `path` is the index of its field
     along the stack (set by the solver); otherwise it stays None.
@@ -65,7 +66,10 @@ class ExponentDomainError(ValueError):
     def __init__(self, z: float, what: str = "J'"):
         self.z = float(z)
         self.what = what
-        super().__init__(f"{what} is infinite at z={z!r}")
+        if self.z < 0.0:
+            super().__init__(f"{what} is only evaluated for z >= 0, got z={self.z!r}")
+        else:
+            super().__init__(f"{what} is infinite at z={self.z!r}")
 
 
 def _exp_tail_cut(z: float, e: float, coeff: float, start: float) -> float:
@@ -222,25 +226,26 @@ def _measure_quantity(nu: LevyMeasureSpec, zs: np.ndarray, qty: str) -> np.ndarr
     return out
 
 
-def _check_z(zs: np.ndarray) -> np.ndarray:
+def _check_z(zs, what: str) -> np.ndarray:
     zs = np.asarray(zs, dtype=float)
-    if np.any(zs < 0.0):
-        raise ValueError("z must be nonnegative")
+    neg = zs < 0.0
+    if np.any(neg):
+        raise ExponentDomainError(zs[neg].flat[0], what=what)
     return zs
 
 
 def eval_J_vec(model: LevyModel, zs) -> np.ndarray:
-    zs = _check_z(zs)
+    zs = _check_z(zs, "J")
     return -model.a * zs + 0.5 * model.q * zs**2 + _measure_quantity(model.nu, zs, "J")
 
 
 def eval_J_prime_vec(model: LevyModel, zs) -> np.ndarray:
-    zs = _check_z(zs)
+    zs = _check_z(zs, "J'")
     return -model.a + model.q * zs + _measure_quantity(model.nu, zs, "Jp")
 
 
 def eval_J_second_vec(model: LevyModel, zs) -> np.ndarray:
-    zs = _check_z(zs)
+    zs = _check_z(zs, "J''")
     return model.q + _measure_quantity(model.nu, zs, "Jpp")
 
 
@@ -261,7 +266,7 @@ def eval_J_second(model: LevyModel, z: float) -> float:
 
 def eval_J_pieces(model: LevyModel, z: float) -> tuple[float, float, float, float]:
     """Jump-measure part of J split over (-inf,-1], (-1,0), (0,1), [1,inf)."""
-    zs = _check_z(np.array([z]))
+    zs = _check_z(np.array([z]), "J")
     j1 = _atom_sum(model.nu, zs, "J", select=lambda y: y <= -1.0)
     j2 = _atom_sum(model.nu, zs, "J", select=lambda y: -1.0 < y < 0.0)
     j3 = _atom_sum(model.nu, zs, "J", select=lambda y: 0.0 < y < 1.0)

@@ -192,18 +192,45 @@ def _grid_from_parts(
     return model.a * t_grid - m_n * t_grid + w_cum + jump_cum[counts]
 
 
-def simulate(model: LevyModel, cfg: SimConfig) -> LevyPathRecord:
+@dataclass(frozen=True)
+class JumpLaw:
+    """What simulate needs of a model at one threshold 1/n: the jump
+    components beyond it, their total intensity and cumulative shares, and
+    the compensator m_n.  It depends on nothing else, so a caller that
+    simulates many paths builds it once (`jump_law`)."""
+
+    model: LevyModel
+    n_threshold: int
+    comps: tuple[_Component, ...]
+    lam_total: float
+    cum: np.ndarray | None
+    m_n: float
+
+
+def jump_law(model: LevyModel, n_threshold: int) -> JumpLaw:
+    comps = tuple(jump_components(model.nu, 1.0 / n_threshold))
+    lam_total = sum(c.intensity for c in comps)
+    cum = np.cumsum([c.intensity for c in comps]) / lam_total if lam_total else None
+    return JumpLaw(model, n_threshold, comps, lam_total, cum, compensator_m_n(model, n_threshold))
+
+
+def simulate(model: LevyModel, cfg: SimConfig, law: JumpLaw | None = None) -> LevyPathRecord:
     """Simulate one truncated-compensated path; bit-reproducible per seed.
 
     Jump counts are Poisson with the restricted intensity, times uniform on
     (0, T*], sizes drawn by the inverse CDF of each normalized component;
     Brownian increments are N(0, q dt), q being the Gaussian variance.  A
     count above max_jumps raises JumpCapacityError rather than truncating
-    silently.
+    silently.  `law` is jump_law(model, cfg.n_threshold), built here when
+    not given; passing it only saves that work, the path is the same.
+    Every path draws from its own generator seeded by cfg.seed.
     """
+    if law is None:
+        law = jump_law(model, cfg.n_threshold)
+    elif law.model is not model or law.n_threshold != cfg.n_threshold:
+        raise ValueError("law was built for another model or threshold")
     rng = _rng(cfg.seed)
-    comps = jump_components(model.nu, 1.0 / cfg.n_threshold)
-    lam_total = sum(c.intensity for c in comps)
+    comps, lam_total = law.comps, law.lam_total
 
     n_jumps = int(rng.poisson(lam_total * cfg.t_star)) if lam_total > 0.0 else 0
     if n_jumps > cfg.max_jumps:
@@ -213,8 +240,7 @@ def simulate(model: LevyModel, cfg: SimConfig) -> LevyPathRecord:
         )
     times = cfg.t_star * (1.0 - rng.random(n_jumps))  # uniform on (0, T*]
     if comps:
-        cum = np.cumsum([c.intensity for c in comps]) / lam_total if lam_total else None
-        comp_idx = np.searchsorted(cum, rng.random(n_jumps), side="right") if n_jumps else np.zeros(0, dtype=int)
+        comp_idx = np.searchsorted(law.cum, rng.random(n_jumps), side="right") if n_jumps else np.zeros(0, dtype=int)
         u_sizes = rng.random(n_jumps)
         sizes = np.empty(n_jumps)
         for ci, comp in enumerate(comps):
@@ -232,8 +258,7 @@ def simulate(model: LevyModel, cfg: SimConfig) -> LevyPathRecord:
     else:
         dW = np.zeros(cfg.n_steps)
 
-    m_n = compensator_m_n(model, cfg.n_threshold)
-    grid_values = _grid_from_parts(model, cfg.dt, cfg.n_steps, m_n, times, sizes, dW)
+    grid_values = _grid_from_parts(model, cfg.dt, cfg.n_steps, law.m_n, times, sizes, dW)
     return LevyPathRecord(
         t_star=cfg.t_star,
         dt=cfg.dt,
@@ -241,7 +266,7 @@ def simulate(model: LevyModel, cfg: SimConfig) -> LevyPathRecord:
         jump_times=times,
         jump_sizes=sizes,
         brownian_increments=dW,
-        m_n=m_n,
+        m_n=law.m_n,
         model=model,
         n_threshold=cfg.n_threshold,
         seed=cfg.seed,
@@ -283,10 +308,9 @@ def sample_terminal(
     if t <= 0.0:
         raise ValueError("t must be positive")
     rng = _rng(seed)
-    comps = jump_components(model.nu, 1.0 / n_threshold)
-    m_n = compensator_m_n(model, n_threshold)
-    out = np.full(n_paths, (model.a - m_n) * t)
-    for comp in comps:
+    law = jump_law(model, n_threshold)
+    out = np.full(n_paths, (model.a - law.m_n) * t)
+    for comp in law.comps:
         counts = rng.poisson(comp.intensity * t, n_paths)
         total = int(counts.sum())
         if total == 0:

@@ -21,6 +21,7 @@ exact jump offsets).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,71 +148,112 @@ Volatility = ConstantVol | ExpAffineVol | TabulatedVol
 
 @dataclass(frozen=True)
 class RandomFactorField:
-    """a(t,x) with its constituents on the aligned grid (NaN beyond triangle)."""
+    """a(t,x) with its constituents on the aligned grid (NaN beyond triangle).
+
+    For a stack of paths, I1, I2, a and b carry a leading path axis and
+    b_bar and positivity_ok are arrays with one value per path.  lam_w is
+    lambda on the wide x-grid, the same for every path.
+    """
 
     grid: SolveGrid
     I1: np.ndarray
     I2: np.ndarray
     a: np.ndarray
     b: np.ndarray
-    b_bar: float
+    b_bar: float | np.ndarray
     r0: WeightedCurve
-    positivity_ok: bool
+    positivity_ok: bool | np.ndarray
+    lam_w: np.ndarray
+
+    def unstack(self) -> list[RandomFactorField]:
+        """The fields of a stack one path at a time (views into its arrays)."""
+        if self.a.ndim == 2:
+            return [self]
+        return [
+            RandomFactorField(
+                self.grid, self.I1[k], self.I2[k], self.a[k], self.b[k], float(self.b_bar[k]),
+                self.r0, bool(self.positivity_ok[k]), self.lam_w,
+            )
+            for k in range(self.a.shape[0])
+        ]
 
 
-def _check_grid_alignment(path: LevyPathRecord, grid: SolveGrid) -> None:
-    if abs(path.dt - grid.dt) > 1e-12 * grid.dt:
-        raise ValueError(f"path dt={path.dt} does not match grid dt={grid.dt}")
-    if path.grid_values.size < grid.n_t + 1:
-        raise ValueError("path horizon shorter than the grid horizon")
+#: one path, or a sequence of paths on one grid (a stack along a leading axis)
+Paths = LevyPathRecord | Sequence[LevyPathRecord]
 
 
-def compute_I1(path: LevyPathRecord, vol: Volatility, grid: SolveGrid) -> np.ndarray:
-    """Integration-by-parts form of int_0^t lambda(t-s+x) dL(s), trapezoid in s."""
-    _check_grid_alignment(path, grid)
-    L = path.grid_values[: grid.n_t + 1, None]
+def _as_stack(paths: Paths, grid: SolveGrid) -> list[LevyPathRecord]:
+    """The paths as a list, each checked against the grid."""
+    paths = [paths] if isinstance(paths, LevyPathRecord) else list(paths)
+    if not paths:
+        raise ValueError("no paths given")
+    for path in paths:
+        if abs(path.dt - grid.dt) > 1e-12 * grid.dt:
+            raise ValueError(f"path dt={path.dt} does not match grid dt={grid.dt}")
+        if path.grid_values.size < grid.n_t + 1:
+            raise ValueError("path horizon shorter than the grid horizon")
+    return paths
+
+
+def compute_I1(paths: Paths, vol: Volatility, grid: SolveGrid) -> np.ndarray:
+    """Integration-by-parts form of int_0^t lambda(t-s+x) dL(s), trapezoid in s.
+
+    paths is one LevyPathRecord, or a sequence of them for a stack with a
+    leading path axis.
+    """
+    L = np.stack([p.grid_values[: grid.n_t + 1] for p in _as_stack(paths, grid)])[..., None]
     out = vol.lam(grid.x_wide) * L
     if not vol.is_constant:
         out = out + grid.dt * grid.sum_along_t(vol.lam_prime(grid.x_wide) * L)
-    return np.where(grid.valid_mask(), out, np.nan)
+    out = np.where(grid.valid_mask(), out, np.nan)
+    return out[0] if isinstance(paths, LevyPathRecord) else out
 
 
 def compute_I2(
-    path: LevyPathRecord,
+    paths: Paths,
     vol: Volatility,
     grid: SolveGrid,
     expect_positive: bool = False,
-) -> tuple[np.ndarray, bool]:
+) -> tuple[np.ndarray, bool | np.ndarray]:
     """Finite jump product prod_{s<=t} (1+lambda(t-s+x) dL) exp(-lambda(t-s+x) dL).
 
-    Returns (field, positivity_ok); a factor <= 0 while positivity was
-    expected lowers the flag but the field value is still recorded.
+    Returns (field, positivity_ok), stacked as in compute_I1; a factor <= 0
+    while positivity was expected lowers that path's flag but the field
+    value is still recorded.
     """
-    _check_grid_alignment(path, grid)
+    stack = _as_stack(paths, grid)
     mask = grid.valid_mask()
-    out = np.where(mask, 1.0, np.nan)
-    positivity_ok = True
-    for s_m, y_m in zip(path.jump_times, path.jump_sizes):
-        if s_m > grid.t_star:
-            break
-        i0 = int(np.searchsorted(grid.t, s_m - 1e-15 * max(1.0, s_m), side="left"))
-        lam_v = vol.lam((grid.t[i0:, None] - s_m) + grid.x_wide)
-        if expect_positive and np.any((1.0 + lam_v * y_m <= 0.0) & mask[i0:]):
-            positivity_ok = False
-        out[i0:] *= (1.0 + lam_v * y_m) * np.exp(-lam_v * y_m)
+    out = np.repeat(np.where(mask, 1.0, np.nan)[None], len(stack), axis=0)
+    positivity_ok = np.ones(len(stack), dtype=bool)
+    for k, path in enumerate(stack):
+        for s_m, y_m in zip(path.jump_times, path.jump_sizes):
+            if s_m > grid.t_star:
+                break
+            i0 = int(np.searchsorted(grid.t, s_m - 1e-15 * max(1.0, s_m), side="left"))
+            lam_v = vol.lam((grid.t[i0:, None] - s_m) + grid.x_wide)
+            if expect_positive and np.any((1.0 + lam_v * y_m <= 0.0) & mask[i0:]):
+                positivity_ok[k] = False
+            out[k, i0:] *= (1.0 + lam_v * y_m) * np.exp(-lam_v * y_m)
+    if isinstance(paths, LevyPathRecord):
+        return out[0], bool(positivity_ok[0])
     return out, positivity_ok
 
 
 def compute_a(
-    path: LevyPathRecord,
+    paths: Paths,
     vol: Volatility,
     r0: WeightedCurve,
     q: float,
     grid: SolveGrid,
     expect_positive: bool = False,
 ) -> RandomFactorField:
-    """Assemble the random factor a(t,x) = r0(t+x) exp(I1 - q/2 Q) I2."""
-    _check_grid_alignment(path, grid)
+    """Assemble the random factor a(t,x) = r0(t+x) exp(I1 - q/2 Q) I2.
+
+    paths is one LevyPathRecord, or a sequence of paths on the grid, which
+    gives one field stacked along a leading path axis, equal path by path
+    to the single-path fields.  Only the jump product is a loop over
+    paths; lambda on the grid, Q and the shifted r0 are built once.
+    """
     if abs(r0.dx - grid.dt) > 1e-12 * grid.dt:
         raise ValueError(f"r0 grid dx={r0.dx} does not match grid dt={grid.dt}")
     if r0.values.size < grid.n_w + 1:
@@ -219,11 +261,12 @@ def compute_a(
             f"r0 grid too short: need {grid.n_w + 1} nodes covering x_max + t_star, "
             f"got {r0.values.size}"
         )
-    I1 = compute_I1(path, vol, grid)
-    I2, positivity_ok = compute_I2(path, vol, grid, expect_positive=expect_positive)
+    I1 = compute_I1(paths, vol, grid)
+    I2, positivity_ok = compute_I2(paths, vol, grid, expect_positive=expect_positive)
 
     mask = grid.valid_mask()
-    lam_sq = vol.lam(grid.x_wide) ** 2
+    lam_w = vol.lam(grid.x_wide)
+    lam_sq = lam_w**2
     if q == 0.0:
         Q = np.where(mask, 0.0, np.nan)
     elif vol.is_constant:
@@ -235,9 +278,10 @@ def compute_a(
     with np.errstate(over="ignore"):
         b = np.exp(I1 - 0.5 * q * Q) * I2
     a = grid.shifted(r0.values) * b
-    b_bar = float(np.nanmax(np.where(mask, b, np.nan)))
+    b_bar = np.nanmax(np.where(mask, b, np.nan), axis=(-2, -1))
     return RandomFactorField(
-        grid=grid, I1=I1, I2=I2, a=a, b=b, b_bar=b_bar, r0=r0, positivity_ok=positivity_ok
+        grid=grid, I1=I1, I2=I2, a=a, b=b, b_bar=float(b_bar) if b_bar.ndim == 0 else b_bar,
+        r0=r0, positivity_ok=positivity_ok, lam_w=lam_w,
     )
 
 

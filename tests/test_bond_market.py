@@ -10,11 +10,14 @@ from levyhjmm import bond_market
 from levyhjmm.levy_analysis import ExponentDomainError, ExponentHandle
 from levyhjmm.levy_model import INF, Exponential, LevyMeasureSpec, LevyModel
 from levyhjmm.path_sim import JumpCapacityError, SimConfig, simulate
-from levyhjmm.random_factor import ConstantVol, compute_a
+from levyhjmm.random_factor import ConstantVol, ExpAffineVol, compute_a
+from levyhjmm.function_space import trapezoid
 from levyhjmm.hjmm_solver import SolverConfig, solve_monotone
 from levyhjmm.bond_market import (
     FRAME_MOVING,
     ForwardField,
+    MartingaleReport,
+    MartingaleRow,
     bond_price,
     hjm_drift_check,
     martingale_mc,
@@ -302,3 +305,105 @@ class TestMartingale:
         assert str(excinfo.value) == str(want)
         if kind is ExponentDomainError:
             assert (excinfo.value.z, excinfo.value.what) == (want.z, want.what)
+
+
+def serial_martingale(model, vol, r0, grid, cfg, n_paths, maturities, t_checkpoints, seed):
+    """martingale_mc as a plain loop: simulate, compute_a, solve_monotone and
+    bond_price, one path at a time."""
+    exponent = ExponentHandle(model)
+    samples = {(T, t): [] for T in maturities for t in t_checkpoints}
+    reference, n_exploded, n_not_converged, n_iters = {}, 0, 0, []
+    for ps in np.random.SeedSequence(seed).generate_state(n_paths, dtype=np.uint64):
+        path = simulate(model, SimConfig(t_star=grid.t_star, dt=grid.dt, seed=int(ps)))
+        rep = solve_monotone(compute_a(path, vol, r0, model.q, grid), vol, exponent, cfg)
+        n_iters.append(rep.n_iters)
+        if rep.status == "ExplosionDetected":
+            n_exploded += 1
+        elif rep.status == "MaxIterReached":
+            n_not_converged += 1
+        if rep.status != "Converged":
+            continue
+        field = ForwardField(FRAME_MOVING, rep.field, grid, cfg.gamma)
+        if not reference:
+            reference = {T: bond_price(field, 0.0, T) for T in maturities}
+        for t in t_checkpoints:
+            i = round(t / grid.dt)
+            disc = math.exp(-float(trapezoid(rep.field[: i + 1, 0], dx=grid.dt))) if i > 0 else 1.0
+            for T in maturities:
+                samples[(T, t)].append(disc * bond_price(field, t, T))
+    rows = []
+    for T in maturities:
+        for t in t_checkpoints:
+            vals = np.array(samples[(T, t)])
+            rows.append(
+                MartingaleRow(
+                    maturity=T,
+                    t_checkpoint=t,
+                    mean_discounted=float(np.mean(vals)),
+                    std_error=float(np.std(vals, ddof=1) / math.sqrt(vals.size)),
+                    reference=reference[T],
+                    n_paths=vals.size,
+                )
+            )
+    return MartingaleReport(
+        rows=tuple(rows),
+        n_paths=n_paths,
+        n_exploded=n_exploded,
+        n_not_converged=n_not_converged,
+        n_iters_min=min(n_iters),
+        n_iters_median=float(np.median(n_iters)),
+        n_iters_max=max(n_iters),
+    )
+
+
+class TestBlockPipeline:
+    """martingale_mc (stacked compute_a, one solve and one pricing pass per
+    block) against the one-path-at-a-time loop, compared with ==."""
+
+    GRID32 = SolveGrid(t_star=1.0, dt=1.0 / 32, x_max=1.0)
+    JUMP_DIFFUSION = LevyModel(a=0.2, q=1.0, nu=LevyMeasureSpec(atoms=((1.0, 0.5), (-0.2, 0.3))))
+
+    @pytest.mark.parametrize("block_paths", [None, 7])
+    def test_jump_diffusion_equals_serial_loop(self, monkeypatch, block_paths):
+        grid = self.GRID32
+        if block_paths is not None:
+            monkeypatch.setattr(bond_market, "_BLOCK_ENTRIES", block_paths * (grid.n_t + 1) * (grid.n_w + 1))
+        r0 = WeightedCurve(dx=grid.dt, values=np.exp(-grid.x_wide), gamma=1.0)
+        vol, cfg = ExpAffineVol(c0=0.2, c1=0.1, beta=1.0), SolverConfig()
+        # the checkpoints and maturities include t = 0 and T = t
+        args = (self.JUMP_DIFFUSION, vol, r0, grid, cfg, 40, [1.0, 2.0], [0.0, 0.5, 1.0], 4242)
+        got, want = martingale_mc(*args), serial_martingale(*args)
+        assert got == want
+        # at t = 0 every path prices the same r0
+        assert got.rows[0].mean_discounted == pytest.approx(got.rows[0].reference, rel=1e-14)
+
+    def test_exploding_paths_equal_serial_loop(self, monkeypatch):
+        monkeypatch.setattr(bond_market, "_BLOCK_ENTRIES", 4 * (GRID.n_t + 1) * (GRID.n_w + 1))
+        r0 = WeightedCurve(dx=GRID.dt, values=3.0 * np.exp(-GRID.x_wide), gamma=1.0)
+        model, vol = LevyModel(q=1.0, nu=LevyMeasureSpec(atoms=((0.5, 1.0),))), ConstantVol(1.0)
+        args = (model, vol, r0, GRID, SolverConfig(), 10, [1.0, 2.0], [0.0, 0.5], 21)
+        got = martingale_mc(*args)
+        assert got == serial_martingale(*args)
+        assert 0 < got.n_exploded < 10
+
+    def test_benchmark_report_pinned(self):
+        # the 16-path criterion-10 set-up of the benchmark, seed 1010
+        r0 = WeightedCurve(dx=GRID.dt, values=np.exp(-GRID.x_wide), gamma=1.0)
+        rep = martingale_mc(POISSON, ConstantVol(0.3), r0, GRID, SolverConfig(), n_paths=16,
+                            maturities=[1.0], t_checkpoints=[0.5], seed=1010)
+        assert rep.rows == (
+            MartingaleRow(maturity=1.0, t_checkpoint=0.5, mean_discounted=0.5392688766635385,
+                          std_error=0.005125556720530461, reference=0.5313542653330348, n_paths=16),
+        )
+        assert (rep.n_paths, rep.n_exploded, rep.n_not_converged) == (16, 0, 0)
+        assert (rep.n_iters_min, rep.n_iters_median, rep.n_iters_max) == (5, 5.0, 6)
+
+    def test_negative_argument_error_keeps_path_order(self):
+        # seed 36: paths 9 and 11 reach J' at a negative argument (a < 0
+        # after a jump below -2), path 10 fails no check; 0 .. 8 converge
+        outcomes = TestMartingale()._serial_outcomes(36, 12)
+        first = next(k for k, err in enumerate(outcomes) if err is not None)
+        assert first == 9 and outcomes[9].z < 0.0
+        with pytest.raises(ExponentDomainError) as excinfo:
+            TestMartingale()._martingale(36, 12)
+        assert (excinfo.value.z, excinfo.value.what) == (outcomes[9].z, outcomes[9].what)

@@ -68,6 +68,23 @@ class TestSolve:
         path = write_scenario(tmp_path, scen)
         assert main(["solve", path, "--out-dir", str(tmp_path / "out")]) == 3
 
+    def test_negative_exponent_argument_exit_code(self, tmp_path):
+        # seed 137 draws a jump below -1/lambda, so a(t, x) < 0 and an
+        # iterate asks for J' at a negative argument
+        scen = dict(DEGENERATE, seed=137, grid={"t_star": 1.0, "dt": 0.125, "x_max": 1.0})
+        scen["levy_model"] = {
+            "a": 0.0,
+            "q": 0.0,
+            "nu": {
+                "atoms": [[1.0, 1.0]],
+                "density_parts": [
+                    {"kind": "exponential", "c": 1.0, "beta": 2.0, "support": [None, -1.0]}
+                ],
+            },
+        }
+        path = write_scenario(tmp_path, scen)
+        assert main(["solve", path, "--out-dir", str(tmp_path / "out")]) == 3
+
     @pytest.mark.parametrize("support", [[-2.0, -1.0], [-1.0, 0.0]])
     def test_negative_powerlaw_solves(self, tmp_path, support):
         # the a-priori bound probes J' up to z ~ 1e11, where e^{z s} overflows

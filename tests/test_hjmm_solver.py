@@ -69,7 +69,7 @@ class TestApplyK:
         h = zero_field(GRID)
         mask = GRID.valid_mask()
         h[mask] = rng.uniform(0.0, 2.0, size=int(mask.sum()))
-        out = apply_K(h, factor, VOL, handle)
+        out = apply_K(h, factor, handle)
         np.testing.assert_allclose(
             np.where(mask, out, 0.0), np.where(mask, factor.a, 0.0), atol=1e-14
         )
@@ -77,7 +77,7 @@ class TestApplyK:
     def test_pure_drift_closed_form(self):
         model = LevyModel(a=1.0)
         _, factor, handle, _ = setup(model)
-        out = apply_K(zero_field(GRID), factor, VOL, handle)
+        out = apply_K(zero_field(GRID), factor, handle)
         assert triangle_err(GRID, out, lambda t, xs: np.exp(-(t + xs))) < 1e-13
 
     def test_monotone_in_argument(self):
@@ -88,8 +88,8 @@ class TestApplyK:
             h0 = zero_field(GRID)
             h0[mask] = rng.uniform(0.0, 1.0, size=int(mask.sum()))
             h1 = h0 + np.where(mask, rng.uniform(0.0, 1.0, size=mask.shape), 0.0)
-            k0 = apply_K(h0, factor, VOL, handle)
-            k1 = apply_K(h1, factor, VOL, handle)
+            k0 = apply_K(h0, factor, handle)
+            k1 = apply_K(h1, factor, handle)
             assert np.nanmin(np.where(mask, k1 - k0, np.nan)) >= -1e-12
 
     def test_domain_error_reported(self):
@@ -102,7 +102,7 @@ class TestApplyK:
         mask = GRID.valid_mask()
         h[mask] = 50.0  # pushes the inner integral far beyond beta
         with pytest.raises(ExponentDomainError) as excinfo:
-            apply_K(h, factor, ConstantVol(1.0), handle)
+            apply_K(h, factor, handle)
         assert excinfo.value.what == "J'"
         assert np.isinf(handle.J_prime(np.array([excinfo.value.z]))[0])
 
@@ -173,7 +173,7 @@ class TestNaturalFrameKernel:
         for _ in range(2):
             h = np.where(grid.valid_mask(), rng.uniform(0.0, 2.0, size=grid.valid_mask().shape), np.nan)
             want = loop_apply_K(h, factor, vol, handle)
-            assert_same_triangle(grid, apply_K(h, factor, vol, handle), want, 1e-14)
+            assert_same_triangle(grid, apply_K(h, factor, handle), want, 1e-14)
 
     @pytest.mark.parametrize("rule", ["trapezoid", "left"])
     def test_sum_along_t_matches_loop(self, rule):
@@ -251,7 +251,7 @@ class TestSolveMonotone:
         _, factor, handle, _ = setup(POISSON, seed=11)
         cfg = SolverConfig()
         rep = solve_monotone(factor, VOL, handle, cfg)
-        again = apply_K(rep.field, factor, VOL, handle)
+        again = apply_K(rep.field, factor, handle)
         gap = GRID.nan_sup(again - rep.field)
         assert gap <= cfg.tol * (1.0 + GRID.nan_sup(rep.field))
 
@@ -482,10 +482,10 @@ def serial_solve(factor, vol, exponent, cfg, h0="zero", keep_iterates=False):
     detail = {"h0": h0, "cap": cap}
     status = None
     for n in range(cfg.max_iter):
-        h_next = apply_K(h, factor, vol, exponent)
+        h_next = apply_K(h, factor, exponent)
         sup = grid.nan_sup(h_next)
         sups.append(sup)
-        l2s.append(float(np.max(field_row_norms(h_next, grid, cfg.gamma))))
+        l2s.append(float(np.max(field_row_norms(h_next, grid, np.exp(cfg.gamma * grid.x_wide)))))
         iterates.append(h_next.copy())
         if not math.isfinite(sup) or sup > cap:
             status, detail["rule"], h = STATUS_EXPLOSION, "cap", h_next
@@ -621,4 +621,31 @@ class TestSolveBatch:
             with pytest.raises(ExponentDomainError) as excinfo:
                 solve_batch([factors[p] for p in order], vol, handle, cfg)
             want = errors[next(p for p in order if p in errors)]
+            assert (excinfo.value.z, excinfo.value.what) == (want.z, want.what)
+
+    def test_negative_argument_is_a_domain_error(self):
+        # the jump below -1/lambda = -2 makes a(t, x) < 0 on seed 137, so the
+        # inner integral of an iterate turns negative, where J' is not
+        # evaluated; seed 1 converges and seed 113 fails the same way
+        model = LevyModel(
+            nu=LevyMeasureSpec(
+                atoms=((1.0, 1.0),), density_parts=(Exponential(c=1.0, beta=2.0, support=(-INF, -1.0)),)
+            )
+        )
+        vol, handle, cfg = ConstantVol(0.5), ExponentHandle(model), SolverConfig()
+        grid = SolveGrid(t_star=1.0, dt=1.0 / 8, x_max=1.0)
+        paths = [simulate(model, SimConfig(t_star=1.0, dt=grid.dt, seed=s)) for s in (1, 137, 113)]
+        factors = compute_a(paths, vol, r0_exp(grid), 0.0, grid).unstack()
+        assert np.nanmin(factors[1].a) < 0.0
+        assert solve_monotone(factors[0], vol, handle, cfg).status == STATUS_CONVERGED
+        errors = []
+        for f in factors[1:]:
+            with pytest.raises(ExponentDomainError) as excinfo:
+                solve_monotone(f, vol, handle, cfg)
+            errors.append(excinfo.value)
+            assert excinfo.value.z < 0.0 and excinfo.value.what == "J'"
+            assert "z >= 0" in str(excinfo.value)
+        for order, want in (([0, 1, 2], errors[0]), ([0, 2, 1], errors[1]), ([2, 1], errors[1])):
+            with pytest.raises(ExponentDomainError) as excinfo:
+                solve_batch([factors[p] for p in order], vol, handle, cfg)
             assert (excinfo.value.z, excinfo.value.what) == (want.z, want.what)

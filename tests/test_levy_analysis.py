@@ -14,6 +14,7 @@ from levyhjmm.levy_model import (
     moment_integral,
 )
 from levyhjmm.levy_analysis import (
+    ExponentDomainError,
     ExponentHandle,
     GSamples,
     check_condition,
@@ -179,6 +180,18 @@ class TestDerivativeConsistency:
 
 
 class TestDomain:
+    def test_negative_argument_is_a_domain_error(self):
+        # still a ValueError, but one the solver and the CLI handle by name
+        for fn, what in ((eval_J, "J"), (eval_J_prime, "J'"), (eval_J_second, "J''")):
+            with pytest.raises(ExponentDomainError) as excinfo:
+                fn(ATOM1, -0.25)
+            assert (excinfo.value.z, excinfo.value.what) == (-0.25, what)
+            assert isinstance(excinfo.value, ValueError)
+        with pytest.raises(ExponentDomainError) as excinfo:
+            ExponentHandle(ATOM1).J_prime(np.array([0.0, 1.0, -1e-3, -2.0]))
+        assert excinfo.value.z == -1e-3
+        assert str(excinfo.value) == "J' is only evaluated for z >= 0, got z=-0.001"
+
     def test_negative_exponential_tail(self):
         model = LevyModel(
             nu=LevyMeasureSpec(density_parts=(Exponential(c=1.0, beta=2.0, support=(-INF, -1.0)),))

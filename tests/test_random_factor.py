@@ -6,7 +6,7 @@ from scipy.integrate import quad
 
 from levyhjmm.function_space import WeightedCurve
 from levyhjmm.grids import SolveGrid
-from levyhjmm.levy_model import LevyMeasureSpec, LevyModel
+from levyhjmm.levy_model import INF, Exponential, LevyMeasureSpec, LevyModel
 from levyhjmm.path_sim import LevyPathRecord, SimConfig, simulate
 from levyhjmm.random_factor import (
     ConstantVol,
@@ -187,3 +187,55 @@ class TestRandomFactor:
         path = simulate(LevyModel(), SimConfig(t_star=1.0, dt=GRID.dt, seed=1))
         with pytest.raises(ValueError):
             compute_a(path, ConstantVol(1.0), short, 0.0, GRID)
+
+
+class TestStackedFactor:
+    """compute_a over a stack of paths equals compute_a path by path, bit for bit."""
+
+    VOLS = (
+        ConstantVol(0.7),
+        ExpAffineVol(c0=0.5, c1=0.3, beta=1.5),
+        TabulatedVol(dx=GRID.dt, values=0.6 + 0.2 * np.cos(np.arange(GRID.n_w + 1))),
+    )
+
+    @pytest.mark.parametrize("q", [0.0, 0.25])
+    @pytest.mark.parametrize("vol", VOLS, ids=["constant", "exp_affine", "tabulated"])
+    def test_stack_equals_single_paths(self, vol, q):
+        # jumps of both signs; the atom at -2 puts 1 + lambda y below 0
+        model = LevyModel(
+            a=0.1,
+            q=q,
+            nu=LevyMeasureSpec(
+                atoms=((0.5, 1.0), (-2.0, 0.3)),
+                density_parts=(
+                    Exponential(c=1.0, beta=3.0, support=(0.0, INF)),
+                    Exponential(c=1.0, beta=3.0, support=(-INF, 0.0)),
+                ),
+            ),
+        )
+        paths = [simulate(model, SimConfig(t_star=1.0, dt=GRID.dt, seed=s)) for s in range(8)]
+        sizes = np.concatenate([p.jump_sizes for p in paths])
+        assert sizes.min() <= -2.0 and sizes.max() > 0.0
+        stack = compute_a(paths, vol, r0_exp(), q, GRID, expect_positive=True)
+        assert stack.a.shape == (len(paths), GRID.n_t + 1, GRID.n_w + 1)
+        for k, (path, unstacked) in enumerate(zip(paths, stack.unstack())):
+            one = compute_a(path, vol, r0_exp(), q, GRID, expect_positive=True)
+            for name in ("I1", "I2", "a", "b"):
+                assert np.array_equal(getattr(stack, name)[k], getattr(one, name), equal_nan=True), name
+                assert np.array_equal(getattr(unstacked, name), getattr(one, name), equal_nan=True), name
+            assert stack.b_bar[k] == one.b_bar == unstacked.b_bar
+            assert stack.positivity_ok[k] == one.positivity_ok == unstacked.positivity_ok
+            I1 = compute_I1([path], vol, GRID)
+            assert np.array_equal(I1[0], compute_I1(path, vol, GRID), equal_nan=True)
+        assert 0 < stack.positivity_ok.sum() < len(paths)
+
+    def test_single_path_has_no_path_axis(self):
+        path = simulate(LevyModel(q=1.0), SimConfig(t_star=1.0, dt=GRID.dt, seed=2))
+        f = compute_a(path, ConstantVol(1.0), r0_exp(), 1.0, GRID)
+        assert f.a.shape == (GRID.n_t + 1, GRID.n_w + 1)
+        assert type(f.b_bar) is float and type(f.positivity_ok) is bool
+        assert f.unstack()[0] is f
+
+    def test_empty_stack_rejected(self):
+        with pytest.raises(ValueError):
+            compute_a([], ConstantVol(1.0), r0_exp(), 0.0, GRID)
