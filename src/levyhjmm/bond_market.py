@@ -21,6 +21,7 @@ from .hjmm_solver import (
     STATUS_CONVERGED,
     STATUS_EXPLOSION,
     SolverConfig,
+    _cumtrapz_rows,
     solve_batch,
 )
 from .path_sim import SimConfig, jump_law, simulate
@@ -134,12 +135,8 @@ def hjm_drift_check(
     xs = g.x_wide[: w + 1]
     sigma = vol.lam(xs) * field.values[i, : w + 1]
     # Sigma(T) = int_t^T sigma(t,u) du, cumulative trapezoid from T = t
-    Sigma = np.zeros(w + 1)
-    Sigma[1:] = np.cumsum(0.5 * (sigma[1:] + sigma[:-1])) * g.dt
-    jp = exponent.J_prime(Sigma)
-    alpha = jp * sigma
-    lhs = np.zeros(w + 1)
-    lhs[1:] = np.cumsum(0.5 * (alpha[1:] + alpha[:-1])) * g.dt
+    Sigma = _cumtrapz_rows(sigma, g.dt)
+    lhs = _cumtrapz_rows(exponent.J_prime(Sigma) * sigma, g.dt)
     rhs = exponent.J(Sigma)
     return t + xs, np.abs(lhs - rhs)
 

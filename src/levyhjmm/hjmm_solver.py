@@ -86,27 +86,34 @@ def _cumtrapz_rows(mat: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
-def _on_triangle(fn, z: np.ndarray, grid: SolveGrid, what: str | None = None) -> np.ndarray:
+def _domain_fault(z: np.ndarray, vals: np.ndarray, domain_sup: float) -> np.ndarray:
+    """Where J' (or J'') is -inf, or +inf at z >= domain_sup; a +inf below
+    domain_sup is a finite value beyond double range, not a fault."""
+    fault = np.isinf(vals)
+    if fault.any():
+        fault &= (vals < 0.0) | (z >= domain_sup)
+    return fault
+
+
+def _on_triangle(fn, z: np.ndarray, grid: SolveGrid, what: str, domain_sup: float) -> np.ndarray:
     """fn(z) in one call over the valid triangle of every field in z, NaN beyond it.
 
-    With `what` set, a field with a negative z (outside the domain the
-    exponent is evaluated on) or an infinite value raises
-    ExponentDomainError, at the first negative z of that field if it has
-    one, else at its first infinite value, in row-major order.  For a stack
-    of fields the lowest such field raises, and the error's `path`
-    attribute is its index along the (flattened) leading axes.
+    A field with a negative z (outside the domain the exponent is evaluated
+    on) or a domain fault (`_domain_fault`) raises ExponentDomainError for
+    `what`, at the first negative z of that field if it has one, else at
+    its first fault, in row-major order.  For a stack of fields the lowest
+    such field raises, and the error's `path` attribute is its index along
+    the (flattened) leading axes.
     """
     zs = grid.triangle(z)
-    if what is None:
-        return grid.from_triangle(fn(zs.ravel()).reshape(zs.shape))
     rows = zs.reshape(-1, zs.shape[-1])
     has_neg = (rows < 0.0).any(axis=-1)
     n_ok = int(np.argmax(has_neg)) if has_neg.any() else rows.shape[0]
     # fields from the first one with a negative z on are not evaluated
     vals = fn(rows[:n_ok].ravel())
-    inf = np.isinf(vals)
-    if np.any(inf):
-        first = int(np.argmax(inf))
+    fault = _domain_fault(rows[:n_ok].ravel(), vals, domain_sup)
+    if np.any(fault):
+        first = int(np.argmax(fault))
         path, z_bad = first // rows.shape[-1], rows[:n_ok].flat[first]
     elif n_ok < rows.shape[0]:
         path, z_bad = n_ok, rows[n_ok, int(np.argmax(rows[n_ok] < 0.0))]
@@ -138,12 +145,12 @@ def apply_K(h: np.ndarray, factor: RandomFactorField, exponent: ExponentHandle) 
 
     h may be a stack of fields over leading axes, with factor.a stacked
     alike; lambda is read from factor.lam_w.  Raises ExponentDomainError
-    when a needed argument of J' is negative or J' is infinite there.
+    when a needed argument of J' is negative or J' has a domain fault there.
     """
     grid, lam_w = factor.grid, factor.lam_w
     cum = _cumtrapz_rows(lam_w * h, grid.dt)
     with np.errstate(over="ignore"):
-        jp = _on_triangle(exponent.J_prime, cum, grid, what="J'")
+        jp = _on_triangle(exponent.J_prime, cum, grid, "J'", exponent.domain_sup)
         # row 0 sums nothing, so exp(0) keeps it equal to a(0, x)
         return factor.a * np.exp(grid.dt * grid.sum_along_t(jp * lam_w))
 
@@ -223,10 +230,12 @@ def solve_batch(
 
     Every path keeps its own cap, stopping rule and iteration count; a path
     that stops leaves the stack, and its report equals the one-path solve
-    bit for bit.  When a path fails (cap below sup r0, or J' infinite at its
-    domain probe or during an iteration), it and every later path are
+    bit for bit.  When a path fails (cap below sup r0, or a domain fault of
+    J' at its probe or during an iteration), it and every later path are
     dropped, and after the stack is done the error of the lowest failing
-    path is raised, as solving the paths one after the other would.
+    path is raised, as solving the paths one after the other would.  A J'
+    beyond double range inside the domain makes the iterate infinite: the
+    path stops ExplosionDetected by the cap rule.
     """
     if h0 not in ("zero", "factor"):
         raise ValueError(f"h0 must be 'zero' or 'factor', got {h0!r}")
@@ -259,16 +268,16 @@ def solve_batch(
     B = np.array([f.b_bar for f in factors]) * r0_norms
     c1s = _c1_bounds(B, vol.lambda_bar, grid.t_star, cfg.gamma, exponent)
     # fail fast if J' is unreachable on the region the iteration can visit
-    z_probe = [
+    z_probe = np.array([
         vol.lambda_bar * c1 / math.sqrt(cfg.gamma)
         if c1 is not None
         else vol.lambda_bar * cap * grid.x_max
         for c1, cap in zip(c1s, caps)
-    ]
-    probe = exponent.J_prime(np.array(z_probe)[active])
-    if np.any(np.isinf(probe)):
+    ])[active]
+    fault = _domain_fault(z_probe, exponent.J_prime(z_probe), exponent.domain_sup)
+    if np.any(fault):
         # active is still 0 .. m-1 here, so k is also the path's index
-        k = int(np.argmax(np.isinf(probe)))
+        k = int(np.argmax(fault))
         fail(k, ExponentDomainError(z_probe[k]))
 
     a = np.stack([f.a for f in factors])
@@ -379,7 +388,7 @@ def mild_residual(
     grid = report.grid
     r = report.field
     model = path.model
-    lam_w = vol.lam(grid.x_wide)
+    lam_w = factor.lam_w
     cum = _cumtrapz_rows(lam_w[None, :] * r, grid.dt)
     dt = grid.dt
     weights = np.exp(report.gamma * grid.x_wide)
@@ -387,7 +396,7 @@ def mild_residual(
     dW = path.brownian_increments
     dLc = (model.a - path.m_n) * dt + dW[: grid.n_t] if dW.size else np.full(grid.n_t, (model.a - path.m_n) * dt)
 
-    jp = _on_triangle(exponent.J_prime, cum, grid)
+    jp = _on_triangle(exponent.J_prime, cum, grid, "J'", exponent.domain_sup)
     lam_r = lam_w * r
     drift = dt * grid.sum_along_t(jp * lam_r)
     dLc_rows = np.append(dLc, 0.0)[:, None]
@@ -490,7 +499,7 @@ def strong_residual(
 
     r = report.field
     cum = _cumtrapz_rows(lam * np.where(grid.valid_mask(), r, 0.0), grid.dt)
-    jpp = _on_triangle(exponent.J_second, cum, grid, what="J''")
+    jpp = _on_triangle(exponent.J_second, cum, grid, "J''", exponent.domain_sup)
     dt = grid.dt
     term = grid.sum_along_t(jpp * r) * (dt * lam * lam)
     rhs = r * (grid.shifted(r0p) / grid.shifted(r0v) + term)

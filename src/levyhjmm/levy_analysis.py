@@ -9,10 +9,10 @@ with first derivative J'(z) = -a + q z + int y (1_{(-1,1)}(y) - exp(-z y)) nu(dy
 and second derivative J''(z) = q + int y^2 exp(-z y) nu(dy).  Internally every
 evaluation runs through the four-piece split over (-inf,-1], (-1,0), (0,1),
 [1,inf).  Atoms are summed in closed form here; every per-family integral
-of a density part (moments, masses and the exponent's closed forms) belongs
-to `levy_model`: exponential and uniform parts go through its
-`pow_exp_integral` (vectorized over z), power-law parts use adaptive
-quadrature with an analytic tail cut plus its symbolic power moments.
+of a density part (moments, masses and the exponent's integrals) belongs
+to `levy_model`, vectorized over z: exponential and uniform parts go
+through its `pow_exp_integral`, power-law parts through its fixed-node
+`power_law_integral` plus its symbolic power moments at z = 0.
 Divergence is decided symbolically and reported as +/-inf.
 """
 
@@ -25,7 +25,6 @@ import numpy as np
 
 from .levy_model import (
     INF,
-    TAIL_MASS_TOL,
     Exponential,
     LevyMeasureSpec,
     LevyModel,
@@ -37,7 +36,7 @@ from .levy_model import (
     support_lower_bound,
     _LOG_MAX,
     _powerlaw_moment,
-    _quad,
+    power_law_integral,
 )
 
 CONDITION_NAMES = ("B0", "B1", "B2", "B3", "B4", "B5", "L1", "L2")
@@ -72,108 +71,38 @@ class ExponentDomainError(ValueError):
             super().__init__(f"{what} is infinite at z={self.z!r}")
 
 
-def _exp_tail_cut(z: float, e: float, coeff: float, start: float) -> float:
-    """Upper cut S for int_S^inf s^e e^{-z s} ds so the dropped mass is < 1e-12.
-
-    Uses the bound int_S^inf s^e e^{-z s} ds <= 2 S^e e^{-z S} / z, valid once
-    z S >= 2 max(e, 0).
-    """
-    S = max(start, 2.0 * max(e, 0.0) / z, 1.0 / z)
-    for _ in range(200):
-        bound = 2.0 * coeff * S**e * math.exp(-z * S) / z
-        if bound < TAIL_MASS_TOL:
-            return S
-        S *= 2.0
-    return S
-
-
 # ---------------------------------------------------------------------------
 # per-part contributions (vectorized over z)
 # ---------------------------------------------------------------------------
 
 
-def _clip_comp(a: float, b: float) -> tuple[float, float]:
-    return a, min(b, 1.0)
+def _powerlaw_piece(part: PowerLaw, sign: int, l: float, u: float, zs, qty: str, comp: bool) -> np.ndarray:
+    """Power-law contribution over s = |y| in [l, u].
 
-
-def _clip_uncomp(a: float, b: float) -> tuple[float, float]:
-    return max(a, 1.0), b
-
-
-def _powerlaw_piece(part: PowerLaw, zs: np.ndarray, qty: str, comp: bool) -> np.ndarray:
-    """Power-law contribution on one side of the compensation boundary."""
-    sign, a0, b0 = abs_support(part)
-    l, u = _clip_comp(a0, b0) if comp else _clip_uncomp(a0, b0)
-    out = np.zeros_like(zs)
-    if l >= u:
-        return out
-    c, al = part.c, part.alpha
-
-    def pow_moment(p: int) -> float:
-        # c int_l^u s^(p-1-alpha) ds, +inf on symbolic divergence
-        return _powerlaw_moment(c, al, p, l, u, 0.0)
-
-    for idx, z in enumerate(zs.flat):
-        if sign > 0:
-            if z == 0.0:
-                if qty == "J":
-                    v = 0.0
-                elif qty == "Jp":
-                    v = 0.0 if comp else -pow_moment(1)
-                else:
-                    v = pow_moment(2)
-            else:
-                if qty == "J":
-                    if comp:
-                        v = c * _quad(lambda s: (math.expm1(-z * s) + z * s) * s ** (-1 - al), l, u)
-                    else:
-                        hi = u if u != INF else _exp_tail_cut(z, -1 - al, c, l)
-                        v = c * _quad(lambda s: math.exp(-z * s) * s ** (-1 - al), l, hi)
-                        v -= pow_moment(0)
-                elif qty == "Jp":
-                    if comp:
-                        v = c * _quad(lambda s: -math.expm1(-z * s) * s**-al, l, u)
-                    else:
-                        hi = u if u != INF else _exp_tail_cut(z, -al, c, l)
-                        v = -c * _quad(lambda s: math.exp(-z * s) * s**-al, l, hi)
-                else:
-                    hi = u if u != INF else _exp_tail_cut(z, 1.0 - al, c, l)
-                    v = c * _quad(lambda s: math.exp(-z * s) * s ** (1.0 - al), l, hi)
-        else:
-            # negative side, weight e^{+z s}; unbounded support diverges for z > 0
-            if z == 0.0:
-                if qty == "J":
-                    v = 0.0
-                elif qty == "Jp":
-                    v = 0.0 if comp else pow_moment(1)
-                else:
-                    v = pow_moment(2)
-            elif u == INF or z * u > _LOG_MAX:
-                # divergent tail, or an integrand that overflows a double
-                v = INF
-            else:
-                if qty == "J":
-                    if comp:
-                        v = c * _quad(lambda s: (math.expm1(z * s) - z * s) * s ** (-1 - al), l, u)
-                    else:
-                        v = c * _quad(lambda s: math.expm1(z * s) * s ** (-1 - al), l, u)
-                elif qty == "Jp":
-                    if comp:
-                        v = c * _quad(lambda s: math.expm1(z * s) * s**-al, l, u)
-                    else:
-                        v = c * _quad(lambda s: math.exp(z * s) * s**-al, l, u)
-                else:
-                    v = c * _quad(lambda s: math.exp(z * s) * s ** (1.0 - al), l, u)
-        out.flat[idx] = v
+    With y = sign*s the d-th derivative's integrand is
+    (-y)^d (e^{-zy} - sum_{k<m} (-zy)^k / k!), m = 2 - d compensated and
+    1 - d not (never below 0), which is c (-sign)^d (-zeta)^m s^(d+m-1-alpha)
+    F_m(zeta s) against ds for zeta = sign*z: one `power_law_integral`.
+    """
+    d = ("J", "Jp", "Jpp").index(qty)
+    m = max((2 if comp else 1) - d, 0)
+    # at z = 0 only m = 0 leaves a term: the symbolic moment, +inf on divergence
+    at_zero = (-sign) ** d * _powerlaw_moment(part.c, part.alpha, d, l, u, 0.0) if m == 0 else 0.0
+    out = np.where(np.isfinite(zs), at_zero, np.nan)
+    todo = np.isfinite(zs) & (zs != 0.0)
+    if sign < 0:
+        # weight e^{zs}: a divergent tail, or an integrand that overflows a double
+        inf = zs > _LOG_MAX / u  # u = inf: every z > 0
+        out[inf] = INF
+        todo &= ~inf
+    zeta = sign * zs[todo]
+    integral = power_law_integral(m, d + m - 1.0 - part.alpha, zeta, l, u)
+    out[todo] = part.c * (-sign) ** d * (-zeta) ** m * integral
     return out
 
 
-def _smooth_piece(part, zs: np.ndarray, qty: str, comp: bool) -> np.ndarray:
-    """Closed-form contribution of an Exponential or Uniform part."""
-    sign, a0, b0 = abs_support(part)
-    l, u = _clip_comp(a0, b0) if comp else _clip_uncomp(a0, b0)
-    if l >= u:
-        return np.zeros_like(zs)
+def _smooth_piece(part, sign: int, l: float, u: float, zs, qty: str, comp: bool) -> np.ndarray:
+    """Closed-form contribution of an Exponential or Uniform part over s = |y| in [l, u]."""
     c = part.c
     beta = part.beta if isinstance(part, Exponential) else 0.0
     kappa = beta + zs if sign > 0 else beta - zs
@@ -198,9 +127,13 @@ def _smooth_piece(part, zs: np.ndarray, qty: str, comp: bool) -> np.ndarray:
 
 
 def _part_piece(part, zs: np.ndarray, qty: str, comp: bool) -> np.ndarray:
-    if isinstance(part, PowerLaw):
-        return _powerlaw_piece(part, zs, qty, comp)
-    return _smooth_piece(part, zs, qty, comp)
+    """Contribution of one density part inside (comp) or outside the unit ball."""
+    sign, a0, b0 = abs_support(part)
+    l, u = (a0, min(b0, 1.0)) if comp else (max(a0, 1.0), b0)
+    if l >= u:
+        return np.zeros_like(zs)
+    piece = _powerlaw_piece if isinstance(part, PowerLaw) else _smooth_piece
+    return piece(part, sign, l, u, zs, qty, comp)
 
 
 def _atom_sum(nu: LevyMeasureSpec, zs: np.ndarray, qty: str, select=None) -> np.ndarray:

@@ -147,6 +147,30 @@ class TestSweep:
         assert summary["first_explosion_level"] is not None
 
 
+    def test_negative_atom_sweep_reports_explosion(self, tmp_path):
+        # J' of the atom at -0.2 leaves double range near z = 3550 although it
+        # is finite at every z: the levels above the boundary explode (by the
+        # cap rule) instead of ending the sweep in an exponent domain error
+        scen = write_scenario(
+            tmp_path,
+            {
+                "levy_model": {"a": 0.2, "q": 1.0, "nu": {"atoms": [[1.0, 0.5], [-0.2, 0.3]], "density_parts": []}},
+                "volatility": {"kind": "exp_affine", "c0": 0.2, "c1": 0.1, "beta": 1.0},
+                "r0": {"kind": "exp_decay", "beta": 1.0},
+                "grid": {"t_star": 0.5, "dt": 0.03125, "x_max": 1.0},
+                "gamma": 1.0,
+                "solver": {"tol": 1e-10, "max_iter": 200},
+                "seed": 1010,
+            },
+        )
+        out = tmp_path / "out"
+        assert main(["sweep-explosion", scen, "--out-dir", str(out), "--k-max-exp", "8"]) == 0
+        rows = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines() if line[:1].isdigit()]
+        assert [(float(k), status) for k, status, *_ in rows] == [
+            (2.0**k, "Converged" if k <= 5 else "ExplosionDetected") for k in range(9)
+        ]
+        assert json.loads((out / "sweep.json").read_text())["first_explosion_level"] == 64.0
+
 class TestOtherCommands:
     def test_report_exponent(self, tmp_path):
         scen = write_scenario(tmp_path, POISSON)

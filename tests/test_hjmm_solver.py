@@ -6,8 +6,14 @@ import pytest
 
 from levyhjmm.function_space import WeightedCurve, trapezoid
 from levyhjmm.grids import SolveGrid
-from levyhjmm.levy_analysis import ExponentDomainError, ExponentHandle
-from levyhjmm.levy_model import INF, Exponential, LevyMeasureSpec, LevyModel
+from levyhjmm.levy_analysis import (
+    REGIME_EXPLOSION,
+    REGIME_GLOBAL,
+    ExponentDomainError,
+    ExponentHandle,
+    classify,
+)
+from levyhjmm.levy_model import INF, Exponential, LevyMeasureSpec, LevyModel, PowerLaw
 from levyhjmm.path_sim import SimConfig, refine_path, simulate
 from levyhjmm.random_factor import ConstantVol, ExpAffineVol, compute_a
 from levyhjmm.hjmm_solver import (
@@ -120,6 +126,25 @@ class TestApplyK:
             strong_residual(rep, r0_exp(), ConstantVol(1.0), handle)
         assert excinfo.value.what == "J''"
         assert np.isinf(handle.J_second(np.array([excinfo.value.z]))[0])
+
+    def test_overflow_inside_the_domain_is_infinite(self):
+        # J' of a negative atom is finite at every z but leaves double range
+        # once 0.25 z > 709: apply_K returns +inf there instead of raising
+        atom = ((-0.25, 0.5),)
+        _, factor, handle, _ = setup(LevyModel(nu=LevyMeasureSpec(atoms=atom)), seed=2, vol=ConstantVol(1.0))
+        assert handle.domain_sup == INF
+        h = np.where(GRID.valid_mask(), 5000.0, np.nan)
+        assert np.isposinf(GRID.nan_sup(apply_K(h, factor, handle)))
+        # a negative exponential tail ends the domain at beta = 4000: the
+        # overflow on (2837, 4000) still passes, a +inf from z = 4000 on raises
+        tail = Exponential(c=1e-3, beta=4000.0, support=(-INF, -1.0))
+        handle = ExponentHandle(LevyModel(nu=LevyMeasureSpec(atoms=atom, density_parts=(tail,))))
+        assert handle.domain_sup == 4000.0
+        with pytest.raises(ExponentDomainError) as excinfo:
+            apply_K(h, factor, handle)
+        assert excinfo.value.z >= 4000.0
+        zs = np.array([3000.0, 3999.0])
+        assert np.all(np.isposinf(handle.J_prime(zs)))
 
 
 def loop_sum(grid, G, rule="trapezoid"):
@@ -461,6 +486,42 @@ class TestExplosionSweep:
         assert res.first_explosion_level is None
 
 
+    def test_overflowing_negative_atom_explodes_by_the_cap(self):
+        model = LevyModel(nu=LevyMeasureSpec(atoms=((-0.25, 0.5),)))
+        grid = SolveGrid(t_star=1.0, dt=1.0 / 8, x_max=1.0)
+        path = simulate(model, SimConfig(t_star=1.0, dt=grid.dt, seed=1010))
+        r0 = WeightedCurve(dx=grid.dt, values=np.full(grid.n_w + 1, 2.0**20), gamma=1.0)
+        factor = compute_a(path, ConstantVol(0.3), r0, 0.0, grid)
+        rep = solve_monotone(factor, ConstantVol(0.3), ExponentHandle(model), SolverConfig())
+        assert (rep.status, rep.detail["rule"]) == (STATUS_EXPLOSION, "cap")
+
+
+# the explosion boundary across a family: classify (B3/B4 from J) against
+# the solves of explosion_sweep; Indeterminate models are solved but not judged
+FAMILY = {
+    **{
+        f"powerlaw-{alpha}": LevyMeasureSpec(density_parts=(PowerLaw(c=1.0, alpha=alpha, support=(0.0, 1.0)),))
+        for alpha in (0.25, 0.5, 1.0, 1.5, 1.75)
+    },
+    "exponential": LevyMeasureSpec(density_parts=(Exponential(c=1.0, beta=2.0, support=(0.0, INF)),)),
+    "negative-atom": LevyMeasureSpec(atoms=((-0.25, 0.5),)),
+    "negative-powerlaw": LevyMeasureSpec(density_parts=(PowerLaw(c=1.0, alpha=0.5, support=(-1.0, 0.0)),)),
+}
+
+
+@pytest.mark.parametrize("name", FAMILY)
+def test_classify_agrees_with_explosion_sweep(name):
+    model = LevyModel(nu=FAMILY[name])
+    grid = SolveGrid(t_star=1.0, dt=1.0 / 8, x_max=1.0)
+    levels = [2.0**k for k in range(0, 21, 4)]
+    res = explosion_sweep(model, ConstantVol(0.3), levels, grid, seed=1010, n_threshold=250)
+    assert len(res.rows) == len(levels)
+    regime = classify(model).regime
+    if regime == REGIME_GLOBAL:
+        assert res.first_explosion_level is None, res.rows
+    elif regime == REGIME_EXPLOSION:
+        assert res.first_explosion_level is not None and res.first_explosion_level < 2.0**20, res.rows
+
 # ---------------------------------------------------------------------------
 # batched solve: every path must match a one-path-at-a-time reference loop
 # ---------------------------------------------------------------------------
@@ -475,7 +536,8 @@ def serial_solve(factor, vol, exponent, cfg, h0="zero", keep_iterates=False):
     r0_norm = math.sqrt(trapezoid(r0v**2 * np.exp(cfg.gamma * grid.x_wide), dx=grid.dt))
     c1 = a_priori_c1(factor.b_bar, r0_norm, vol.lambda_bar, grid.t_star, cfg.gamma, exponent)
     z_probe = vol.lambda_bar * c1 / math.sqrt(cfg.gamma) if c1 is not None else vol.lambda_bar * cap * grid.x_max
-    if np.isinf(exponent.J_prime(np.array([z_probe]))[0]):
+    jp = exponent.J_prime(np.array([z_probe]))[0]
+    if jp == -INF or (jp == INF and z_probe >= exponent.domain_sup):
         raise ExponentDomainError(z_probe)
     h = np.where(grid.valid_mask(), 0.0, np.nan) if h0 == "zero" else factor.a.copy()
     sups, l2s, iterates, streak = [], [], [], 0

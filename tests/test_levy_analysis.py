@@ -233,6 +233,62 @@ class TestDomain:
         assert eval_J(model, 0.1) == INF
 
 
+def _power_law_model(alpha, support):
+    return LevyModel(nu=LevyMeasureSpec(density_parts=(PowerLaw(c=1.0, alpha=alpha, support=support),)))
+
+
+class TestPowerLawKernel:
+    """The fixed-node power-law kernel against closed forms and J' monotonicity."""
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 1.5, 1.9])
+    @pytest.mark.parametrize("support", [(0.0, 1.0), (0.5, 3.0), (1.0, INF), (-1.0, 0.0), (-2.0, -1.0)])
+    def test_prime_nondecreasing_across_scales(self, alpha, support):
+        # J'' >= 0, so J' may only move down by rounding, from z = 0 up to
+        # 1e4 (the unbounded tail once fell from -1.996 to -1.989 and back),
+        # through the smallest subnormal and normal z
+        zs = np.concatenate([[0.0, 5e-324, 1e-308], np.logspace(-9, 4, 131)])
+        jp = ExponentHandle(_power_law_model(alpha, support)).J_prime(zs)
+        prev, nxt = jp[:-1], jp[1:]
+        with np.errstate(invalid="ignore"):  # inf - inf once J' has overflowed
+            ok = (nxt >= prev) | (nxt >= prev - 1e-12 * np.maximum(1.0, np.abs(prev)))
+        assert ok.all(), list(zip(zs[1:][~ok], prev[~ok], nxt[~ok]))
+
+    # 40-digit mpmath values from closed forms, not numerical quadrature:
+    # upper incomplete gamma functions (mp.gammainc) for the (1, inf) tails,
+    # e.g. J'(z) = -sqrt(z) Gamma(-1/2, z) at alpha = 1.5, and for the growing
+    # density at alpha = -10, and the term-wise power series
+    # sum_k (-z)^k / k! int s^(k+d-1-alpha) ds on the other bounded pieces
+    @pytest.mark.parametrize(
+        "alpha, support, fn, z, want",
+        [
+            (1.5, (1.0, INF), eval_J_prime, 1e-5, -1.9888100175338708755),
+            (1.5, (1.0, INF), eval_J_prime, 1e-9, -1.9998879021756720411),
+            (0.25, (1.0, INF), eval_J_prime, 5e-324, -3.6978160473555566354e242),
+            (1.0, (1.0, INF), eval_J_prime, 5e-324, -743.86285625647972945),
+            (0.25, (1.0, INF), eval_J_prime, 1e-9, -6891023.1904132239736),
+            (1.0, (1.0, INF), eval_J, 1e-9, -2.114605017254487955e-8),
+            (1.9, (1.0, INF), eval_J_second, 1e-9, 65.568477764103124013),
+            (1.9, (0.0, 1.0), eval_J, 1.0, 4.8659415043842236584),
+            (1.9, (-1.0, 0.0), eval_J, 1.0, 5.1744267421994100592),
+            (0.5, (-1.0, 0.0), eval_J_prime, 2.0, 2.7289077856104185692),
+            (0.5, (0.0, 1.0), eval_J_prime, 1e4, 1.9822754614909448397),
+            (1.0, (0.5, 3.0), eval_J_prime, 7.0, 0.68617704073692892917),
+            (1.9, (-2.0, -1.0), eval_J_second, 300.0, 6.7498467805048386468e257),
+            (-10.0, (2.0, 40.0), eval_J_second, 3.0, 73.601383991428380244),
+        ],
+    )
+    def test_pinned_values(self, alpha, support, fn, z, want):
+        assert fn(_power_law_model(alpha, support), z) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_values_at_zero_are_the_symbolic_moments(self):
+        model = _power_law_model(0.5, (0.5, 3.0))
+        assert eval_J(model, 0.0) == 0.0
+        assert eval_J_prime(model, 0.0) == -moment_integral(model.nu, 1, (1.0, INF))
+        assert eval_J_second(model, 0.0) == moment_integral(model.nu, 2, (0.0, INF))
+        # divergent first moment of the (1, inf) tail at alpha <= 1
+        assert eval_J_prime(_power_law_model(1.0, (1.0, INF)), 0.0) == -INF
+
+
 class TestConditions:
     def test_poisson_subordinator_global_safe(self):
         model = LevyModel(nu=LevyMeasureSpec(atoms=((1.0, 1.0),)))

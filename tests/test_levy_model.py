@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -145,6 +149,12 @@ class TestPinnedValues:
         got = moment_integral(nu, 3, (-1.0, -0.5), exp_tilt=3e-4)
         assert got == pytest.approx(0.23443313218965115, rel=1e-14)
 
+    def test_tilted_powerlaw_moment(self):
+        # int_1^2 s^(1/2) e^{3 s} ds, summed as sum_k 3^k / k! int_1^2 s^(k+1/2) ds
+        nu = LevyMeasureSpec(density_parts=(PowerLaw(c=1.0, alpha=0.5, support=(-2.0, -1.0)),))
+        got = moment_integral(nu, 2, (-INF, 0.0), exp_tilt=3.0)
+        assert got == pytest.approx(167.10426320310656081, rel=1e-12)
+
 
 class TestSupportLowerBound:
     def test_single_positive_atom(self):
@@ -254,3 +264,20 @@ class TestJsonSchema:
         model = levy_model_from_dict(d)
         assert model.nu.density_parts[0].support == (0.0, INF)
         assert model.nu.density_parts[1].support == (-INF, -1.0)
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def test_import_leaves_out_scipy_integrate():
+    """Every integral is closed-form or fixed-node, so the package needs no
+    adaptive quadrature; importing the CLI (every module) in a fresh
+    interpreter must not load scipy.integrate."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    script = "import sys, levyhjmm.cli; print('scipy.integrate' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
