@@ -6,20 +6,21 @@ the explicit representation
     J(z) = -a z + q z^2 / 2 + int (exp(-z y) - 1 + z y 1_{(-1,1)}(y)) nu(dy),
 
 with first derivative J'(z) = -a + q z + int y (1_{(-1,1)}(y) - exp(-z y)) nu(dy)
-and second derivative J''(z) = q + int y^2 exp(-z y) nu(dy).  Internally every
-evaluation runs through the four-piece split over (-inf,-1], (-1,0), (0,1),
-[1,inf).  Atoms are summed in closed form here; every per-family integral
-of a density part (moments, masses and the exponent's integrals) belongs
-to `levy_model`, vectorized over z: exponential and uniform parts go
-through its `pow_exp_integral`, power-law parts through its fixed-node
-`power_law_integral` plus its symbolic power moments at z = 0.
-Divergence is decided symbolically and reported as +/-inf.
+and second derivative J''(z) = q + int y^2 exp(-z y) nu(dy).  All three come
+from one evaluator indexed by the derivative order d = 0, 1, 2, whose jump
+integrand is (-y)^d (exp(-z y) - sum_{k<m} (-z y)^k / k!), m = max(2 - d, 0)
+inside the unit ball and max(1 - d, 0) outside, for every density part.
+Atoms are summed in closed form here; every per-family integral of a density
+part belongs to `levy_model`, vectorized over z: exponential and uniform parts
+go through `pow_exp_integral`, power-law parts through the fixed-node
+`power_law_integral` plus symbolic power moments at z = 0.  Divergence is
+decided symbolically and reported as +/-inf.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -72,20 +73,33 @@ class ExponentDomainError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# per-part contributions (vectorized over z)
+# J and its derivatives, indexed by the order d = 0, 1, 2 (vectorized over z)
 # ---------------------------------------------------------------------------
 
 
-def _powerlaw_piece(part: PowerLaw, sign: int, l: float, u: float, zs, qty: str, comp: bool) -> np.ndarray:
-    """Power-law contribution over s = |y| in [l, u].
+def _part_piece(part, zs: np.ndarray, d: int, comp: bool) -> np.ndarray:
+    """d-th derivative's share of one density part inside (comp) or outside the unit ball.
 
-    With y = sign*s the d-th derivative's integrand is
-    (-y)^d (e^{-zy} - sum_{k<m} (-zy)^k / k!), m = 2 - d compensated and
-    1 - d not (never below 0), which is c (-sign)^d (-zeta)^m s^(d+m-1-alpha)
-    F_m(zeta s) against ds for zeta = sign*z: one `power_law_integral`.
+    Over s = |y| in [l, u], with y = sign*s, zeta = sign*z, density rho(s) and
+    m = max((2 if comp else 1) - d, 0), it is
+    c (-sign)^d int s^d (e^{-zeta s} - sum_{k<m} (-zeta s)^k / k!) rho(s) ds.
+    An exponential or uniform part (rho = e^{-beta s}, beta = 0 for uniform)
+    gives M_d(beta + zeta) - sum_{k<m} (-zeta)^k / k! M_{d+k}(beta) with
+    M_p = `pow_exp_integral(p, ., l, u)`; a power law (rho = s^(-1-alpha))
+    gives (-zeta)^m int s^(d+m-1-alpha) F_m(zeta s) ds, one `power_law_integral`.
     """
-    d = ("J", "Jp", "Jpp").index(qty)
+    sign, a0, b0 = abs_support(part)
+    l, u = (a0, min(b0, 1.0)) if comp else (max(a0, 1.0), b0)
+    if l >= u:
+        return np.zeros_like(zs)
     m = max((2 if comp else 1) - d, 0)
+    c = part.c * (-sign) ** d
+    if not isinstance(part, PowerLaw):
+        beta = part.beta if isinstance(part, Exponential) else 0.0
+        body = pow_exp_integral(d, beta + sign * zs, l, u)
+        for k in range(m):
+            body = body - (-sign * zs) ** k / math.factorial(k) * float(pow_exp_integral(d + k, beta, l, u))
+        return c * body
     # at z = 0 only m = 0 leaves a term: the symbolic moment, +inf on divergence
     at_zero = (-sign) ** d * _powerlaw_moment(part.c, part.alpha, d, l, u, 0.0) if m == 0 else 0.0
     out = np.where(np.isfinite(zs), at_zero, np.nan)
@@ -97,122 +111,77 @@ def _powerlaw_piece(part: PowerLaw, sign: int, l: float, u: float, zs, qty: str,
         todo &= ~inf
     zeta = sign * zs[todo]
     integral = power_law_integral(m, d + m - 1.0 - part.alpha, zeta, l, u)
-    out[todo] = part.c * (-sign) ** d * (-zeta) ** m * integral
+    # (-zeta)^m with the power of two of zeta split off: zeta^2 overflows past
+    # 1e154, where the product need not (J is near 2z at alpha = 0.5 on (0, 1))
+    frac, exp2 = np.frexp(-zeta)
+    with np.errstate(over="ignore"):  # a value beyond double range is +/-inf
+        out[todo] = np.ldexp(c * frac**m * integral, m * exp2)
     return out
 
 
-def _smooth_piece(part, sign: int, l: float, u: float, zs, qty: str, comp: bool) -> np.ndarray:
-    """Closed-form contribution of an Exponential or Uniform part over s = |y| in [l, u]."""
-    c = part.c
-    beta = part.beta if isinstance(part, Exponential) else 0.0
-    kappa = beta + zs if sign > 0 else beta - zs
-
-    def moment(p: int, k) -> np.ndarray:
-        return pow_exp_integral(p, k, l, u)
-
-    m0, m1 = float(moment(0, beta)), float(moment(1, beta))
-    if qty == "J":
-        if comp:
-            body = moment(0, kappa) - m0 + (zs * m1 if sign > 0 else -zs * m1)
-        else:
-            body = moment(0, kappa) - m0
-    elif qty == "Jp":
-        if comp:
-            body = (m1 - moment(1, kappa)) if sign > 0 else (moment(1, kappa) - m1)
-        else:
-            body = -moment(1, kappa) if sign > 0 else moment(1, kappa)
-    else:
-        body = moment(2, kappa)
-    return c * body
-
-
-def _part_piece(part, zs: np.ndarray, qty: str, comp: bool) -> np.ndarray:
-    """Contribution of one density part inside (comp) or outside the unit ball."""
-    sign, a0, b0 = abs_support(part)
-    l, u = (a0, min(b0, 1.0)) if comp else (max(a0, 1.0), b0)
-    if l >= u:
-        return np.zeros_like(zs)
-    piece = _powerlaw_piece if isinstance(part, PowerLaw) else _smooth_piece
-    return piece(part, sign, l, u, zs, qty, comp)
-
-
-def _atom_sum(nu: LevyMeasureSpec, zs: np.ndarray, qty: str, select=None) -> np.ndarray:
-    atoms = nu.atoms if select is None else [am for am in nu.atoms if select(am[0])]
+def _atom_sum(atoms, zs: np.ndarray, d: int) -> np.ndarray:
     out = np.zeros_like(zs)
     with np.errstate(over="ignore"):
         for y, m in atoms:
             comp = 1.0 if abs(y) < 1.0 else 0.0
-            if qty == "J":
+            if d == 0:
                 out = out + m * (np.expm1(-zs * y) + zs * y * comp)
-            elif qty == "Jp":
+            elif d == 1:
                 out = out + m * y * (comp - np.exp(-zs * y))
             else:
                 out = out + m * y * y * np.exp(-zs * y)
     return out
 
 
-def _measure_quantity(nu: LevyMeasureSpec, zs: np.ndarray, qty: str) -> np.ndarray:
-    out = _atom_sum(nu, zs, qty)
-    for part in nu.density_parts:
-        out = out + _part_piece(part, zs, qty, comp=True)
-        out = out + _part_piece(part, zs, qty, comp=False)
-    return out
-
-
-def _check_z(zs, what: str) -> np.ndarray:
+def _eval(model: LevyModel, zs, d: int) -> np.ndarray:
+    """The d-th derivative of J (d = 0, 1, 2) at every z of zs, all z >= 0."""
     zs = np.asarray(zs, dtype=float)
     neg = zs < 0.0
     if np.any(neg):
-        raise ExponentDomainError(zs[neg].flat[0], what=what)
-    return zs
-
-
-def eval_J_vec(model: LevyModel, zs) -> np.ndarray:
-    zs = _check_z(zs, "J")
-    return -model.a * zs + 0.5 * model.q * zs**2 + _measure_quantity(model.nu, zs, "J")
-
-
-def eval_J_prime_vec(model: LevyModel, zs) -> np.ndarray:
-    zs = _check_z(zs, "J'")
-    return -model.a + model.q * zs + _measure_quantity(model.nu, zs, "Jp")
-
-
-def eval_J_second_vec(model: LevyModel, zs) -> np.ndarray:
-    zs = _check_z(zs, "J''")
-    return model.q + _measure_quantity(model.nu, zs, "Jpp")
+        raise ExponentDomainError(zs[neg].flat[0], what="J" + "'" * d)
+    measure = _atom_sum(model.nu.atoms, zs, d)
+    for part in model.nu.density_parts:
+        measure = measure + _part_piece(part, zs, d, comp=True) + _part_piece(part, zs, d, comp=False)
+    # plus the d-th derivative of -a z + q z^2 / 2
+    a, q = model.a, model.q
+    if d == 2:
+        return q + measure
+    drift = -a * zs if d == 0 else -a
+    if q:  # left out at q = 0: q z^2 overflows at large z, and 0 * inf is nan
+        drift = drift + (0.5 * q * zs**2 if d == 0 else q * zs)
+    return drift + measure
 
 
 def eval_J(model: LevyModel, z: float) -> float:
     """J(z) for z >= 0; +inf when the negative-tail exponential moment diverges."""
-    return float(eval_J_vec(model, np.array([z]))[0])
+    return float(_eval(model, np.array([z]), 0)[0])
 
 
 def eval_J_prime(model: LevyModel, z: float) -> float:
     """J'(z) for z >= 0; +/-inf per the divergence rules of the tail moments."""
-    return float(eval_J_prime_vec(model, np.array([z]))[0])
+    return float(_eval(model, np.array([z]), 1)[0])
 
 
 def eval_J_second(model: LevyModel, z: float) -> float:
     """J''(z) = q + int y^2 e^{-zy} nu(dy) for z >= 0."""
-    return float(eval_J_second_vec(model, np.array([z]))[0])
+    return float(_eval(model, np.array([z]), 2)[0])
 
 
 def eval_J_pieces(model: LevyModel, z: float) -> tuple[float, float, float, float]:
     """Jump-measure part of J split over (-inf,-1], (-1,0), (0,1), [1,inf)."""
-    zs = _check_z(np.array([z]), "J")
-    j1 = _atom_sum(model.nu, zs, "J", select=lambda y: y <= -1.0)
-    j2 = _atom_sum(model.nu, zs, "J", select=lambda y: -1.0 < y < 0.0)
-    j3 = _atom_sum(model.nu, zs, "J", select=lambda y: 0.0 < y < 1.0)
-    j4 = _atom_sum(model.nu, zs, "J", select=lambda y: y >= 1.0)
-    for part in model.nu.density_parts:
-        sign = abs_support(part)[0]
-        comp = _part_piece(part, zs, "J", comp=True)
-        uncomp = _part_piece(part, zs, "J", comp=False)
-        if sign > 0:
-            j3, j4 = j3 + comp, j4 + uncomp
-        else:
-            j2, j1 = j2 + comp, j1 + uncomp
-    return float(j1[0]), float(j2[0]), float(j3[0]), float(j4[0])
+
+    def piece(lo: float, hi: float) -> float:
+        # J of the jumps in [lo, hi], on one side of the unit-ball edge |y| = 1
+        comp = max(-lo, hi) <= 1.0
+        atoms = [(y, m) for y, m in model.nu.atoms if lo <= y <= hi and (abs(y) < 1.0) == comp]
+        parts = []
+        for part in model.nu.density_parts:
+            l, u = max(part.support[0], lo), min(part.support[1], hi)
+            if l < u:
+                parts.append(replace(part, support=(l, u)))
+        return float(_eval(LevyModel(nu=LevyMeasureSpec(atoms, parts)), np.array([z]), 0)[0])
+
+    return piece(-INF, -1.0), piece(-1.0, 0.0), piece(0.0, 1.0), piece(1.0, INF)
 
 
 def domain_sup(model: LevyModel) -> float:
@@ -240,13 +209,13 @@ class ExponentHandle:
     model: LevyModel
 
     def J(self, zs) -> np.ndarray:
-        return eval_J_vec(self.model, zs)
+        return _eval(self.model, zs, 0)
 
     def J_prime(self, zs) -> np.ndarray:
-        return eval_J_prime_vec(self.model, zs)
+        return _eval(self.model, zs, 1)
 
     def J_second(self, zs) -> np.ndarray:
-        return eval_J_second_vec(self.model, zs)
+        return _eval(self.model, zs, 2)
 
     @property
     def domain_sup(self) -> float:
@@ -326,19 +295,11 @@ def check_condition(model: LevyModel, name: str, z0: float | None = None) -> str
                 return FAILS
         return UNDECIDABLE
     if name == "B4":
-        if check_condition(model, "B1") == HOLDS:
-            return HOLDS
-        if model.q > 0.0 or nu.has_negative_mass():
-            return FAILS
-        fit = rho_fit(nu)
-        if fit is not None and fit[1] < RHO_FIT_RESIDUAL_MAX:
-            if fit[0] > 1.0 + RHO_ONE_BAND:
-                return HOLDS
-            if fit[0] < 1.0 - RHO_ONE_BAND:
-                return FAILS
-        # rho = 1 would need a slowly varying factor with M -> 0 and divergent
+        # the mirror of B3: B1 holding means q = 0 and no negative mass, so
+        # B3's rules decide B4 with holds and fails swapped.  rho = 1 would
+        # need a slowly varying factor with M -> 0 and divergent
         # int M(x)/x dx; no family in this measure algebra produces one
-        return UNDECIDABLE
+        return {HOLDS: FAILS, FAILS: HOLDS}.get(check_condition(model, "B3"), UNDECIDABLE)
     raise ValueError(f"unknown condition {name!r}")
 
 
@@ -385,9 +346,7 @@ def classify(
     values: tuple = ()
     if z_grid is not None:
         zs = np.asarray(z_grid, dtype=float)
-        J = eval_J_vec(model, zs)
-        Jp = eval_J_prime_vec(model, zs)
-        Jpp = eval_J_second_vec(model, zs)
+        J, Jp, Jpp = (_eval(model, zs, d) for d in range(3))
         values = tuple(
             (float(z), float(a), float(b), float(c))
             for z, a, b, c in zip(zs, J, Jp, Jpp)

@@ -316,9 +316,9 @@ def _powerlaw_moment(
     """integral_lo^hi s^(p-1-alpha) * exp(tilt*s) * c ds over s = |y| in [lo, hi]."""
     e = p - 1.0 - alpha
     # an integrand that overflows a double counts as divergent
-    if lo == 0.0 and e <= -1.0 or hi == INF and (tilt > 0.0 or e >= -1.0) or tilt * hi > _LOG_MAX:
+    if lo == 0.0 and e <= -1.0 or hi == INF and (tilt > 0.0 or tilt == 0.0 and e >= -1.0) or tilt * hi > _LOG_MAX:
         return INF
-    if tilt > 0.0:
+    if tilt != 0.0:
         return c * float(power_law_integral(0, e, -tilt, lo, hi))
     if e == -1.0:
         return c * math.log(hi / lo)

@@ -516,7 +516,10 @@ def test_classify_agrees_with_explosion_sweep(name):
     levels = [2.0**k for k in range(0, 21, 4)]
     res = explosion_sweep(model, ConstantVol(0.3), levels, grid, seed=1010, n_threshold=250)
     assert len(res.rows) == len(levels)
-    regime = classify(model).regime
+    report = classify(model)
+    # B4 is B3's mirror: holds and fails swapped, undecidable kept
+    assert report.flags["B4"] == {"holds": "fails", "fails": "holds"}.get(report.flags["B3"], "undecidable")
+    regime = report.regime
     if regime == REGIME_GLOBAL:
         assert res.first_explosion_level is None, res.rows
     elif regime == REGIME_EXPLOSION:

@@ -224,6 +224,12 @@ class TestDomain:
         model = LevyModel(nu=LevyMeasureSpec(density_parts=(Uniform(c=1.0, support=(0.0, 1.0)),)))
         assert eval_J_second(model, 0.0011) == pytest.approx(0.33305845429636982, rel=1e-14)
 
+    @pytest.mark.parametrize("z", [1e200, 1e300])
+    def test_large_z_without_gaussian_part(self, z):
+        # q z^2 / 2 and zeta^2 overflow here, yet J is near 2z
+        j = eval_J(_power_law_model(0.5, (0.0, 1.0)), z)
+        assert math.isfinite(j) and j > 0.0
+
     def test_negative_powerlaw_tail(self):
         model = LevyModel(
             nu=LevyMeasureSpec(density_parts=(PowerLaw(c=1.0, alpha=1.5, support=(-INF, -1.0)),))
@@ -287,6 +293,116 @@ class TestPowerLawKernel:
         assert eval_J_second(model, 0.0) == moment_integral(model.nu, 2, (0.0, INF))
         # divergent first moment of the (1, inf) tail at alpha <= 1
         assert eval_J_prime(_power_law_model(1.0, (1.0, INF)), 0.0) == -INF
+
+
+# J, J', J'' at z = 0, 1e-9, 0.3, 40 for each family, both signs, inside and
+# outside the unit ball (parts with c = 0.7, a = q = 0), and for two atoms with
+# a = 0.3, q = 0.4: exact doubles, compared with ==, so that any change in how
+# a term is rounded or summed shows
+_PINNED_MODELS = {
+    "powerlaw+in": PowerLaw(c=0.7, alpha=1.5, support=(0.0, 1.0)),
+    "powerlaw+out": PowerLaw(c=0.7, alpha=0.5, support=(1.0, INF)),
+    "powerlaw-in": PowerLaw(c=0.7, alpha=1.5, support=(-1.0, 0.0)),
+    "powerlaw-out": PowerLaw(c=0.7, alpha=0.5, support=(-3.0, -1.0)),
+    "exponential+in": Exponential(c=0.7, beta=2.0, support=(0.0, 1.0)),
+    "exponential+out": Exponential(c=0.7, beta=2.0, support=(1.0, INF)),
+    "exponential-in": Exponential(c=0.7, beta=2.0, support=(-1.0, 0.0)),
+    "exponential-out": Exponential(c=0.7, beta=2.0, support=(-3.0, -1.0)),
+    "uniform+in": Uniform(c=0.7, support=(0.2, 0.9)),
+    "uniform+out": Uniform(c=0.7, support=(1.0, 3.0)),
+    "uniform-in": Uniform(c=0.7, support=(-0.9, -0.2)),
+    "uniform-out": Uniform(c=0.7, support=(-3.0, -1.0)),
+}
+_PINNED_VALUES = {
+    "powerlaw+in": (
+        (0.0, 0.0, 1.4),
+        (6.999999999222222e-19, 1.3999999997666667e-09, 1.399999999533333),
+        (0.06099060214758135, 0.40019552566191474, 1.2717500278458467),
+        (362.9726774910448, 14.293975405914162, 0.19617469257392586),
+    ),
+    "powerlaw+out": (
+        (0.0, -INF, INF),
+        (-7.84684770295712e-05, -39233.538514785956, 19617469257392.277),
+        (-0.9589426131270737, -0.9934802034691316, 3.38437618737256),
+        (-1.4000000000000001, -7.3449715331285e-20, 7.526432090924389e-20),
+    ),
+    "powerlaw-in": (
+        (0.0, 0.0, 1.4),
+        (7.000000000777777e-19, 1.4000000002333333e-09, 1.4000000004666666),
+        (0.06519871320316757, 0.44233078369317874, 1.5535551904993086),
+        (4402174912123962.0, 4284323728852501.0, 4172796216258508.5),
+    ),
+    "powerlaw-out": (
+        (0.0, 1.024871130596428, 1.9582044639297616),
+        (1.0248711315755302e-09, 1.0248711325546325, 1.9582044680145294),
+        (0.41755057609048585, 1.8458856571252562, 3.714220982063306),
+        (4.448402733458733e+49, 1.323256570538745e+50, 3.936547494234031e+50),
+    ),
+    "exponential+in": (
+        (0.0, 0.0, 0.05658162716796389),
+        (-6.454008525818553e-18, 5.658155055598968e-11, 0.056581627130458806),
+        (0.0023863069769772772, 0.015404161366879684, 0.0464819301138411),
+        (3.8719930678306116, 0.10355215090395287, 1.8896447467876026e-05),
+    ),
+    "exponential+out": (
+        (0.0, -0.07105102369922166, 0.1184183728320361),
+        (-7.10510317247781e-11, -0.07105102358080327, 0.11841837260704118),
+        (-0.016853787999787213, -0.043780326843039064, 0.06858341056175685),
+        (-0.04736734913281444, -9.810692752564407e-21, 1.0049712952516141e-20),
+    ),
+    "exponential-in": (
+        (0.0, 0.0, 0.05658162716796389),
+        (6.454008525818553e-18, 5.6581628271601396e-11, 0.056581627205469005),
+        (0.0027247345738078506, 0.018794324578229188, 0.06918125583594155),
+        (586819795525775.2, 571377169327732.8, 556747312929583.25),
+    ),
+    "exponential-out": (
+        (0.0, 0.06801455228280537, 0.10757383205912079),
+        (6.801455648686172e-11, 0.06801455239037921, 0.10757383224442468),
+        (0.02621241662375603, 0.11046323620239334, 0.18258555051703082),
+        (5.9550495625247395e+47, 1.7708436856981463e+48, 5.266342307024995e+48),
+    ),
+    "uniform+in": (
+        (0.0, 0.0, 0.1682333333333333),
+        (-2.2298530010173165e-17, 1.682333550245829e-10, 0.1682333332187958),
+        (0.007081758243922937, 0.04566762828833262, 0.13732659024899294),
+        (10.290005870595985, 0.2694986791159026, 3.0086804439658963e-07),
+    ),
+    "uniform+out": (
+        (0.0, -2.8, 6.0666666666666655),
+        (-2.799999920810592e-09, -2.799999993933333, 6.066666652666667),
+        (-0.6200866911373895, -1.4822992596151825, 3.0726080578059776),
+        (-1.4, -7.620485445429288e-20, 7.815644219031744e-20),
+    ),
+    "uniform-in": (
+        (0.0, 0.0, 0.1682333333333333),
+        (2.2298530010173165e-17, 1.6823339388238878e-10, 0.1682333334478708),
+        (0.008115109771738075, 0.056017925579524785, 0.2066085636781055),
+        (75446552074452.47, 66015733065192.016, 57810920527096.164),
+    ),
+    "uniform-out": (
+        (0.0, 2.8, 6.0666666666666655),
+        (2.800000231673039e-09, 2.800000006066667, 6.066666680666667),
+        (1.1894033750222086, 5.436206643680612, 12.260617158747861),
+        (2.282316537188856e+50, 6.789891698136847e+50, 2.020135424979286e+51),
+    ),
+    "atoms": (
+        (0.0, 5.551115123125783e-17, 1.1),
+        (5.500000924059625e-19, 1.1000000355032569e-09, 1.1000000005500001),
+        (0.05237041352309156, 0.3601396674345218, 1.3209174775768404),
+        (2.2840147796313684e+25, 3.4260221694470532e+25, 5.139033254170579e+25),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_PINNED_VALUES))
+def test_exact_values(name):
+    if name == "atoms":
+        model = LevyModel(a=0.3, q=0.4, nu=LevyMeasureSpec(atoms=((0.5, 1.0), (-1.5, 0.2))))
+    else:
+        model = LevyModel(nu=LevyMeasureSpec(density_parts=(_PINNED_MODELS[name],)))
+    got = [tuple(fn(model, z) for fn in (eval_J, eval_J_prime, eval_J_second)) for z in (0.0, 1e-9, 0.3, 40.0)]
+    assert got == list(_PINNED_VALUES[name])
 
 
 class TestConditions:

@@ -155,6 +155,20 @@ class TestPinnedValues:
         got = moment_integral(nu, 2, (-INF, 0.0), exp_tilt=3.0)
         assert got == pytest.approx(167.10426320310656081, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "support, want",
+        [
+            # mpmath gammainc(3/2, 1, 2) and gammainc(3/2, 1, inf): a negative
+            # tilt damps the tail, so the unbounded one converges
+            ((-2.0, -1.0), 0.27556568181079261653),
+            ((-INF, -1.0), 0.50728223381177330985),
+        ],
+    )
+    def test_negative_tilt_powerlaw_moment(self, support, want):
+        nu = LevyMeasureSpec(density_parts=(PowerLaw(c=1.0, alpha=0.5, support=support),))
+        got = moment_integral(nu, 2, (-INF, 0.0), exp_tilt=-1.0)
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
 
 class TestSupportLowerBound:
     def test_single_positive_atom(self):
