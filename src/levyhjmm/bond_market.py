@@ -88,26 +88,25 @@ def _maturity_index(grid: SolveGrid, t: float, T: float) -> tuple[int, int]:
     return i, j
 
 
+def exp_neg_integrals(rows: np.ndarray, dx: float) -> list[float]:
+    """exp(-trapezoid(row)) for each row of a stack, 1.0 for a one-node row.
+
+    A row of a moving-frame field cut after x_j prices P(t, t + x_j); its
+    rows are summed one by one, so a stack of rows gives each row's price
+    bit for bit.  math.exp, not np.exp: np.exp can differ from it in the
+    last bit.
+    """
+    if rows.shape[-1] < 2:
+        return [1.0] * rows.shape[0]
+    return [math.exp(-x) for x in trapezoid(rows, dx=dx, axis=-1).tolist()]
+
+
 def bond_price(field: ForwardField, t: float, T: float) -> float:
     """P(t,T) = exp(-int_0^{T-t} r(t,v) dv) by trapezoid on the grid."""
     if field.frame != FRAME_MOVING:
         raise ValueError("bond_price expects a moving-frame field")
     i, j = _maturity_index(field.grid, t, T)
-    if j == 0:
-        return 1.0
-    integral = float(trapezoid(field.values[i, : j + 1], dx=field.grid.dt))
-    return math.exp(-integral)
-
-
-def _exp_neg_integrals(rows: np.ndarray, dx: float) -> list[float]:
-    """exp(-trapezoid(row)) for each row of a stack, 1.0 for a one-node row.
-
-    math.exp, not np.exp: it is the scalar exponential bond_price uses, and
-    np.exp can differ from it in the last bit.
-    """
-    if rows.shape[-1] < 2:
-        return [1.0] * rows.shape[0]
-    return [math.exp(-x) for x in trapezoid(rows, dx=dx, axis=-1).tolist()]
+    return exp_neg_integrals(field.values[i : i + 1, : j + 1], field.grid.dt)[0]
 
 
 def short_rate(field: ForwardField, t: float) -> float:
@@ -241,10 +240,10 @@ def martingale_mc(
             stack = np.stack(fields)
             for t in t_checkpoints:
                 i = _time_index(grid, t, "t_checkpoint")
-                disc = _exp_neg_integrals(stack[:, : i + 1, 0], grid.dt)  # of the short rate r(s, 0)
+                disc = exp_neg_integrals(stack[:, : i + 1, 0], grid.dt)  # of the short rate r(s, 0)
                 for T in maturities:
                     j = _maturity_index(grid, t, T)[1]
-                    prices = _exp_neg_integrals(stack[:, i, : j + 1], grid.dt)
+                    prices = exp_neg_integrals(stack[:, i, : j + 1], grid.dt)
                     samples[(T, t)].extend(d * p for d, p in zip(disc, prices))
         if failure is not None:
             raise failure

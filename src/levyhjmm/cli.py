@@ -16,12 +16,13 @@ import datetime
 import json
 import math
 import sys
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .bond_market import FRAME_MOVING, ForwardField, bond_price, martingale_mc
+from .bond_market import exp_neg_integrals, martingale_mc
 from .hjmm_solver import (
     STATUS_CONVERGED,
     STATUS_EXPLOSION,
@@ -31,8 +32,8 @@ from .hjmm_solver import (
     solve_monotone,
 )
 from .levy_analysis import ExponentDomainError, ExponentHandle, classify
-from .path_sim import RNG_ALGORITHM, SimConfig, simulate, write_path_csv
-from .random_factor import compute_a, write_factor_csv
+from .path_sim import RNG_ALGORITHM, SimConfig, simulate
+from .random_factor import compute_a
 from .scenario import Scenario, ScenarioError, load_scenario
 
 EXIT_OK = 0
@@ -54,8 +55,30 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2, allow_nan=True) + "\n")
 
 
-def _csv_header(fh, sc: Scenario) -> None:
-    fh.write(f"# scenario_hash={sc.scenario_hash} seed={sc.seed} version={__version__}\n")
+def _write_csv(path: Path, sc: Scenario, header: str, columns, note: str = "", trailer: str = "") -> None:
+    """The hash line (with `note` appended), the header, then one row per
+    entry of the columns, each a list of formatted cells, then `trailer`."""
+    with open(path, "w") as fh:
+        fh.write(f"# scenario_hash={sc.scenario_hash} seed={sc.seed} version={__version__}{note}\n")
+        fh.write(header + "\n")
+        rows = map(",".join, zip(*columns))
+        # a write call per block of rows: one per row costs as much as the joins
+        while block := list(islice(rows, 1024)):
+            fh.write("\n".join(block) + "\n")
+        fh.write(trailer)
+
+
+def _reprs(values) -> list[str]:
+    """repr of each value, as a float, in row-major order."""
+    return [repr(v) for v in np.asarray(values, dtype=float).ravel().tolist()]
+
+
+def _tx_cells(g, mask: np.ndarray) -> tuple[list[str], list[str]]:
+    """The t and x cells of the entries of mask over (t_i, x_j), row-major;
+    each node is formatted once."""
+    i, j = np.nonzero(mask)
+    t, x = (np.array(_reprs(nodes), dtype=object) for nodes in (g.t, g.x_wide))
+    return t[i].tolist(), x[j].tolist()
 
 
 def _solver_cfg(sc: Scenario) -> SolverConfig:
@@ -80,12 +103,8 @@ def _solve_scenario(sc: Scenario):
 def cmd_report_exponent(sc: Scenario, out: Path, args) -> int:
     zs = np.linspace(args.z_min, args.z_max, args.n_z)
     exponent = ExponentHandle(sc.model)
-    J, Jp, Jpp = exponent.J(zs), exponent.J_prime(zs), exponent.J_second(zs)
-    with open(out / "exponent.csv", "w") as fh:
-        _csv_header(fh, sc)
-        fh.write("z,J,J_prime,J_second\n")
-        for row in zip(zs, J, Jp, Jpp):
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    columns = [zs, exponent.J(zs), exponent.J_prime(zs), exponent.J_second(zs)]
+    _write_csv(out / "exponent.csv", sc, "z,J,J_prime,J_second", [_reprs(c) for c in columns])
     return EXIT_OK
 
 
@@ -113,17 +132,17 @@ def cmd_simulate_path(sc: Scenario, out: Path, args) -> int:
     path = simulate(
         sc.model, SimConfig(t_star=sc.grid.t_star, dt=sc.grid.dt, seed=sc.seed)
     )
-    with open(out / "path.csv", "w") as fh:
-        fh.write(
-            f"# scenario_hash={sc.scenario_hash} seed={sc.seed} version={__version__} "
-            f"rng={path.rng_algorithm}\n"
-        )
-        write_path_csv(fh, path)
+    jumps = np.column_stack([path.jump_times, path.jump_sizes]).tolist()
+    _write_csv(
+        out / "path.csv", sc, "t,L", [_reprs(path.t), _reprs(path.grid_values)],
+        note=f" rng={path.rng_algorithm}", trailer="# jumps: " + json.dumps(jumps) + "\n",
+    )
     if args.dump_factor:
         factor = compute_a(path, sc.vol, sc.r0, sc.model.q, sc.grid)
-        with open(out / "factor.csv", "w") as fh:
-            _csv_header(fh, sc)
-            write_factor_csv(fh, factor)
+        g = sc.grid
+        t, x = _tx_cells(g, g.valid_mask())
+        I1, I2, a = (_reprs(g.triangle(v)) for v in (factor.I1, factor.I2, factor.a))
+        _write_csv(out / "factor.csv", sc, "t,x,I1,I2,a", [t, x, I1, I2, a])
     return EXIT_OK
 
 
@@ -133,12 +152,9 @@ def cmd_solve(sc: Scenario, out: Path, args) -> int:
         res = mild_residual(report, path, factor, sc.vol, exponent, sc.r0)
         report.residuals["mild_l2_max"] = float(np.max(res))
     g = sc.grid
-    t, x = [repr(v) for v in g.t.tolist()], [repr(v) for v in g.x.tolist()]
-    with open(out / "field.csv", "w") as fh:
-        _csv_header(fh, sc)
-        fh.write("t,x,r\n")
-        for ti, row in zip(t, report.field[:, : g.n_x + 1]):
-            fh.write("".join(f"{ti},{xj},{v!r}\n" for xj, v in zip(x, row.tolist())))
+    rect = report.field[:, : g.n_x + 1]
+    t, x = _tx_cells(g, np.ones(rect.shape, bool))
+    _write_csv(out / "field.csv", sc, "t,x,r", [t, x, _reprs(rect)])
     payload = {
         "status": report.status,
         "n_iters": report.n_iters,
@@ -175,11 +191,14 @@ def cmd_sweep_explosion(sc: Scenario, out: Path, args) -> int:
         max_iter=sc.max_iter,
         gamma=sc.gamma,
     )
-    with open(out / "sweep.csv", "w") as fh:
-        _csv_header(fh, sc)
-        fh.write("k,status,n_iters,max_sup\n")
-        for row in result.rows:
-            fh.write(f"{row.level!r},{row.status},{row.n_iters},{float(row.max_sup)!r}\n")
+    rows = result.rows
+    columns = [
+        _reprs([r.level for r in rows]),
+        [r.status for r in rows],
+        [str(r.n_iters) for r in rows],
+        _reprs([r.max_sup for r in rows]),
+    ]
+    _write_csv(out / "sweep.csv", sc, "k,status,n_iters,max_sup", columns)
     _write_json(
         out / "sweep.json",
         {
@@ -197,16 +216,10 @@ def cmd_price(sc: Scenario, out: Path, args) -> int:
         print(f"solve status: {report.status}", file=sys.stderr)
         return EXIT_EXPLOSION if report.status == STATUS_EXPLOSION else 1
     g = sc.grid
-    field = ForwardField(FRAME_MOVING, report.field, g, sc.gamma)
-    ts, xs = g.t.tolist(), g.x_wide.tolist()
-    with open(out / "price.csv", "w") as fh:
-        _csv_header(fh, sc)
-        fh.write("t,T,price\n")
-        for i in range(g.n_t + 1):
-            t = ts[i]
-            for j in range(min(g.row_width(i), g.n_x) + 1):
-                T = t + xs[j]
-                fh.write(f"{t!r},{T!r},{float(bond_price(field, t, T))!r}\n")
+    # every row reaches x_max, so column j prices P(t_i, t_i + x_j) for every i
+    prices = np.array([exp_neg_integrals(report.field[:, : j + 1], g.dt) for j in range(g.n_x + 1)]).T
+    t, _ = _tx_cells(g, np.ones(prices.shape, bool))
+    _write_csv(out / "price.csv", sc, "t,T,price", [t, _reprs(g.t[:, None] + g.x), _reprs(prices)])
     return EXIT_OK
 
 

@@ -1,7 +1,7 @@
 """Weighted-space machinery: curves on a uniform x-grid, the exponentially
 weighted L2/H1 norms, the shift semigroup and the embedding bound checks.
 
-A curve lives on x0 + k*dx, k = 0..n-1 together with the weight parameter
+A curve lives on x = k*dx, k = 0..n-1 together with the weight parameter
 gamma; all integrals are trapezoidal on that grid and the tail beyond the
 last node is treated as zero.  For norm accuracy of decaying curves pick the
 truncation around horizon + 10/gamma, so the neglected weighted tail is
@@ -29,7 +29,6 @@ class WeightedCurve:
     dx: float
     values: np.ndarray
     gamma: float
-    x0: float = 0.0
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -45,7 +44,7 @@ class WeightedCurve:
 
     @property
     def x(self) -> np.ndarray:
-        return self.x0 + self.dx * np.arange(self.values.size)
+        return self.dx * np.arange(self.values.size)
 
     @classmethod
     def from_function(
@@ -56,7 +55,7 @@ class WeightedCurve:
         return cls(dx=dx, values=np.asarray(f(xs), dtype=float), gamma=gamma)
 
     def scaled(self, alpha: float) -> "WeightedCurve":
-        return WeightedCurve(dx=self.dx, values=alpha * self.values, gamma=self.gamma, x0=self.x0)
+        return WeightedCurve(dx=self.dx, values=alpha * self.values, gamma=self.gamma)
 
 
 def norm_l2gamma(c: WeightedCurve) -> float:
@@ -97,7 +96,7 @@ def shift(c: WeightedCurve, t: float) -> WeightedCurve:
         values = np.full(n, c.values[-1])
     else:
         values = np.concatenate([c.values[k:], np.full(k, c.values[-1])])
-    return WeightedCurve(dx=c.dx, values=values, gamma=c.gamma, x0=c.x0)
+    return WeightedCurve(dx=c.dx, values=values, gamma=c.gamma)
 
 
 class BoundCheck(NamedTuple):
@@ -120,7 +119,7 @@ def l1_bound_check(c: WeightedCurve, tol: float = 1e-6) -> BoundCheck:
     return BoundCheck(l1, bound, l1 <= bound + tol)
 
 
-# --- CSV curve format: header "x,value", one row per node ------------------
+# --- CSV curve format: header "x,value", one row per node from x = 0 --------
 
 
 def write_curve_csv(path, c: WeightedCurve) -> None:
@@ -136,4 +135,6 @@ def read_curve_csv(path, gamma: float) -> WeightedCurve:
     dxs = np.diff(xs)
     if dxs.size == 0 or np.max(np.abs(dxs - dxs[0])) > 1e-9 * dxs[0]:
         raise ValueError(f"curve file {path} is not on a uniform grid")
-    return WeightedCurve(dx=float(dxs[0]), values=vals, gamma=gamma, x0=float(xs[0]))
+    if abs(xs[0]) > 1e-9 * dxs[0]:
+        raise ValueError(f"curve file {path} starts at x={float(xs[0])!r}, not at x=0")
+    return WeightedCurve(dx=float(dxs[0]), values=vals, gamma=gamma)

@@ -14,7 +14,7 @@ Brownian increments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -287,18 +287,7 @@ def refine_path(path: LevyPathRecord, seed: int) -> LevyPathRecord:
     grid_values = _grid_from_parts(
         path.model, dt2, 2 * n, path.m_n, path.jump_times, path.jump_sizes, dW2
     )
-    return LevyPathRecord(
-        t_star=path.t_star,
-        dt=dt2,
-        grid_values=grid_values,
-        jump_times=path.jump_times,
-        jump_sizes=path.jump_sizes,
-        brownian_increments=dW2,
-        m_n=path.m_n,
-        model=path.model,
-        n_threshold=path.n_threshold,
-        seed=path.seed,
-    )
+    return replace(path, dt=dt2, grid_values=grid_values, brownian_increments=dW2)
 
 
 def sample_terminal(
@@ -324,17 +313,3 @@ def sample_terminal(
     if model.q > 0.0:
         out += rng.normal(0.0, math.sqrt(model.q * t), n_paths)
     return out
-
-
-# --- optional CSV dump: grid rows plus a jump-list trailer ------------------
-
-
-def write_path_csv(fh, record: LevyPathRecord) -> None:
-    """Write the path to the open text stream fh, after any header already there."""
-    import json
-
-    fh.write("t,L\n")
-    for t, v in zip(record.t, record.grid_values):
-        fh.write(f"{float(t)!r},{float(v)!r}\n")
-    jumps = [[float(s), float(y)] for s, y in zip(record.jump_times, record.jump_sizes)]
-    fh.write("# jumps: " + json.dumps(jumps) + "\n")

@@ -209,17 +209,12 @@ def compute_I1(paths: Paths, vol: Volatility, grid: SolveGrid) -> np.ndarray:
     return out[0] if isinstance(paths, LevyPathRecord) else out
 
 
-def compute_I2(
-    paths: Paths,
-    vol: Volatility,
-    grid: SolveGrid,
-    expect_positive: bool = False,
-) -> tuple[np.ndarray, bool | np.ndarray]:
+def compute_I2(paths: Paths, vol: Volatility, grid: SolveGrid) -> tuple[np.ndarray, bool | np.ndarray]:
     """Finite jump product prod_{s<=t} (1+lambda(t-s+x) dL) exp(-lambda(t-s+x) dL).
 
-    Returns (field, positivity_ok), stacked as in compute_I1; a factor <= 0
-    while positivity was expected lowers that path's flag but the field
-    value is still recorded.
+    Returns (field, positivity_ok), stacked as in compute_I1; a factor
+    1 + lambda dL <= 0 on the triangle lowers that path's flag, and the
+    field value is still recorded.
     """
     stack = _as_stack(paths, grid)
     mask = grid.valid_mask()
@@ -231,9 +226,10 @@ def compute_I2(
                 break
             i0 = int(np.searchsorted(grid.t, s_m - 1e-15 * max(1.0, s_m), side="left"))
             lam_v = vol.lam((grid.t[i0:, None] - s_m) + grid.x_wide)
-            if expect_positive and np.any((1.0 + lam_v * y_m <= 0.0) & mask[i0:]):
+            factor = 1.0 + lam_v * y_m
+            if np.any((factor <= 0.0) & mask[i0:]):
                 positivity_ok[k] = False
-            out[k, i0:] *= (1.0 + lam_v * y_m) * np.exp(-lam_v * y_m)
+            out[k, i0:] *= factor * np.exp(-lam_v * y_m)
     if isinstance(paths, LevyPathRecord):
         return out[0], bool(positivity_ok[0])
     return out, positivity_ok
@@ -245,7 +241,6 @@ def compute_a(
     r0: WeightedCurve,
     q: float,
     grid: SolveGrid,
-    expect_positive: bool = False,
 ) -> RandomFactorField:
     """Assemble the random factor a(t,x) = r0(t+x) exp(I1 - q/2 Q) I2.
 
@@ -262,7 +257,7 @@ def compute_a(
             f"got {r0.values.size}"
         )
     I1 = compute_I1(paths, vol, grid)
-    I2, positivity_ok = compute_I2(paths, vol, grid, expect_positive=expect_positive)
+    I2, positivity_ok = compute_I2(paths, vol, grid)
 
     mask = grid.valid_mask()
     lam_w = vol.lam(grid.x_wide)
@@ -283,14 +278,3 @@ def compute_a(
         grid=grid, I1=I1, I2=I2, a=a, b=b, b_bar=float(b_bar) if b_bar.ndim == 0 else b_bar,
         r0=r0, positivity_ok=positivity_ok, lam_w=lam_w,
     )
-
-
-def write_factor_csv(fh, field: RandomFactorField) -> None:
-    """Field dump to the open text stream fh: t,x,I1,I2,a rows over the valid triangle."""
-    g = field.grid
-    t, x = [repr(v) for v in g.t.tolist()], [repr(v) for v in g.x_wide.tolist()]
-    I1, I2, a = field.I1.tolist(), field.I2.tolist(), field.a.tolist()
-    fh.write("t,x,I1,I2,a\n")
-    for i in range(g.n_t + 1):
-        for j in range(g.row_width(i) + 1):
-            fh.write(f"{t[i]},{x[j]},{I1[i][j]!r},{I2[i][j]!r},{a[i][j]!r}\n")

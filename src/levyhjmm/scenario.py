@@ -57,6 +57,15 @@ class Scenario:
         ).hexdigest()[:16]
 
 
+def _read_curve(d: dict, key: str, gamma: float, path: str) -> WeightedCurve:
+    """The curve in the file named by d[key]; a bad file is that field's error."""
+    name = _need(d, key, path)
+    try:
+        return read_curve_csv(name, gamma=gamma)
+    except (ValueError, TypeError, OSError) as exc:
+        raise ScenarioError(f"{path}.{key}", str(exc)) from exc
+
+
 def _build_vol(d: dict, path: str) -> Volatility:
     kind = _need(d, "kind", path)
     try:
@@ -70,7 +79,7 @@ def _build_vol(d: dict, path: str) -> Volatility:
             )
         if kind == "tabulated":
             if "csv" in d:
-                curve = read_curve_csv(d["csv"], gamma=1.0)
+                curve = _read_curve(d, "csv", 1.0, path)
                 return TabulatedVol(dx=curve.dx, values=curve.values)
             return TabulatedVol(
                 dx=_number(_need(d, "dx", path), f"{path}.dx", True),
@@ -96,7 +105,7 @@ def _build_r0(d: dict, grid: SolveGrid, gamma: float, path: str) -> WeightedCurv
             scale = _number(d.get("scale", 1.0), f"{path}.scale")
             return WeightedCurve(dx=grid.dt, values=scale * np.exp(-beta * xs), gamma=gamma)
         if kind == "csv":
-            curve = read_curve_csv(_need(d, "path", path), gamma=gamma)
+            curve = _read_curve(d, "path", gamma, path)
             if abs(curve.dx - grid.dt) > 1e-12 * grid.dt:
                 raise ScenarioError(f"{path}.path", f"curve dx={curve.dx} != grid dt={grid.dt}")
             if curve.values.size < n + 1:

@@ -212,6 +212,85 @@ class TestOtherCommands:
         assert "note" in report
 
 
+class TestCsvContents:
+    """Every line of every CSV output, rebuilt from the library objects."""
+
+    SCENARIO = {
+        **DEGENERATE,
+        "levy_model": {"a": 0.1, "q": 0.25, "nu": {"atoms": [[1.0, 2.0], [-0.2, 1.0]], "density_parts": []}},
+        "volatility": {"kind": "exp_affine", "c0": 0.2, "c1": 0.1, "beta": 1.0},
+        "grid": {"t_star": 0.5, "dt": 0.125, "x_max": 1.0},
+        "seed": 2,  # four jumps of both signs
+    }
+
+    def test_every_line(self, tmp_path):
+        import numpy as np
+
+        from levyhjmm import __version__
+        from levyhjmm.bond_market import FRAME_MOVING, ForwardField, bond_price
+        from levyhjmm.hjmm_solver import SolverConfig, explosion_sweep, solve_monotone
+        from levyhjmm.levy_analysis import ExponentHandle
+        from levyhjmm.path_sim import SimConfig, simulate
+        from levyhjmm.random_factor import compute_a
+        from levyhjmm.scenario import load_scenario
+
+        scen = write_scenario(tmp_path, self.SCENARIO)
+        out = tmp_path / "out"
+        for cmd in (
+            ["solve"],
+            ["price"],
+            ["simulate-path", "--dump-factor"],
+            ["report-exponent", "--n-z", "11"],
+            ["sweep-explosion", "--k-max-exp", "4"],
+        ):
+            assert main([cmd[0], scen, "--out-dir", str(out), *cmd[1:]]) == 0
+
+        sc = load_scenario(scen)
+        g = sc.grid
+        head = f"# scenario_hash={sc.scenario_hash} seed={sc.seed} version={__version__}"
+        ts, xs = g.t.tolist(), g.x_wide.tolist()
+        path = simulate(sc.model, SimConfig(t_star=g.t_star, dt=g.dt, seed=sc.seed))
+        assert path.jump_times.size == 4
+        factor = compute_a(path, sc.vol, sc.r0, sc.model.q, g)
+        exponent = ExponentHandle(sc.model)
+        cfg = SolverConfig(tol=sc.tol, max_iter=sc.max_iter, cap=sc.cap, gamma=sc.gamma)
+        field = solve_monotone(factor, sc.vol, exponent, cfg).field
+        moving = ForwardField(FRAME_MOVING, field, g, sc.gamma)
+        I1, I2, a = factor.I1.tolist(), factor.I2.tolist(), factor.a.tolist()
+        zs = np.linspace(0.0, 5.0, 11)
+        J, Jp, Jpp = exponent.J(zs), exponent.J_prime(zs), exponent.J_second(zs)
+        levels = [2.0**k for k in range(5)]
+        sweep = explosion_sweep(
+            sc.model, sc.vol, levels, g, seed=sc.seed, tol=sc.tol, max_iter=sc.max_iter, gamma=sc.gamma
+        )
+        jumps = [[float(s), float(y)] for s, y in zip(path.jump_times, path.jump_sizes)]
+        rect = [(i, j) for i in range(g.n_t + 1) for j in range(g.n_x + 1)]
+        expected = {
+            "field.csv": [head, "t,x,r"]
+            + [f"{ts[i]!r},{xs[j]!r},{float(field[i, j])!r}" for i, j in rect],
+            "price.csv": [head, "t,T,price"]
+            + [
+                f"{ts[i]!r},{ts[i] + xs[j]!r},{float(bond_price(moving, ts[i], ts[i] + xs[j]))!r}"
+                for i, j in rect
+            ],
+            "path.csv": [f"{head} rng={path.rng_algorithm}", "t,L"]
+            + [f"{float(t)!r},{float(v)!r}" for t, v in zip(path.t, path.grid_values)]
+            + ["# jumps: " + json.dumps(jumps)],
+            "factor.csv": [head, "t,x,I1,I2,a"]
+            + [
+                f"{ts[i]!r},{xs[j]!r},{I1[i][j]!r},{I2[i][j]!r},{a[i][j]!r}"
+                for i in range(g.n_t + 1)
+                for j in range(g.row_width(i) + 1)
+            ],
+            "exponent.csv": [head, "z,J,J_prime,J_second"]
+            + [",".join(repr(float(v)) for v in row) for row in zip(zs, J, Jp, Jpp)],
+            "sweep.csv": [head, "k,status,n_iters,max_sup"]
+            + [f"{r.level!r},{r.status},{r.n_iters},{float(r.max_sup)!r}" for r in sweep.rows],
+        }
+        for name, lines in expected.items():
+            assert (out / name).read_text() == "\n".join(lines) + "\n", name
+
+
 class TestScenarioInputs:
     def test_csv_initial_curve_and_tabulated_vol(self, tmp_path):
         import numpy as np
@@ -245,6 +324,30 @@ class TestScenarioInputs:
         scen["r0"] = {"kind": "csv", "path": str(curve_file)}
         path = write_scenario(tmp_path, scen)
         assert main(["solve", path, "--out-dir", str(tmp_path / "out")]) == 2
+
+
+    @pytest.mark.parametrize("field", ["r0.path", "volatility.csv"])
+    def test_csv_curve_not_starting_at_zero_rejected(self, tmp_path, capsys, field):
+        import math
+
+        from levyhjmm.scenario import ScenarioError, load_scenario
+
+        dt = 0.0625
+        curve_file = tmp_path / "offset.csv"
+        curve_file.write_text(
+            "x,value\n" + "".join(f"{0.5 + k * dt!r},{math.exp(-0.5 - k * dt)!r}\n" for k in range(33))
+        )
+        scen = dict(POISSON)
+        if field == "r0.path":
+            scen["r0"] = {"kind": "csv", "path": str(curve_file)}
+        else:
+            scen["volatility"] = {"kind": "tabulated", "csv": str(curve_file)}
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(scen)
+        assert err.value.field_path == field
+        path = write_scenario(tmp_path, scen)
+        assert main(["solve", path, "--out-dir", str(tmp_path / "out")]) == 2
+        assert field in capsys.readouterr().err
 
 
 class TestOverrides:

@@ -155,6 +155,13 @@ class TestCurveCsv:
         write_curve_csv(target, exp_curve(dx=0.5, x_max=2.0))
         assert target.read_text().splitlines()[0] == "x,value"
 
+    def test_curve_not_starting_at_zero_rejected(self, tmp_path):
+        # every reader takes values[0] as the value at x = 0
+        target = tmp_path / "curve.csv"
+        target.write_text("x,value\n" + "".join(f"{0.5 + 0.25 * k!r},{k!r}\n" for k in range(5)))
+        with pytest.raises(ValueError, match="not at x=0"):
+            read_curve_csv(target, gamma=1.0)
+
 
 class TestValidation:
     def test_nan_rejected(self):

@@ -118,7 +118,7 @@ class TestI2:
 
     def test_positivity_flag_lowered(self):
         path = manual_path([0.5], [-1.5])  # 1 + lambda*y = -0.5 < 0
-        I2, ok = compute_I2(path, ConstantVol(1.0), GRID, expect_positive=True)
+        I2, ok = compute_I2(path, ConstantVol(1.0), GRID)
         assert not ok
         assert np.isfinite(I2[GRID.n_t, 0])
 
@@ -159,7 +159,7 @@ class TestRandomFactor:
     def test_positivity_under_support_bound(self):
         model = LevyModel(nu=LevyMeasureSpec(atoms=((-0.25, 2.0), (1.0, 1.0))))
         path = simulate(model, SimConfig(t_star=1.0, dt=GRID.dt, seed=8))
-        f = compute_a(path, ConstantVol(2.0), r0_exp(), 0.0, GRID, expect_positive=True)
+        f = compute_a(path, ConstantVol(2.0), r0_exp(), 0.0, GRID)
         # supp nu >= -1/lambda_bar = -0.5, so every jump factor stays positive
         assert f.positivity_ok
         assert np.nanmin(np.where(GRID.valid_mask(), f.a, np.nan)) >= 0.0
@@ -216,10 +216,10 @@ class TestStackedFactor:
         paths = [simulate(model, SimConfig(t_star=1.0, dt=GRID.dt, seed=s)) for s in range(8)]
         sizes = np.concatenate([p.jump_sizes for p in paths])
         assert sizes.min() <= -2.0 and sizes.max() > 0.0
-        stack = compute_a(paths, vol, r0_exp(), q, GRID, expect_positive=True)
+        stack = compute_a(paths, vol, r0_exp(), q, GRID)
         assert stack.a.shape == (len(paths), GRID.n_t + 1, GRID.n_w + 1)
         for k, (path, unstacked) in enumerate(zip(paths, stack.unstack())):
-            one = compute_a(path, vol, r0_exp(), q, GRID, expect_positive=True)
+            one = compute_a(path, vol, r0_exp(), q, GRID)
             for name in ("I1", "I2", "a", "b"):
                 assert np.array_equal(getattr(stack, name)[k], getattr(one, name), equal_nan=True), name
                 assert np.array_equal(getattr(unstacked, name), getattr(one, name), equal_nan=True), name
