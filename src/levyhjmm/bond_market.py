@@ -24,7 +24,7 @@ from .hjmm_solver import (
     _cumtrapz_rows,
     solve_batch,
 )
-from .path_sim import SimConfig, jump_law, simulate
+from .path_sim import SimConfig, jump_law, simulate_paths
 from .random_factor import Volatility, compute_a
 
 FRAME_MOVING = "Moving"
@@ -192,10 +192,10 @@ def martingale_mc(
     summarised by min, median and max.
 
     Each path is simulated from its own seed stream, with the model's jump
-    law built once.  The paths then go through in blocks: one stacked
-    compute_a, one solve_batch and one pricing pass per block, with the
-    same result as one path at a time, errors included: the first path that
-    fails to simulate or to solve raises.
+    law built once.  The paths then go through in blocks: one
+    simulate_paths, one stacked compute_a, one solve_batch and one pricing
+    pass per block, with the same result as one path at a time, errors
+    included: the first path that fails to simulate or to solve raises.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
@@ -212,16 +212,13 @@ def martingale_mc(
     n_exploded = n_not_converged = 0
     n_iters: list[int] = []
 
+    # the grid, threshold and jump cap of every path; simulate_paths seeds each
+    # path from `seeds` and never reads cfg.seed, so it is left invalid (< 0)
+    sim_cfg = SimConfig(t_star=grid.t_star, dt=grid.dt, seed=-1, n_threshold=n_threshold)
     for start in range(0, n_paths, block):
-        paths, failure = [], None
-        for ps in seeds[start : start + block]:
-            sim_cfg = SimConfig(t_star=grid.t_star, dt=grid.dt, seed=int(ps), n_threshold=n_threshold)
-            try:
-                paths.append(simulate(model, sim_cfg, law))
-            except Exception as exc:
-                # raised once the paths before it are solved, as one path at a time would
-                failure = exc
-                break
+        # a path that fails to simulate ends the block; its error is raised
+        # once the paths before it are solved, as one path at a time would
+        paths, failure = simulate_paths(model, sim_cfg, seeds[start : start + block], law)
         fields = []
         if paths:
             factors = compute_a(paths, vol, r0, model.q, grid).unstack()

@@ -6,7 +6,9 @@ effective scenario hash, the seed and the tool version; JSON reports also
 carry a timestamp field (the only part excluded from byte-identity).
 
 Exit codes: 0 ok, 2 scenario schema error, 3 exponent-domain error,
-4 explosion in a single solve (solve subcommand only).
+4 explosion in a single solve (solve and price), 5 the solve reached its
+iteration cap without converging (price only: solve exits 0 and reports
+the status in solve_report.json).
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ EXIT_OK = 0
 EXIT_SCHEMA = 2
 EXIT_EXPONENT_DOMAIN = 3
 EXIT_EXPLOSION = 4
+EXIT_NOT_CONVERGED = 5
 
 
 def _meta(sc: Scenario) -> dict:
@@ -214,7 +217,7 @@ def cmd_price(sc: Scenario, out: Path, args) -> int:
     _, _, _, report = _solve_scenario(sc)
     if report.status != STATUS_CONVERGED:
         print(f"solve status: {report.status}", file=sys.stderr)
-        return EXIT_EXPLOSION if report.status == STATUS_EXPLOSION else 1
+        return EXIT_EXPLOSION if report.status == STATUS_EXPLOSION else EXIT_NOT_CONVERGED
     g = sc.grid
     # every row reaches x_max, so column j prices P(t_i, t_i + x_j) for every i
     prices = np.array([exp_neg_integrals(report.field[:, : j + 1], g.dt) for j in range(g.n_x + 1)]).T

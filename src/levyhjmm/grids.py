@@ -130,21 +130,32 @@ class SolveGrid:
 
     def from_triangle(self, values: np.ndarray) -> np.ndarray:
         """Inverse of `triangle`: the field, NaN beyond the triangle."""
-        mask, idx = self._mask, self._triangle_idx
-        out = np.full(values.shape[:-1] + mask.shape, np.nan)
-        if values.size == idx.size:  # one field: a boolean assignment is fastest
-            out.reshape(mask.shape)[mask] = values.reshape(-1)
-        else:
-            rows = out.reshape(-1, mask.size)
-            rows[:, idx] = values.reshape(rows.shape[0], idx.size)
-        return out
+        out = np.full(values.shape[:-1] + (self._mask.size,), np.nan)
+        out[..., self._triangle_idx] = values
+        return out.reshape(values.shape[:-1] + self._mask.shape)
+
+    @cached_property
+    def _natural_idx(self) -> np.ndarray:
+        """Flat natural-frame index (i, i + j) of each triangle entry, in `triangle` order."""
+        return self._triangle_idx + self._triangle_idx // (self.n_w + 1)
+
+    def natural_from_triangle(self, values: np.ndarray) -> np.ndarray:
+        """The natural-frame field of the `triangle` entries values: f[i, i + j]
+        = values at (i, j), 0 for T < i."""
+        rows, cols = self.n_t + 1, self.n_w + 1
+        out = np.zeros(values.shape[:-1] + (rows * cols,))
+        out[..., self._natural_idx] = values
+        return out.reshape(values.shape[:-1] + (rows, cols))
 
     @staticmethod
-    def _remap(field, remap, fill: float) -> np.ndarray:
+    def _remap(field, remap, fill: float | None) -> np.ndarray:
+        """field read at the flat indices of remap; fill None leaves the
+        entries it would fill as read."""
         idx, filled = remap
         field = np.asarray(field, dtype=float)
         out = field.reshape(field.shape[:-2] + (idx.size,)).take(idx, axis=-1).reshape(field.shape)
-        np.copyto(out, fill, where=filled)
+        if fill is not None:
+            np.copyto(out, fill, where=filled)
         return out
 
     def to_natural(self, field: np.ndarray, fill: float = np.nan) -> np.ndarray:
@@ -163,11 +174,20 @@ class SolveGrid:
         """E[i, j] = sum_{k <= i} w_k G[k, i - k + j] over the triangle, NaN beyond.
 
         rule "trapezoid": w_0 = w_i = 1/2, 1 in between, E[0] = 0;
-        rule "left": w_k = 1 for k < i, w_i = 0.  The terms are summed in
-        order of k, so E equals the row-by-row loop over k bit for bit, and
-        nothing is subtracted, so an infinite term never turns into NaN.
+        rule "left": w_k = 1 for k < i, w_i = 0.  This is `cumsum_natural`
+        between the two frame remaps.
         """
-        Gn = self.to_natural(G, fill=0.0)
+        return self.to_moving(self.cumsum_natural(self.to_natural(G, fill=0.0), rule))
+
+    @staticmethod
+    def cumsum_natural(Gn: np.ndarray, rule: str = "trapezoid") -> np.ndarray:
+        """sum_along_t in the natural frame: En[i, T] = sum_{k <= i} w_k Gn[k, T]
+        for Gn[i, T] = G[i, T - i], 0 for T < i.  Gn is scaled in place.
+
+        The terms are summed in order of k, so E equals the row-by-row loop
+        over k bit for bit, and nothing is subtracted, so an infinite term
+        never turns into NaN.
+        """
         if rule == "trapezoid":
             Gn[..., 0, :] *= 0.5
         elif rule != "left":
@@ -176,4 +196,4 @@ class SolveGrid:
         np.cumsum(Gn[..., :-1, :], axis=-2, out=En[..., 1:, :])
         if rule == "trapezoid":
             En[..., 1:, :] += 0.5 * Gn[..., 1:, :]
-        return self.to_moving(En)
+        return En

@@ -96,7 +96,8 @@ def _domain_fault(z: np.ndarray, vals: np.ndarray, domain_sup: float) -> np.ndar
 
 
 def _on_triangle(fn, z: np.ndarray, grid: SolveGrid, what: str, domain_sup: float) -> np.ndarray:
-    """fn(z) in one call over the valid triangle of every field in z, NaN beyond it.
+    """fn(z) in one call over the valid triangle of every field in z, as
+    `grid.triangle` entries.
 
     A field with a negative z (outside the domain the exponent is evaluated
     on) or a domain fault (`_domain_fault`) raises ExponentDomainError for
@@ -118,41 +119,56 @@ def _on_triangle(fn, z: np.ndarray, grid: SolveGrid, what: str, domain_sup: floa
     elif n_ok < rows.shape[0]:
         path, z_bad = n_ok, rows[n_ok, int(np.argmax(rows[n_ok] < 0.0))]
     else:
-        return grid.from_triangle(vals.reshape(zs.shape))
+        return vals.reshape(zs.shape)
     err = ExponentDomainError(z_bad, what=what)
     err.path = path
     raise err
 
 
-def field_row_norms(field_mat: np.ndarray, grid: SolveGrid, weights: np.ndarray) -> np.ndarray:
-    """Weighted L2 norm of each time slice over its valid x-range; weights
-    is e^{gamma x} on the wide x-grid."""
-    outside = ~grid.valid_mask()
+def _row_norms(tri: np.ndarray, grid: SolveGrid, w_tri: np.ndarray) -> np.ndarray:
+    """Weighted L2 norm of each time slice over its valid x-range, from the
+    `grid.triangle` entries of a field (or stack); w_tri is e^{gamma x} at
+    the same entries.  The trapezoid panels are summed in rows of n_w,
+    zero-padded, as one row of the field at a time would be."""
     with np.errstate(over="ignore"):
-        y = field_mat * field_mat
-        y *= weights
-        np.copyto(y, 0.0, where=outside)
-        # trapezoid per row; a panel counts when its right node is on the triangle
+        y = tri * tri
+        y *= w_tri
+        y = grid.from_triangle(y)
         panels = y[..., 1:] + y[..., :-1]
         panels *= grid.dt
         panels /= 2.0
-        np.copyto(panels, 0.0, where=outside[:, 1:])
+        # a panel counts when its right node is on the triangle
+        np.copyto(panels, 0.0, where=~grid.valid_mask()[:, 1:])
         return np.sqrt(panels.sum(axis=-1))
+
+
+def _natural_lambda(grid: SolveGrid, lam_w: np.ndarray) -> np.ndarray:
+    """lambda(T - t_i) in the natural frame, 0 for T < t_i."""
+    return grid.to_natural(np.broadcast_to(lam_w, grid.valid_mask().shape), fill=0.0)
 
 
 def apply_K(h: np.ndarray, factor: RandomFactorField, exponent: ExponentHandle) -> np.ndarray:
     """One application of the fixed-point operator on the grid.
 
     h may be a stack of fields over leading axes, with factor.a stacked
-    alike; lambda is read from factor.lam_w.  Raises ExponentDomainError
-    when a needed argument of J' is negative or J' has a domain fault there.
+    alike, or one field for every path of the stack; lambda is read from
+    factor.lam_w.  The J' terms go straight into the natural frame
+    (T = t + x), where sum_along_t is a prefix sum over t.  factor.a is NaN
+    beyond the triangle, as compute_a makes it, and so is K(h).  Raises
+    ExponentDomainError when a needed argument of J' is negative or J' has
+    a domain fault there.
     """
     grid, lam_w = factor.grid, factor.lam_w
+    lam_nat = factor.lam_nat if isinstance(factor, _FactorStack) else _natural_lambda(grid, lam_w)
     cum = _cumtrapz_rows(lam_w * h, grid.dt)
     with np.errstate(over="ignore"):
-        jp = _on_triangle(exponent.J_prime, cum, grid, "J'", exponent.domain_sup)
+        Gn = grid.natural_from_triangle(_on_triangle(exponent.J_prime, cum, grid, "J'", exponent.domain_sup))
+        Gn *= lam_nat
+        # back to the moving frame without a NaN fill: beyond the triangle an
+        # entry is that of another node of its natural-frame row, and a is NaN
+        S = grid._remap(grid.cumsum_natural(Gn), grid._remaps[1], None)
         # row 0 sums nothing, so exp(0) keeps it equal to a(0, x)
-        return factor.a * np.exp(grid.dt * grid.sum_along_t(jp * lam_w))
+        return factor.a * np.exp(grid.dt * S)
 
 
 def _c1_bounds(
@@ -191,11 +207,14 @@ def a_priori_c1(
 
 @dataclass(frozen=True)
 class _FactorStack:
-    """What apply_K reads of a random factor, for a stack of paths."""
+    """What apply_K reads of a random factor, for a stack of paths, with
+    lambda also in the natural frame (`_natural_lambda`), built once per
+    solve."""
 
     grid: SolveGrid
     a: np.ndarray
     lam_w: np.ndarray
+    lam_nat: np.ndarray
 
 
 def solve_monotone(
@@ -281,8 +300,13 @@ def solve_batch(
         fail(k, ExponentDomainError(z_probe[k]))
 
     a = np.stack([f.a for f in factors])
-    h = np.where(grid.valid_mask(), 0.0, np.nan) if h0 == "zero" else a
-    h = np.broadcast_to(h, a.shape)
+    lam_nat = _natural_lambda(grid, lam_w)
+    w_tri = grid.triangle(np.broadcast_to(weights, grid.valid_mask().shape))
+    # h and tri: the last iterate of the active paths and its triangle entries.
+    # h0 = 0 is one field for every path, so apply_K finds the first exponent
+    # term once and broadcasts it against each path's a
+    h = np.where(grid.valid_mask(), 0.0, np.nan)[None] if h0 == "zero" else a
+    tri = grid.triangle(h)
     cap_arr = np.array(caps, dtype=float)
     sup_hist = np.zeros((n_paths, cfg.max_iter))
     l2_hist = np.zeros((n_paths, cfg.max_iter))
@@ -291,13 +315,14 @@ def solve_batch(
     iterates: list[list[np.ndarray]] = [[] for _ in range(n_paths)]
     done: dict[int, tuple] = {}  # path -> (status, rule, field, n_iters)
 
-    # h and a_act hold the active paths, in order; a failure only shortens them
+    # h, tri and a_act hold the active paths, in order; a failure only shortens them
     a_act = a
     for n in range(cfg.max_iter):
         h_next = None
         while active.size:
             try:
-                h_next = apply_K(h[: active.size], _FactorStack(grid, a_act[: active.size], lam_w), exponent)
+                stack = _FactorStack(grid, a_act[: active.size], lam_w, lam_nat)
+                h_next = apply_K(h[: active.size], stack, exponent)
                 break
             except ExponentDomainError as err:
                 if err.path is None:  # not tied to one path: nothing to drop
@@ -305,10 +330,11 @@ def solve_batch(
                 fail(err.path, err)
         if h_next is None:
             break
-        h, a_act = h[: active.size], a_act[: active.size]
-        sup = grid.nan_sup(h_next)
+        tri, a_act = tri[: active.size], a_act[: active.size]
+        tri_next = grid.triangle(h_next)
+        sup = np.nanmax(np.abs(tri_next), axis=-1)
         sup_hist[active, n] = sup
-        l2_hist[active, n] = np.max(field_row_norms(h_next, grid, weights), axis=-1)
+        l2_hist[active, n] = np.max(_row_norms(tri_next, grid, w_tri), axis=-1)
         if keep_iterates:
             for k, p in enumerate(active.tolist()):
                 iterates[p].append(h_next[k].copy())
@@ -320,7 +346,7 @@ def solve_batch(
         growth_hit = ~cap_hit & (streak[active] >= _GROWTH_STREAK)
         going = ~(cap_hit | growth_hit)
         with np.errstate(invalid="ignore"):  # inf - inf only where the cap was hit
-            change = grid.nan_sup(h_next - h)
+            change = np.nanmax(np.abs(tri_next - tri), axis=-1)
         converged = going & (change < cfg.tol * (1.0 + sup))
         last_change[active] = change
         keep = going & ~converged
@@ -333,8 +359,8 @@ def solve_batch(
                 else:
                     stop = (STATUS_CONVERGED, "tol")
                 done[int(active[k])] = (*stop, h_next[k], n + 1)
-            active, h_next, a_act = active[keep], h_next[keep], a_act[keep]
-        h = h_next
+            active, h_next, tri_next, a_act = active[keep], h_next[keep], tri_next[keep], a_act[keep]
+        h, tri = h_next, tri_next
     for k, p in enumerate(active.tolist()):
         done[p] = (STATUS_MAX_ITER, "max_iter", h[k], cfg.max_iter)
 
@@ -396,7 +422,7 @@ def mild_residual(
     dW = path.brownian_increments
     dLc = (model.a - path.m_n) * dt + dW[: grid.n_t] if dW.size else np.full(grid.n_t, (model.a - path.m_n) * dt)
 
-    jp = _on_triangle(exponent.J_prime, cum, grid, "J'", exponent.domain_sup)
+    jp = grid.from_triangle(_on_triangle(exponent.J_prime, cum, grid, "J'", exponent.domain_sup))
     lam_r = lam_w * r
     drift = dt * grid.sum_along_t(jp * lam_r)
     dLc_rows = np.append(dLc, 0.0)[:, None]
@@ -499,7 +525,7 @@ def strong_residual(
 
     r = report.field
     cum = _cumtrapz_rows(lam * np.where(grid.valid_mask(), r, 0.0), grid.dt)
-    jpp = _on_triangle(exponent.J_second, cum, grid, "J''", exponent.domain_sup)
+    jpp = grid.from_triangle(_on_triangle(exponent.J_second, cum, grid, "J''", exponent.domain_sup))
     dt = grid.dt
     term = grid.sum_along_t(jpp * r) * (dt * lam * lam)
     rhs = r * (grid.shifted(r0p) / grid.shifted(r0v) + term)

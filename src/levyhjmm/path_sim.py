@@ -176,20 +176,28 @@ def _value(path: LevyPathRecord, t: float, side: str) -> float:
     return path.model.a * t - path.m_n * t + w + jumps
 
 
-def _grid_from_parts(
-    model: LevyModel,
-    cfg_dt: float,
-    n_steps: int,
-    m_n: float,
-    times: np.ndarray,
-    sizes: np.ndarray,
-    dW: np.ndarray,
+def _grid_values(
+    model: LevyModel, dt: float, m_n: float, times: np.ndarray, sizes: np.ndarray, n_jumps: np.ndarray, dW: np.ndarray
 ) -> np.ndarray:
-    t_grid = cfg_dt * np.arange(n_steps + 1)
-    w_cum = np.concatenate([[0.0], np.cumsum(dW)]) if dW.size else np.zeros(n_steps + 1)
-    counts = np.searchsorted(times, t_grid, side="right")
-    jump_cum = np.concatenate([[0.0], np.cumsum(sizes)])
-    return model.a * t_grid - m_n * t_grid + w_cum + jump_cum[counts]
+    """L on the grid t_i = i dt for a stack of paths, one row each: the drift
+    (a - m_n) t, the Brownian sums of the rows of dW and, at each t_i, the
+    sum of the path's jumps at times <= t_i.  times and sizes hold the jumps
+    of every path, path after path, n_jumps of each, in time order.  Each
+    row equals its path assembled alone bit for bit: every sum runs along
+    its own row."""
+    n_paths, n_steps = dW.shape
+    t_grid = dt * np.arange(n_steps + 1)
+    w_cum = np.zeros((n_paths, n_steps + 1))
+    np.cumsum(dW, axis=-1, out=w_cum[:, 1:])
+    # jump_cum[p, m]: the sum of path p's first m jumps (rows zero-padded)
+    jump_cum = np.zeros((n_paths, n_jumps.max(initial=0) + 1))
+    padded = np.zeros((n_paths, jump_cum.shape[1] - 1))
+    padded[np.arange(padded.shape[1]) < n_jumps[:, None]] = sizes
+    np.cumsum(padded, axis=-1, out=jump_cum[:, 1:])
+    # the jumps at times <= t_i: count each jump at the first node at or after it
+    first = np.searchsorted(t_grid, times, side="left") + np.repeat(np.arange(n_paths) * (n_steps + 2), n_jumps)
+    counts = np.cumsum(np.bincount(first, minlength=n_paths * (n_steps + 2)).reshape(n_paths, -1), axis=-1)
+    return model.a * t_grid - m_n * t_grid + w_cum + np.take_along_axis(jump_cum, counts[:, : n_steps + 1], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -223,54 +231,88 @@ def simulate(model: LevyModel, cfg: SimConfig, law: JumpLaw | None = None) -> Le
     count above max_jumps raises JumpCapacityError rather than truncating
     silently.  `law` is jump_law(model, cfg.n_threshold), built here when
     not given; passing it only saves that work, the path is the same.
-    Every path draws from its own generator seeded by cfg.seed.
+    This is simulate_paths on the one seed cfg.seed.
+    """
+    paths, failure = simulate_paths(model, cfg, [cfg.seed], law)
+    if failure is not None:
+        raise failure
+    return paths[0]
+
+
+def simulate_paths(
+    model: LevyModel, cfg: SimConfig, seeds, law: JumpLaw | None = None
+) -> tuple[list[LevyPathRecord], JumpCapacityError | None]:
+    """One path per seed on cfg's grid, threshold and jump cap (cfg.seed is
+    not read), as (records, failure).
+
+    Every path draws from its own generator, seeded by its seed, in the
+    draw order of the module docstring; what is not random (jump sizes from
+    their uniforms, time order, grid values) is then done for all paths at
+    once.  Drawing stops at the first path whose jump count tops max_jumps:
+    the records of the paths before it come back with that path's
+    JumpCapacityError as failure, which is None otherwise.
     """
     if law is None:
         law = jump_law(model, cfg.n_threshold)
     elif law.model is not model or law.n_threshold != cfg.n_threshold:
         raise ValueError("law was built for another model or threshold")
-    rng = _rng(cfg.seed)
-    comps, lam_total = law.comps, law.lam_total
-
-    n_jumps = int(rng.poisson(lam_total * cfg.t_star)) if lam_total > 0.0 else 0
-    if n_jumps > cfg.max_jumps:
-        raise JumpCapacityError(
-            f"sampled {n_jumps} jumps > max_jumps={cfg.max_jumps} "
-            f"(intensity {lam_total:.4g}, horizon {cfg.t_star})"
-        )
-    times = cfg.t_star * (1.0 - rng.random(n_jumps))  # uniform on (0, T*]
-    if comps:
-        comp_idx = np.searchsorted(law.cum, rng.random(n_jumps), side="right") if n_jumps else np.zeros(0, dtype=int)
-        u_sizes = rng.random(n_jumps)
-        sizes = np.empty(n_jumps)
-        for ci, comp in enumerate(comps):
+    lam_total = law.lam_total
+    seeds = [int(seed) for seed in seeds]
+    uniforms, n_jumps, dW, failure = [], [], [], None
+    for seed in seeds:
+        rng = _rng(seed)
+        n = int(rng.poisson(lam_total * cfg.t_star)) if lam_total > 0.0 else 0
+        if n > cfg.max_jumps:
+            failure = JumpCapacityError(
+                f"sampled {n} jumps > max_jumps={cfg.max_jumps} "
+                f"(intensity {lam_total:.4g}, horizon {cfg.t_star})"
+            )
+            break
+        uniforms.append(rng.random(3 * n))  # n each for times, components, sizes
+        n_jumps.append(n)
+        if model.q > 0.0:
+            dW.append(rng.normal(0.0, math.sqrt(model.q * cfg.dt), cfg.n_steps))
+    n_paths = len(n_jumps)
+    if not n_paths:
+        return [], failure
+    dW = np.stack(dW) if dW else np.zeros((n_paths, cfg.n_steps))
+    n_jumps = np.array(n_jumps)
+    ends = np.cumsum(n_jumps)
+    starts = ends - n_jumps
+    # the jumps of all paths, path after path: u[k] the first third of the
+    # path's uniforms, u[k + n] and u[k + 2n] the second and third
+    u = np.concatenate(uniforms)
+    k = np.arange(ends[-1]) + np.repeat(2 * starts, n_jumps)
+    n_rep = np.repeat(n_jumps, n_jumps)
+    times = cfg.t_star * (1.0 - u[k])  # uniform on (0, T*]
+    sizes = np.empty(k.size)
+    if k.size:
+        comp_idx = np.searchsorted(law.cum, u[k + n_rep], side="right")
+        u_sizes = u[k + 2 * n_rep]
+        for ci, comp in enumerate(law.comps):
             mask = comp_idx == ci
-            if np.any(mask):
+            if mask.any():
                 sizes[mask] = comp.sizes(u_sizes[mask])
-    else:
-        sizes = np.zeros(0)
-
-    order = np.argsort(times, kind="stable")  # ties broken by generation order
+    # time order within each path, ties broken by generation order
+    order = np.lexsort((times, np.repeat(np.arange(n_paths), n_jumps)))
     times, sizes = times[order], sizes[order]
-
-    if model.q > 0.0:
-        dW = rng.normal(0.0, math.sqrt(model.q * cfg.dt), cfg.n_steps)
-    else:
-        dW = np.zeros(cfg.n_steps)
-
-    grid_values = _grid_from_parts(model, cfg.dt, cfg.n_steps, law.m_n, times, sizes, dW)
-    return LevyPathRecord(
-        t_star=cfg.t_star,
-        dt=cfg.dt,
-        grid_values=grid_values,
-        jump_times=times,
-        jump_sizes=sizes,
-        brownian_increments=dW,
-        m_n=law.m_n,
-        model=model,
-        n_threshold=cfg.n_threshold,
-        seed=cfg.seed,
-    )
+    grid_values = _grid_values(model, cfg.dt, law.m_n, times, sizes, n_jumps, dW)
+    paths = [
+        LevyPathRecord(
+            t_star=cfg.t_star,
+            dt=cfg.dt,
+            grid_values=grid_values[p],
+            jump_times=times[a:b],
+            jump_sizes=sizes[a:b],
+            brownian_increments=dW[p],
+            m_n=law.m_n,
+            model=model,
+            n_threshold=cfg.n_threshold,
+            seed=seeds[p],
+        )
+        for p, (a, b) in enumerate(zip(starts.tolist(), ends.tolist()))
+    ]
+    return paths, failure
 
 
 def refine_path(path: LevyPathRecord, seed: int) -> LevyPathRecord:
@@ -284,9 +326,9 @@ def refine_path(path: LevyPathRecord, seed: int) -> LevyPathRecord:
         noise = rng.normal(0.0, math.sqrt(path.model.q * dt2) / math.sqrt(2.0), n)
         dW2[0::2] = half + noise
         dW2[1::2] = half - noise
-    grid_values = _grid_from_parts(
-        path.model, dt2, 2 * n, path.m_n, path.jump_times, path.jump_sizes, dW2
-    )
+    grid_values = _grid_values(
+        path.model, dt2, path.m_n, path.jump_times, path.jump_sizes, np.array([path.jump_times.size]), dW2[None]
+    )[0]
     return replace(path, dt=dt2, grid_values=grid_values, brownian_increments=dW2)
 
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from levyhjmm.cli import main
+from levyhjmm.cli import EXIT_NOT_CONVERGED, main
 
 DEGENERATE = {
     "levy_model": {"a": 0.0, "q": 0.0, "nu": {"atoms": [], "density_parts": []}},
@@ -198,6 +198,17 @@ class TestOtherCommands:
         assert rows[1] == "t,T,price"
         first = rows[2].split(",")
         assert float(first[2]) == 1.0  # P(0,0) = 1
+
+    def test_price_not_converged_exit_code(self, tmp_path, capsys):
+        scen = write_scenario(tmp_path, POISSON)
+        out = tmp_path / "out"
+        assert main(["price", scen, "--out-dir", str(out), "--max-iter", "2"]) == EXIT_NOT_CONVERGED == 5
+        assert "solve status: MaxIterReached" in capsys.readouterr().err
+        assert not (out / "price.csv").exists()
+        # solve on the same scenario exits 0 and reports the status in its report
+        assert main(["solve", scen, "--out-dir", str(out), "--max-iter", "2"]) == 0
+        report = json.loads((out / "solve_report.json").read_text())
+        assert (report["status"], report["detail"]["rule"]) == ("MaxIterReached", "max_iter")
 
     def test_check_martingale(self, tmp_path):
         scen = write_scenario(tmp_path, POISSON)

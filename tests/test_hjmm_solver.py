@@ -26,7 +26,6 @@ from levyhjmm.hjmm_solver import (
     a_priori_c1,
     apply_K,
     explosion_sweep,
-    field_row_norms,
     gronwall_check,
     mild_residual,
     solve_batch,
@@ -530,8 +529,77 @@ def test_classify_agrees_with_explosion_sweep(name):
 # ---------------------------------------------------------------------------
 
 
+# ---------------------------------------------------------------------------
+# frozen reference: one step of the iteration and its bookkeeping as they were
+# written with moving-frame fields throughout (J' values refilled into a NaN
+# field, a remap to the natural frame and back per sum), so that the solver is
+# compared with code it does not share
+# ---------------------------------------------------------------------------
+
+
+def ref_mask(grid):
+    i = np.arange(grid.n_t + 1)[:, None]
+    j = np.arange(grid.n_w + 1)[None, :]
+    return i + j <= grid.n_w
+
+
+def ref_nan_sup(field, grid):
+    return float(np.nanmax(np.abs(field[ref_mask(grid)])))
+
+
+def ref_sum_along_t(G, grid, rule="trapezoid"):
+    i = np.arange(grid.n_t + 1)[:, None]
+    j = np.arange(grid.n_w + 1)[None, :]
+    Gn = np.where(j >= i, G[i, np.maximum(j - i, 0)], 0.0)
+    if rule == "trapezoid":
+        Gn[0, :] *= 0.5
+    En = np.zeros_like(Gn)
+    np.cumsum(Gn[:-1, :], axis=0, out=En[1:, :])
+    if rule == "trapezoid":
+        En[1:, :] += 0.5 * Gn[1:, :]
+    return np.where(ref_mask(grid), En[i, np.minimum(i + j, grid.n_w)], np.nan)
+
+
+def ref_on_triangle(fn, z, grid, what, domain_sup):
+    mask = ref_mask(grid)
+    zs = z[mask]
+    bad = zs < 0.0
+    if not bad.any():
+        vals = fn(zs)
+        bad = np.isinf(vals) & ((vals < 0.0) | (zs >= domain_sup))
+    if bad.any():
+        err = ExponentDomainError(zs[np.argmax(bad)], what=what)
+        err.path = 0
+        raise err
+    out = np.full(mask.shape, np.nan)
+    out[mask] = vals
+    return out
+
+
+def ref_apply_K(h, factor, exponent):
+    grid, lam_w = factor.grid, factor.lam_w
+    cum = _cumtrapz_rows(lam_w * h, grid.dt)
+    with np.errstate(over="ignore"):
+        jp = ref_on_triangle(exponent.J_prime, cum, grid, "J'", exponent.domain_sup)
+        return factor.a * np.exp(grid.dt * ref_sum_along_t(jp * lam_w, grid))
+
+
+def ref_field_row_norms(field_mat, grid, weights):
+    outside = ~ref_mask(grid)
+    with np.errstate(over="ignore"):
+        y = field_mat * field_mat
+        y *= weights
+        np.copyto(y, 0.0, where=outside)
+        panels = y[..., 1:] + y[..., :-1]
+        panels *= grid.dt
+        panels /= 2.0
+        np.copyto(panels, 0.0, where=outside[:, 1:])
+        return np.sqrt(panels.sum(axis=-1))
+
+
 def serial_solve(factor, vol, exponent, cfg, h0="zero", keep_iterates=False):
-    """The monotone iteration for one path, written as a plain loop."""
+    """The monotone iteration for one path, written as a plain loop over the
+    frozen reference step."""
     grid = factor.grid
     r0v = factor.r0.values[: grid.n_w + 1]
     sup_r0 = float(np.max(np.abs(r0v)))
@@ -547,10 +615,10 @@ def serial_solve(factor, vol, exponent, cfg, h0="zero", keep_iterates=False):
     detail = {"h0": h0, "cap": cap}
     status = None
     for n in range(cfg.max_iter):
-        h_next = apply_K(h, factor, exponent)
-        sup = grid.nan_sup(h_next)
+        h_next = ref_apply_K(h, factor, exponent)
+        sup = ref_nan_sup(h_next, grid)
         sups.append(sup)
-        l2s.append(float(np.max(field_row_norms(h_next, grid, np.exp(cfg.gamma * grid.x_wide)))))
+        l2s.append(float(np.max(ref_field_row_norms(h_next, grid, np.exp(cfg.gamma * grid.x_wide)))))
         iterates.append(h_next.copy())
         if not math.isfinite(sup) or sup > cap:
             status, detail["rule"], h = STATUS_EXPLOSION, "cap", h_next
@@ -562,7 +630,8 @@ def serial_solve(factor, vol, exponent, cfg, h0="zero", keep_iterates=False):
                 break
         else:
             streak = 0
-        change = grid.nan_sup(h_next - h)
+        with np.errstate(invalid="ignore"):
+            change = ref_nan_sup(h_next - h, grid)
         h = h_next
         if change < cfg.tol * (1.0 + sup):
             status, detail["rule"], detail["last_change"] = STATUS_CONVERGED, "tol", change
@@ -638,6 +707,34 @@ class TestSolveBatch:
         reports = solve_batch(factors, vol, handle, cfg, h0="factor", keep_iterates=True)
         for f, got in zip(factors, reports):
             assert_same_report(got, serial_solve(f, vol, handle, cfg, h0="factor", keep_iterates=True))
+
+    @pytest.mark.parametrize("h0", ["zero", "factor"])
+    @pytest.mark.parametrize("name", ["jump_diffusion", "mixed_k3"])
+    def test_single_solve_matches_serial(self, name, h0):
+        model, vol, grid, k, cfg_kw = BATCH_SCENARIOS[name]
+        r0 = WeightedCurve(dx=grid.dt, values=k * np.exp(-grid.x_wide), gamma=1.0)
+        cfg, handle = SolverConfig(**cfg_kw), ExponentHandle(model)
+        for f in path_factors(model, vol, grid, r0, n_paths=6):
+            want = serial_solve(f, vol, handle, cfg, h0=h0, keep_iterates=True)
+            assert_same_report(solve_monotone(f, vol, handle, cfg, h0=h0, keep_iterates=True), want)
+
+    def test_first_iterate_fault_is_path_zero(self):
+        # J'(0) = -inf for a power law on (1, inf) with alpha < 1: the first
+        # iterate from h0 = 0 faults at z = 0, on path 0 of any stack
+        model = LevyModel(nu=LevyMeasureSpec(density_parts=(PowerLaw(c=1.0, alpha=0.5, support=(1.0, INF)),)))
+        handle, vol, cfg = ExponentHandle(model), ConstantVol(0.5), SolverConfig()
+        assert handle.J_prime(np.array([0.0]))[0] == -INF
+        grid = SolveGrid(t_star=1.0, dt=1.0 / 8, x_max=1.0)
+        factors = path_factors(model, vol, grid, r0_exp(grid), n_paths=3, seed=4)
+        with pytest.raises(ExponentDomainError) as excinfo:
+            serial_solve(factors[0], vol, handle, cfg)
+        want = excinfo.value
+        for stack in (factors[:1], factors):
+            with pytest.raises(ExponentDomainError) as excinfo:
+                solve_batch(stack, vol, handle, cfg)
+            got = excinfo.value
+            assert (str(got), got.z, got.what, got.path) == (str(want), want.z, want.what, want.path)
+            assert (str(got), got.z, got.path) == ("J' is infinite at z=0.0", 0.0, 0)
 
     def test_stopping_rule_named(self):
         _, factor, handle, _ = setup(POISSON, seed=11)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -17,9 +18,11 @@ from levyhjmm.path_sim import (
     LevyPathRecord,
     SimConfig,
     compensator_m_n,
+    jump_law,
     refine_path,
     sample_terminal,
     simulate,
+    simulate_paths,
     value_at_left_limit,
 )
 
@@ -139,6 +142,57 @@ class TestSimulate:
             SimConfig(t_star=1.0, dt=0.3, seed=1)
         with pytest.raises(ValueError):
             SimConfig(t_star=1.0, dt=0.25, seed=1, n_threshold=0)
+
+
+OPPOSITE = LevyModel(nu=LevyMeasureSpec(atoms=((0.7, 2.0), (-0.4, 3.0))))
+
+
+def assert_same_path(got, want):
+    for name in ("grid_values", "jump_times", "jump_sizes", "brownian_increments"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert (got.seed, got.m_n, got.dt, got.n_threshold) == (want.seed, want.m_n, want.dt, want.n_threshold)
+
+
+class TestSimulatePaths:
+    """Every record of a batch equals simulate on its own seed, bit for bit."""
+
+    SEEDS = np.random.SeedSequence(2024).generate_state(24, dtype=np.uint64)
+
+    @pytest.mark.parametrize("model", [MIXED, OPPOSITE, POISSON], ids=["mixed_q", "opposite_signs", "poisson"])
+    @pytest.mark.parametrize("dt", [1.0 / 16, 1.0 / 10])
+    def test_records_equal_simulate(self, model, dt):
+        cfg = SimConfig(t_star=1.0, dt=dt, seed=0)
+        paths, failure = simulate_paths(model, cfg, self.SEEDS)
+        assert failure is None and len(paths) == self.SEEDS.size
+        for seed, got in zip(self.SEEDS, paths):
+            assert_same_path(got, simulate(model, dataclasses.replace(cfg, seed=int(seed))))
+        n_jumps = [p.jump_times.size for p in paths]
+        if model is POISSON:
+            assert min(n_jumps) == 0 < max(n_jumps)  # paths without jumps among the others
+        if model is OPPOSITE:
+            sizes = np.concatenate([p.jump_sizes for p in paths])
+            assert sizes.min() < 0.0 < sizes.max()
+
+    def test_capacity_error_keeps_earlier_paths(self):
+        # from the third seed on, the jump counts run 0, 2, 3, ...: path 2 tops the cap
+        cfg, seeds = SimConfig(t_star=1.0, dt=1.0 / 16, seed=0, max_jumps=2), self.SEEDS[2:]
+        outcomes = []
+        for seed in seeds:
+            try:
+                outcomes.append(simulate(MIXED, dataclasses.replace(cfg, seed=int(seed))))
+            except JumpCapacityError as err:
+                outcomes.append(err)
+        k = next(i for i, out in enumerate(outcomes) if isinstance(out, JumpCapacityError))
+        assert k == 2
+        paths, failure = simulate_paths(MIXED, cfg, seeds)
+        assert type(failure) is JumpCapacityError and str(failure) == str(outcomes[k])
+        assert len(paths) == k
+        for got, want in zip(paths, outcomes):
+            assert_same_path(got, want)
+
+    def test_law_must_match(self):
+        with pytest.raises(ValueError, match="law"):
+            simulate_paths(POISSON, SimConfig(t_star=1.0, dt=0.25, seed=0), [1], jump_law(MIXED, 1000))
 
 
 class TestLeftLimit:
