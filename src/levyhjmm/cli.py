@@ -5,7 +5,8 @@ sweep-explosion, price, check-martingale.  Every output embeds the
 effective scenario hash, the seed and the tool version; JSON reports also
 carry a timestamp field (the only part excluded from byte-identity).
 
-Exit codes: 0 ok, 2 scenario schema error, 3 exponent-domain error,
+Exit codes: 0 ok, 2 a bad flag (the message names it; nothing is computed
+or written) or a scenario schema error, 3 exponent-domain error,
 4 explosion in a single solve (solve and price), 5 the solve reached its
 iteration cap without converging (price only: solve exits 0 and reports
 the status in solve_report.json).
@@ -15,16 +16,16 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import math
 import sys
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .bond_market import exp_neg_integrals, martingale_mc
+from .bond_market import _maturity_index, _time_index, exp_neg_integrals, martingale_mc
 from .hjmm_solver import (
     STATUS_CONVERGED,
     STATUS_EXPLOSION,
@@ -61,14 +62,9 @@ def _write_json(path: Path, payload: dict) -> None:
 def _write_csv(path: Path, sc: Scenario, header: str, columns, note: str = "", trailer: str = "") -> None:
     """The hash line (with `note` appended), the header, then one row per
     entry of the columns, each a list of formatted cells, then `trailer`."""
-    with open(path, "w") as fh:
-        fh.write(f"# scenario_hash={sc.scenario_hash} seed={sc.seed} version={__version__}{note}\n")
-        fh.write(header + "\n")
-        rows = map(",".join, zip(*columns))
-        # a write call per block of rows: one per row costs as much as the joins
-        while block := list(islice(rows, 1024)):
-            fh.write("\n".join(block) + "\n")
-        fh.write(trailer)
+    lines = [f"# scenario_hash={sc.scenario_hash} seed={sc.seed} version={__version__}{note}", header]
+    lines += map(",".join, zip(*columns))
+    path.write_text("\n".join(lines) + "\n" + trailer)
 
 
 def _reprs(values) -> list[str]:
@@ -76,12 +72,15 @@ def _reprs(values) -> list[str]:
     return [repr(v) for v in np.asarray(values, dtype=float).ravel().tolist()]
 
 
-def _tx_cells(g, mask: np.ndarray) -> tuple[list[str], list[str]]:
-    """The t and x cells of the entries of mask over (t_i, x_j), row-major;
-    each node is formatted once."""
-    i, j = np.nonzero(mask)
-    t, x = (np.array(_reprs(nodes), dtype=object) for nodes in (g.t, g.x_wide))
-    return t[i].tolist(), x[j].tolist()
+def _tx_cells(g, widths) -> tuple[list[str], list[str]]:
+    """The t and x cells of rows t_i covering the first widths[i] x nodes,
+    row-major; each node is formatted once."""
+    t_nodes, x_nodes = _reprs(g.t), _reprs(g.x_wide)
+    t, x = [], []
+    for t_i, width in zip(t_nodes, widths):
+        t += [t_i] * width
+        x += x_nodes[:width]
+    return t, x
 
 
 def _solver_cfg(sc: Scenario) -> SolverConfig:
@@ -143,7 +142,7 @@ def cmd_simulate_path(sc: Scenario, out: Path, args) -> int:
     if args.dump_factor:
         factor = compute_a(path, sc.vol, sc.r0, sc.model.q, sc.grid)
         g = sc.grid
-        t, x = _tx_cells(g, g.valid_mask())
+        t, x = _tx_cells(g, [g.row_width(i) + 1 for i in range(g.n_t + 1)])
         I1, I2, a = (_reprs(g.triangle(v)) for v in (factor.I1, factor.I2, factor.a))
         _write_csv(out / "factor.csv", sc, "t,x,I1,I2,a", [t, x, I1, I2, a])
     return EXIT_OK
@@ -156,7 +155,7 @@ def cmd_solve(sc: Scenario, out: Path, args) -> int:
         report.residuals["mild_l2_max"] = float(np.max(res))
     g = sc.grid
     rect = report.field[:, : g.n_x + 1]
-    t, x = _tx_cells(g, np.ones(rect.shape, bool))
+    t, x = _tx_cells(g, [g.n_x + 1] * (g.n_t + 1))
     _write_csv(out / "field.csv", sc, "t,x,r", [t, x, _reprs(rect)])
     payload = {
         "status": report.status,
@@ -221,14 +220,18 @@ def cmd_price(sc: Scenario, out: Path, args) -> int:
     g = sc.grid
     # every row reaches x_max, so column j prices P(t_i, t_i + x_j) for every i
     prices = np.array([exp_neg_integrals(report.field[:, : j + 1], g.dt) for j in range(g.n_x + 1)]).T
-    t, _ = _tx_cells(g, np.ones(prices.shape, bool))
+    t, _ = _tx_cells(g, [g.n_x + 1] * (g.n_t + 1))
     _write_csv(out / "price.csv", sc, "t,T,price", [t, _reprs(g.t[:, None] + g.x), _reprs(prices)])
     return EXIT_OK
 
 
+def _martingale_points(sc: Scenario, args) -> tuple[list[float], list[float]]:
+    """The maturities and checkpoints of check-martingale, defaults filled in."""
+    return args.maturities or [sc.grid.t_star], args.checkpoints or [sc.grid.t_star / 2.0]
+
+
 def cmd_check_martingale(sc: Scenario, out: Path, args) -> int:
-    maturities = args.maturities or [sc.grid.t_star]
-    checkpoints = args.checkpoints or [sc.grid.t_star / 2.0]
+    maturities, checkpoints = _martingale_points(sc, args)
     report = martingale_mc(
         sc.model,
         sc.vol,
@@ -276,12 +279,26 @@ _COMMANDS = {
 }
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: an int >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+# parse_args leaves the parser as it is, so one per process serves every main call
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="levyhjmm", description=__doc__)
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         sp = sub.add_parser(name)
+        sp.set_defaults(usage_error=sp.error)
         sp.add_argument("scenario", help="scenario JSON file")
         sp.add_argument("--out-dir", default=".", help="output directory")
         sp.add_argument("--seed", type=int, default=None)
@@ -292,17 +309,37 @@ def _parser() -> argparse.ArgumentParser:
         if name == "report-exponent":
             sp.add_argument("--z-min", type=float, default=0.0)
             sp.add_argument("--z-max", type=float, default=5.0)
-            sp.add_argument("--n-z", type=int, default=51)
+            sp.add_argument("--n-z", type=_positive_int, default=51)
         if name == "simulate-path":
             sp.add_argument("--dump-factor", action="store_true")
         if name == "sweep-explosion":
             sp.add_argument("--k-min-exp", type=int, default=0)
             sp.add_argument("--k-max-exp", type=int, default=20)
         if name == "check-martingale":
-            sp.add_argument("--n-paths", type=int, default=1000)
+            sp.add_argument("--n-paths", type=_positive_int, default=1000)
             sp.add_argument("--maturities", type=float, nargs="*", default=None)
             sp.add_argument("--checkpoints", type=float, nargs="*", default=None)
     return p
+
+
+def _flag_error(sc: Scenario, args) -> str | None:
+    """Why a flag's value cannot be used with the others or on the grid, if
+    it cannot: the checks argparse cannot make alone."""
+    if args.command == "sweep-explosion" and args.k_min_exp > args.k_max_exp:
+        return f"argument --k-max-exp: {args.k_max_exp} is below --k-min-exp {args.k_min_exp}"
+    if args.command == "check-martingale":
+        maturities, checkpoints = _martingale_points(sc, args)
+        for t in checkpoints:
+            try:
+                _time_index(sc.grid, t, "checkpoint")
+            except ValueError as exc:
+                return f"argument --checkpoints: {exc}"
+            for T in maturities:
+                try:
+                    _maturity_index(sc.grid, t, T)
+                except ValueError as exc:
+                    return f"argument --maturities: {exc}"
+    return None
 
 
 def main(argv=None) -> int:
@@ -321,6 +358,8 @@ def main(argv=None) -> int:
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
+    if problem := _flag_error(sc, args):
+        args.usage_error(problem)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     try:

@@ -1,8 +1,11 @@
 import json
+from itertools import islice
 
+import numpy as np
 import pytest
 
-from levyhjmm.cli import EXIT_NOT_CONVERGED, main
+from levyhjmm import __version__
+from levyhjmm.cli import EXIT_NOT_CONVERGED, _parser, _reprs, _write_csv, main
 
 DEGENERATE = {
     "levy_model": {"a": 0.0, "q": 0.0, "nu": {"atoms": [], "density_parts": []}},
@@ -378,3 +381,138 @@ class TestOverrides:
         assert main(["solve", scen, "--out-dir", str(out), "--tol", "1e-6"]) == 0
         report = json.loads((out / "solve_report.json").read_text())
         assert report["config"]["tol"] == 1e-6
+
+
+class TestFlagValidation:
+    """A flag value the command cannot use exits 2 with a message naming the
+    flag, before the output directory is made."""
+
+    @pytest.mark.parametrize(
+        "cmd, flag",
+        [
+            (["check-martingale", "--n-paths", "0"], "--n-paths"),
+            (["report-exponent", "--n-z", "-1"], "--n-z"),
+            (["report-exponent", "--n-z", "0"], "--n-z"),
+            (["sweep-explosion", "--k-min-exp", "3", "--k-max-exp", "1"], "--k-max-exp"),
+            (["check-martingale", "--checkpoints", "0.33"], "--checkpoints"),
+            (["check-martingale", "--maturities", "5"], "--maturities"),
+            (["check-martingale", "--maturities", "0.25", "--checkpoints", "0.5"], "--maturities"),
+        ],
+    )
+    def test_bad_flag_exits_2(self, tmp_path, capsys, cmd, flag):
+        scen = write_scenario(tmp_path, POISSON)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([cmd[0], scen, "--out-dir", str(out), *cmd[1:]])
+        assert exc.value.code == 2
+        assert f"error: argument {flag}: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_points_on_the_grid_accepted(self, tmp_path):
+        scen = write_scenario(tmp_path, POISSON)
+        out = tmp_path / "out"
+        args = ["--n-paths", "4", "--maturities", "0.25", "2.0", "--checkpoints", "0.0", "0.25"]
+        assert main(["check-martingale", scen, "--out-dir", str(out), *args]) == 0
+        rows = json.loads((out / "martingale.json").read_text())["rows"]
+        assert [(r["T"], r["t"]) for r in rows] == [(0.25, 0.0), (0.25, 0.25), (2.0, 0.0), (2.0, 0.25)]
+
+
+class TestParserReuse:
+    """main builds its parser once per process; no call may leave state in it."""
+
+    @staticmethod
+    def outputs(out):
+        report = json.loads((out / "solve_report.json").read_text())
+        report.pop("timestamp")
+        return (out / "field.csv").read_bytes(), report
+
+    def test_calls_in_one_process_match_calls_alone(self, tmp_path):
+        scen = write_scenario(tmp_path, POISSON)
+        first = ["--seed", "3", "--max-iter", "50"]
+
+        def solve(out, *flags):
+            assert main(["solve", scen, "--out-dir", str(tmp_path / out), *flags]) == 0
+            return self.outputs(tmp_path / out)
+
+        in_turn = [solve("a", *first), solve("b")]
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        with pytest.raises(SystemExit):
+            main(["check-martingale", scen, "--n-paths", "0"])
+        in_turn.append(solve("c"))
+        alone = []
+        for out, flags in (("a1", first), ("b1", [])):
+            _parser.cache_clear()
+            alone.append(solve(out, *flags))
+        assert in_turn == [alone[0], alone[1], alone[1]]
+        assert alone[0] != alone[1]
+
+
+def ref_tx_cells(g, mask):
+    """The writer's t and x cells as they were built before: the nonzero
+    entries of a mask, through object arrays."""
+    i, j = np.nonzero(mask)
+    t, x = (np.array(_reprs(nodes), dtype=object) for nodes in (g.t, g.x_wide))
+    return t[i].tolist(), x[j].tolist()
+
+
+def ref_write_csv(path, sc, header, columns, note="", trailer=""):
+    """The CSV writer as it was before: rows written in blocks of 1024."""
+    with open(path, "w") as fh:
+        fh.write(f"# scenario_hash={sc.scenario_hash} seed={sc.seed} version={__version__}{note}\n")
+        fh.write(header + "\n")
+        rows = map(",".join, zip(*columns))
+        while block := list(islice(rows, 1024)):
+            fh.write("\n".join(block) + "\n")
+        fh.write(trailer)
+
+
+class TestFrozenWriter:
+    """field.csv, price.csv and factor.csv byte for byte against the frozen
+    reference cells and writer above."""
+
+    def test_grid_with_more_x_than_t_nodes(self, tmp_path):
+        from levyhjmm.bond_market import exp_neg_integrals
+        from levyhjmm.hjmm_solver import SolverConfig, solve_monotone
+        from levyhjmm.levy_analysis import ExponentHandle
+        from levyhjmm.path_sim import SimConfig, simulate
+        from levyhjmm.random_factor import compute_a
+        from levyhjmm.scenario import load_scenario
+
+        scen = write_scenario(tmp_path, {**POISSON, "grid": {"t_star": 0.5, "dt": 1 / 32, "x_max": 1.0}})
+        out, ref = tmp_path / "out", tmp_path / "ref"
+        for cmd in (["solve"], ["price"], ["simulate-path", "--dump-factor"]):
+            assert main([cmd[0], scen, "--out-dir", str(out), *cmd[1:]]) == 0
+
+        sc = load_scenario(scen)
+        g = sc.grid
+        assert (g.n_t, g.n_x) == (16, 32)
+        path = simulate(sc.model, SimConfig(t_star=g.t_star, dt=g.dt, seed=sc.seed))
+        factor = compute_a(path, sc.vol, sc.r0, sc.model.q, g)
+        cfg = SolverConfig(tol=sc.tol, max_iter=sc.max_iter, cap=sc.cap, gamma=sc.gamma)
+        field = solve_monotone(factor, sc.vol, ExponentHandle(sc.model), cfg).field
+        rect = field[:, : g.n_x + 1]
+        prices = np.array([exp_neg_integrals(field[:, : j + 1], g.dt) for j in range(g.n_x + 1)]).T
+        ref.mkdir()
+        t, x = ref_tx_cells(g, np.ones(rect.shape, bool))
+        ref_write_csv(ref / "field.csv", sc, "t,x,r", [t, x, _reprs(rect)])
+        ref_write_csv(ref / "price.csv", sc, "t,T,price", [t, _reprs(g.t[:, None] + g.x), _reprs(prices)])
+        t, x = ref_tx_cells(g, g.valid_mask())
+        I1, I2, a = (_reprs(g.triangle(v)) for v in (factor.I1, factor.I2, factor.a))
+        ref_write_csv(ref / "factor.csv", sc, "t,x,I1,I2,a", [t, x, I1, I2, a])
+        for name in ("field.csv", "price.csv", "factor.csv"):
+            assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+
+    @pytest.mark.parametrize("n_rows", [0, 1, 1024, 2500])
+    def test_body_sizes(self, tmp_path, n_rows):
+        from levyhjmm.scenario import load_scenario
+
+        sc = load_scenario(write_scenario(tmp_path, POISSON))
+        columns = [_reprs(np.arange(n_rows) / 7), [str(k) for k in range(n_rows)]]
+        trailer = "# trailer\n"
+        _write_csv(tmp_path / "new.csv", sc, "v,k", columns, note=" rng=x", trailer=trailer)
+        ref_write_csv(tmp_path / "ref.csv", sc, "v,k", columns, note=" rng=x", trailer=trailer)
+        text = (tmp_path / "new.csv").read_text()
+        assert text == (tmp_path / "ref.csv").read_text()
+        assert len(text.splitlines()) == n_rows + 3
