@@ -196,11 +196,21 @@ def martingale_mc(
     simulate_paths, one stacked compute_a, one solve_batch and one pricing
     pass per block, with the same result as one path at a time, errors
     included: the first path that fails to simulate or to solve raises.
+    A checkpoint or maturity off the grid raises ValueError before any path
+    is simulated.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     maturities = [float(T) for T in maturities]
     t_checkpoints = [float(t) for t in t_checkpoints]
+    # every point is resolved on the grid before any path is simulated, in
+    # the order pricing meets them (the reference prices P(0, T), then each
+    # checkpoint and its maturities), so the first bad point is the one named
+    ref_j = {T: _maturity_index(grid, 0.0, T)[1] for T in maturities}
+    points = []
+    for t in t_checkpoints:
+        i = _time_index(grid, t, "t_checkpoint")
+        points.append((t, i, [(T, _maturity_index(grid, t, T)[1]) for T in maturities]))
     exponent = ExponentHandle(model)
     law = jump_law(model, n_threshold)
     seeds = np.random.SeedSequence(seed).generate_state(n_paths, dtype=np.uint64)
@@ -232,14 +242,11 @@ def martingale_mc(
                     n_not_converged += 1
         if fields:
             if not reference:
-                first = ForwardField(FRAME_MOVING, fields[0], grid, solver_cfg.gamma)
-                reference = {T: bond_price(first, 0.0, T) for T in maturities}
+                reference = {T: exp_neg_integrals(fields[0][:1, : j + 1], grid.dt)[0] for T, j in ref_j.items()}
             stack = np.stack(fields)
-            for t in t_checkpoints:
-                i = _time_index(grid, t, "t_checkpoint")
+            for t, i, maturity_js in points:
                 disc = exp_neg_integrals(stack[:, : i + 1, 0], grid.dt)  # of the short rate r(s, 0)
-                for T in maturities:
-                    j = _maturity_index(grid, t, T)[1]
+                for T, j in maturity_js:
                     prices = exp_neg_integrals(stack[:, i, : j + 1], grid.dt)
                     samples[(T, t)].extend(d * p for d, p in zip(disc, prices))
         if failure is not None:

@@ -68,8 +68,24 @@ def _write_csv(path: Path, sc: Scenario, header: str, columns, note: str = "", t
 
 
 def _reprs(values) -> list[str]:
-    """repr of each value, as a float, in row-major order."""
-    return [repr(v) for v in np.asarray(values, dtype=float).ravel().tolist()]
+    """repr of each value, as a float, in row-major order.
+
+    orjson writes the shortest round-trip digits that repr writes, spelt the
+    same for 0 and 1e-4 <= |v| < 1e16; other values (non-finite ones, which
+    it writes as null, and repr's exponent form) are formatted by repr.
+    orjson is imported here, so importing the CLI does not load it.
+    """
+    import orjson
+
+    v = np.ascontiguousarray(values, dtype=np.float64).ravel()
+    if not v.size:
+        return []
+    cells = orjson.dumps(v, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    a = np.abs(v)
+    redo = np.flatnonzero(~(((a >= 1e-4) & (a < 1e16)) | (a == 0.0)))
+    for k, x in zip(redo.tolist(), v[redo].tolist()):
+        cells[k] = repr(x)
+    return cells
 
 
 def _tx_cells(g, widths) -> tuple[list[str], list[str]]:

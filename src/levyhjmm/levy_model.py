@@ -277,16 +277,20 @@ def power_law_integral(m: int, e: float, zeta, l: float, u: float) -> np.ndarray
     pts = np.sort(np.clip(pts, b0[:, None], top[:, None]), axis=1)
     zi, pi = np.nonzero(pts[:, 1:] > pts[:, :-1])
     lo, span = pts[zi, pi], pts[zi, pi + 1] - pts[zi, pi]
+    # nodes are summed by einsum, row by row (a BLAS matrix-vector product
+    # rounds by row count), and the panels of each zeta in one bincount, so a
+    # zeta's value does not depend on the other zetas of the call
     t, w = _jacobi_rule(0.0)
-    out = np.zeros_like(zeta)
+    panels = np.empty_like(span)
     for k in range(0, zi.size, _PANEL_BLOCK):
         blk = slice(k, k + _PANEL_BLOCK)
         s = lo[blk, None] + span[blk, None] * t
-        vals = (s**e * _compensated_exp(m, zeta[zi[blk], None] * s)) @ w
-        out += np.bincount(zi[blk], weights=span[blk] * vals, minlength=zeta.size)
+        panels[blk] = span[blk] * np.einsum("ij,j->i", s**e * _compensated_exp(m, zeta[zi[blk], None] * s), w)
+    out = np.zeros_like(zeta)
+    out += np.bincount(zi, weights=panels, minlength=zeta.size)
     if l == 0.0:
         t, w = _jacobi_rule(e)
-        out += b0 ** (e + 1.0) * (_compensated_exp(m, (zeta * b0)[:, None] * t) @ w)
+        out += b0 ** (e + 1.0) * np.einsum("ij,j->i", _compensated_exp(m, (zeta * b0)[:, None] * t), w)
     if m == 1 and u == INF:
         out += top**e / (-e * zeta)
     return (scale ** (e + 1.0) * out).reshape(shape)

@@ -284,6 +284,24 @@ class TestMartingale:
         return martingale_mc(self.TAIL_MODEL, ConstantVol(0.5), r0, grid, SolverConfig(), n_paths=n_paths,
                              maturities=[1.0], t_checkpoints=[0.5], seed=seed)
 
+    @pytest.mark.parametrize(
+        "maturities, t_checkpoints, message",
+        [
+            ([1.0], [0.33], "t_checkpoint=0.33 is not on the time grid"),
+            ([2.5], [0.5], "T-t=2.5 not within the grid for t=0.0"),
+            ([0.25], [0.5], "maturity T=0.25 before t=0.5"),
+        ],
+    )
+    def test_points_checked_before_any_path(self, monkeypatch, maturities, t_checkpoints, message):
+        def no_paths(*args):
+            raise AssertionError("simulate_paths called")
+
+        monkeypatch.setattr(bond_market, "simulate_paths", no_paths)
+        r0 = WeightedCurve(dx=GRID.dt, values=np.exp(-GRID.x_wide), gamma=1.0)
+        with pytest.raises(ValueError, match=message):
+            martingale_mc(POISSON, ConstantVol(0.3), r0, GRID, SolverConfig(), n_paths=4,
+                          maturities=maturities, t_checkpoints=t_checkpoints, seed=1)
+
     def test_domain_error_matches_serial_loop(self):
         outcomes = self._serial_outcomes(3, 12)
         assert outcomes[0] is None and any(outcomes)

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from itertools import islice
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -449,11 +453,16 @@ class TestParserReuse:
         assert alone[0] != alone[1]
 
 
+def ref_reprs(values):
+    """The cells as they were formatted before: one float repr per value."""
+    return [repr(v) for v in np.asarray(values, dtype=float).ravel().tolist()]
+
+
 def ref_tx_cells(g, mask):
     """The writer's t and x cells as they were built before: the nonzero
     entries of a mask, through object arrays."""
     i, j = np.nonzero(mask)
-    t, x = (np.array(_reprs(nodes), dtype=object) for nodes in (g.t, g.x_wide))
+    t, x = (np.array(ref_reprs(nodes), dtype=object) for nodes in (g.t, g.x_wide))
     return t[i].tolist(), x[j].tolist()
 
 
@@ -496,10 +505,10 @@ class TestFrozenWriter:
         prices = np.array([exp_neg_integrals(field[:, : j + 1], g.dt) for j in range(g.n_x + 1)]).T
         ref.mkdir()
         t, x = ref_tx_cells(g, np.ones(rect.shape, bool))
-        ref_write_csv(ref / "field.csv", sc, "t,x,r", [t, x, _reprs(rect)])
-        ref_write_csv(ref / "price.csv", sc, "t,T,price", [t, _reprs(g.t[:, None] + g.x), _reprs(prices)])
+        ref_write_csv(ref / "field.csv", sc, "t,x,r", [t, x, ref_reprs(rect)])
+        ref_write_csv(ref / "price.csv", sc, "t,T,price", [t, ref_reprs(g.t[:, None] + g.x), ref_reprs(prices)])
         t, x = ref_tx_cells(g, g.valid_mask())
-        I1, I2, a = (_reprs(g.triangle(v)) for v in (factor.I1, factor.I2, factor.a))
+        I1, I2, a = (ref_reprs(g.triangle(v)) for v in (factor.I1, factor.I2, factor.a))
         ref_write_csv(ref / "factor.csv", sc, "t,x,I1,I2,a", [t, x, I1, I2, a])
         for name in ("field.csv", "price.csv", "factor.csv"):
             assert (out / name).read_bytes() == (ref / name).read_bytes(), name
@@ -509,10 +518,71 @@ class TestFrozenWriter:
         from levyhjmm.scenario import load_scenario
 
         sc = load_scenario(write_scenario(tmp_path, POISSON))
-        columns = [_reprs(np.arange(n_rows) / 7), [str(k) for k in range(n_rows)]]
+        columns = [ref_reprs(np.arange(n_rows) / 7), [str(k) for k in range(n_rows)]]
         trailer = "# trailer\n"
         _write_csv(tmp_path / "new.csv", sc, "v,k", columns, note=" rng=x", trailer=trailer)
         ref_write_csv(tmp_path / "ref.csv", sc, "v,k", columns, note=" rng=x", trailer=trailer)
         text = (tmp_path / "new.csv").read_text()
         assert text == (tmp_path / "ref.csv").read_text()
         assert len(text.splitlines()) == n_rows + 3
+
+
+def _neighbours(x):
+    """x and the two floats next to it, both signs."""
+    near = [np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]
+    return np.array(near + [-v for v in near])
+
+
+class TestReprs:
+    """_reprs spells every cell as float repr does, in row-major order."""
+
+    @staticmethod
+    def assert_repr(v):
+        assert _reprs(v) == [repr(float(x)) for x in np.ravel(v)]
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(2024).integers(0, 2**64, 10**6, dtype=np.uint64).view(np.float64)
+        self.assert_repr(bits[np.isfinite(bits)])
+
+    def test_log_uniform_where_orjson_is_used(self):
+        rng = np.random.default_rng(2024)
+        v = np.exp(rng.uniform(np.log(1e-4), np.log(1e16), 2 * 10**5))
+        self.assert_repr(v * rng.choice([-1.0, 1.0], v.size))
+
+    def test_zeros_and_non_finite(self):
+        self.assert_repr(np.array([0.0, -0.0, np.nan, np.inf, -np.inf]))
+
+    def test_subnormals(self):
+        self.assert_repr(np.array([5e-324, -5e-324, 1e-320, 2.2250738585072009e-308, 2.2250738585072014e-308]))
+        self.assert_repr(np.ldexp(1.0, np.arange(-1074, -1021)))
+
+    @pytest.mark.parametrize("edge", [1e-4, 1e16])
+    def test_neighbours_of_the_edges(self, edge):
+        self.assert_repr(_neighbours(edge))
+
+    def test_integers(self):
+        powers = [float(2**k) for k in range(54)]
+        self.assert_repr(np.array(powers + [float(2**53 - 1), 123456789.0, 10.0**15, 10.0**15 + 1]))
+        self.assert_repr(np.random.default_rng(2024).integers(-(2**53), 2**53, 10**4, endpoint=True).astype(float))
+
+    def test_shapes_and_types(self):
+        assert _reprs(np.array([])) == [] and _reprs([]) == []
+        m = np.arange(12.0).reshape(3, 4) / 7
+        self.assert_repr(m)
+        self.assert_repr(m[:, ::2])
+        self.assert_repr(m.T)
+        self.assert_repr([0.1, 2, 3e-5, float("nan")])
+
+    def test_orjson_loaded_on_first_use(self):
+        """Importing the CLI leaves orjson out, so a caller that writes no
+        CSV (the martingale Monte Carlo, say) never loads it."""
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        script = (
+            "import sys, levyhjmm.cli as c; print('orjson' in sys.modules); "
+            "c._reprs([1.0]); print('orjson' in sys.modules)"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "True"]
