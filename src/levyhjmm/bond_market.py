@@ -88,6 +88,19 @@ def _maturity_index(grid: SolveGrid, t: float, T: float) -> tuple[int, int]:
     return i, j
 
 
+def _resolve_points(grid: SolveGrid, maturities, t_checkpoints) -> tuple[dict, list]:
+    """({T: j of P(0, T)}, [(t, i, [(T, j), ...]), ...]): the grid indices of
+    every reference P(0, T), then of each checkpoint with its maturities, the
+    order pricing meets them.  The first point off the grid raises ValueError,
+    whose message starts "t_checkpoint=" if that point is a checkpoint."""
+    ref_j = {T: _maturity_index(grid, 0.0, T)[1] for T in maturities}
+    points = []
+    for t in t_checkpoints:
+        i = _time_index(grid, t, "t_checkpoint")
+        points.append((t, i, [(T, _maturity_index(grid, t, T)[1]) for T in maturities]))
+    return ref_j, points
+
+
 def exp_neg_integrals(rows: np.ndarray, dx: float) -> list[float]:
     """exp(-trapezoid(row)) for each row of a stack, 1.0 for a one-node row.
 
@@ -196,6 +209,10 @@ def martingale_mc(
     simulate_paths, one stacked compute_a, one solve_batch and one pricing
     pass per block, with the same result as one path at a time, errors
     included: the first path that fails to simulate or to solve raises.
+    Within a block, each distinct path (grid values and jumps) is assembled
+    and solved once, and its copies share its report.  Copies are common:
+    with q = 0 and a finite-activity measure, a fraction e^{-nu(R) T*} of
+    the paths has no jump, and all of them have L(t) = (a - m_n) t.
     A checkpoint or maturity off the grid raises ValueError before any path
     is simulated.
     """
@@ -203,14 +220,7 @@ def martingale_mc(
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     maturities = [float(T) for T in maturities]
     t_checkpoints = [float(t) for t in t_checkpoints]
-    # every point is resolved on the grid before any path is simulated, in
-    # the order pricing meets them (the reference prices P(0, T), then each
-    # checkpoint and its maturities), so the first bad point is the one named
-    ref_j = {T: _maturity_index(grid, 0.0, T)[1] for T in maturities}
-    points = []
-    for t in t_checkpoints:
-        i = _time_index(grid, t, "t_checkpoint")
-        points.append((t, i, [(T, _maturity_index(grid, t, T)[1]) for T in maturities]))
+    ref_j, points = _resolve_points(grid, maturities, t_checkpoints)  # before any path
     exponent = ExponentHandle(model)
     law = jump_law(model, n_threshold)
     seeds = np.random.SeedSequence(seed).generate_state(n_paths, dtype=np.uint64)
@@ -231,8 +241,16 @@ def martingale_mc(
         paths, failure = simulate_paths(model, sim_cfg, seeds[start : start + block], law)
         fields = []
         if paths:
-            factors = compute_a(paths, vol, r0, model.q, grid).unstack()
-            for rep in solve_batch(factors, vol, exponent, solver_cfg):
+            # a path's a(t, x), and so its solve, reads only these three fields;
+            # the distinct paths keep the order of their first copies, so the
+            # lowest failing path is still the one whose error is raised
+            keys = [(p.grid_values.tobytes(), p.jump_times.tobytes(), p.jump_sizes.tobytes()) for p in paths]
+            first = {}
+            for key, path in zip(keys, paths):
+                first.setdefault(key, path)
+            factors = compute_a(list(first.values()), vol, r0, model.q, grid).unstack()
+            report_of = dict(zip(first, solve_batch(factors, vol, exponent, solver_cfg)))
+            for rep in map(report_of.__getitem__, keys):
                 n_iters.append(rep.n_iters)
                 if rep.status == STATUS_CONVERGED:
                     fields.append(rep.field)

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bond_market import _maturity_index, _time_index, exp_neg_integrals, martingale_mc
+from .bond_market import _resolve_points, exp_neg_integrals, martingale_mc
 from .hjmm_solver import (
     STATUS_CONVERGED,
     STATUS_EXPLOSION,
@@ -344,17 +344,11 @@ def _flag_error(sc: Scenario, args) -> str | None:
     if args.command == "sweep-explosion" and args.k_min_exp > args.k_max_exp:
         return f"argument --k-max-exp: {args.k_max_exp} is below --k-min-exp {args.k_min_exp}"
     if args.command == "check-martingale":
-        maturities, checkpoints = _martingale_points(sc, args)
-        for t in checkpoints:
-            try:
-                _time_index(sc.grid, t, "checkpoint")
-            except ValueError as exc:
-                return f"argument --checkpoints: {exc}"
-            for T in maturities:
-                try:
-                    _maturity_index(sc.grid, t, T)
-                except ValueError as exc:
-                    return f"argument --maturities: {exc}"
+        try:
+            _resolve_points(sc.grid, *_martingale_points(sc, args))
+        except ValueError as exc:
+            flag = "--checkpoints" if str(exc).startswith("t_checkpoint=") else "--maturities"
+            return f"argument {flag}: {exc}"
     return None
 
 

@@ -171,20 +171,25 @@ def apply_K(h: np.ndarray, factor: RandomFactorField, exponent: ExponentHandle) 
         return factor.a * np.exp(grid.dt * S)
 
 
+#: a_priori_c1's log grid of c, 60 points per decade from 1e-8 to 1e12, and ln c
+_C1_GRID = 10.0 ** (np.arange(-8 * 60, 12 * 60 + 1) / 60.0)
+_LOG_C1_GRID = np.log(_C1_GRID)
+_C1_GRID.flags.writeable = _LOG_C1_GRID.flags.writeable = False
+
+
 def _c1_bounds(
     B: np.ndarray, lambda_bar: float, t_star: float, gamma: float, exponent: ExponentHandle
 ) -> list[float | None]:
     """a_priori_c1 for each product B = b_bar ||r0||, with one J' scan for all."""
-    cs = 10.0 ** (np.arange(-8 * 60, 12 * 60 + 1) / 60.0)
-    zc = lambda_bar * cs / math.sqrt(gamma)
+    zc = lambda_bar * _C1_GRID / math.sqrt(gamma)
     jp = exponent.J_prime(zc)
     if np.all(jp <= 0.0):
         return [b if b > 0.0 else None for b in B.tolist()]
     growth = np.maximum(lambda_bar * t_star * jp, 0.0)
     log_b = np.array([math.log(b) if b > 0.0 else math.nan for b in B.tolist()])
     lhs = log_b[:, None] + growth
-    ok = np.isfinite(lhs) & (lhs <= np.log(cs))
-    return [float(cs[np.argmax(row)]) if row.any() else None for row in ok]
+    ok = np.isfinite(lhs) & (lhs <= _LOG_C1_GRID)
+    return [float(_C1_GRID[np.argmax(row)]) if row.any() else None for row in ok]
 
 
 def a_priori_c1(

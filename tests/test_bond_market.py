@@ -381,8 +381,20 @@ class TestBlockPipeline:
     GRID32 = SolveGrid(t_star=1.0, dt=1.0 / 32, x_max=1.0)
     JUMP_DIFFUSION = LevyModel(a=0.2, q=1.0, nu=LevyMeasureSpec(atoms=((1.0, 0.5), (-0.2, 0.3))))
 
+    @pytest.fixture
+    def solved_per_call(self, monkeypatch):
+        """The number of factors each solve_batch call of martingale_mc gets."""
+        sizes, solve_batch = [], bond_market.solve_batch
+
+        def spy(factors, *args, **kwargs):
+            sizes.append(len(factors))
+            return solve_batch(factors, *args, **kwargs)
+
+        monkeypatch.setattr(bond_market, "solve_batch", spy)
+        return sizes
+
     @pytest.mark.parametrize("block_paths", [None, 7])
-    def test_jump_diffusion_equals_serial_loop(self, monkeypatch, block_paths):
+    def test_jump_diffusion_equals_serial_loop(self, monkeypatch, solved_per_call, block_paths):
         grid = self.GRID32
         if block_paths is not None:
             monkeypatch.setattr(bond_market, "_BLOCK_ENTRIES", block_paths * (grid.n_t + 1) * (grid.n_w + 1))
@@ -394,6 +406,22 @@ class TestBlockPipeline:
         assert got == want
         # at t = 0 every path prices the same r0
         assert got.rows[0].mean_discounted == pytest.approx(got.rows[0].reference, rel=1e-14)
+        # with a Brownian part no two paths are equal: every path is solved
+        assert sum(solved_per_call) == 40
+
+    @pytest.mark.parametrize("block_paths", [None, 7])
+    def test_repeated_paths_equal_serial_loop(self, monkeypatch, solved_per_call, block_paths):
+        # q = 0 and one atom of mass 0.5: about e^{-0.5} of the paths have no
+        # jump on [0, 1] and so the same L; each block solves such a path once
+        if block_paths is not None:
+            monkeypatch.setattr(bond_market, "_BLOCK_ENTRIES", block_paths * (GRID.n_t + 1) * (GRID.n_w + 1))
+        r0 = WeightedCurve(dx=GRID.dt, values=np.exp(-GRID.x_wide), gamma=1.0)
+        args = (POISSON, ConstantVol(0.3), r0, GRID, SolverConfig(), 40, [1.0, 2.0], [0.0, 0.5, 1.0], 1010)
+        got, want = martingale_mc(*args), serial_martingale(*args)
+        assert got == want
+        block = bond_market._BLOCK_ENTRIES // ((GRID.n_t + 1) * (GRID.n_w + 1))
+        assert len(solved_per_call) == -(-40 // block)
+        assert sum(solved_per_call) < 40
 
     def test_exploding_paths_equal_serial_loop(self, monkeypatch):
         monkeypatch.setattr(bond_market, "_BLOCK_ENTRIES", 4 * (GRID.n_t + 1) * (GRID.n_w + 1))
