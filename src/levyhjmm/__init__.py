@@ -10,7 +10,7 @@ grids           Aligned dt = dx space-time grids.
 path_sim        Path simulation with small-jump truncation and compensation.
 random_factor   The pathwise multiplicative field entering the integral equation.
 hjmm_solver     Monotone fixed-point iteration, explosion detection, residual checks.
-bond_market     Frames, bond prices, short rate, HJM drift and martingale diagnostics.
+bond_market     Bond prices, HJM drift residual and martingale diagnostics.
 cli             Scenario-driven command line front end.
 """
 

@@ -1,10 +1,10 @@
-"""Financial layer: frame conversions, bond prices, short rate, the
-no-arbitrage drift condition and discounted-price martingale diagnostics.
+"""Financial layer: bond prices, the no-arbitrage drift condition and
+discounted-price martingale diagnostics.
 
-Moving frame stores r(t, x) with x the time to maturity; natural frame
-stores f(t, T) with T the maturity date, related by f(t,T) = r(t, T-t).
-On the aligned dt = dx grid the conversion is a lossless index remap, the
-same one the solver sums along (`SolveGrid.to_natural`, `to_moving`).
+A forward-rate field is stored in the moving frame, r(t, x) with x the time
+to maturity; the natural frame f(t, T) = r(t, T - t) is the lossless index
+remap on the aligned dt = dx grid that the solver sums along
+(`SolveGrid.to_natural`, `to_moving`).
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .path_sim import SimConfig, jump_law, simulate_paths
 from .random_factor import Volatility, compute_a
 
 FRAME_MOVING = "Moving"
-FRAME_NATURAL = "Natural"
 
 #: martingale_mc solves its paths in blocks of at most this many field
 #: entries, paths x (n_t + 1) x (n_w + 1): enough paths that the per-call cost
@@ -39,7 +38,7 @@ _BLOCK_ENTRIES = 1 << 14
 
 @dataclass(frozen=True)
 class ForwardField:
-    """Forward-rate field in one of the two frames (NaN outside its domain)."""
+    """Forward-rate field in the moving frame (NaN outside its domain)."""
 
     frame: str
     values: np.ndarray
@@ -47,27 +46,11 @@ class ForwardField:
     gamma: float
 
     def __post_init__(self):
-        if self.frame not in (FRAME_MOVING, FRAME_NATURAL):
+        if self.frame != FRAME_MOVING:
             raise ValueError(f"unknown frame {self.frame!r}")
         expected = (self.grid.n_t + 1, self.grid.n_w + 1)
         if self.values.shape != expected:
             raise ValueError(f"field shape {self.values.shape} != {expected}")
-
-
-def to_natural_frame(field: ForwardField) -> ForwardField:
-    """f(t_i, T_j) = r(t_i, T_j - t_i); triangular storage, T >= t."""
-    if field.frame != FRAME_MOVING:
-        raise ValueError("to_natural_frame expects a moving-frame field")
-    g = field.grid
-    return ForwardField(frame=FRAME_NATURAL, values=g.to_natural(field.values), grid=g, gamma=field.gamma)
-
-
-def to_moving_frame(field: ForwardField) -> ForwardField:
-    """r(t_i, x_j) = f(t_i, t_i + x_j); exact inverse of to_natural_frame."""
-    if field.frame != FRAME_NATURAL:
-        raise ValueError("to_moving_frame expects a natural-frame field")
-    g = field.grid
-    return ForwardField(frame=FRAME_MOVING, values=g.to_moving(field.values), grid=g, gamma=field.gamma)
 
 
 def _time_index(grid: SolveGrid, t: float, what: str) -> int:
@@ -116,17 +99,8 @@ def exp_neg_integrals(rows: np.ndarray, dx: float) -> list[float]:
 
 def bond_price(field: ForwardField, t: float, T: float) -> float:
     """P(t,T) = exp(-int_0^{T-t} r(t,v) dv) by trapezoid on the grid."""
-    if field.frame != FRAME_MOVING:
-        raise ValueError("bond_price expects a moving-frame field")
     i, j = _maturity_index(field.grid, t, T)
     return exp_neg_integrals(field.values[i : i + 1, : j + 1], field.grid.dt)[0]
-
-
-def short_rate(field: ForwardField, t: float) -> float:
-    """v(t) = r(t, 0)."""
-    if field.frame != FRAME_MOVING:
-        raise ValueError("short_rate expects a moving-frame field")
-    return float(field.values[_time_index(field.grid, t, "t"), 0])
 
 
 def hjm_drift_check(
@@ -139,8 +113,6 @@ def hjm_drift_check(
     residual only measures quadrature error of the calculus identity
     int J'(Sigma) dSigma = J(Sigma).  Returns (maturities, residuals).
     """
-    if field.frame != FRAME_MOVING:
-        raise ValueError("hjm_drift_check expects a moving-frame field")
     g = field.grid
     i = _time_index(g, t, "t")
     w = g.row_width(i)

@@ -11,6 +11,7 @@ explicit and negligible.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -64,17 +65,12 @@ def norm_l2gamma(c: WeightedCurve) -> float:
     return math.sqrt(trapezoid(w, dx=c.dx))
 
 
-def _derivative(values: np.ndarray, dx: float) -> np.ndarray:
-    # central differences inside, one-sided at the two boundary nodes
-    return np.gradient(values, dx)
-
-
 def norm_h1gamma(c: WeightedCurve) -> float:
     """(||h||^2 + ||h'||^2)^(1/2) in the weighted L2 norm, h' by differences."""
     if c.values.size < 3:
         raise ValueError("H1 norm needs at least 3 grid points")
     w = np.exp(c.gamma * c.x)
-    d = _derivative(c.values, c.dx)
+    d = np.gradient(c.values, c.dx)  # central inside, one-sided at the two boundary nodes
     total = trapezoid(c.values**2 * w, dx=c.dx) + trapezoid(d**2 * w, dx=c.dx)
     return math.sqrt(total)
 
@@ -122,18 +118,18 @@ def l1_bound_check(c: WeightedCurve, tol: float = 1e-6) -> BoundCheck:
 # --- CSV curve format: header "x,value", one row per node from x = 0 --------
 
 
-def write_curve_csv(path, c: WeightedCurve) -> None:
-    with open(path, "w") as fh:
-        fh.write("x,value\n")
-        for x, v in zip(c.x, c.values):
-            fh.write(f"{float(x)!r},{float(v)!r}\n")
-
-
 def read_curve_csv(path, gamma: float) -> WeightedCurve:
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    with warnings.catch_warnings():
+        # a file without data rows is rejected below, by name
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if data.shape[0] < 2:
+        raise ValueError(f"curve file {path} has fewer than 2 data rows")
+    if data.shape[1] != 2:
+        raise ValueError(f"curve file {path} has {data.shape[1]} columns, not 2 (x,value)")
     xs, vals = data[:, 0], data[:, 1]
     dxs = np.diff(xs)
-    if dxs.size == 0 or np.max(np.abs(dxs - dxs[0])) > 1e-9 * dxs[0]:
+    if np.max(np.abs(dxs - dxs[0])) > 1e-9 * dxs[0]:
         raise ValueError(f"curve file {path} is not on a uniform grid")
     if abs(xs[0]) > 1e-9 * dxs[0]:
         raise ValueError(f"curve file {path} starts at x={float(xs[0])!r}, not at x=0")

@@ -20,7 +20,7 @@ decided symbolically and reported as +/-inf.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -167,23 +167,6 @@ def eval_J_second(model: LevyModel, z: float) -> float:
     return float(_eval(model, np.array([z]), 2)[0])
 
 
-def eval_J_pieces(model: LevyModel, z: float) -> tuple[float, float, float, float]:
-    """Jump-measure part of J split over (-inf,-1], (-1,0), (0,1), [1,inf)."""
-
-    def piece(lo: float, hi: float) -> float:
-        # J of the jumps in [lo, hi], on one side of the unit-ball edge |y| = 1
-        comp = max(-lo, hi) <= 1.0
-        atoms = [(y, m) for y, m in model.nu.atoms if lo <= y <= hi and (abs(y) < 1.0) == comp]
-        parts = []
-        for part in model.nu.density_parts:
-            l, u = max(part.support[0], lo), min(part.support[1], hi)
-            if l < u:
-                parts.append(replace(part, support=(l, u)))
-        return float(_eval(LevyModel(nu=LevyMeasureSpec(atoms, parts)), np.array([z]), 0)[0])
-
-    return piece(-INF, -1.0), piece(-1.0, 0.0), piece(0.0, 1.0), piece(1.0, INF)
-
-
 def domain_sup(model: LevyModel) -> float:
     """Largest z with J(z) < inf (mathematically; sup of an open domain)."""
     sup = INF
@@ -244,26 +227,22 @@ def rho_fit(nu: LevyMeasureSpec) -> tuple[float, float] | None:
     return float(slope), float(math.sqrt(np.mean(resid**2)))
 
 
-def _finite(v: float) -> bool:
-    return math.isfinite(v)
-
-
 def check_condition(model: LevyModel, name: str, z0: float | None = None) -> str:
     """Decide one named condition; returns 'holds', 'fails' or 'undecidable'."""
     nu = model.nu
     if name == "B0":
         v = moment_integral(nu, 1, (1.0, INF), open_lo=True)
         w = moment_integral(nu, 1, (-INF, -1.0), open_hi=True)
-        return HOLDS if _finite(v + w) else FAILS
+        return HOLDS if math.isfinite(v + w) else FAILS
     if name == "B1":
         ok = (
             model.q == 0.0
             and support_lower_bound(nu) >= 0.0
-            and _finite(moment_integral(nu, 1, (0.0, INF), open_lo=True))
+            and math.isfinite(moment_integral(nu, 1, (0.0, INF), open_lo=True))
         )
         return HOLDS if ok else FAILS
     if name == "B2":
-        ok = support_lower_bound(nu) >= 0.0 and _finite(
+        ok = support_lower_bound(nu) >= 0.0 and math.isfinite(
             moment_integral(nu, 2, (1.0, INF))
         )
         return HOLDS if ok else FAILS
@@ -276,7 +255,7 @@ def check_condition(model: LevyModel, name: str, z0: float | None = None) -> str
         tails = LevyMeasureSpec(density_parts=[d for d in nu.density_parts if d.support[0] == -INF])
         neg = moment_integral(nu, p, (-INF, -1.0)) + moment_integral(tails, p, (-INF, -1.0), exp_tilt=z0)
         pos = moment_integral(nu, p, (1.0, INF))
-        return HOLDS if _finite(neg + pos) else FAILS
+        return HOLDS if math.isfinite(neg + pos) else FAILS
     if name == "B5":
         fit = rho_fit(nu)
         if fit is None or fit[1] >= RHO_FIT_RESIDUAL_MAX:
@@ -360,109 +339,6 @@ def classify(
         rho_residual=None if fit is None else fit[1],
         lambda_bar_t_star=lambda_bar_t_star,
     )
-
-
-def check_positivity_linear(model: LevyModel, lambda_bar: float) -> bool:
-    """Positivity preservation for linear diffusion: supp nu within [-1/lambda_bar, inf)."""
-    if lambda_bar <= 0.0:
-        raise ValueError(f"lambda_bar must be positive, got {lambda_bar}")
-    return support_lower_bound(model.nu) >= -1.0 / lambda_bar
-
-
-# ---------------------------------------------------------------------------
-# grid verification of the general-diffusion positivity/regularity conditions
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GSamples:
-    """Tabulated volatility g(x, y) on a rectangular grid, y-grid containing 0."""
-
-    xs: np.ndarray
-    ys: np.ndarray
-    g: np.ndarray
-
-    def __post_init__(self):
-        xs = np.asarray(self.xs, dtype=float)
-        ys = np.asarray(self.ys, dtype=float)
-        g = np.asarray(self.g, dtype=float)
-        if xs.ndim != 1 or ys.ndim != 1 or g.shape != (xs.size, ys.size):
-            raise ValueError("g must be sampled on the (xs, ys) grid")
-        if xs.size < 3 or ys.size < 3:
-            raise ValueError("grid too small for finite-difference partials")
-        if np.any(np.diff(xs) <= 0) or np.any(np.diff(ys) <= 0):
-            raise ValueError("grid axes must be strictly increasing")
-        if ys[0] != 0.0:
-            raise ValueError("y-grid must start at 0 (g(x,0) is checked)")
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "ys", ys)
-        object.__setattr__(self, "g", g)
-
-
-@dataclass(frozen=True)
-class GConditionResult:
-    holds: bool
-    witness: tuple[float, float, str] | None
-    constants: dict[str, float]
-
-
-def check_G_conditions(
-    g_samples: GSamples, nu_support_inf: float, variant: str = "G1"
-) -> GConditionResult:
-    """Grid verification (not a proof) of the volatility conditions.
-
-    G1 checks g(x,0) = 0, g >= 0 and the positivity inequality
-    y + g(x,y) u >= 0 at u = inf supp nu, and reports the empirical
-    y-Lipschitz constant.  G2 adds g'_x(x,0) = 0 plus bounds of the partials;
-    G3 adds the g <= c sqrt(y) envelope and second-partial bounds.  Returns
-    the first failing grid point as a witness.
-    """
-    if variant not in ("G1", "G2", "G3"):
-        raise ValueError(f"variant must be G1, G2 or G3, got {variant!r}")
-    xs, ys, g = g_samples.xs, g_samples.ys, g_samples.g
-    tol = 1e-12
-    constants: dict[str, float] = {}
-
-    def witness_of(mask: np.ndarray, check: str) -> GConditionResult:
-        i, j = np.argwhere(mask)[0]
-        return GConditionResult(False, (float(xs[i]), float(ys[j]), check), constants)
-
-    bad = np.abs(g[:, 0]) > tol
-    if np.any(bad):
-        return witness_of(bad[:, None] & (ys == 0.0)[None, :], "g(x,0)=0")
-    bad = g < -tol
-    if np.any(bad):
-        return witness_of(bad, "g>=0")
-    u = nu_support_inf
-    with np.errstate(invalid="ignore"):
-        pos = ys[None, :] + g * u
-        pos = np.where((g == 0.0) & np.isnan(pos), ys[None, :], pos)
-    bad = pos < -tol
-    if np.any(bad):
-        return witness_of(bad, "y+g(x,y)u>=0")
-
-    dgdy = np.gradient(g, ys, axis=1)
-    constants["lipschitz_y"] = float(np.max(np.abs(dgdy)))
-
-    if variant in ("G2", "G3"):
-        dgdx = np.gradient(g, xs, axis=0)
-        bad = np.abs(dgdx[:, 0]) > 1e-8
-        if np.any(bad):
-            return witness_of(bad[:, None] & (ys == 0.0)[None, :], "g'_x(x,0)=0")
-        constants["sup_dg_dy"] = float(np.max(np.abs(dgdy)))
-        constants["sup_dg_dx"] = float(np.max(np.abs(dgdx)))
-        constants["lipschitz_dg_dx_y"] = float(np.max(np.abs(np.gradient(dgdx, ys, axis=1))))
-        constants["lipschitz_dg_dy_y"] = float(np.max(np.abs(np.gradient(dgdy, ys, axis=1))))
-
-    if variant == "G3":
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = g[:, 1:] / np.sqrt(ys[None, 1:])
-        constants["sqrt_envelope_c"] = float(np.max(ratio))
-        dgdx = np.gradient(g, xs, axis=0)
-        constants["sup_d2g_dxdy"] = float(np.max(np.abs(np.gradient(dgdx, ys, axis=1))))
-        constants["sup_d2g_dy2"] = float(np.max(np.abs(np.gradient(dgdy, ys, axis=1))))
-
-    return GConditionResult(True, None, constants)
 
 
 # ---------------------------------------------------------------------------

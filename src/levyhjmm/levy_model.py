@@ -423,12 +423,6 @@ def _endpoint_from_json(v, side: str) -> float:
     return float(v)
 
 
-def _endpoint_to_json(v: float):
-    if v == INF or v == -INF:
-        return None
-    return v
-
-
 def density_part_from_dict(d: dict) -> DensityPart:
     kind = d.get("kind")
     if kind not in _PART_KINDS:
@@ -444,16 +438,6 @@ def density_part_from_dict(d: dict) -> DensityPart:
     return Uniform(c=float(d["c"]), support=support)
 
 
-def density_part_to_dict(part: DensityPart) -> dict:
-    lo, hi = part.support
-    sup = [_endpoint_to_json(lo), _endpoint_to_json(hi)]
-    if isinstance(part, PowerLaw):
-        return {"kind": "power_law", "c": part.c, "alpha": part.alpha, "support": sup}
-    if isinstance(part, Exponential):
-        return {"kind": "exponential", "c": part.c, "beta": part.beta, "support": sup}
-    return {"kind": "uniform", "c": part.c, "support": sup}
-
-
 def levy_model_from_dict(d: dict) -> LevyModel:
     """Build a LevyModel from the JSON sub-schema 'levy_model'."""
     nu_d = d.get("nu", {}) or {}
@@ -464,14 +448,3 @@ def levy_model_from_dict(d: dict) -> LevyModel:
         q=float(d.get("q", 0.0)),
         nu=LevyMeasureSpec(atoms=atoms, density_parts=parts),
     )
-
-
-def levy_model_to_dict(model: LevyModel) -> dict:
-    return {
-        "a": model.a,
-        "q": model.q,
-        "nu": {
-            "atoms": [[y, m] for y, m in model.nu.atoms],
-            "density_parts": [density_part_to_dict(p) for p in model.nu.density_parts],
-        },
-    }

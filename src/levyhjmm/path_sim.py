@@ -153,27 +153,15 @@ class LevyPathRecord:
     def t(self) -> np.ndarray:
         return self.dt * np.arange(self.grid_values.size)
 
-    def _brownian_cum(self) -> np.ndarray:
-        return np.concatenate([[0.0], np.cumsum(self.brownian_increments)])
-
     def value_at(self, t: float) -> float:
-        """L(t); the Brownian part is linearly interpolated between nodes."""
-        return _value(self, t, "right")
-
-
-def value_at_left_limit(path: LevyPathRecord, t: float) -> float:
-    """L(t-): L(t) minus the jump at exactly t, if present."""
-    return _value(path, t, "left")
-
-
-def _value(path: LevyPathRecord, t: float, side: str) -> float:
-    """L(t) counting the jumps at times <= t (side "right") or < t ("left")."""
-    if not 0.0 <= t <= path.t_star + 1e-12:
-        raise ValueError(f"t={t} outside [0, {path.t_star}]")
-    w = float(np.interp(t, path.t, path._brownian_cum()))
-    k = int(np.searchsorted(path.jump_times, t, side=side))
-    jumps = float(np.sum(path.jump_sizes[:k]))
-    return path.model.a * t - path.m_n * t + w + jumps
+        """L(t), counting the jumps at times <= t; the Brownian part is
+        linearly interpolated between nodes."""
+        if not 0.0 <= t <= self.t_star + 1e-12:
+            raise ValueError(f"t={t} outside [0, {self.t_star}]")
+        w = float(np.interp(t, self.t, np.concatenate([[0.0], np.cumsum(self.brownian_increments)])))
+        k = int(np.searchsorted(self.jump_times, t, side="right"))
+        jumps = float(np.sum(self.jump_sizes[:k]))
+        return self.model.a * t - self.m_n * t + w + jumps
 
 
 def _grid_values(

@@ -21,9 +21,6 @@ from levyhjmm.bond_market import (
     bond_price,
     hjm_drift_check,
     martingale_mc,
-    short_rate,
-    to_moving_frame,
-    to_natural_frame,
 )
 
 GRID = SolveGrid(t_star=1.0, dt=1.0 / 16, x_max=1.0)
@@ -45,35 +42,14 @@ def solved_field(model, grid=GRID, seed=3, vol=ConstantVol(0.5), gamma=1.0):
 
 
 class TestFrames:
-    def test_constant_field_unchanged(self):
-        f = constant_field(0.05)
-        nat = to_natural_frame(f)
-        for i in range(GRID.n_t + 1):
-            w = GRID.row_width(i)
-            np.testing.assert_array_equal(nat.values[i, i : i + w + 1], f.values[i, : w + 1])
-
-    def test_linear_field_maps_to_maturity(self):
-        g = GRID
-        vals = np.where(g.valid_mask(), g.t[:, None] + g.x_wide[None, :], np.nan)
-        nat = to_natural_frame(ForwardField(FRAME_MOVING, vals, g, 1.0))
-        # r(t,x) = t + x means f(t,T) = T
-        for i in range(g.n_t + 1):
-            w = g.row_width(i)
-            np.testing.assert_allclose(nat.values[i, i : i + w + 1], g.x_wide[i : i + w + 1], atol=1e-14)
-
-    def test_round_trip_bit_identical(self):
-        field, _, _, _ = solved_field(POISSON)
-        back = to_moving_frame(to_natural_frame(field))
-        a = np.nan_to_num(back.values, nan=-1.0)
-        b = np.nan_to_num(field.values, nan=-1.0)
-        np.testing.assert_array_equal(a, b)
-
     def test_frame_guards(self):
-        field = constant_field(0.05)
-        with pytest.raises(ValueError):
-            to_moving_frame(field)
-        with pytest.raises(ValueError):
-            to_natural_frame(to_natural_frame(field))
+        # a field is stored in the moving frame; SolveGrid.to_natural is the only remap
+        vals = constant_field(0.05).values
+        for frame in ("Natural", "moving"):
+            with pytest.raises(ValueError, match="unknown frame"):
+                ForwardField(frame, vals, GRID, 1.0)
+        with pytest.raises(ValueError, match="field shape"):
+            ForwardField(FRAME_MOVING, vals[:, :-1], GRID, 1.0)
 
 
 class TestBondPrice:
@@ -112,23 +88,6 @@ class TestBondPrice:
         field = constant_field(0.05)
         with pytest.raises(ValueError):
             bond_price(field, 0.5, 0.25)
-
-
-class TestShortRate:
-    def test_exponential_curve(self):
-        g = GRID
-        vals = np.where(g.valid_mask(), np.exp(-(g.t[:, None] + g.x_wide[None, :])), np.nan)
-        f = ForwardField(FRAME_MOVING, vals, g, 1.0)
-        assert short_rate(f, 0.0) == 1.0
-        assert short_rate(f, 0.5) == pytest.approx(math.exp(-0.5), abs=1e-14)
-
-    def test_flat(self):
-        assert short_rate(constant_field(0.05), 0.25) == 0.05
-
-    def test_degenerate_solved_field(self):
-        field, _, _, _ = solved_field(LevyModel())
-        for t in (0.0, 0.5, 1.0):
-            assert short_rate(field, t) == pytest.approx(math.exp(-t), abs=1e-12)
 
 
 class TestHjmDrift:

@@ -311,14 +311,12 @@ class TestCsvContents:
 
 class TestScenarioInputs:
     def test_csv_initial_curve_and_tabulated_vol(self, tmp_path):
-        import numpy as np
-        from levyhjmm.function_space import WeightedCurve, write_curve_csv
+        import math
 
         dt = 0.0625
         n_w = int(round((1.0 + 1.0) / dt))
-        curve = WeightedCurve(dx=dt, values=np.exp(-dt * np.arange(n_w + 1)), gamma=1.0)
         curve_file = tmp_path / "r0.csv"
-        write_curve_csv(curve_file, curve)
+        curve_file.write_text("x,value\n" + "".join(f"{k * dt!r},{math.exp(-k * dt)!r}\n" for k in range(n_w + 1)))
         scen = dict(POISSON)
         scen["r0"] = {"kind": "csv", "path": str(curve_file)}
         scen["volatility"] = {
@@ -332,17 +330,26 @@ class TestScenarioInputs:
         assert report["status"] == "Converged"
 
     def test_short_csv_curve_rejected(self, tmp_path):
-        import numpy as np
-        from levyhjmm.function_space import WeightedCurve, write_curve_csv
-
-        curve = WeightedCurve(dx=0.0625, values=np.ones(5), gamma=1.0)
         curve_file = tmp_path / "short.csv"
-        write_curve_csv(curve_file, curve)
+        curve_file.write_text("x,value\n" + "".join(f"{k * 0.0625!r},1.0\n" for k in range(5)))
         scen = dict(POISSON)
         scen["r0"] = {"kind": "csv", "path": str(curve_file)}
         path = write_scenario(tmp_path, scen)
         assert main(["solve", path, "--out-dir", str(tmp_path / "out")]) == 2
 
+    @pytest.mark.parametrize("field", ["r0.path", "volatility.csv"])
+    def test_one_row_csv_curve_rejected(self, tmp_path, capsys, field):
+        # np.loadtxt reads one row as a 1-D array, not as a one-row table
+        curve_file = tmp_path / "one_row.csv"
+        curve_file.write_text("x,value\n0.0,1.0\n")
+        scen = dict(POISSON)
+        if field == "r0.path":
+            scen["r0"] = {"kind": "csv", "path": str(curve_file)}
+        else:
+            scen["volatility"] = {"kind": "tabulated", "csv": str(curve_file)}
+        path = write_scenario(tmp_path, scen)
+        assert main(["solve", path, "--out-dir", str(tmp_path / "out")]) == 2
+        assert field in capsys.readouterr().err
 
     @pytest.mark.parametrize("field", ["r0.path", "volatility.csv"])
     def test_csv_curve_not_starting_at_zero_rejected(self, tmp_path, capsys, field):

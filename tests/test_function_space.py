@@ -11,7 +11,6 @@ from levyhjmm.function_space import (
     read_curve_csv,
     shift,
     sup_bound_check,
-    write_curve_csv,
 )
 
 
@@ -145,15 +144,28 @@ class TestCurveCsv:
     def test_round_trip(self, tmp_path):
         c = exp_curve(dx=0.25, x_max=4.0)
         target = tmp_path / "curve.csv"
-        write_curve_csv(target, c)
+        target.write_text("x,value\n" + "".join(f"{float(x)!r},{float(v)!r}\n" for x, v in zip(c.x, c.values)))
         back = read_curve_csv(target, gamma=1.0)
         assert back.dx == c.dx
         np.testing.assert_array_equal(back.values, c.values)
 
-    def test_header(self, tmp_path):
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("x,value\n", "fewer than 2 data rows"),
+            ("x,value\n0.0,1.0\n", "fewer than 2 data rows"),
+            ("x,value,extra\n0.0,1.0,2.0\n0.5,1.0,2.0\n", "3 columns"),
+        ],
+        ids=["header_only", "one_row", "three_columns"],
+    )
+    def test_malformed_file_names_itself(self, tmp_path, text, match):
+        # np.loadtxt gives a 1-D array for one row and for none, which
+        # indexing by column would turn into an IndexError
         target = tmp_path / "curve.csv"
-        write_curve_csv(target, exp_curve(dx=0.5, x_max=2.0))
-        assert target.read_text().splitlines()[0] == "x,value"
+        target.write_text(text)
+        with pytest.raises(ValueError, match=match) as info:
+            read_curve_csv(target, gamma=1.0)
+        assert str(target) in str(info.value)
 
     def test_curve_not_starting_at_zero_rejected(self, tmp_path):
         # every reader takes values[0] as the value at x = 0

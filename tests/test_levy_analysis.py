@@ -16,14 +16,10 @@ from levyhjmm.levy_model import (
 from levyhjmm.levy_analysis import (
     ExponentDomainError,
     ExponentHandle,
-    GSamples,
     check_condition,
-    check_G_conditions,
-    check_positivity_linear,
     classify,
     domain_sup,
     eval_J,
-    eval_J_pieces,
     eval_J_prime,
     eval_J_second,
     mgf_consistency,
@@ -125,13 +121,6 @@ class TestAgainstDirectQuadrature:
         model = _mixed_model()
         ref = model.q + self._direct(model, z, lambda y, z: y * y * math.exp(-z * y))
         assert eval_J_second(model, z) == pytest.approx(ref, abs=1e-8)
-
-    def test_four_piece_decomposition(self):
-        model = _mixed_model()
-        for z in (0.2, 1.0, 2.0):
-            pieces = eval_J_pieces(model, z)
-            total = -model.a * z + 0.5 * model.q * z**2 + sum(pieces)
-            assert eval_J(model, z) == pytest.approx(total, rel=1e-10, abs=1e-14)
 
 
 class TestDerivativeConsistency:
@@ -531,66 +520,6 @@ class TestConditions:
             assert Jpp >= 0.0
         assert report.lambda_bar_t_star == 0.5
         assert report.domain_sup == math.inf
-
-
-class TestPositivityLinear:
-    def test_positive_support(self):
-        model = LevyModel(nu=LevyMeasureSpec(atoms=((1.0, 1.0),)))
-        assert check_positivity_linear(model, 2.0) is True
-
-    def test_small_negative_atom_within_bound(self):
-        model = LevyModel(nu=LevyMeasureSpec(atoms=((-0.25, 1.0),)))
-        assert check_positivity_linear(model, 2.0) is True
-
-    def test_negative_atom_outside_bound(self):
-        model = LevyModel(nu=LevyMeasureSpec(atoms=((-0.75, 1.0),)))
-        assert check_positivity_linear(model, 2.0) is False
-
-    def test_bad_lambda_bar(self):
-        with pytest.raises(ValueError):
-            check_positivity_linear(ATOM1, 0.0)
-
-
-def _sampled(f, xs, ys):
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    return GSamples(xs=xs, ys=ys, g=f(X, Y))
-
-
-class TestGConditions:
-    XS = np.linspace(0.0, 3.0, 13)
-    YS = np.linspace(0.0, 2.0, 11)
-
-    def test_linear_g_holds(self):
-        res = check_G_conditions(_sampled(lambda x, y: 0.5 * y, self.XS, self.YS), -1.0, "G1")
-        assert res.holds and res.witness is None
-
-    def test_constant_g_fails_at_zero(self):
-        res = check_G_conditions(_sampled(lambda x, y: np.ones_like(y), self.XS, self.YS), -1.0, "G1")
-        assert not res.holds
-        assert res.witness[1] == 0.0 and res.witness[2] == "g(x,0)=0"
-
-    def test_quadratic_g_fails_positivity(self):
-        res = check_G_conditions(_sampled(lambda x, y: y**2, self.XS, self.YS), -2.0, "G1")
-        assert not res.holds
-        assert res.witness[2] == "y+g(x,y)u>=0"
-        x, y, _ = res.witness
-        assert y + y**2 * (-2.0) < 0
-
-    def test_g2_reports_partial_bounds(self):
-        res = check_G_conditions(_sampled(lambda x, y: 0.5 * y, self.XS, self.YS), -1.0, "G2")
-        assert res.holds
-        assert res.constants["sup_dg_dy"] == pytest.approx(0.5, abs=1e-9)
-
-    def test_g3_sqrt_envelope(self):
-        res = check_G_conditions(
-            _sampled(lambda x, y: 0.3 * np.sqrt(y), self.XS, self.YS), -1.0, "G3"
-        )
-        assert res.holds
-        assert res.constants["sqrt_envelope_c"] == pytest.approx(0.3, abs=1e-9)
-
-    def test_malformed_grid(self):
-        with pytest.raises(ValueError):
-            GSamples(xs=self.XS, ys=self.YS, g=np.zeros((2, 2)))
 
 
 class TestMgfConsistency:

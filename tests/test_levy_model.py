@@ -16,7 +16,6 @@ from levyhjmm.levy_model import (
     PowerLaw,
     Uniform,
     levy_model_from_dict,
-    levy_model_to_dict,
     moment_integral,
     pow_exp_integral,
     small_jump_profile,
@@ -259,9 +258,19 @@ class TestJsonSchema:
                 ),
             ),
         )
-        d = levy_model_to_dict(model)
-        back = levy_model_from_dict(d)
-        assert back == model
+        d = {
+            "a": 0.5,
+            "q": 0.2,
+            "nu": {
+                "atoms": [[1.0, 0.5], [-0.25, 0.1]],
+                "density_parts": [
+                    {"kind": "power_law", "c": 1.0, "alpha": 0.5, "support": [0.0, 1.0]},
+                    {"kind": "exponential", "c": 0.4, "beta": 2.0, "support": [0.0, None]},
+                    {"kind": "uniform", "c": 0.3, "support": [-0.5, -0.1]},
+                ],
+            },
+        }
+        assert levy_model_from_dict(d) == model
 
     def test_infinite_endpoint_spellings(self):
         d = {

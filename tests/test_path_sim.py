@@ -23,7 +23,6 @@ from levyhjmm.path_sim import (
     sample_terminal,
     simulate,
     simulate_paths,
-    value_at_left_limit,
 )
 
 POISSON = LevyModel(nu=LevyMeasureSpec(atoms=((1.0, 0.5),)))
@@ -196,10 +195,6 @@ class TestSimulatePaths:
 
 
 class TestLeftLimit:
-    def test_no_jump(self):
-        path = simulate(LevyModel(a=1.0), SimConfig(t_star=1.0, dt=0.25, seed=0))
-        assert value_at_left_limit(path, 0.5) == path.value_at(0.5)
-
     def test_at_jump(self):
         rec = LevyPathRecord(
             t_star=1.0,
@@ -213,8 +208,7 @@ class TestLeftLimit:
             n_threshold=1,
             seed=0,
         )
-        assert value_at_left_limit(rec, 0.5) == 0.0
-        assert rec.value_at(0.5) == 1.0
+        assert rec.value_at(0.5) == 1.0  # L is right-continuous: the jump at t counts
 
     def test_piecewise_constant_replay(self):
         rec = LevyPathRecord(
@@ -237,7 +231,7 @@ class TestLeftLimit:
     def test_out_of_range(self):
         path = simulate(LevyModel(a=1.0), SimConfig(t_star=1.0, dt=0.25, seed=0))
         with pytest.raises(ValueError):
-            value_at_left_limit(path, 1.5)
+            path.value_at(1.5)
 
 
 class TestRefine:
