@@ -178,7 +178,7 @@ def martingale_mc(
 
     Each path is simulated from its own seed stream, with the model's jump
     law built once.  The paths then go through in blocks: one
-    simulate_paths, one stacked compute_a, one solve_batch and one pricing
+    simulate_paths, one compute_a, one solve_batch and one pricing
     pass per block, with the same result as one path at a time, errors
     included: the first path that fails to simulate or to solve raises.
     Within a block, each distinct path (grid values and jumps) is assembled
@@ -220,7 +220,7 @@ def martingale_mc(
             first = {}
             for key, path in zip(keys, paths):
                 first.setdefault(key, path)
-            factors = compute_a(list(first.values()), vol, r0, model.q, grid).unstack()
+            factors = compute_a(list(first.values()), vol, r0, model.q, grid)
             report_of = dict(zip(first, solve_batch(factors, vol, exponent, solver_cfg)))
             for rep in map(report_of.__getitem__, keys):
                 n_iters.append(rep.n_iters)

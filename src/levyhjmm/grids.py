@@ -96,11 +96,9 @@ class SolveGrid:
         """Read-only boolean matrix of the triangle t + x <= x_max + t_star."""
         return self._mask
 
-    def nan_sup(self, field: np.ndarray):
-        """Sup of |field| over the valid triangle: a float for one field, an
-        array over the leading axes for a stack of fields."""
-        sup = np.nanmax(np.abs(self.triangle(field)), axis=-1)
-        return float(sup) if sup.ndim == 0 else sup
+    def nan_sup(self, field: np.ndarray) -> float:
+        """Sup of |field| over the valid triangle."""
+        return float(np.nanmax(np.abs(self.triangle(field))))
 
     @cached_property
     def _triangle_idx(self) -> np.ndarray:

@@ -125,15 +125,14 @@ def _on_triangle(fn, z: np.ndarray, grid: SolveGrid, what: str, domain_sup: floa
     raise err
 
 
-def _row_norms(tri: np.ndarray, grid: SolveGrid, w_tri: np.ndarray) -> np.ndarray:
-    """Weighted L2 norm of each time slice over its valid x-range, from the
-    `grid.triangle` entries of a field (or stack); w_tri is e^{gamma x} at
-    the same entries.  The trapezoid panels are summed in rows of n_w,
+def _row_norms(h: np.ndarray, grid: SolveGrid, weights: np.ndarray) -> np.ndarray:
+    """Weighted L2 norm of each time slice over its valid x-range, for a
+    field (or stack) that is NaN beyond the triangle; weights is e^{gamma x}
+    on the wide x-grid.  The trapezoid panels are summed in rows of n_w,
     zero-padded, as one row of the field at a time would be."""
     with np.errstate(over="ignore"):
-        y = tri * tri
-        y *= w_tri
-        y = grid.from_triangle(y)
+        y = h * h
+        y *= weights
         panels = y[..., 1:] + y[..., :-1]
         panels *= grid.dt
         panels /= 2.0
@@ -142,28 +141,23 @@ def _row_norms(tri: np.ndarray, grid: SolveGrid, w_tri: np.ndarray) -> np.ndarra
         return np.sqrt(panels.sum(axis=-1))
 
 
-def _natural_lambda(grid: SolveGrid, lam_w: np.ndarray) -> np.ndarray:
-    """lambda(T - t_i) in the natural frame, 0 for T < t_i."""
-    return grid.to_natural(np.broadcast_to(lam_w, grid.valid_mask().shape), fill=0.0)
-
-
 def apply_K(h: np.ndarray, factor: RandomFactorField, exponent: ExponentHandle) -> np.ndarray:
     """One application of the fixed-point operator on the grid.
 
     h may be a stack of fields over leading axes, with factor.a stacked
     alike, or one field for every path of the stack; lambda is read from
-    factor.lam_w.  The J' terms go straight into the natural frame
-    (T = t + x), where sum_along_t is a prefix sum over t.  factor.a is NaN
+    factor.lam_w, and in the natural frame from factor.lam_nat.  The J'
+    terms go straight into the natural frame (T = t + x), where
+    sum_along_t is a prefix sum over t.  factor.a is NaN
     beyond the triangle, as compute_a makes it, and so is K(h).  Raises
     ExponentDomainError when a needed argument of J' is negative or J' has
     a domain fault there.
     """
     grid, lam_w = factor.grid, factor.lam_w
-    lam_nat = factor.lam_nat if isinstance(factor, _FactorStack) else _natural_lambda(grid, lam_w)
     cum = _cumtrapz_rows(lam_w * h, grid.dt)
     with np.errstate(over="ignore"):
         Gn = grid.natural_from_triangle(_on_triangle(exponent.J_prime, cum, grid, "J'", exponent.domain_sup))
-        Gn *= lam_nat
+        Gn *= factor.lam_nat
         # back to the moving frame without a NaN fill: beyond the triangle an
         # entry is that of another node of its natural-frame row, and a is NaN
         S = grid._remap(grid.cumsum_natural(Gn), grid._remaps[1], None)
@@ -177,10 +171,18 @@ _LOG_C1_GRID = np.log(_C1_GRID)
 _C1_GRID.flags.writeable = _LOG_C1_GRID.flags.writeable = False
 
 
-def _c1_bounds(
+def a_priori_c1(
     B: np.ndarray, lambda_bar: float, t_star: float, gamma: float, exponent: ExponentHandle
 ) -> list[float | None]:
-    """a_priori_c1 for each product B = b_bar ||r0||, with one J' scan for all."""
+    """Iterate-invariant bound on the weighted L2 norms for each product
+    B = b_bar ||r0|| of an array, when one exists; one J' scan serves all.
+
+    If J' <= 0 at every probed argument the bound is B itself (None for
+    B <= 0).  Otherwise it is the smallest c on a log grid (60 points per
+    decade up to 1e12) with
+    ln B + max(lambda_bar T* J'(lambda_bar c / sqrt(gamma)), 0) <= ln c;
+    None when no grid point qualifies.
+    """
     zc = lambda_bar * _C1_GRID / math.sqrt(gamma)
     jp = exponent.J_prime(zc)
     if np.all(jp <= 0.0):
@@ -192,29 +194,9 @@ def _c1_bounds(
     return [float(_C1_GRID[np.argmax(row)]) if row.any() else None for row in ok]
 
 
-def a_priori_c1(
-    b_bar: float,
-    r0_norm: float,
-    lambda_bar: float,
-    t_star: float,
-    gamma: float,
-    exponent: ExponentHandle,
-) -> float | None:
-    """Iterate-invariant bound on the weighted L2 norms, when one exists.
-
-    If J' <= 0 at every probed argument the bound is b_bar * ||r0||.
-    Otherwise the smallest c on a log grid (60 points per decade up to 1e12)
-    with  ln(b_bar ||r0||) + max(lambda_bar T* J'(lambda_bar c / sqrt(gamma)), 0)
-    <= ln c  is returned; None when no grid point qualifies.
-    """
-    return _c1_bounds(np.array([b_bar * r0_norm]), lambda_bar, t_star, gamma, exponent)[0]
-
-
 @dataclass(frozen=True)
 class _FactorStack:
-    """What apply_K reads of a random factor, for a stack of paths, with
-    lambda also in the natural frame (`_natural_lambda`), built once per
-    solve."""
+    """What apply_K reads of a random factor, for a stack of paths."""
 
     grid: SolveGrid
     a: np.ndarray
@@ -290,7 +272,7 @@ def solve_batch(
     weights = np.exp(cfg.gamma * grid.x_wide)  # of the weighted norms, fixed for the solve
     r0_norms = np.sqrt(trapezoid(r0**2 * weights, dx=grid.dt, axis=-1))
     B = np.array([f.b_bar for f in factors]) * r0_norms
-    c1s = _c1_bounds(B, vol.lambda_bar, grid.t_star, cfg.gamma, exponent)
+    c1s = a_priori_c1(B, vol.lambda_bar, grid.t_star, cfg.gamma, exponent)
     # fail fast if J' is unreachable on the region the iteration can visit
     z_probe = np.array([
         vol.lambda_bar * c1 / math.sqrt(cfg.gamma)
@@ -305,13 +287,12 @@ def solve_batch(
         fail(k, ExponentDomainError(z_probe[k]))
 
     a = np.stack([f.a for f in factors])
-    lam_nat = _natural_lambda(grid, lam_w)
-    w_tri = grid.triangle(np.broadcast_to(weights, grid.valid_mask().shape))
-    # h and tri: the last iterate of the active paths and its triangle entries.
-    # h0 = 0 is one field for every path, so apply_K finds the first exponent
-    # term once and broadcasts it against each path's a
+    lam_nat = factors[0].lam_nat
+    # h: the last iterate of the active paths, NaN beyond the triangle as K(h)
+    # is, so its sup and change over the whole field are those over the
+    # triangle.  h0 = 0 is one field for every path, so apply_K finds the
+    # first exponent term once and broadcasts it against each path's a
     h = np.where(grid.valid_mask(), 0.0, np.nan)[None] if h0 == "zero" else a
-    tri = grid.triangle(h)
     cap_arr = np.array(caps, dtype=float)
     sup_hist = np.zeros((n_paths, cfg.max_iter))
     l2_hist = np.zeros((n_paths, cfg.max_iter))
@@ -320,14 +301,14 @@ def solve_batch(
     iterates: list[list[np.ndarray]] = [[] for _ in range(n_paths)]
     done: dict[int, tuple] = {}  # path -> (status, rule, field, n_iters)
 
-    # h, tri and a_act hold the active paths, in order; a failure only shortens them
+    # h and a_act hold the active paths, in order; a failure only shortens them
     a_act = a
     for n in range(cfg.max_iter):
         h_next = None
         while active.size:
+            h, a_act = h[: active.size], a_act[: active.size]
             try:
-                stack = _FactorStack(grid, a_act[: active.size], lam_w, lam_nat)
-                h_next = apply_K(h[: active.size], stack, exponent)
+                h_next = apply_K(h, _FactorStack(grid, a_act, lam_w, lam_nat), exponent)
                 break
             except ExponentDomainError as err:
                 if err.path is None:  # not tied to one path: nothing to drop
@@ -335,11 +316,9 @@ def solve_batch(
                 fail(err.path, err)
         if h_next is None:
             break
-        tri, a_act = tri[: active.size], a_act[: active.size]
-        tri_next = grid.triangle(h_next)
-        sup = np.nanmax(np.abs(tri_next), axis=-1)
+        sup = np.nanmax(np.abs(h_next), axis=(-2, -1))
         sup_hist[active, n] = sup
-        l2_hist[active, n] = np.max(_row_norms(tri_next, grid, w_tri), axis=-1)
+        l2_hist[active, n] = np.max(_row_norms(h_next, grid, weights), axis=-1)
         if keep_iterates:
             for k, p in enumerate(active.tolist()):
                 iterates[p].append(h_next[k].copy())
@@ -351,7 +330,7 @@ def solve_batch(
         growth_hit = ~cap_hit & (streak[active] >= _GROWTH_STREAK)
         going = ~(cap_hit | growth_hit)
         with np.errstate(invalid="ignore"):  # inf - inf only where the cap was hit
-            change = np.nanmax(np.abs(tri_next - tri), axis=-1)
+            change = np.nanmax(np.abs(h_next - h), axis=(-2, -1))
         converged = going & (change < cfg.tol * (1.0 + sup))
         last_change[active] = change
         keep = going & ~converged
@@ -364,8 +343,8 @@ def solve_batch(
                 else:
                     stop = (STATUS_CONVERGED, "tol")
                 done[int(active[k])] = (*stop, h_next[k], n + 1)
-            active, h_next, tri_next, a_act = active[keep], h_next[keep], tri_next[keep], a_act[keep]
-        h, tri = h_next, tri_next
+            active, h_next, a_act = active[keep], h_next[keep], a_act[keep]
+        h = h_next
     for k, p in enumerate(active.tolist()):
         done[p] = (STATUS_MAX_ITER, "max_iter", h[k], cfg.max_iter)
 
@@ -534,17 +513,18 @@ def strong_residual(
     dt = grid.dt
     term = grid.sum_along_t(jpp * r) * (dt * lam * lam)
     rhs = r * (grid.shifted(r0p) / grid.shifted(r0v) + term)
-    weights = np.exp(report.gamma * grid.x_wide)
-    per_t = np.zeros(grid.n_t + 1)
-    sup = 0.0
-    for i in range(grid.n_t + 1):
-        w = grid.row_width(i)
-        # second-order one-sided boundaries keep the whole check O(dx^2)
-        lhs = np.gradient(r[i, : w + 1], dt, edge_order=2 if w >= 2 else 1)
-        diff = (lhs - rhs[i, : w + 1])[: grid.n_x + 1]
-        per_t[i] = math.sqrt(trapezoid(diff**2 * weights[: grid.n_x + 1], dx=dt))
-        sup = max(sup, float(np.max(np.abs(diff))))
-    return StrongResidual(sup=sup, l2=float(np.max(per_t)), per_t=per_t)
+    n_t, n_x = grid.n_t, grid.n_x
+    # d/dx r on x <= x_max of each row, as np.gradient of its whole valid
+    # range gives it: below the last row the node at x_max has a right
+    # neighbour, so only the last row has a one-sided end there; second-order
+    # one-sided boundaries keep the whole check O(dx^2)
+    lhs = np.empty((n_t + 1, n_x + 1))
+    lhs[:n_t] = np.gradient(r[:n_t, : n_x + 2], dt, axis=1, edge_order=2)[:, : n_x + 1]
+    lhs[n_t] = np.gradient(r[n_t, : n_x + 1], dt, edge_order=2 if n_x >= 2 else 1)
+    diff = lhs - rhs[:, : n_x + 1]
+    weights = np.exp(report.gamma * grid.x_wide)[: n_x + 1]
+    per_t = np.sqrt(trapezoid(diff**2 * weights, dx=dt, axis=1))
+    return StrongResidual(sup=float(np.max(np.abs(diff))), l2=float(np.max(per_t)), per_t=per_t)
 
 
 def uniqueness_constant(

@@ -210,18 +210,16 @@ def jump_law(model: LevyModel, n_threshold: int) -> JumpLaw:
     return JumpLaw(model, n_threshold, comps, lam_total, cum, compensator_m_n(model, n_threshold))
 
 
-def simulate(model: LevyModel, cfg: SimConfig, law: JumpLaw | None = None) -> LevyPathRecord:
+def simulate(model: LevyModel, cfg: SimConfig) -> LevyPathRecord:
     """Simulate one truncated-compensated path; bit-reproducible per seed.
 
     Jump counts are Poisson with the restricted intensity, times uniform on
     (0, T*], sizes drawn by the inverse CDF of each normalized component;
     Brownian increments are N(0, q dt), q being the Gaussian variance.  A
     count above max_jumps raises JumpCapacityError rather than truncating
-    silently.  `law` is jump_law(model, cfg.n_threshold), built here when
-    not given; passing it only saves that work, the path is the same.
-    This is simulate_paths on the one seed cfg.seed.
+    silently.  This is simulate_paths on the one seed cfg.seed.
     """
-    paths, failure = simulate_paths(model, cfg, [cfg.seed], law)
+    paths, failure = simulate_paths(model, cfg, [cfg.seed])
     if failure is not None:
         raise failure
     return paths[0]

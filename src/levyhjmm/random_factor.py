@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -148,79 +149,46 @@ Volatility = ConstantVol | ExpAffineVol | TabulatedVol
 
 @dataclass(frozen=True)
 class RandomFactorField:
-    """a(t,x) with its constituents on the aligned grid (NaN beyond triangle).
-
-    For a stack of paths, I1, I2, a and b carry a leading path axis and
-    b_bar and positivity_ok are arrays with one value per path.  lam_w is
-    lambda on the wide x-grid, the same for every path.
-    """
+    """a(t,x) of one path with its constituents on the aligned grid (NaN
+    beyond the triangle).  lam_w is lambda on the wide x-grid."""
 
     grid: SolveGrid
     I1: np.ndarray
     I2: np.ndarray
     a: np.ndarray
     b: np.ndarray
-    b_bar: float | np.ndarray
+    b_bar: float
     r0: WeightedCurve
-    positivity_ok: bool | np.ndarray
+    positivity_ok: bool
     lam_w: np.ndarray
 
-    def unstack(self) -> list[RandomFactorField]:
-        """The fields of a stack one path at a time (views into its arrays)."""
-        if self.a.ndim == 2:
-            return [self]
-        return [
-            RandomFactorField(
-                self.grid, self.I1[k], self.I2[k], self.a[k], self.b[k], float(self.b_bar[k]),
-                self.r0, bool(self.positivity_ok[k]), self.lam_w,
-            )
-            for k in range(self.a.shape[0])
-        ]
+    @cached_property
+    def lam_nat(self) -> np.ndarray:
+        """lambda(T - t_i) in the natural frame, 0 for T < t_i."""
+        return self.grid.to_natural(np.broadcast_to(self.lam_w, self.grid.valid_mask().shape), fill=0.0)
 
 
-#: one path, or a sequence of paths on one grid (a stack along a leading axis)
-Paths = LevyPathRecord | Sequence[LevyPathRecord]
-
-
-def _as_stack(paths: Paths, grid: SolveGrid) -> list[LevyPathRecord]:
-    """The paths as a list, each checked against the grid."""
-    paths = [paths] if isinstance(paths, LevyPathRecord) else list(paths)
-    if not paths:
-        raise ValueError("no paths given")
-    for path in paths:
-        if abs(path.dt - grid.dt) > 1e-12 * grid.dt:
-            raise ValueError(f"path dt={path.dt} does not match grid dt={grid.dt}")
-        if path.grid_values.size < grid.n_t + 1:
-            raise ValueError("path horizon shorter than the grid horizon")
-    return paths
-
-
-def compute_I1(paths: Paths, vol: Volatility, grid: SolveGrid) -> np.ndarray:
-    """Integration-by-parts form of int_0^t lambda(t-s+x) dL(s), trapezoid in s.
-
-    paths is one LevyPathRecord, or a sequence of them for a stack with a
-    leading path axis.
-    """
-    L = np.stack([p.grid_values[: grid.n_t + 1] for p in _as_stack(paths, grid)])[..., None]
-    out = vol.lam(grid.x_wide) * L
+def _I1(paths: list[LevyPathRecord], vol: Volatility, lam_w: np.ndarray, grid: SolveGrid) -> np.ndarray:
+    """Integration-by-parts form of int_0^t lambda(t-s+x) dL(s), trapezoid in
+    s, stacked along a leading path axis; lam_w is lambda on the wide x-grid."""
+    L = np.stack([p.grid_values[: grid.n_t + 1] for p in paths])[..., None]
+    out = lam_w * L
     if not vol.is_constant:
         out = out + grid.dt * grid.sum_along_t(vol.lam_prime(grid.x_wide) * L)
-    out = np.where(grid.valid_mask(), out, np.nan)
-    return out[0] if isinstance(paths, LevyPathRecord) else out
+    return np.where(grid.valid_mask(), out, np.nan)
 
 
-def compute_I2(paths: Paths, vol: Volatility, grid: SolveGrid) -> tuple[np.ndarray, bool | np.ndarray]:
+def _I2(paths: list[LevyPathRecord], vol: Volatility, grid: SolveGrid) -> tuple[np.ndarray, np.ndarray]:
     """Finite jump product prod_{s<=t} (1+lambda(t-s+x) dL) exp(-lambda(t-s+x) dL).
 
-    Returns (field, positivity_ok), stacked as in compute_I1; a factor
+    Returns (field, positivity_ok), stacked as in _I1; a factor
     1 + lambda dL <= 0 on the triangle lowers that path's flag, and the
     field value is still recorded.
     """
-    stack = _as_stack(paths, grid)
     mask = grid.valid_mask()
-    out = np.repeat(np.where(mask, 1.0, np.nan)[None], len(stack), axis=0)
-    positivity_ok = np.ones(len(stack), dtype=bool)
-    for k, path in enumerate(stack):
+    out = np.repeat(np.where(mask, 1.0, np.nan)[None], len(paths), axis=0)
+    positivity_ok = np.ones(len(paths), dtype=bool)
+    for k, path in enumerate(paths):
         for s_m, y_m in zip(path.jump_times, path.jump_sizes):
             if s_m > grid.t_star:
                 break
@@ -230,25 +198,32 @@ def compute_I2(paths: Paths, vol: Volatility, grid: SolveGrid) -> tuple[np.ndarr
             if np.any((factor <= 0.0) & mask[i0:]):
                 positivity_ok[k] = False
             out[k, i0:] *= factor * np.exp(-lam_v * y_m)
-    if isinstance(paths, LevyPathRecord):
-        return out[0], bool(positivity_ok[0])
     return out, positivity_ok
 
 
 def compute_a(
-    paths: Paths,
+    paths: LevyPathRecord | Sequence[LevyPathRecord],
     vol: Volatility,
     r0: WeightedCurve,
     q: float,
     grid: SolveGrid,
-) -> RandomFactorField:
+) -> RandomFactorField | list[RandomFactorField]:
     """Assemble the random factor a(t,x) = r0(t+x) exp(I1 - q/2 Q) I2.
 
-    paths is one LevyPathRecord, or a sequence of paths on the grid, which
-    gives one field stacked along a leading path axis, equal path by path
-    to the single-path fields.  Only the jump product is a loop over
-    paths; lambda on the grid, Q and the shifted r0 are built once.
+    paths is one LevyPathRecord, which gives its field, or a sequence of
+    paths on the grid, which gives the list of their fields: views into one
+    stacked computation, equal path by path to the single-path fields.
+    Only the jump product is a loop over paths; lambda on the grid, Q and
+    the shifted r0 are built once.
     """
+    stack = [paths] if isinstance(paths, LevyPathRecord) else list(paths)
+    if not stack:
+        raise ValueError("no paths given")
+    for path in stack:
+        if abs(path.dt - grid.dt) > 1e-12 * grid.dt:
+            raise ValueError(f"path dt={path.dt} does not match grid dt={grid.dt}")
+        if path.grid_values.size < grid.n_t + 1:
+            raise ValueError("path horizon shorter than the grid horizon")
     if abs(r0.dx - grid.dt) > 1e-12 * grid.dt:
         raise ValueError(f"r0 grid dx={r0.dx} does not match grid dt={grid.dt}")
     if r0.values.size < grid.n_w + 1:
@@ -256,11 +231,11 @@ def compute_a(
             f"r0 grid too short: need {grid.n_w + 1} nodes covering x_max + t_star, "
             f"got {r0.values.size}"
         )
-    I1 = compute_I1(paths, vol, grid)
-    I2, positivity_ok = compute_I2(paths, vol, grid)
+    lam_w = vol.lam(grid.x_wide)
+    I1 = _I1(stack, vol, lam_w, grid)
+    I2, positivity_ok = _I2(stack, vol, grid)
 
     mask = grid.valid_mask()
-    lam_w = vol.lam(grid.x_wide)
     lam_sq = lam_w**2
     if q == 0.0:
         Q = np.where(mask, 0.0, np.nan)
@@ -273,8 +248,9 @@ def compute_a(
     with np.errstate(over="ignore"):
         b = np.exp(I1 - 0.5 * q * Q) * I2
     a = grid.shifted(r0.values) * b
-    b_bar = np.nanmax(np.where(mask, b, np.nan), axis=(-2, -1))
-    return RandomFactorField(
-        grid=grid, I1=I1, I2=I2, a=a, b=b, b_bar=float(b_bar) if b_bar.ndim == 0 else b_bar,
-        r0=r0, positivity_ok=positivity_ok, lam_w=lam_w,
-    )
+    b_bar = np.nanmax(np.where(mask, b, np.nan), axis=(-2, -1)).tolist()
+    fields = [
+        RandomFactorField(grid, I1[k], I2[k], a[k], b[k], b_bar[k], r0, ok, lam_w)
+        for k, ok in enumerate(positivity_ok.tolist())
+    ]
+    return fields[0] if isinstance(paths, LevyPathRecord) else fields

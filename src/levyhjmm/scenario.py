@@ -182,10 +182,16 @@ def load_scenario(source, overrides: dict | None = None) -> Scenario:
     r0 = _build_r0(_need(raw, "r0", "<root>"), grid, gamma, "r0")
 
     tol = _number(solver_raw.get("tol", 1e-10), "solver.tol", True)
-    max_iter = int(_number(solver_raw.get("max_iter", 200), "solver.max_iter", True))
+    max_iter = _number(solver_raw.get("max_iter", 200), "solver.max_iter", True)
+    if not max_iter.is_integer():
+        raise ScenarioError("solver.max_iter", f"must be an integer >= 1, got {max_iter}")
     cap = solver_raw.get("cap")
     if cap is not None:
         cap = _number(cap, "solver.cap", True)
+        # the solver's own check, on the nodes it reads
+        sup_r0 = float(np.max(np.abs(r0.values[: grid.n_w + 1])))
+        if cap <= sup_r0:
+            raise ScenarioError("solver.cap", f"cap={cap} must exceed sup |r0|={sup_r0}")
     seed = raw.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise ScenarioError("seed", f"expected an integer, got {seed!r}")
@@ -198,7 +204,7 @@ def load_scenario(source, overrides: dict | None = None) -> Scenario:
         gamma=gamma,
         r0=r0,
         tol=tol,
-        max_iter=max_iter,
+        max_iter=int(max_iter),
         cap=cap,
         seed=seed,
     )

@@ -394,6 +394,35 @@ class TestOverrides:
         assert report["config"]["tol"] == 1e-6
 
 
+class TestSolverFields:
+    """A solver field the solve cannot use is a schema error naming it: exit
+    2, before the output directory is made."""
+
+    @pytest.mark.parametrize("max_iter", [0.5, 2.5])
+    def test_fractional_max_iter_rejected(self, tmp_path, capsys, max_iter):
+        scen = write_scenario(tmp_path, {**POISSON, "solver": {"max_iter": max_iter}})
+        out = tmp_path / "out"
+        assert main(["solve", scen, "--out-dir", str(out)]) == 2
+        assert f"solver.max_iter: must be an integer >= 1, got {max_iter}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_integral_max_iter_accepted(self, tmp_path):
+        scen = write_scenario(tmp_path, {**POISSON, "solver": {"max_iter": 2.0}})
+        assert main(["solve", scen, "--out-dir", str(tmp_path / "out")]) == 0
+        report = json.loads((tmp_path / "out" / "solve_report.json").read_text())
+        assert (report["n_iters"], report["config"]["max_iter"]) == (2, 2)
+
+    @pytest.mark.parametrize("cap", ["0.5", "1.0"])
+    @pytest.mark.parametrize("cmd", ["solve", "check-martingale"])
+    def test_cap_not_above_sup_r0_rejected(self, tmp_path, capsys, cmd, cap):
+        scen = write_scenario(tmp_path, POISSON)  # r0 = e^{-x}: sup 1 at x = 0
+        out = tmp_path / "out"
+        extra = ["--n-paths", "8"] if cmd == "check-martingale" else []
+        assert main([cmd, scen, "--out-dir", str(out), "--cap", cap, *extra]) == 2
+        assert f"solver.cap: cap={float(cap)} must exceed sup |r0|=1.0" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestFlagValidation:
     """A flag value the command cannot use exits 2 with a message naming the
     flag, before the output directory is made."""

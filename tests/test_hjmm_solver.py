@@ -22,6 +22,7 @@ from levyhjmm.hjmm_solver import (
     STATUS_MAX_ITER,
     SolveReport,
     SolverConfig,
+    StrongResidual,
     _cumtrapz_rows,
     a_priori_c1,
     apply_K,
@@ -338,15 +339,15 @@ class TestSolveMonotone:
 class TestAPrioriC1:
     def test_nonpositive_prime_gives_product(self):
         handle = ExponentHandle(LevyModel(nu=LevyMeasureSpec(atoms=((1.0, 1.0),))))
-        assert a_priori_c1(1.3, 0.7, 0.5, 1.0, 1.0, handle) == pytest.approx(0.91)
+        assert a_priori_c1(np.array([1.3 * 0.7]), 0.5, 1.0, 1.0, handle) == [pytest.approx(0.91)]
 
     def test_wiener_has_no_bound(self):
         handle = ExponentHandle(LevyModel(q=1.0))
-        assert a_priori_c1(1.0, 1.0, 1.0, 1.0, 1.0, handle) is None
+        assert a_priori_c1(np.array([1.0]), 1.0, 1.0, 1.0, handle) == [None]
 
     def test_zero_prime_unit_product(self):
         handle = ExponentHandle(LevyModel())
-        assert a_priori_c1(1.0, 1.0, 1.0, 1.0, 1.0, handle) == 1.0
+        assert a_priori_c1(np.array([1.0, 0.0]), 1.0, 1.0, 1.0, handle) == [1.0, None]
 
 
 class TestMildResidual:
@@ -454,6 +455,21 @@ class TestStrongResidual:
         rep = solve_monotone(factor, VOL, handle, SolverConfig())
         with pytest.raises(ValueError):
             strong_residual(rep, r0, ExpAffineVol(c0=0.5, c1=0.1, beta=1.0), handle)
+
+    @pytest.mark.parametrize("r0_prime", [False, True])
+    @pytest.mark.parametrize("model", [POISSON, LevyModel(a=0.2, q=1.0, nu=LevyMeasureSpec(atoms=((0.5, 1.0),)))])
+    @pytest.mark.parametrize("n_x", [1, 2, 8])
+    def test_matches_row_loop(self, n_x, model, r0_prime):
+        # n_x = 1 leaves the last row two nodes, so a first-order end there
+        grid = SolveGrid(t_star=0.5, dt=1.0 / 16, x_max=n_x / 16)
+        _, factor, handle, r0 = setup(model, grid=grid, seed=3)
+        rep = solve_monotone(factor, VOL, handle, SolverConfig())
+        assert rep.status == STATUS_CONVERGED
+        r0p = -np.exp(-grid.x_wide) if r0_prime else None
+        got = strong_residual(rep, r0, VOL, handle, r0_prime=r0p)
+        want = loop_strong_residual(rep, r0, VOL, handle, r0_prime=r0p)
+        assert (got.sup, got.l2) == (want.sup, want.l2)
+        assert np.array_equal(got.per_t, want.per_t)
 
     def test_vanishing_r0_rejected(self):
         grid = GRID
@@ -597,6 +613,32 @@ def ref_field_row_norms(field_mat, grid, weights):
         return np.sqrt(panels.sum(axis=-1))
 
 
+def loop_strong_residual(report, r0, vol, exponent, r0_prime=None):
+    """strong_residual with d/dx r and the norms taken one row at a time, over
+    each row's whole valid range."""
+    grid, r, dt = report.grid, report.field, report.grid.dt
+    lam = float(vol.lam(np.zeros(1))[0])
+    r0v = r0.values[: grid.n_w + 1]
+    if r0_prime is None:
+        r0p = np.gradient(r0.values, dt)[: grid.n_w + 1]
+    else:
+        r0p = np.asarray(r0_prime, dtype=float)[: grid.n_w + 1]
+    cum = _cumtrapz_rows(lam * np.where(ref_mask(grid), r, 0.0), dt)
+    jpp = ref_on_triangle(exponent.J_second, cum, grid, "J''", exponent.domain_sup)
+    term = ref_sum_along_t(jpp * r, grid) * (dt * lam * lam)
+    rhs = r * (grid.shifted(r0p) / grid.shifted(r0v) + term)
+    weights = np.exp(report.gamma * grid.x_wide)
+    per_t = np.zeros(grid.n_t + 1)
+    sup = 0.0
+    for i in range(grid.n_t + 1):
+        w = grid.n_w - i
+        lhs = np.gradient(r[i, : w + 1], dt, edge_order=2 if w >= 2 else 1)
+        diff = (lhs - rhs[i, : w + 1])[: grid.n_x + 1]
+        per_t[i] = math.sqrt(trapezoid(diff**2 * weights[: grid.n_x + 1], dx=dt))
+        sup = max(sup, float(np.max(np.abs(diff))))
+    return StrongResidual(sup=sup, l2=float(np.max(per_t)), per_t=per_t)
+
+
 def serial_solve(factor, vol, exponent, cfg, h0="zero", keep_iterates=False):
     """The monotone iteration for one path, written as a plain loop over the
     frozen reference step."""
@@ -605,7 +647,7 @@ def serial_solve(factor, vol, exponent, cfg, h0="zero", keep_iterates=False):
     sup_r0 = float(np.max(np.abs(r0v)))
     cap = cfg.cap if cfg.cap is not None else 1e8 * (1.0 + sup_r0)
     r0_norm = math.sqrt(trapezoid(r0v**2 * np.exp(cfg.gamma * grid.x_wide), dx=grid.dt))
-    c1 = a_priori_c1(factor.b_bar, r0_norm, vol.lambda_bar, grid.t_star, cfg.gamma, exponent)
+    (c1,) = a_priori_c1(np.array([factor.b_bar * r0_norm]), vol.lambda_bar, grid.t_star, cfg.gamma, exponent)
     z_probe = vol.lambda_bar * c1 / math.sqrt(cfg.gamma) if c1 is not None else vol.lambda_bar * cap * grid.x_max
     jp = exponent.J_prime(np.array([z_probe]))[0]
     if jp == -INF or (jp == INF and z_probe >= exponent.domain_sup):
@@ -797,7 +839,7 @@ class TestSolveBatch:
         vol, handle, cfg = ConstantVol(0.5), ExponentHandle(model), SolverConfig()
         grid = SolveGrid(t_star=1.0, dt=1.0 / 8, x_max=1.0)
         paths = [simulate(model, SimConfig(t_star=1.0, dt=grid.dt, seed=s)) for s in (1, 137, 113)]
-        factors = compute_a(paths, vol, r0_exp(grid), 0.0, grid).unstack()
+        factors = compute_a(paths, vol, r0_exp(grid), 0.0, grid)
         assert np.nanmin(factors[1].a) < 0.0
         assert solve_monotone(factors[0], vol, handle, cfg).status == STATUS_CONVERGED
         errors = []

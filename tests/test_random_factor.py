@@ -12,8 +12,6 @@ from levyhjmm.random_factor import (
     ConstantVol,
     ExpAffineVol,
     TabulatedVol,
-    compute_I1,
-    compute_I2,
     compute_a,
 )
 
@@ -73,10 +71,19 @@ class TestVolatilitySpecs:
             TabulatedVol(dx=0.1, values=np.array([1.0, -0.5, 1.0]))
 
 
+def I1_of(path, vol, grid=GRID):
+    return compute_a(path, vol, r0_exp(grid), 0.0, grid).I1
+
+
+def I2_of(path, vol, grid=GRID):
+    f = compute_a(path, vol, r0_exp(grid), 0.0, grid)
+    return f.I2, f.positivity_ok
+
+
 class TestI1:
     def test_constant_vol_pure_drift(self):
         path = simulate(LevyModel(a=1.0), SimConfig(t_star=1.0, dt=GRID.dt, seed=0))
-        I1 = compute_I1(path, ConstantVol(2.0), GRID)
+        I1 = I1_of(path, ConstantVol(2.0))
         assert triangle_err(GRID, I1, lambda t, xs: 2.0 * t * np.ones_like(xs)) < 1e-14
 
     def test_varying_vol_against_fine_quadrature(self):
@@ -85,7 +92,7 @@ class TestI1:
         grid = SolveGrid(t_star=0.5, dt=dt, x_max=0.5)
         vol = ExpAffineVol(c0=1.0, c1=1.0, beta=1.0)
         path = simulate(LevyModel(a=1.0), SimConfig(t_star=0.5, dt=dt, seed=0))
-        I1 = compute_I1(path, vol, grid)
+        I1 = I1_of(path, vol, grid)
         for (ti, xj) in [(8, 3), (32, 0), (64, 20)]:
             t, x = grid.t[ti], grid.x_wide[xj]
             ref = quad(lambda s: 1.0 + math.exp(-(t - s + x)), 0.0, t, epsabs=1e-12)[0]
@@ -93,32 +100,32 @@ class TestI1:
 
     def test_single_jump_constant_vol(self):
         path = manual_path([0.5], [1.0])
-        I1 = compute_I1(path, ConstantVol(2.0), GRID)
+        I1 = I1_of(path, ConstantVol(2.0))
         assert triangle_err(GRID, I1, lambda t, xs: np.where(t >= 0.5, 2.0, 0.0) * np.ones_like(xs)) == 0.0
 
 
 class TestI2:
     def test_no_jumps(self):
         path = simulate(LevyModel(a=1.0), SimConfig(t_star=1.0, dt=GRID.dt, seed=0))
-        I2, ok = compute_I2(path, ConstantVol(1.0), GRID)
+        I2, ok = I2_of(path, ConstantVol(1.0))
         assert ok
         assert triangle_err(GRID, I2, lambda t, xs: np.ones_like(xs)) == 0.0
 
     def test_single_jump_factor(self):
         path = manual_path([0.5], [1.0])
-        I2, _ = compute_I2(path, ConstantVol(1.0), GRID)
+        I2, _ = I2_of(path, ConstantVol(1.0))
         expect = lambda t, xs: np.where(t >= 0.5, 2.0 * math.exp(-1.0), 1.0) * np.ones_like(xs)
         assert triangle_err(GRID, I2, expect) < 1e-15
 
     def test_two_jumps_multiplicative(self):
-        both = compute_I2(manual_path([0.3, 0.6], [1.0, 0.5]), ConstantVol(1.0), GRID)[0]
-        first = compute_I2(manual_path([0.3], [1.0]), ConstantVol(1.0), GRID)[0]
-        second = compute_I2(manual_path([0.6], [0.5]), ConstantVol(1.0), GRID)[0]
+        both = I2_of(manual_path([0.3, 0.6], [1.0, 0.5]), ConstantVol(1.0))[0]
+        first = I2_of(manual_path([0.3], [1.0]), ConstantVol(1.0))[0]
+        second = I2_of(manual_path([0.6], [0.5]), ConstantVol(1.0))[0]
         np.testing.assert_allclose(both, first * second, rtol=1e-14)
 
     def test_positivity_flag_lowered(self):
         path = manual_path([0.5], [-1.5])  # 1 + lambda*y = -0.5 < 0
-        I2, ok = compute_I2(path, ConstantVol(1.0), GRID)
+        I2, ok = I2_of(path, ConstantVol(1.0))
         assert not ok
         assert np.isfinite(I2[GRID.n_t, 0])
 
@@ -190,7 +197,8 @@ class TestRandomFactor:
 
 
 class TestStackedFactor:
-    """compute_a over a stack of paths equals compute_a path by path, bit for bit."""
+    """compute_a over a sequence of paths gives the fields of compute_a path
+    by path, bit for bit."""
 
     VOLS = (
         ConstantVol(0.7),
@@ -216,25 +224,27 @@ class TestStackedFactor:
         paths = [simulate(model, SimConfig(t_star=1.0, dt=GRID.dt, seed=s)) for s in range(8)]
         sizes = np.concatenate([p.jump_sizes for p in paths])
         assert sizes.min() <= -2.0 and sizes.max() > 0.0
-        stack = compute_a(paths, vol, r0_exp(), q, GRID)
-        assert stack.a.shape == (len(paths), GRID.n_t + 1, GRID.n_w + 1)
-        for k, (path, unstacked) in enumerate(zip(paths, stack.unstack())):
+        fields = compute_a(paths, vol, r0_exp(), q, GRID)
+        assert type(fields) is list and len(fields) == len(paths)
+        for path, got in zip(paths, fields):
             one = compute_a(path, vol, r0_exp(), q, GRID)
             for name in ("I1", "I2", "a", "b"):
-                assert np.array_equal(getattr(stack, name)[k], getattr(one, name), equal_nan=True), name
-                assert np.array_equal(getattr(unstacked, name), getattr(one, name), equal_nan=True), name
-            assert stack.b_bar[k] == one.b_bar == unstacked.b_bar
-            assert stack.positivity_ok[k] == one.positivity_ok == unstacked.positivity_ok
-            I1 = compute_I1([path], vol, GRID)
-            assert np.array_equal(I1[0], compute_I1(path, vol, GRID), equal_nan=True)
-        assert 0 < stack.positivity_ok.sum() < len(paths)
+                assert getattr(got, name).shape == (GRID.n_t + 1, GRID.n_w + 1), name
+                assert np.array_equal(getattr(got, name), getattr(one, name), equal_nan=True), name
+            assert type(got.b_bar) is float and type(got.positivity_ok) is bool
+            assert (got.b_bar, got.positivity_ok) == (one.b_bar, one.positivity_ok)
+            assert np.array_equal(got.lam_nat, one.lam_nat)
+            (alone,) = compute_a([path], vol, r0_exp(), q, GRID)
+            assert np.array_equal(alone.a, one.a, equal_nan=True)
+        # the fields are views into one stacked computation, and share lambda
+        assert all(f.a.base is fields[0].a.base is not None and f.lam_w is fields[0].lam_w for f in fields)
+        assert 0 < sum(f.positivity_ok for f in fields) < len(paths)
 
     def test_single_path_has_no_path_axis(self):
         path = simulate(LevyModel(q=1.0), SimConfig(t_star=1.0, dt=GRID.dt, seed=2))
         f = compute_a(path, ConstantVol(1.0), r0_exp(), 1.0, GRID)
         assert f.a.shape == (GRID.n_t + 1, GRID.n_w + 1)
         assert type(f.b_bar) is float and type(f.positivity_ok) is bool
-        assert f.unstack()[0] is f
 
     def test_empty_stack_rejected(self):
         with pytest.raises(ValueError):
