@@ -4,7 +4,7 @@ discounted-price martingale diagnostics.
 A forward-rate field is stored in the moving frame, r(t, x) with x the time
 to maturity; the natural frame f(t, T) = r(t, T - t) is the lossless index
 remap on the aligned dt = dx grid that the solver sums along
-(`SolveGrid.to_natural`, `to_moving`).
+(`SolveGrid.sum_along_t`).
 """
 
 from __future__ import annotations
@@ -14,14 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .function_space import WeightedCurve, trapezoid
+from .function_space import WeightedCurve, cumulative_trapezoid, trapezoid
 from .grids import SolveGrid
 from .levy_analysis import ExponentHandle
 from .hjmm_solver import (
     STATUS_CONVERGED,
     STATUS_EXPLOSION,
     SolverConfig,
-    _cumtrapz_rows,
     solve_batch,
 )
 from .path_sim import SimConfig, jump_law, simulate_paths
@@ -119,8 +118,8 @@ def hjm_drift_check(
     xs = g.x_wide[: w + 1]
     sigma = vol.lam(xs) * field.values[i, : w + 1]
     # Sigma(T) = int_t^T sigma(t,u) du, cumulative trapezoid from T = t
-    Sigma = _cumtrapz_rows(sigma, g.dt)
-    lhs = _cumtrapz_rows(exponent.J_prime(Sigma) * sigma, g.dt)
+    Sigma = cumulative_trapezoid(sigma, g.dt)
+    lhs = cumulative_trapezoid(exponent.J_prime(Sigma) * sigma, g.dt)
     rhs = exponent.J(Sigma)
     return t + xs, np.abs(lhs - rhs)
 

@@ -343,6 +343,9 @@ def _flag_error(sc: Scenario, args) -> str | None:
     it cannot: the checks argparse cannot make alone."""
     if args.command == "sweep-explosion" and args.k_min_exp > args.k_max_exp:
         return f"argument --k-max-exp: {args.k_max_exp} is below --k-min-exp {args.k_min_exp}"
+    if args.command == "sweep-explosion" and sc.cap is not None:
+        where = "argument --cap" if args.cap is not None else "solver.cap"
+        return f"{where}: sweep-explosion caps each level k at 1e8 (1 + k) and takes no cap"
     if args.command == "check-martingale":
         try:
             _resolve_points(sc.grid, *_martingale_points(sc, args))

@@ -23,6 +23,16 @@ import numpy as np
 trapezoid = np.trapezoid if hasattr(np, "trapezoid") else np.trapz
 
 
+def cumulative_trapezoid(y: np.ndarray, dx: float) -> np.ndarray:
+    """Cumulative trapezoid along the last axis with zero at the first node."""
+    out = np.empty_like(y)
+    out[..., 0] = 0.0
+    avg = 0.5 * (y[..., 1:] + y[..., :-1])
+    np.cumsum(avg, axis=-1, out=out[..., 1:])
+    out[..., 1:] *= dx
+    return out
+
+
 @dataclass(frozen=True)
 class WeightedCurve:
     """A sampled curve with the weight e^{gamma x} attached."""

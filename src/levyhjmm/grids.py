@@ -9,7 +9,10 @@ reads, everything beyond is NaN-poisoned.
 
 On this grid a moving-frame read at t - s + x walks down a column of the
 natural frame T = t + x, so every sum over s of G(s, t - s + x) is one
-cumulative sum per natural-frame column (`SolveGrid.sum_along_t`).
+cumulative sum per natural-frame column (`SolveGrid.sum_along_t`).  Row i
+of the triangle and row i of the natural frame from T = i on hold the same
+entries, so the triangle entries in row-major order (`SolveGrid.triangle`)
+are the one hub between a field and the natural frame.
 """
 
 from __future__ import annotations
@@ -80,10 +83,6 @@ class SolveGrid:
         """Last valid x-index of row i (inclusive)."""
         return self.n_w - i
 
-    def empty_field(self) -> np.ndarray:
-        """NaN-poisoned matrix; entries outside the triangle stay NaN."""
-        return np.full((self.n_t + 1, self.n_w + 1), np.nan)
-
     @cached_property
     def _mask(self) -> np.ndarray:
         i = np.arange(self.n_t + 1)[:, None]
@@ -100,25 +99,39 @@ class SolveGrid:
         """Sup of |field| over the valid triangle."""
         return float(np.nanmax(np.abs(self.triangle(field))))
 
+    # The index tables, each read by one gather.  The natural frame holds
+    # Gn[i, T] = G[i, T - i] for T >= i.
+
     @cached_property
     def _triangle_idx(self) -> np.ndarray:
-        """Flat indices of the triangle, row-major."""
+        """Flat field index of each triangle entry, row-major: `triangle` order."""
         return np.flatnonzero(self._mask)
 
     @cached_property
-    def _remaps(self) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-        """For to_natural and to_moving: the flat index each entry is read
-        from, and the mask of the entries that are filled instead (they read
-        an arbitrary entry of their row first)."""
+    def _natural_idx(self) -> np.ndarray:
+        """The `triangle` position that each natural-frame node (i, T) reads:
+        that of (i, T - i), or one past the last (a pad entry) for T < i."""
+        tri = self._triangle_idx
+        idx = np.full(self._mask.size, tri.size)
+        idx[tri + tri // (self.n_w + 1)] = np.arange(tri.size)
+        return idx.reshape(self._mask.shape)
+
+    @cached_property
+    def _moving_idx(self) -> np.ndarray:
+        """The flat natural-frame index that each field node (i, j) reads:
+        that of (i, i + j) on the triangle, that of (n_t, 0) beyond it."""
         i = np.arange(self.n_t + 1)[:, None]
         j = np.arange(self.n_w + 1)[None, :]
-        row = i * (self.n_w + 1)
-        natural = (row + np.maximum(j - i, 0)).ravel(), j < i
-        moving = (row + np.minimum(i + j, self.n_w)).ravel(), ~self._mask
-        return natural, moving
+        return np.where(self._mask, i * (self.n_w + 2) + j, self.n_t * (self.n_w + 1))
+
+    @cached_property
+    def _column_idx(self) -> np.ndarray:
+        """The x-index j of each triangle entry, in `triangle` order."""
+        return self._triangle_idx % (self.n_w + 1)
 
     # Fields may carry leading axes (a stack of paths); the helpers below act
-    # on the last two axes and keep the leading ones.
+    # on the last two axes, or on the last axis of triangle entries, and keep
+    # the leading ones.
 
     def triangle(self, field) -> np.ndarray:
         """The entries of field on the triangle, in row-major order, along one last axis."""
@@ -126,72 +139,44 @@ class SolveGrid:
         flat = field.reshape(field.shape[:-2] + (field.shape[-2] * field.shape[-1],))
         return flat.take(self._triangle_idx, axis=-1)
 
-    def from_triangle(self, values: np.ndarray) -> np.ndarray:
-        """Inverse of `triangle`: the field, NaN beyond the triangle."""
-        out = np.full(values.shape[:-1] + (self._mask.size,), np.nan)
-        out[..., self._triangle_idx] = values
-        return out.reshape(values.shape[:-1] + self._mask.shape)
+    def curve_on_triangle(self, curve: np.ndarray) -> np.ndarray:
+        """A curve on the wide x-grid read at each triangle entry (i, j), curve(x_j),
+        in `triangle` order."""
+        return curve.take(self._column_idx)
 
-    @cached_property
-    def _natural_idx(self) -> np.ndarray:
-        """Flat natural-frame index (i, i + j) of each triangle entry, in `triangle` order."""
-        return self._triangle_idx + self._triangle_idx // (self.n_w + 1)
-
-    def natural_from_triangle(self, values: np.ndarray) -> np.ndarray:
-        """The natural-frame field of the `triangle` entries values: f[i, i + j]
-        = values at (i, j), 0 for T < i."""
-        rows, cols = self.n_t + 1, self.n_w + 1
-        out = np.zeros(values.shape[:-1] + (rows * cols,))
-        out[..., self._natural_idx] = values
-        return out.reshape(values.shape[:-1] + (rows, cols))
-
-    @staticmethod
-    def _remap(field, remap, fill: float | None) -> np.ndarray:
-        """field read at the flat indices of remap; fill None leaves the
-        entries it would fill as read."""
-        idx, filled = remap
-        field = np.asarray(field, dtype=float)
-        out = field.reshape(field.shape[:-2] + (idx.size,)).take(idx, axis=-1).reshape(field.shape)
-        if fill is not None:
-            np.copyto(out, fill, where=filled)
-        return out
-
-    def to_natural(self, field: np.ndarray, fill: float = np.nan) -> np.ndarray:
-        """f[i, T] = field[i, T - i] for T >= i; `fill` elsewhere."""
-        return self._remap(field, self._remaps[0], fill)
-
-    def to_moving(self, field: np.ndarray) -> np.ndarray:
-        """r[i, j] = field[i, i + j] on the triangle; NaN beyond it."""
-        return self._remap(field, self._remaps[1], np.nan)
+    def _moving(self, En: np.ndarray) -> np.ndarray:
+        """The field E[i, j] = En[i, i + j] of the natural-frame En, NaN beyond
+        the triangle: every node there reads En[n_t, 0], which lies below the
+        diagonal (T = 0 < n_t), where no triangle node reads, and is set to NaN."""
+        En[..., -1, 0] = np.nan
+        return En.reshape(En.shape[:-2] + (-1,)).take(self._moving_idx, axis=-1)
 
     def shifted(self, curve: np.ndarray) -> np.ndarray:
         """The curve read in the moving frame, curve(t_i + x_j), on the triangle."""
-        return self.to_moving(np.broadcast_to(curve[: self.n_w + 1], (self.n_t + 1, self.n_w + 1)))
+        # in the natural frame the read is curve(T) in every row
+        return self._moving(np.tile(np.asarray(curve[: self.n_w + 1], dtype=float), (self.n_t + 1, 1)))
 
-    def sum_along_t(self, G: np.ndarray, rule: str = "trapezoid") -> np.ndarray:
-        """E[i, j] = sum_{k <= i} w_k G[k, i - k + j] over the triangle, NaN beyond.
+    def sum_along_t(self, values: np.ndarray, rule: str = "trapezoid") -> np.ndarray:
+        """The field E[i, j] = sum_{k <= i} w_k G[k, i - k + j] of the G whose
+        `triangle` entries are values; NaN beyond the triangle.
 
         rule "trapezoid": w_0 = w_i = 1/2, 1 in between, E[0] = 0;
-        rule "left": w_k = 1 for k < i, w_i = 0.  This is `cumsum_natural`
-        between the two frame remaps.
+        rule "left": w_k = 1 for k < i, w_i = 0.  E is one cumulative sum
+        down each column of the natural frame Gn[i, T] = G[i, T - i] (0 for
+        T < i).  The terms are summed in order of k, so E equals the
+        row-by-row loop over k bit for bit, and nothing is subtracted, so an
+        infinite term never turns into NaN.
         """
-        return self.to_moving(self.cumsum_natural(self.to_natural(G, fill=0.0), rule))
-
-    @staticmethod
-    def cumsum_natural(Gn: np.ndarray, rule: str = "trapezoid") -> np.ndarray:
-        """sum_along_t in the natural frame: En[i, T] = sum_{k <= i} w_k Gn[k, T]
-        for Gn[i, T] = G[i, T - i], 0 for T < i.  Gn is scaled in place.
-
-        The terms are summed in order of k, so E equals the row-by-row loop
-        over k bit for bit, and nothing is subtracted, so an infinite term
-        never turns into NaN.
-        """
+        if rule not in ("trapezoid", "left"):
+            raise ValueError(f"rule must be 'trapezoid' or 'left', got {rule!r}")
+        lead = values.shape[:-1]
+        # values, padded with the 0 that the nodes T < i read
+        Gn = np.concatenate((values, np.zeros(lead + (1,))), axis=-1).take(self._natural_idx, axis=-1)
         if rule == "trapezoid":
             Gn[..., 0, :] *= 0.5
-        elif rule != "left":
-            raise ValueError(f"rule must be 'trapezoid' or 'left', got {rule!r}")
         En = np.zeros_like(Gn)
         np.cumsum(Gn[..., :-1, :], axis=-2, out=En[..., 1:, :])
         if rule == "trapezoid":
-            En[..., 1:, :] += 0.5 * Gn[..., 1:, :]
-        return En
+            Gn[..., 1:, :] *= 0.5
+            En[..., 1:, :] += Gn[..., 1:, :]
+        return self._moving(En)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .function_space import WeightedCurve, trapezoid
+from .function_space import WeightedCurve, cumulative_trapezoid, trapezoid
 from .grids import SolveGrid
 from .levy_analysis import ExponentDomainError, ExponentHandle
 from .path_sim import LevyPathRecord, SimConfig, simulate
@@ -74,16 +74,6 @@ class SolveReport:
     detail: dict = field(default_factory=dict)
     residuals: dict = field(default_factory=dict)
     iterates: list[np.ndarray] | None = None
-
-
-def _cumtrapz_rows(mat: np.ndarray, dx: float) -> np.ndarray:
-    """Cumulative trapezoid along the last axis with zero at the first node."""
-    out = np.empty_like(mat)
-    out[..., 0] = 0.0
-    avg = 0.5 * (mat[..., 1:] + mat[..., :-1])
-    np.cumsum(avg, axis=-1, out=out[..., 1:])
-    out[..., 1:] *= dx
-    return out
 
 
 def _domain_fault(z: np.ndarray, vals: np.ndarray, domain_sup: float) -> np.ndarray:
@@ -146,23 +136,18 @@ def apply_K(h: np.ndarray, factor: RandomFactorField, exponent: ExponentHandle) 
 
     h may be a stack of fields over leading axes, with factor.a stacked
     alike, or one field for every path of the stack; lambda is read from
-    factor.lam_w, and in the natural frame from factor.lam_nat.  The J'
-    terms go straight into the natural frame (T = t + x), where
-    sum_along_t is a prefix sum over t.  factor.a is NaN
-    beyond the triangle, as compute_a makes it, and so is K(h).  Raises
-    ExponentDomainError when a needed argument of J' is negative or J' has
-    a domain fault there.
+    factor.lam_w.  J' lambda goes into sum_along_t as triangle entries.
+    factor.a is NaN beyond the triangle, as compute_a makes it, and so is
+    K(h).  Raises ExponentDomainError when a needed argument of J' is
+    negative or J' has a domain fault there.
     """
     grid, lam_w = factor.grid, factor.lam_w
-    cum = _cumtrapz_rows(lam_w * h, grid.dt)
+    cum = cumulative_trapezoid(lam_w * h, grid.dt)
     with np.errstate(over="ignore"):
-        Gn = grid.natural_from_triangle(_on_triangle(exponent.J_prime, cum, grid, "J'", exponent.domain_sup))
-        Gn *= factor.lam_nat
-        # back to the moving frame without a NaN fill: beyond the triangle an
-        # entry is that of another node of its natural-frame row, and a is NaN
-        S = grid._remap(grid.cumsum_natural(Gn), grid._remaps[1], None)
+        G = _on_triangle(exponent.J_prime, cum, grid, "J'", exponent.domain_sup)
+        G *= grid.curve_on_triangle(lam_w)
         # row 0 sums nothing, so exp(0) keeps it equal to a(0, x)
-        return factor.a * np.exp(grid.dt * S)
+        return factor.a * np.exp(grid.dt * grid.sum_along_t(G))
 
 
 #: a_priori_c1's log grid of c, 60 points per decade from 1e-8 to 1e12, and ln c
@@ -201,7 +186,6 @@ class _FactorStack:
     grid: SolveGrid
     a: np.ndarray
     lam_w: np.ndarray
-    lam_nat: np.ndarray
 
 
 def solve_monotone(
@@ -287,7 +271,6 @@ def solve_batch(
         fail(k, ExponentDomainError(z_probe[k]))
 
     a = np.stack([f.a for f in factors])
-    lam_nat = factors[0].lam_nat
     # h: the last iterate of the active paths, NaN beyond the triangle as K(h)
     # is, so its sup and change over the whole field are those over the
     # triangle.  h0 = 0 is one field for every path, so apply_K finds the
@@ -308,7 +291,7 @@ def solve_batch(
         while active.size:
             h, a_act = h[: active.size], a_act[: active.size]
             try:
-                h_next = apply_K(h, _FactorStack(grid, a_act, lam_w, lam_nat), exponent)
+                h_next = apply_K(h, _FactorStack(grid, a_act, lam_w), exponent)
                 break
             except ExponentDomainError as err:
                 if err.path is None:  # not tied to one path: nothing to drop
@@ -399,18 +382,18 @@ def mild_residual(
     r = report.field
     model = path.model
     lam_w = factor.lam_w
-    cum = _cumtrapz_rows(lam_w[None, :] * r, grid.dt)
+    cum = cumulative_trapezoid(lam_w[None, :] * r, grid.dt)
     dt = grid.dt
     weights = np.exp(report.gamma * grid.x_wide)
 
     dW = path.brownian_increments
     dLc = (model.a - path.m_n) * dt + dW[: grid.n_t] if dW.size else np.full(grid.n_t, (model.a - path.m_n) * dt)
 
-    jp = grid.from_triangle(_on_triangle(exponent.J_prime, cum, grid, "J'", exponent.domain_sup))
+    jp = _on_triangle(exponent.J_prime, cum, grid, "J'", exponent.domain_sup)
     lam_r = lam_w * r
-    drift = dt * grid.sum_along_t(jp * lam_r)
+    drift = dt * grid.sum_along_t(jp * grid.triangle(lam_r))
     dLc_rows = np.append(dLc, 0.0)[:, None]
-    rhs = grid.shifted(r0.values) + drift + grid.sum_along_t(lam_r * dLc_rows, rule="left")
+    rhs = grid.shifted(r0.values) + drift + grid.sum_along_t(grid.triangle(lam_r * dLc_rows), rule="left")
     for s_m, y_m in zip(path.jump_times, path.jump_sizes):
         # the jump enters every row with t_i >= s_m, at the field's left limit
         i0 = int(np.searchsorted(grid.t, s_m, side="left"))
@@ -447,9 +430,9 @@ def gronwall_check(
     dv = np.where(mask, d, np.nan)
     if np.nanmin(dv) < 0.0:
         raise ValueError("d must be nonnegative")
-    inner = _cumtrapz_rows(np.where(mask, d, 0.0), grid.dt)
+    inner = cumulative_trapezoid(np.where(mask, d, 0.0), grid.dt)
     dt = grid.dt
-    rhs = grid.sum_along_t(inner) * dt
+    rhs = grid.sum_along_t(grid.triangle(inner)) * dt
     bad = d > C * rhs + atol
     holds = not np.any(bad)
     witness = None
@@ -508,10 +491,10 @@ def strong_residual(
         r0p = np.asarray(r0_prime, dtype=float)[: grid.n_w + 1]
 
     r = report.field
-    cum = _cumtrapz_rows(lam * np.where(grid.valid_mask(), r, 0.0), grid.dt)
-    jpp = grid.from_triangle(_on_triangle(exponent.J_second, cum, grid, "J''", exponent.domain_sup))
+    cum = cumulative_trapezoid(lam * np.where(grid.valid_mask(), r, 0.0), grid.dt)
+    jpp = _on_triangle(exponent.J_second, cum, grid, "J''", exponent.domain_sup)
     dt = grid.dt
-    term = grid.sum_along_t(jpp * r) * (dt * lam * lam)
+    term = grid.sum_along_t(jpp * grid.triangle(r)) * (dt * lam * lam)
     rhs = r * (grid.shifted(r0p) / grid.shifted(r0v) + term)
     n_t, n_x = grid.n_t, grid.n_x
     # d/dx r on x <= x_max of each row, as np.gradient of its whole valid

@@ -289,10 +289,9 @@ REGIME_INDETERMINATE = "Indeterminate"
 
 @dataclass(frozen=True)
 class ExponentReport:
-    """Exponent table, condition flags, growth regime and rho-fit diagnostics."""
+    """Condition flags, growth regime and rho-fit diagnostics."""
 
     domain_sup: float
-    values: tuple[tuple[float, float, float, float], ...]
     flags: dict[str, str]
     regime: str
     rho_estimate: float | None = None
@@ -302,12 +301,11 @@ class ExponentReport:
 
 def classify(
     model: LevyModel,
-    z_grid=None,
     *,
     z0: float = 1.0,
     lambda_bar_t_star: float | None = None,
 ) -> ExponentReport:
-    """Evaluate the exponent on a z-grid and decide every named condition.
+    """Decide every named condition of the exponent.
 
     The regime is ExplosionProne when B3 holds, GlobalSafe when B4 holds and
     Indeterminate otherwise.  The product lambda_bar * T_star only enters the
@@ -322,17 +320,8 @@ def classify(
     else:
         regime = REGIME_INDETERMINATE
     fit = rho_fit(model.nu)
-    values: tuple = ()
-    if z_grid is not None:
-        zs = np.asarray(z_grid, dtype=float)
-        J, Jp, Jpp = (_eval(model, zs, d) for d in range(3))
-        values = tuple(
-            (float(z), float(a), float(b), float(c))
-            for z, a, b, c in zip(zs, J, Jp, Jpp)
-        )
     return ExponentReport(
         domain_sup=domain_sup(model),
-        values=values,
         flags=flags,
         regime=regime,
         rho_estimate=None if fit is None else fit[0],

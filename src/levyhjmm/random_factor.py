@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -162,11 +161,6 @@ class RandomFactorField:
     positivity_ok: bool
     lam_w: np.ndarray
 
-    @cached_property
-    def lam_nat(self) -> np.ndarray:
-        """lambda(T - t_i) in the natural frame, 0 for T < t_i."""
-        return self.grid.to_natural(np.broadcast_to(self.lam_w, self.grid.valid_mask().shape), fill=0.0)
-
 
 def _I1(paths: list[LevyPathRecord], vol: Volatility, lam_w: np.ndarray, grid: SolveGrid) -> np.ndarray:
     """Integration-by-parts form of int_0^t lambda(t-s+x) dL(s), trapezoid in
@@ -174,7 +168,7 @@ def _I1(paths: list[LevyPathRecord], vol: Volatility, lam_w: np.ndarray, grid: S
     L = np.stack([p.grid_values[: grid.n_t + 1] for p in paths])[..., None]
     out = lam_w * L
     if not vol.is_constant:
-        out = out + grid.dt * grid.sum_along_t(vol.lam_prime(grid.x_wide) * L)
+        out = out + grid.dt * grid.sum_along_t(grid.triangle(vol.lam_prime(grid.x_wide) * L))
     return np.where(grid.valid_mask(), out, np.nan)
 
 
@@ -192,7 +186,8 @@ def _I2(paths: list[LevyPathRecord], vol: Volatility, grid: SolveGrid) -> tuple[
         for s_m, y_m in zip(path.jump_times, path.jump_sizes):
             if s_m > grid.t_star:
                 break
-            i0 = int(np.searchsorted(grid.t, s_m - 1e-15 * max(1.0, s_m), side="left"))
+            # the first row at or after the jump, as in L(t) (path_sim._grid_values)
+            i0 = int(np.searchsorted(grid.t, s_m, side="left"))
             lam_v = vol.lam((grid.t[i0:, None] - s_m) + grid.x_wide)
             factor = 1.0 + lam_v * y_m
             if np.any((factor <= 0.0) & mask[i0:]):
@@ -243,7 +238,7 @@ def compute_a(
         # trapezoid of a constant is exact
         Q = np.where(mask, lam_sq[0] * grid.t[:, None], np.nan)
     else:
-        Q = grid.dt * grid.sum_along_t(np.broadcast_to(lam_sq, mask.shape))
+        Q = grid.dt * grid.sum_along_t(grid.curve_on_triangle(lam_sq))
 
     with np.errstate(over="ignore"):
         b = np.exp(I1 - 0.5 * q * Q) * I2

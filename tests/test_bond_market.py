@@ -43,7 +43,7 @@ def solved_field(model, grid=GRID, seed=3, vol=ConstantVol(0.5), gamma=1.0):
 
 class TestFrames:
     def test_frame_guards(self):
-        # a field is stored in the moving frame; SolveGrid.to_natural is the only remap
+        # a field is stored in the moving frame; only SolveGrid.sum_along_t reads it in the natural frame
         vals = constant_field(0.05).values
         for frame in ("Natural", "moving"):
             with pytest.raises(ValueError, match="unknown frame"):

@@ -437,6 +437,7 @@ class TestFlagValidation:
             (["check-martingale", "--checkpoints", "0.33"], "--checkpoints"),
             (["check-martingale", "--maturities", "5"], "--maturities"),
             (["check-martingale", "--maturities", "0.25", "--checkpoints", "0.5"], "--maturities"),
+            (["sweep-explosion", "--cap", "2"], "--cap"),
         ],
     )
     def test_bad_flag_exits_2(self, tmp_path, capsys, cmd, flag):
@@ -446,6 +447,15 @@ class TestFlagValidation:
             main([cmd[0], scen, "--out-dir", str(out), *cmd[1:]])
         assert exc.value.code == 2
         assert f"error: argument {flag}: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_rejects_scenario_cap(self, tmp_path, capsys):
+        scen = write_scenario(tmp_path, {**POISSON, "solver": {"cap": 2.0}})
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep-explosion", scen, "--out-dir", str(out)])
+        assert exc.value.code == 2
+        assert "error: solver.cap: " in capsys.readouterr().err
         assert not out.exists()
 
     def test_points_on_the_grid_accepted(self, tmp_path):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from levyhjmm.function_space import WeightedCurve, trapezoid
+from levyhjmm.function_space import WeightedCurve, cumulative_trapezoid, trapezoid
 from levyhjmm.grids import SolveGrid
 from levyhjmm.levy_analysis import (
     REGIME_EXPLOSION,
@@ -23,7 +23,6 @@ from levyhjmm.hjmm_solver import (
     SolveReport,
     SolverConfig,
     StrongResidual,
-    _cumtrapz_rows,
     a_priori_c1,
     apply_K,
     explosion_sweep,
@@ -51,8 +50,12 @@ def setup(model, grid=GRID, seed=1, vol=VOL, gamma=1.0, r0=None):
     return path, factor, ExponentHandle(model), r0
 
 
+def nan_field(grid):
+    return np.full(grid.valid_mask().shape, np.nan)
+
+
 def zero_field(grid):
-    h = grid.empty_field()
+    h = nan_field(grid)
     for i in range(grid.n_t + 1):
         h[i, : grid.row_width(i) + 1] = 0.0
     return h
@@ -149,7 +152,7 @@ class TestApplyK:
 
 def loop_sum(grid, G, rule="trapezoid"):
     """sum_{k<=i} w_k G[k, i-k+j], one row and one k at a time."""
-    out = grid.empty_field()
+    out = nan_field(grid)
     for i in range(grid.n_t + 1):
         w = grid.row_width(i)
         E = np.zeros(w + 1)
@@ -164,8 +167,8 @@ def loop_apply_K(h, factor, vol, exponent):
     """The fixed-point operator with one J' call per (row, k) pair."""
     grid = factor.grid
     lam_w = vol.lam(grid.x_wide)
-    cum = _cumtrapz_rows(lam_w[None, :] * h, grid.dt)
-    out = grid.empty_field()
+    cum = cumulative_trapezoid(lam_w[None, :] * h, grid.dt)
+    out = nan_field(grid)
     out[0, :] = factor.a[0, :]
     for i in range(1, grid.n_t + 1):
         w = grid.row_width(i)
@@ -202,24 +205,38 @@ class TestNaturalFrameKernel:
 
     @pytest.mark.parametrize("rule", ["trapezoid", "left"])
     def test_sum_along_t_matches_loop(self, rule):
-        grid = SolveGrid(t_star=0.75, dt=0.125, x_max=0.5)
-        G = np.random.default_rng(9).normal(size=grid.valid_mask().shape)
-        assert_same_triangle(grid, grid.sum_along_t(G, rule=rule), loop_sum(grid, G, rule), 1e-14)
+        for t_star, dt in [(0.75, 0.125), (0.5, 1.0 / 128), (1.0, 1.0 / 16)]:
+            grid = SolveGrid(t_star=t_star, dt=dt, x_max=0.5)
+            G = np.random.default_rng(9).normal(size=grid.valid_mask().shape)
+            got = grid.sum_along_t(grid.triangle(G), rule=rule)
+            assert np.array_equal(got, loop_sum(grid, G, rule), equal_nan=True)
+            assert np.array_equal(np.isnan(got), ~grid.valid_mask())
 
     def test_sum_along_t_rejects_unknown_rule(self):
         with pytest.raises(ValueError):
-            GRID.sum_along_t(np.zeros(GRID.valid_mask().shape), rule="midpoint")
+            GRID.sum_along_t(GRID.triangle(np.zeros(GRID.valid_mask().shape)), rule="midpoint")
 
     def test_frame_round_trip(self):
+        # triangle order is row-major, and sum_along_t reads each entry at its
+        # place: with rule "left", the G that is one at (k, m) and zero
+        # elsewhere sums to one at (i, k + m - i) for k < i <= k + m, and to
+        # zero at every other node of the triangle
         grid = SolveGrid(t_star=0.75, dt=0.125, x_max=0.5)
         mask = grid.valid_mask()
         r = np.where(mask, np.random.default_rng(4).normal(size=mask.shape), np.nan)
-        nat = grid.to_natural(r)
-        for i in range(grid.n_t + 1):
-            assert np.all(np.isnan(nat[i, :i]))
-            np.testing.assert_array_equal(nat[i, i:], r[i, : grid.row_width(i) + 1])
-        np.testing.assert_array_equal(grid.to_moving(nat), r)
-        np.testing.assert_array_equal(grid.to_natural(grid.to_moving(nat)), nat)
+        np.testing.assert_array_equal(grid.triangle(r), r[mask])
+        rows, cols = np.nonzero(mask)
+        for p, (k, m) in enumerate(zip(rows, cols)):
+            unit = np.zeros(rows.size)
+            unit[p] = 1.0
+            want = np.where(mask, 0.0, np.nan)
+            for i in range(k + 1, min(k + m, grid.n_t) + 1):
+                want[i, k + m - i] = 1.0
+            np.testing.assert_array_equal(grid.sum_along_t(unit, rule="left"), want)
+        curve = np.arange(grid.n_w + 1.0)
+        i, j = np.indices(mask.shape)
+        np.testing.assert_array_equal(grid.shifted(curve), np.where(mask, i + j, np.nan))
+        np.testing.assert_array_equal(grid.curve_on_triangle(curve), cols)
 
     def test_grid_caches(self):
         grid = SolveGrid(t_star=0.75, dt=0.125, x_max=0.5)
@@ -594,7 +611,7 @@ def ref_on_triangle(fn, z, grid, what, domain_sup):
 
 def ref_apply_K(h, factor, exponent):
     grid, lam_w = factor.grid, factor.lam_w
-    cum = _cumtrapz_rows(lam_w * h, grid.dt)
+    cum = cumulative_trapezoid(lam_w * h, grid.dt)
     with np.errstate(over="ignore"):
         jp = ref_on_triangle(exponent.J_prime, cum, grid, "J'", exponent.domain_sup)
         return factor.a * np.exp(grid.dt * ref_sum_along_t(jp * lam_w, grid))
@@ -623,7 +640,7 @@ def loop_strong_residual(report, r0, vol, exponent, r0_prime=None):
         r0p = np.gradient(r0.values, dt)[: grid.n_w + 1]
     else:
         r0p = np.asarray(r0_prime, dtype=float)[: grid.n_w + 1]
-    cum = _cumtrapz_rows(lam * np.where(ref_mask(grid), r, 0.0), dt)
+    cum = cumulative_trapezoid(lam * np.where(ref_mask(grid), r, 0.0), dt)
     jpp = ref_on_triangle(exponent.J_second, cum, grid, "J''", exponent.domain_sup)
     term = ref_sum_along_t(jpp * r, grid) * (dt * lam * lam)
     rhs = r * (grid.shifted(r0p) / grid.shifted(r0v) + term)
