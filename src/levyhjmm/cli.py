@@ -1,12 +1,16 @@
 """Scenario-driven command line front end.
 
 Subcommands: report-exponent, classify, simulate-path, solve,
-sweep-explosion, price, check-martingale.  Every output embeds the
-effective scenario hash, the seed and the tool version; JSON reports also
-carry a timestamp field (the only part excluded from byte-identity).
+sweep-explosion, price, check-martingale.  The flags --seed --grid-dt --tol
+--max-iter --cap override scenario fields, and each command takes only the
+ones it reads: none for report-exponent and classify, --seed and --grid-dt
+for simulate-path, all but --cap for sweep-explosion, all five for solve,
+price and check-martingale.  Every output embeds the effective scenario
+hash, the seed and the tool version; JSON reports also carry a timestamp
+field (the only part excluded from byte-identity).
 
-Exit codes: 0 ok, 2 a bad flag (the message names it; nothing is computed
-or written) or a scenario schema error, 3 exponent-domain error,
+Exit codes: 0 ok, 2 a bad or unknown flag (the message names it; nothing
+is computed or written) or a scenario schema error, 3 exponent-domain error,
 4 explosion in a single solve (solve and price), 5 the solve reached its
 iteration cap without converging (price only: solve exits 0 and reports
 the status in solve_report.json).
@@ -29,7 +33,6 @@ from .bond_market import _resolve_points, exp_neg_integrals, martingale_mc
 from .hjmm_solver import (
     STATUS_CONVERGED,
     STATUS_EXPLOSION,
-    SolverConfig,
     explosion_sweep,
     mild_residual,
     solve_monotone,
@@ -99,13 +102,9 @@ def _tx_cells(g, widths) -> tuple[list[str], list[str]]:
     return t, x
 
 
-def _solver_cfg(sc: Scenario) -> SolverConfig:
-    return SolverConfig(tol=sc.tol, max_iter=sc.max_iter, cap=sc.cap, gamma=sc.gamma)
-
-
 def _z0_for(sc: Scenario) -> float:
     sup_r0 = float(np.max(np.abs(sc.r0.values)))
-    return sc.vol.lambda_bar * sc.grid.t_star * sup_r0 / math.sqrt(sc.gamma)
+    return sc.vol.lambda_bar * sc.grid.t_star * sup_r0 / math.sqrt(sc.solver.gamma)
 
 
 def _solve_scenario(sc: Scenario):
@@ -114,7 +113,7 @@ def _solve_scenario(sc: Scenario):
     )
     factor = compute_a(path, sc.vol, sc.r0, sc.model.q, sc.grid)
     exponent = ExponentHandle(sc.model)
-    report = solve_monotone(factor, sc.vol, exponent, _solver_cfg(sc))
+    report = solve_monotone(factor, sc.vol, exponent, sc.solver)
     return path, factor, exponent, report
 
 
@@ -127,18 +126,15 @@ def cmd_report_exponent(sc: Scenario, out: Path, args) -> int:
 
 
 def cmd_classify(sc: Scenario, out: Path, args) -> int:
-    report = classify(
-        sc.model,
-        z0=_z0_for(sc),
-        lambda_bar_t_star=sc.vol.lambda_bar * sc.grid.t_star,
-    )
+    report = classify(sc.model, z0=_z0_for(sc))
     payload = {
         "flags": report.flags,
         "regime": report.regime,
         "rho_estimate": report.rho_estimate,
         "rho_residual": report.rho_residual,
         "domain_sup": None if report.domain_sup == math.inf else report.domain_sup,
-        "lambda_bar_t_star": report.lambda_bar_t_star,
+        # enters the log growth condition only through a limsup no grid decides
+        "lambda_bar_t_star": sc.vol.lambda_bar * sc.grid.t_star,
         "z0": _z0_for(sc),
         **_meta(sc),
     }
@@ -153,7 +149,7 @@ def cmd_simulate_path(sc: Scenario, out: Path, args) -> int:
     jumps = np.column_stack([path.jump_times, path.jump_sizes]).tolist()
     _write_csv(
         out / "path.csv", sc, "t,L", [_reprs(path.t), _reprs(path.grid_values)],
-        note=f" rng={path.rng_algorithm}", trailer="# jumps: " + json.dumps(jumps) + "\n",
+        note=f" rng={RNG_ALGORITHM}", trailer="# jumps: " + json.dumps(jumps) + "\n",
     )
     if args.dump_factor:
         factor = compute_a(path, sc.vol, sc.r0, sc.model.q, sc.grid)
@@ -166,9 +162,10 @@ def cmd_simulate_path(sc: Scenario, out: Path, args) -> int:
 
 def cmd_solve(sc: Scenario, out: Path, args) -> int:
     path, factor, exponent, report = _solve_scenario(sc)
+    residuals = {}
     if report.status == STATUS_CONVERGED:
         res = mild_residual(report, path, factor, sc.vol, exponent, sc.r0)
-        report.residuals["mild_l2_max"] = float(np.max(res))
+        residuals["mild_l2_max"] = float(np.max(res))
     g = sc.grid
     rect = report.field[:, : g.n_x + 1]
     t, x = _tx_cells(g, [g.n_x + 1] * (g.n_t + 1))
@@ -179,14 +176,14 @@ def cmd_solve(sc: Scenario, out: Path, args) -> int:
         "iterate_sup_norms": report.iterate_sup_norms,
         "iterate_l2_norms": report.iterate_l2_norms,
         "c1": report.c1,
-        "residuals": report.residuals,
+        "residuals": residuals,
         "detail": {k: v for k, v in report.detail.items() if k != "h0"},
-        "rng_algorithm": path.rng_algorithm,
+        "rng_algorithm": RNG_ALGORITHM,
         "config": {
-            "tol": sc.tol,
-            "max_iter": sc.max_iter,
+            "tol": sc.solver.tol,
+            "max_iter": sc.solver.max_iter,
             "cap": report.detail.get("cap"),
-            "gamma": sc.gamma,
+            "gamma": sc.solver.gamma,
             "grid": {"t_star": g.t_star, "dt": g.dt, "x_max": g.x_max},
         },
         **_meta(sc),
@@ -205,9 +202,9 @@ def cmd_sweep_explosion(sc: Scenario, out: Path, args) -> int:
         levels,
         sc.grid,
         seed=sc.seed,
-        tol=sc.tol,
-        max_iter=sc.max_iter,
-        gamma=sc.gamma,
+        tol=sc.solver.tol,
+        max_iter=sc.solver.max_iter,
+        gamma=sc.solver.gamma,
     )
     rows = result.rows
     columns = [
@@ -253,7 +250,7 @@ def cmd_check_martingale(sc: Scenario, out: Path, args) -> int:
         sc.vol,
         sc.r0,
         sc.grid,
-        _solver_cfg(sc),
+        sc.solver,
         n_paths=args.n_paths,
         maturities=maturities,
         t_checkpoints=checkpoints,
@@ -294,6 +291,20 @@ _COMMANDS = {
     "check-martingale": cmd_check_martingale,
 }
 
+#: the scenario overrides (load_scenario's keys, each set by the flag
+#: --key with _ for -) and the ones each command takes: those it reads
+_OVERRIDE_TYPES = {"seed": int, "grid_dt": float, "tol": float, "max_iter": int, "cap": float}
+_ALL_OVERRIDES = tuple(_OVERRIDE_TYPES)
+_OVERRIDES = {
+    "report-exponent": (),
+    "classify": (),
+    "simulate-path": ("seed", "grid_dt"),
+    "solve": _ALL_OVERRIDES,
+    "sweep-explosion": ("seed", "grid_dt", "tol", "max_iter"),
+    "price": _ALL_OVERRIDES,
+    "check-martingale": _ALL_OVERRIDES,
+}
+
 
 def _positive_int(text: str) -> int:
     """argparse type: an int >= 1."""
@@ -317,11 +328,8 @@ def _parser() -> argparse.ArgumentParser:
         sp.set_defaults(usage_error=sp.error)
         sp.add_argument("scenario", help="scenario JSON file")
         sp.add_argument("--out-dir", default=".", help="output directory")
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--grid-dt", type=float, default=None)
-        sp.add_argument("--tol", type=float, default=None)
-        sp.add_argument("--max-iter", type=int, default=None)
-        sp.add_argument("--cap", type=float, default=None)
+        for key in _OVERRIDES[name]:
+            sp.add_argument("--" + key.replace("_", "-"), type=_OVERRIDE_TYPES[key], default=None)
         if name == "report-exponent":
             sp.add_argument("--z-min", type=float, default=0.0)
             sp.add_argument("--z-max", type=float, default=5.0)
@@ -343,9 +351,8 @@ def _flag_error(sc: Scenario, args) -> str | None:
     it cannot: the checks argparse cannot make alone."""
     if args.command == "sweep-explosion" and args.k_min_exp > args.k_max_exp:
         return f"argument --k-max-exp: {args.k_max_exp} is below --k-min-exp {args.k_min_exp}"
-    if args.command == "sweep-explosion" and sc.cap is not None:
-        where = "argument --cap" if args.cap is not None else "solver.cap"
-        return f"{where}: sweep-explosion caps each level k at 1e8 (1 + k) and takes no cap"
+    if args.command == "sweep-explosion" and sc.solver.cap is not None:
+        return "solver.cap: sweep-explosion caps each level k at 1e8 (1 + k) and takes no cap"
     if args.command == "check-martingale":
         try:
             _resolve_points(sc.grid, *_martingale_points(sc, args))
@@ -358,16 +365,7 @@ def _flag_error(sc: Scenario, args) -> str | None:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        sc = load_scenario(
-            args.scenario,
-            overrides={
-                "seed": args.seed,
-                "grid_dt": args.grid_dt,
-                "tol": args.tol,
-                "max_iter": args.max_iter,
-                "cap": args.cap,
-            },
-        )
+        sc = load_scenario(args.scenario, overrides={k: getattr(args, k) for k in _OVERRIDES[args.command]})
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA

@@ -43,10 +43,10 @@ class WeightedCurve:
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
-        if self.dx <= 0.0:
-            raise ValueError(f"dx must be positive, got {self.dx}")
-        if self.gamma <= 0.0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        if not 0.0 < self.dx < math.inf:
+            raise ValueError(f"dx must be finite and positive, got {self.dx}")
+        if not 0.0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be finite and positive, got {self.gamma}")
         if values.ndim != 1 or values.size < 2:
             raise ValueError("curve needs a 1-D array of at least 2 values")
         if not np.all(np.isfinite(values)):

@@ -19,6 +19,7 @@ of one.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,12 +52,13 @@ class SolverConfig:
     gamma: float = 1.0
 
     def __post_init__(self):
-        if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if self.gamma <= 0.0:
-            raise ValueError("gamma must be positive")
+        for name in ("tol", "gamma"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
+            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
+        if self.cap is not None and math.isnan(self.cap):
+            raise ValueError("cap must not be NaN")
 
 
 @dataclass
@@ -72,7 +74,6 @@ class SolveReport:
     grid: SolveGrid
     gamma: float
     detail: dict = field(default_factory=dict)
-    residuals: dict = field(default_factory=dict)
     iterates: list[np.ndarray] | None = None
 
 
@@ -416,12 +417,12 @@ class GronwallResult:
 
 
 def gronwall_check(
-    d: np.ndarray, C: float, grid: SolveGrid, atol: float = 1e-9, n_induction: int = 10
+    d: np.ndarray, C: float, grid: SolveGrid, atol: float = 1e-9
 ) -> GronwallResult:
     """Verify d(t,x) <= C * int_0^t int_0^{t-s+x} d dv ds on the grid.
 
     When the inequality holds (within atol), the iterated bound
-    M C^n (t(t+x))^n / (n!)^2 at n = n_induction is reported as zero_within,
+    M C^n (t(t+x))^n / (n!)^2 at n = 10 is reported as zero_within,
     certifying that d vanishes up to that level.
     """
     if C <= 0.0:
@@ -441,7 +442,7 @@ def gronwall_check(
         witness = (float(grid.t[i]), float(grid.x_wide[j]))
 
     sup_d = float(np.nanmax(dv))
-    n = n_induction
+    n = 10
     i_idx = np.arange(grid.n_t + 1)[:, None]
     j_idx = np.arange(grid.n_w + 1)[None, :]
     uw = (i_idx * dt) * ((i_idx + j_idx) * dt)

@@ -296,21 +296,13 @@ class ExponentReport:
     regime: str
     rho_estimate: float | None = None
     rho_residual: float | None = None
-    lambda_bar_t_star: float | None = None
 
 
-def classify(
-    model: LevyModel,
-    *,
-    z0: float = 1.0,
-    lambda_bar_t_star: float | None = None,
-) -> ExponentReport:
+def classify(model: LevyModel, *, z0: float = 1.0) -> ExponentReport:
     """Decide every named condition of the exponent.
 
     The regime is ExplosionProne when B3 holds, GlobalSafe when B4 holds and
-    Indeterminate otherwise.  The product lambda_bar * T_star only enters the
-    logarithmic growth condition through a limsup that is not numerically
-    decidable; it is echoed in the report for manual inspection.
+    Indeterminate otherwise.
     """
     flags = {name: check_condition(model, name, z0=z0) for name in CONDITION_NAMES}
     if flags["B3"] == HOLDS:
@@ -326,7 +318,6 @@ def classify(
         regime=regime,
         rho_estimate=None if fit is None else fit[0],
         rho_residual=None if fit is None else fit[1],
-        lambda_bar_t_star=lambda_bar_t_star,
     )
 
 

@@ -147,7 +147,6 @@ class LevyPathRecord:
     model: LevyModel
     n_threshold: int
     seed: int
-    rng_algorithm: str = RNG_ALGORITHM
 
     @property
     def t(self) -> np.ndarray:

@@ -32,7 +32,7 @@ from .path_sim import LevyPathRecord
 
 
 # ---------------------------------------------------------------------------
-# volatility specifications; all satisfy 0 < lambda_low <= lambda <= lambda_bar
+# volatility specifications; all satisfy 0 < lambda <= lambda_bar, finite
 # ---------------------------------------------------------------------------
 
 
@@ -41,12 +41,8 @@ class ConstantVol:
     value: float
 
     def __post_init__(self):
-        if self.value <= 0.0:
-            raise ValueError(f"lambda must be positive, got {self.value}")
-
-    @property
-    def lambda_low(self) -> float:
-        return self.value
+        if not 0.0 < self.value < np.inf:
+            raise ValueError(f"lambda must be finite and positive, got {self.value}")
 
     @property
     def lambda_bar(self) -> float:
@@ -72,14 +68,13 @@ class ExpAffineVol:
     beta: float
 
     def __post_init__(self):
+        for name in ("c0", "c1", "beta"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.beta <= 0.0:
             raise ValueError("beta must be positive")
         if min(self.c0, self.c0 + self.c1) <= 0.0:
             raise ValueError("lambda must stay positive (need min(c0, c0+c1) > 0)")
-
-    @property
-    def lambda_low(self) -> float:
-        return min(self.c0, self.c0 + self.c1)
 
     @property
     def lambda_bar(self) -> float:
@@ -108,8 +103,8 @@ class TabulatedVol:
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
-        if self.dx <= 0.0 or values.ndim != 1 or values.size < 3:
-            raise ValueError("tabulated volatility needs dx > 0 and >= 3 samples")
+        if not 0.0 < self.dx < np.inf or values.ndim != 1 or values.size < 3:
+            raise ValueError("tabulated volatility needs a finite dx > 0 and >= 3 samples")
         if np.any(values <= 0.0) or not np.all(np.isfinite(values)):
             raise ValueError("tabulated volatility must be positive and finite")
         object.__setattr__(self, "values", values)
@@ -117,10 +112,6 @@ class TabulatedVol:
     @property
     def xs(self) -> np.ndarray:
         return self.dx * np.arange(self.values.size)
-
-    @property
-    def lambda_low(self) -> float:
-        return float(np.min(self.values))
 
     @property
     def lambda_bar(self) -> float:

@@ -5,12 +5,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .function_space import WeightedCurve, read_curve_csv
 from .grids import SolveGrid
+from .hjmm_solver import SolverConfig
 from .levy_model import LevyModel, levy_model_from_dict
 from .random_factor import ConstantVol, ExpAffineVol, TabulatedVol, Volatility
 
@@ -32,9 +34,15 @@ def _need(d: dict, key: str, path: str):
 def _number(v, path: str, positive: bool = False) -> float:
     if not isinstance(v, (int, float)) or isinstance(v, bool):
         raise ScenarioError(path, f"expected a number, got {type(v).__name__}")
-    if positive and v <= 0:
+    try:
+        x = float(v)
+    except OverflowError:  # an int beyond float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise ScenarioError(path, f"must be finite, got {x}")
+    if positive and x <= 0:
         raise ScenarioError(path, f"must be positive, got {v}")
-    return float(v)
+    return x
 
 
 @dataclass(frozen=True)
@@ -43,11 +51,8 @@ class Scenario:
     model: LevyModel
     vol: Volatility
     grid: SolveGrid
-    gamma: float
     r0: WeightedCurve
-    tol: float
-    max_iter: int
-    cap: float | None
+    solver: SolverConfig
     seed: int
 
     @property
@@ -201,10 +206,7 @@ def load_scenario(source, overrides: dict | None = None) -> Scenario:
         model=model,
         vol=vol,
         grid=grid,
-        gamma=gamma,
         r0=r0,
-        tol=tol,
-        max_iter=int(max_iter),
-        cap=cap,
+        solver=SolverConfig(tol=tol, max_iter=int(max_iter), cap=cap, gamma=gamma),
         seed=seed,
     )

@@ -1,4 +1,6 @@
+import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -37,6 +39,12 @@ def write_scenario(tmp_path, scenario, name="scen.json"):
     p = tmp_path / name
     p.write_text(json.dumps(scenario))
     return str(p)
+
+
+def options(command):
+    """The option strings of a command's parser."""
+    sub = next(a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return set(sub.choices[command]._option_string_actions)
 
 
 class TestSolve:
@@ -246,9 +254,9 @@ class TestCsvContents:
 
         from levyhjmm import __version__
         from levyhjmm.bond_market import FRAME_MOVING, ForwardField, bond_price
-        from levyhjmm.hjmm_solver import SolverConfig, explosion_sweep, solve_monotone
+        from levyhjmm.hjmm_solver import explosion_sweep, solve_monotone
         from levyhjmm.levy_analysis import ExponentHandle
-        from levyhjmm.path_sim import SimConfig, simulate
+        from levyhjmm.path_sim import RNG_ALGORITHM, SimConfig, simulate
         from levyhjmm.random_factor import compute_a
         from levyhjmm.scenario import load_scenario
 
@@ -271,15 +279,15 @@ class TestCsvContents:
         assert path.jump_times.size == 4
         factor = compute_a(path, sc.vol, sc.r0, sc.model.q, g)
         exponent = ExponentHandle(sc.model)
-        cfg = SolverConfig(tol=sc.tol, max_iter=sc.max_iter, cap=sc.cap, gamma=sc.gamma)
-        field = solve_monotone(factor, sc.vol, exponent, cfg).field
-        moving = ForwardField(FRAME_MOVING, field, g, sc.gamma)
+        field = solve_monotone(factor, sc.vol, exponent, sc.solver).field
+        moving = ForwardField(FRAME_MOVING, field, g, sc.solver.gamma)
         I1, I2, a = factor.I1.tolist(), factor.I2.tolist(), factor.a.tolist()
         zs = np.linspace(0.0, 5.0, 11)
         J, Jp, Jpp = exponent.J(zs), exponent.J_prime(zs), exponent.J_second(zs)
         levels = [2.0**k for k in range(5)]
+        cfg = sc.solver
         sweep = explosion_sweep(
-            sc.model, sc.vol, levels, g, seed=sc.seed, tol=sc.tol, max_iter=sc.max_iter, gamma=sc.gamma
+            sc.model, sc.vol, levels, g, seed=sc.seed, tol=cfg.tol, max_iter=cfg.max_iter, gamma=cfg.gamma
         )
         jumps = [[float(s), float(y)] for s, y in zip(path.jump_times, path.jump_sizes)]
         rect = [(i, j) for i in range(g.n_t + 1) for j in range(g.n_x + 1)]
@@ -291,7 +299,7 @@ class TestCsvContents:
                 f"{ts[i]!r},{ts[i] + xs[j]!r},{float(bond_price(moving, ts[i], ts[i] + xs[j]))!r}"
                 for i, j in rect
             ],
-            "path.csv": [f"{head} rng={path.rng_algorithm}", "t,L"]
+            "path.csv": [f"{head} rng={RNG_ALGORITHM}", "t,L"]
             + [f"{float(t)!r},{float(v)!r}" for t, v in zip(path.t, path.grid_values)]
             + ["# jumps: " + json.dumps(jumps)],
             "factor.csv": [head, "t,x,I1,I2,a"]
@@ -378,13 +386,12 @@ class TestScenarioInputs:
 class TestOverrides:
     def test_seed_and_dt_override_change_hash(self, tmp_path):
         scen = write_scenario(tmp_path, POISSON)
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        main(["classify", scen, "--out-dir", str(out1)])
-        main(["classify", scen, "--out-dir", str(out2), "--seed", "99"])
-        h1 = json.loads((out1 / "classify.json").read_text())
-        h2 = json.loads((out2 / "classify.json").read_text())
-        assert h1["scenario_hash"] != h2["scenario_hash"]
-        assert h2["seed"] == 99
+        heads = []
+        for out, flags in (("a", []), ("b", ["--seed", "99"]), ("c", ["--grid-dt", "0.125"])):
+            assert main(["simulate-path", scen, "--out-dir", str(tmp_path / out), *flags]) == 0
+            heads.append((tmp_path / out / "path.csv").read_text().split("\n", 1)[0])
+        assert len({h.split()[1] for h in heads}) == 3  # three scenario hashes
+        assert [h.split()[2] for h in heads] == ["seed=7", "seed=99", "seed=7"]
 
     def test_tol_override(self, tmp_path):
         scen = write_scenario(tmp_path, DEGENERATE)
@@ -446,7 +453,9 @@ class TestFlagValidation:
         with pytest.raises(SystemExit) as exc:
             main([cmd[0], scen, "--out-dir", str(out), *cmd[1:]])
         assert exc.value.code == 2
-        assert f"error: argument {flag}: " in capsys.readouterr().err
+        # a flag the command does not take is argparse's unrecognized argument
+        message = f"argument {flag}: " if flag in options(cmd[0]) else f"unrecognized arguments: {flag} "
+        assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_sweep_rejects_scenario_cap(self, tmp_path, capsys):
@@ -465,6 +474,113 @@ class TestFlagValidation:
         assert main(["check-martingale", scen, "--out-dir", str(out), *args]) == 0
         rows = json.loads((out / "martingale.json").read_text())["rows"]
         assert [(r["T"], r["t"]) for r in rows] == [(0.25, 0.0), (0.25, 0.25), (2.0, 0.0), (2.0, 0.25)]
+
+
+OVERRIDE_FLAGS = ("--seed", "--grid-dt", "--tol", "--max-iter", "--cap")
+
+#: the override flags each command takes: the ones whose values it reads
+FLAG_TABLE = {
+    "report-exponent": (),
+    "classify": (),
+    "simulate-path": ("--seed", "--grid-dt"),
+    "solve": OVERRIDE_FLAGS,
+    "sweep-explosion": ("--seed", "--grid-dt", "--tol", "--max-iter"),
+    "price": OVERRIDE_FLAGS,
+    "check-martingale": OVERRIDE_FLAGS,
+}
+KEPT = [(cmd, flag) for cmd, flags in FLAG_TABLE.items() for flag in flags]
+REMOVED = [(cmd, flag) for cmd, flags in FLAG_TABLE.items() for flag in OVERRIDE_FLAGS if flag not in flags]
+
+
+class TestFlagSurface:
+    """Each command takes the override flags it reads and no other."""
+
+    #: Brownian part and frequent jumps, so every seed draws another path;
+    #: on seed 2 the solution tops 1.01, the changed cap, where r0 tops at 1
+    SCENARIO = {
+        **DEGENERATE,
+        "levy_model": {"a": 0.0, "q": 0.25, "nu": {"atoms": [[1.0, 2.0]], "density_parts": []}},
+        "grid": {"t_star": 0.5, "dt": 0.0625, "x_max": 0.5},
+        "seed": 2,
+    }
+    EXTRA = {"sweep-explosion": ["--k-max-exp", "3"], "check-martingale": ["--n-paths", "8"]}
+    #: a value of each flag that the commands taking it must feel
+    CHANGED = {"--seed": "3", "--grid-dt": "0.125", "--tol": "0.5", "--max-iter": "1", "--cap": "1.01"}
+
+    def test_parser_matches_table(self):
+        assert {cmd: tuple(f for f in OVERRIDE_FLAGS if f in options(cmd)) for cmd in FLAG_TABLE} == FLAG_TABLE
+        assert (len(KEPT), len(REMOVED)) == (21, 14)
+
+    @pytest.mark.parametrize("cmd, flag", REMOVED)
+    def test_removed_flag_exits_2(self, tmp_path, capsys, cmd, flag):
+        scen = write_scenario(tmp_path, POISSON)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([cmd, scen, "--out-dir", str(out), flag, "2"])
+        assert exc.value.code == 2
+        assert f"error: unrecognized arguments: {flag} 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    @staticmethod
+    def effect(out, rc):
+        """The exit code and every output file, less the hash line of each
+        CSV and the meta keys and echoed settings of each JSON report."""
+        files = {}
+        for f in sorted(out.iterdir()):
+            if f.suffix == ".csv":
+                files[f.name] = f.read_text().split("\n", 1)[1]
+            else:
+                report = json.loads(f.read_text())
+                for key in ("timestamp", "scenario_hash", "seed", "config"):
+                    report.pop(key, None)
+                report.get("detail", {}).pop("cap", None)
+                files[f.name] = report
+        return rc, files
+
+    @pytest.mark.parametrize("cmd, flag", KEPT)
+    def test_kept_flag_changes_the_outputs(self, tmp_path, cmd, flag):
+        scen = write_scenario(tmp_path, self.SCENARIO)
+        effects = []
+        for out, flags in (("a", []), ("b", [flag, self.CHANGED[flag]])):
+            rc = main([cmd, scen, "--out-dir", str(tmp_path / out), *self.EXTRA.get(cmd, []), *flags])
+            effects.append(self.effect(tmp_path / out, rc))
+        assert effects[0] != effects[1]
+
+
+class TestNonFiniteNumbers:
+    """json reads NaN and Infinity; a scenario number must be finite."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("solver.tol", math.nan),
+            ("solver.tol", math.inf),
+            ("solver.cap", math.nan),
+            ("gamma", math.nan),
+            ("gamma", math.inf),
+            ("volatility.value", math.nan),
+            ("volatility.value", math.inf),
+            pytest.param("grid.x_max", 10**400, id="grid.x_max-int-beyond-float-range"),
+        ],
+    )
+    def test_rejected_naming_the_field(self, tmp_path, capsys, field, value):
+        scen = json.loads(json.dumps(POISSON))
+        *parents, key = field.split(".")
+        node = scen
+        for name in parents:
+            node = node[name]
+        node[key] = value
+        out = tmp_path / "out"
+        assert main(["solve", write_scenario(tmp_path, scen), "--out-dir", str(out)]) == 2
+        assert f"scenario error: {field}: must be finite, got " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, field", [("--tol", "solver.tol"), ("--cap", "solver.cap")])
+    def test_non_finite_flag_rejected(self, tmp_path, capsys, flag, field):
+        out = tmp_path / "out"
+        assert main(["solve", write_scenario(tmp_path, POISSON), "--out-dir", str(out), flag, "nan"]) == 2
+        assert f"scenario error: {field}: must be finite, got nan" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestParserReuse:
@@ -529,7 +645,7 @@ class TestFrozenWriter:
 
     def test_grid_with_more_x_than_t_nodes(self, tmp_path):
         from levyhjmm.bond_market import exp_neg_integrals
-        from levyhjmm.hjmm_solver import SolverConfig, solve_monotone
+        from levyhjmm.hjmm_solver import solve_monotone
         from levyhjmm.levy_analysis import ExponentHandle
         from levyhjmm.path_sim import SimConfig, simulate
         from levyhjmm.random_factor import compute_a
@@ -545,8 +661,7 @@ class TestFrozenWriter:
         assert (g.n_t, g.n_x) == (16, 32)
         path = simulate(sc.model, SimConfig(t_star=g.t_star, dt=g.dt, seed=sc.seed))
         factor = compute_a(path, sc.vol, sc.r0, sc.model.q, g)
-        cfg = SolverConfig(tol=sc.tol, max_iter=sc.max_iter, cap=sc.cap, gamma=sc.gamma)
-        field = solve_monotone(factor, sc.vol, ExponentHandle(sc.model), cfg).field
+        field = solve_monotone(factor, sc.vol, ExponentHandle(sc.model), sc.solver).field
         rect = field[:, : g.n_x + 1]
         prices = np.array([exp_neg_integrals(field[:, : j + 1], g.dt) for j in range(g.n_x + 1)]).T
         ref.mkdir()

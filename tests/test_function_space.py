@@ -183,3 +183,9 @@ class TestValidation:
     def test_bad_gamma(self):
         with pytest.raises(ValueError):
             WeightedCurve(dx=0.1, values=np.zeros(5), gamma=0.0)
+
+    @pytest.mark.parametrize("name", ["dx", "gamma"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_parameter_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            WeightedCurve(**{"dx": 0.1, "gamma": 1.0, name: value}, values=np.zeros(5))

@@ -251,6 +251,27 @@ class TestNaturalFrameKernel:
             SolveGrid(t_star=0.7, dt=0.125, x_max=0.5)
 
 
+class TestSolverConfig:
+    """A setting the solve cannot use is refused where it is made."""
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("max_iter", 2.5),
+            ("max_iter", 2.0),
+            ("max_iter", True),
+            ("tol", math.nan),
+            ("tol", math.inf),
+            ("gamma", math.nan),
+            ("gamma", math.inf),
+            ("cap", math.nan),
+        ],
+    )
+    def test_unusable_value_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            SolverConfig(**{name: value})
+
+
 class TestSolveMonotone:
     def test_degenerate_two_iterations_exact(self):
         model = LevyModel()

@@ -511,8 +511,7 @@ class TestConditions:
         assert classify(model).regime == "Indeterminate"
 
     def test_classify_exponent_table(self):
-        report = classify(ATOM1, lambda_bar_t_star=0.5)
-        assert report.lambda_bar_t_star == 0.5
+        report = classify(ATOM1)
         assert report.domain_sup == math.inf
 
 

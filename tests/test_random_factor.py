@@ -55,11 +55,11 @@ def triangle_err(grid, field, expect):
 class TestVolatilitySpecs:
     def test_constant_bounds(self):
         v = ConstantVol(0.5)
-        assert v.lambda_low == v.lambda_bar == 0.5
+        assert v.lambda_bar == 0.5
 
     def test_exp_affine_bounds(self):
         v = ExpAffineVol(c0=1.0, c1=1.0, beta=2.0)
-        assert v.lambda_low == 1.0 and v.lambda_bar == 2.0
+        assert v.lambda_bar == 2.0
         np.testing.assert_allclose(v.lam(np.array([0.0])), [2.0])
         np.testing.assert_allclose(v.lam_prime(np.array([0.0])), [-2.0])
 
@@ -70,6 +70,21 @@ class TestVolatilitySpecs:
             ExpAffineVol(c0=0.5, c1=-0.5, beta=1.0)
         with pytest.raises(ValueError):
             TabulatedVol(dx=0.1, values=np.array([1.0, -0.5, 1.0]))
+
+    @pytest.mark.parametrize(
+        "make, name",
+        [
+            (lambda v: ConstantVol(v), "lambda"),
+            (lambda v: ExpAffineVol(c0=v, c1=0.1, beta=1.0), "c0"),
+            (lambda v: ExpAffineVol(c0=0.5, c1=v, beta=1.0), "c1"),
+            (lambda v: ExpAffineVol(c0=0.5, c1=0.1, beta=v), "beta"),
+            (lambda v: TabulatedVol(dx=v, values=np.ones(3)), "finite dx"),
+        ],
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_parameter_rejected(self, make, name, value):
+        with pytest.raises(ValueError, match=name):
+            make(value)
 
 
 def I1_of(path, vol, grid=GRID):
