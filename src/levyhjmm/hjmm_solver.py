@@ -116,19 +116,19 @@ def _on_triangle(fn, z: np.ndarray, grid: SolveGrid, what: str, domain_sup: floa
     raise err
 
 
-def _row_norms(h: np.ndarray, grid: SolveGrid, weights: np.ndarray) -> np.ndarray:
+def _row_norms(h: np.ndarray, dt: float, weights: np.ndarray, off_panels: np.ndarray) -> np.ndarray:
     """Weighted L2 norm of each time slice over its valid x-range, for a
     field (or stack) that is NaN beyond the triangle; weights is e^{gamma x}
-    on the wide x-grid.  The trapezoid panels are summed in rows of n_w,
-    zero-padded, as one row of the field at a time would be."""
+    on the wide x-grid, and off_panels marks the panels whose right node is
+    off the triangle (~valid_mask()[:, 1:]).  The trapezoid panels are summed
+    in rows of n_w, zero-padded, as one row of the field at a time would be."""
     with np.errstate(over="ignore"):
         y = h * h
         y *= weights
         panels = y[..., 1:] + y[..., :-1]
-        panels *= grid.dt
+        panels *= dt
         panels /= 2.0
-        # a panel counts when its right node is on the triangle
-        np.copyto(panels, 0.0, where=~grid.valid_mask()[:, 1:])
+        np.copyto(panels, 0.0, where=off_panels)
         return np.sqrt(panels.sum(axis=-1))
 
 
@@ -239,7 +239,7 @@ def solve_batch(
         raise ValueError("all factors of a batch must share one volatility")
     n_paths = len(factors)
     error: Exception | None = None
-    active = np.arange(n_paths)
+    active = list(range(n_paths))
 
     def fail(k: int, err: Exception) -> None:
         """Record the error of active[k]; drop that path and every later one."""
@@ -255,6 +255,7 @@ def solve_batch(
             break
 
     weights = np.exp(cfg.gamma * grid.x_wide)  # of the weighted norms, fixed for the solve
+    off_panels = ~grid.valid_mask()[:, 1:]
     r0_norms = np.sqrt(trapezoid(r0**2 * weights, dx=grid.dt, axis=-1))
     B = np.array([f.b_bar for f in factors]) * r0_norms
     c1s = a_priori_c1(B, vol.lambda_bar, grid.t_star, cfg.gamma, exponent)
@@ -264,7 +265,7 @@ def solve_batch(
         if c1 is not None
         else vol.lambda_bar * cap * grid.x_max
         for c1, cap in zip(c1s, caps)
-    ])[active]
+    ])[: len(active)]
     fault = _domain_fault(z_probe, exponent.J_prime(z_probe), exponent.domain_sup)
     if np.any(fault):
         # active is still 0 .. m-1 here, so k is also the path's index
@@ -277,11 +278,10 @@ def solve_batch(
     # triangle.  h0 = 0 is one field for every path, so apply_K finds the
     # first exponent term once and broadcasts it against each path's a
     h = np.where(grid.valid_mask(), 0.0, np.nan)[None] if h0 == "zero" else a
-    cap_arr = np.array(caps, dtype=float)
-    sup_hist = np.zeros((n_paths, cfg.max_iter))
-    l2_hist = np.zeros((n_paths, cfg.max_iter))
-    streak = np.zeros(n_paths, dtype=int)
-    last_change = np.zeros(n_paths)
+    sup_hist: list[list[float]] = [[] for _ in range(n_paths)]
+    l2_hist: list[list[float]] = [[] for _ in range(n_paths)]
+    streak = [0] * n_paths
+    last_change = [0.0] * n_paths
     iterates: list[list[np.ndarray]] = [[] for _ in range(n_paths)]
     done: dict[int, tuple] = {}  # path -> (status, rule, field, n_iters)
 
@@ -289,8 +289,8 @@ def solve_batch(
     a_act = a
     for n in range(cfg.max_iter):
         h_next = None
-        while active.size:
-            h, a_act = h[: active.size], a_act[: active.size]
+        while active:
+            h, a_act = h[: len(active)], a_act[: len(active)]
             try:
                 h_next = apply_K(h, _FactorStack(grid, a_act, lam_w), exponent)
                 break
@@ -300,36 +300,36 @@ def solve_batch(
                 fail(err.path, err)
         if h_next is None:
             break
-        sup = np.nanmax(np.abs(h_next), axis=(-2, -1))
-        sup_hist[active, n] = sup
-        l2_hist[active, n] = np.max(_row_norms(h_next, grid, weights), axis=-1)
-        if keep_iterates:
-            for k, p in enumerate(active.tolist()):
-                iterates[p].append(h_next[k].copy())
-
-        cap_hit = ~np.isfinite(sup) | (sup > cap_arr[active])
-        if n >= 1:
-            prev = _GROWTH_FACTOR * sup_hist[active, n - 1]
-            streak[active] = np.where((sup > prev) & (prev > 0.0), streak[active] + 1, 0)
-        growth_hit = ~cap_hit & (streak[active] >= _GROWTH_STREAK)
-        going = ~(cap_hit | growth_hit)
+        # the stop rules run per path on floats, one list of each norm per stack
+        sups = np.nanmax(np.abs(h_next), axis=(-2, -1)).tolist()
+        l2s = np.max(_row_norms(h_next, grid.dt, weights, off_panels), axis=-1).tolist()
         with np.errstate(invalid="ignore"):  # inf - inf only where the cap was hit
-            change = np.nanmax(np.abs(h_next - h), axis=(-2, -1))
-        converged = going & (change < cfg.tol * (1.0 + sup))
-        last_change[active] = change
-        keep = going & ~converged
-        if not keep.all():
-            for k in np.flatnonzero(~keep).tolist():
-                if cap_hit[k]:
-                    stop = (STATUS_EXPLOSION, "cap")
-                elif growth_hit[k]:
-                    stop = (STATUS_EXPLOSION, f"growth-streak x{_GROWTH_FACTOR}")
-                else:
-                    stop = (STATUS_CONVERGED, "tol")
-                done[int(active[k])] = (*stop, h_next[k], n + 1)
-            active, h_next, a_act = active[keep], h_next[keep], a_act[keep]
+            changes = np.nanmax(np.abs(h_next - h), axis=(-2, -1)).tolist()
+        keep = []
+        for k, p in enumerate(active):
+            sup, change = sups[k], changes[k]
+            sup_hist[p].append(sup)
+            l2_hist[p].append(l2s[k])
+            last_change[p] = change
+            if keep_iterates:
+                iterates[p].append(h_next[k].copy())
+            if n >= 1 and sup > _GROWTH_FACTOR * sup_hist[p][-2] > 0.0:
+                streak[p] += 1
+            else:
+                streak[p] = 0
+            if not math.isfinite(sup) or sup > caps[p]:
+                done[p] = (STATUS_EXPLOSION, "cap", h_next[k], n + 1)
+            elif streak[p] >= _GROWTH_STREAK:
+                done[p] = (STATUS_EXPLOSION, f"growth-streak x{_GROWTH_FACTOR}", h_next[k], n + 1)
+            elif change < cfg.tol * (1.0 + sup):
+                done[p] = (STATUS_CONVERGED, "tol", h_next[k], n + 1)
+            else:
+                keep.append(k)
+        if len(keep) < len(active):
+            active = [active[k] for k in keep]
+            h_next, a_act = h_next[keep], a_act[keep]
         h = h_next
-    for k, p in enumerate(active.tolist()):
+    for k, p in enumerate(active):
         done[p] = (STATUS_MAX_ITER, "max_iter", h[k], cfg.max_iter)
 
     if error is not None:
@@ -339,13 +339,13 @@ def solve_batch(
         status, rule, fld, n_iters = done[p]
         detail: dict = {"h0": h0, "cap": caps[p], "rule": rule}
         if status != STATUS_EXPLOSION:
-            detail["last_change"] = float(last_change[p])
+            detail["last_change"] = last_change[p]
         reports.append(
             SolveReport(
                 status=status,
                 field=fld,
-                iterate_sup_norms=sup_hist[p, :n_iters].tolist(),
-                iterate_l2_norms=l2_hist[p, :n_iters].tolist(),
+                iterate_sup_norms=sup_hist[p],
+                iterate_l2_norms=l2_hist[p],
                 c1=c1s[p],
                 n_iters=n_iters,
                 grid=grid,

@@ -120,16 +120,30 @@ def _part_piece(part, zs: np.ndarray, d: int, comp: bool) -> np.ndarray:
 
 
 def _atom_sum(atoms, zs: np.ndarray, d: int) -> np.ndarray:
+    """The atoms' share of the d-th derivative: m (expm1(-zy) + zy comp),
+    m y (comp - e^{-zy}) or m y y e^{-zy} per atom (y, m), each formed in one
+    reused buffer by the operations of that expression, in its order."""
     out = np.zeros_like(zs)
+    neg_zs, term = -zs, np.empty_like(zs)
+    lin = np.empty_like(zs) if d == 0 else None
     with np.errstate(over="ignore"):
         for y, m in atoms:
             comp = 1.0 if abs(y) < 1.0 else 0.0
+            np.multiply(neg_zs, y, out=term)
             if d == 0:
-                out = out + m * (np.expm1(-zs * y) + zs * y * comp)
+                np.expm1(term, out=term)
+                np.multiply(zs, y, out=lin)
+                lin *= comp
+                term += lin
+                term *= m
             elif d == 1:
-                out = out + m * y * (comp - np.exp(-zs * y))
+                np.exp(term, out=term)
+                np.subtract(comp, term, out=term)
+                term *= m * y
             else:
-                out = out + m * y * y * np.exp(-zs * y)
+                np.exp(term, out=term)
+                term *= m * y * y
+            out += term
     return out
 
 

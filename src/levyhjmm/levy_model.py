@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy import special
 
 INF = math.inf
 
@@ -180,8 +179,11 @@ def _unit_pow_exp(j: int, x: np.ndarray) -> np.ndarray:
     for n in range(_N_SERIES, -1, -1):
         acc = acc * xs + 1.0 / (math.factorial(n) * (n + j + 1))
     out[small] = acc
-    xp = x[pos]
-    out[pos] = math.factorial(j) * special.gammainc(j + 1, xp) / xp ** (j + 1)
+    if pos.any():
+        from scipy import special  # loaded on first use: atoms and Brownian parts never need it
+
+        xp = x[pos]
+        out[pos] = math.factorial(j) * special.gammainc(j + 1, xp) / xp ** (j + 1)
     # x <= -1: e^y sum_k (-1)^k j!/(j-k)! y^-(k+1) - (-1)^j j! y^-(j+1), y = -x
     y = -x[neg]
     poly = np.zeros_like(y)
@@ -230,6 +232,8 @@ _PANEL_BLOCK = 4096
 def _jacobi_rule(e: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes t and weights w with sum w f(t) ~ int_0^1 t^e f(t) dt: Gauss-Jacobi
     (Golub & Welsch), Gauss-Legendre at e = 0.  Built on first use per e."""
+    from scipy import special
+
     x, w = special.roots_jacobi(_N_NODES, 0.0, e)
     t, w = 0.5 * (1.0 + x), w / 2.0 ** (e + 1.0)
     t.flags.writeable = w.flags.writeable = False  # shared by every later call

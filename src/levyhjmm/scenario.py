@@ -198,8 +198,8 @@ def load_scenario(source, overrides: dict | None = None) -> Scenario:
         if cap <= sup_r0:
             raise ScenarioError("solver.cap", f"cap={cap} must exceed sup |r0|={sup_r0}")
     seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ScenarioError("seed", f"expected an integer, got {seed!r}")
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise ScenarioError("seed", f"expected a non-negative integer, got {seed!r}")
 
     return Scenario(
         raw=raw,

@@ -393,6 +393,15 @@ class TestOverrides:
         assert len({h.split()[1] for h in heads}) == 3  # three scenario hashes
         assert [h.split()[2] for h in heads] == ["seed=7", "seed=99", "seed=7"]
 
+    @pytest.mark.parametrize("where", ["scenario", "flag"])
+    def test_negative_seed_rejected(self, tmp_path, capsys, where):
+        scen = write_scenario(tmp_path, {**POISSON, "seed": -1} if where == "scenario" else POISSON)
+        flags = ["--seed", "-1"] if where == "flag" else []
+        out = tmp_path / "out"
+        assert main(["simulate-path", scen, "--out-dir", str(out), *flags]) == 2
+        assert "scenario error: seed: expected a non-negative integer, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_tol_override(self, tmp_path):
         scen = write_scenario(tmp_path, DEGENERATE)
         out = tmp_path / "out"

@@ -838,6 +838,24 @@ class TestSolveBatch:
             )
         assert {row.status for row in res.rows} == {STATUS_CONVERGED, STATUS_EXPLOSION}
 
+    def test_growth_streak_stop_matches_serial(self):
+        # flat r0 = k under a power law on (0, 1]: the three levels stop by
+        # the tol, growth-streak and cap rules, in that order
+        model = LevyModel(nu=LevyMeasureSpec(density_parts=(PowerLaw(c=1.0, alpha=1.5, support=(0.0, 1.0)),)))
+        vol, handle, cfg = ConstantVol(0.3), ExponentHandle(model), SolverConfig()
+        grid = SolveGrid(t_star=1.0, dt=1.0 / 8, x_max=1.0)
+        path = simulate(model, SimConfig(t_star=grid.t_star, dt=grid.dt, seed=7, n_threshold=250))
+        factors = [
+            compute_a(path, vol, WeightedCurve(dx=grid.dt, values=np.full(grid.n_w + 1, k), gamma=1.0), model.q, grid)
+            for k in (16.0, 32.0, 64.0)
+        ]
+        reports = solve_batch(factors, vol, handle, cfg)
+        for f, got in zip(factors, reports):
+            assert_same_report(got, serial_solve(f, vol, handle, cfg))
+        assert [(rep.detail["rule"], rep.n_iters) for rep in reports] == [
+            ("tol", 18), ("growth-streak x10.0", 4), ("cap", 4)
+        ]
+
     def test_lowest_failing_path_raises(self):
         # path 1 fails in an iteration (a scaled up; the a-priori bound and the
         # probe are unchanged), path 2 at its domain probe, which comes first

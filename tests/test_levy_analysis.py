@@ -24,6 +24,7 @@ from levyhjmm.levy_analysis import (
     eval_J_second,
     mgf_consistency,
     rho_fit,
+    _atom_sum,
 )
 
 ATOM1 = LevyModel(nu=LevyMeasureSpec(atoms=((1.0, 1.0),)))
@@ -392,6 +393,28 @@ def test_exact_values(name):
         model = LevyModel(nu=LevyMeasureSpec(density_parts=(_PINNED_MODELS[name],)))
     got = [tuple(fn(model, z) for fn in (eval_J, eval_J_prime, eval_J_second)) for z in (0.0, 1e-9, 0.3, 40.0)]
     assert got == list(_PINNED_VALUES[name])
+
+
+@pytest.mark.parametrize("d", [0, 1, 2])
+def test_atom_sum_matches_plain_expressions(d):
+    """_atom_sum forms each atom's term in a reused buffer; the plain
+    expressions below are its reference, bit for bit."""
+    atoms = ((1.0, 0.5), (-0.2, 0.3), (0.5, 2.0), (-1.5, 0.1), (3.0, 0.7))
+    zs = np.concatenate(([0.0, 5e-324, 1e-12, 1e-9], np.geomspace(1e-6, 1e4, 301)))
+    want = np.zeros_like(zs)
+    with np.errstate(over="ignore"):  # exp(-z y) overflows at large z for y < 0
+        for y, m in atoms:
+            comp = 1.0 if abs(y) < 1.0 else 0.0
+            if d == 0:
+                want = want + m * (np.expm1(-zs * y) + zs * y * comp)
+            elif d == 1:
+                want = want + m * y * (comp - np.exp(-zs * y))
+            else:
+                want = want + m * y * y * np.exp(-zs * y)
+    assert np.isinf(want[-1])
+    got = _atom_sum(atoms, zs, d)
+    assert got.tobytes() == want.tobytes()
+    assert _atom_sum((), zs, d).tobytes() == np.zeros_like(zs).tobytes()
 
 
 @pytest.mark.parametrize(

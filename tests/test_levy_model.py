@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -292,15 +293,43 @@ class TestJsonSchema:
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def test_import_leaves_out_scipy_integrate():
-    """Every integral is closed-form or fixed-node, so the package needs no
-    adaptive quadrature; importing the CLI (every module) in a fresh
-    interpreter must not load scipy.integrate."""
+def _fresh_interpreter(script: str, *args: str) -> list[str]:
+    """The words script prints, run with args in a new interpreter on the checkout's src."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    script = "import sys, levyhjmm.cli; print('scipy.integrate' in sys.modules)"
     proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, "-c", script, *args], capture_output=True, text=True, env=env, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.split()
+
+
+def test_import_leaves_out_scipy_integrate(tmp_path):
+    """Every integral is closed-form or fixed-node, so the package needs no
+    adaptive quadrature; importing the CLI (every module) in a fresh
+    interpreter must not load scipy.integrate.  scipy.special is loaded on
+    first use, so a solve of an atom model loads no scipy at all, and the
+    first power-law J' loads it."""
+    script = "import sys, levyhjmm.cli; print('scipy.integrate' in sys.modules)"
+    assert _fresh_interpreter(script) == ["False"]
+
+    scenario = {
+        "levy_model": {"a": 0.0, "q": 0.0, "nu": {"atoms": [[1.0, 0.5]], "density_parts": []}},
+        "volatility": {"kind": "constant", "value": 0.3},
+        "r0": {"kind": "exp_decay", "beta": 1.0},
+        "grid": {"t_star": 1.0, "dt": 0.0625, "x_max": 1.0},
+        "seed": 7,
+    }
+    (tmp_path / "ok.json").write_text(json.dumps(scenario))
+    script = (
+        "import math, sys\n"
+        "import numpy as np\n"
+        "from levyhjmm import cli\n"
+        "from levyhjmm.levy_analysis import ExponentHandle\n"
+        "from levyhjmm.levy_model import LevyMeasureSpec, LevyModel, PowerLaw\n"
+        "print(cli.main(['solve', sys.argv[1], '--out-dir', sys.argv[2]]), 'scipy' in sys.modules)\n"
+        "part = PowerLaw(c=1.0, alpha=1.5, support=(0.0, 1.0))\n"
+        "jp = ExponentHandle(LevyModel(nu=LevyMeasureSpec(density_parts=(part,)))).J_prime(np.array([0.5]))\n"
+        "print('scipy' in sys.modules, math.isfinite(jp[0]))\n"
+    )
+    assert _fresh_interpreter(script, str(tmp_path / "ok.json"), str(tmp_path / "out")) == ["0", "False", "True", "True"]
