@@ -2,9 +2,9 @@
 discounted-price martingale diagnostics.
 
 A forward-rate field is stored in the moving frame, r(t, x) with x the time
-to maturity; the natural frame f(t, T) = r(t, T - t) is the lossless index
-remap on the aligned dt = dx grid that the solver sums along
-(`SolveGrid.sum_along_t`).
+to maturity; on the aligned dt = dx grid the natural frame f(t, T) =
+r(t, T - t) is the same field stored in rows of n_w + 2 and read in rows of
+n_w + 1, the reshape the solver sums along (`SolveGrid.sum_along_t`).
 """
 
 from __future__ import annotations

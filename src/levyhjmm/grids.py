@@ -9,18 +9,20 @@ reads, everything beyond is NaN-poisoned.
 
 On this grid a moving-frame read at t - s + x walks down a column of the
 natural frame T = t + x, so every sum over s of G(s, t - s + x) is one
-cumulative sum per natural-frame column (`SolveGrid.sum_along_t`).  Row i
-of the triangle and row i of the natural frame from T = i on hold the same
-entries, so the triangle entries in row-major order (`SolveGrid.triangle`)
-are the one hub between a field and the natural frame.
+cumulative sum per natural-frame column (`SolveGrid.sum_along_t`).  The
+natural frame is a reshape: a field stored in rows of n_w + 2, one spare
+entry per row, reads as the natural frame in rows of n_w + 1, with the
+nodes T < i on the previous row's entries beyond the triangle.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 def _cells(span: float, dt: float, what: str) -> int:
@@ -50,8 +52,9 @@ class SolveGrid:
     x_max: float
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        for name in ("t_star", "dt", "x_max"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
         _cells(self.t_star, self.dt, "t_star")
         _cells(self.x_max, self.dt, "x_max")
 
@@ -99,84 +102,55 @@ class SolveGrid:
         """Sup of |field| over the valid triangle."""
         return float(np.nanmax(np.abs(self.triangle(field))))
 
-    # The index tables, each read by one gather.  The natural frame holds
-    # Gn[i, T] = G[i, T - i] for T >= i.
-
-    @cached_property
-    def _triangle_idx(self) -> np.ndarray:
-        """Flat field index of each triangle entry, row-major: `triangle` order."""
-        return np.flatnonzero(self._mask)
-
-    @cached_property
-    def _natural_idx(self) -> np.ndarray:
-        """The `triangle` position that each natural-frame node (i, T) reads:
-        that of (i, T - i), or one past the last (a pad entry) for T < i."""
-        tri = self._triangle_idx
-        idx = np.full(self._mask.size, tri.size)
-        idx[tri + tri // (self.n_w + 1)] = np.arange(tri.size)
-        return idx.reshape(self._mask.shape)
-
-    @cached_property
-    def _moving_idx(self) -> np.ndarray:
-        """The flat natural-frame index that each field node (i, j) reads:
-        that of (i, i + j) on the triangle, that of (n_t, 0) beyond it."""
-        i = np.arange(self.n_t + 1)[:, None]
-        j = np.arange(self.n_w + 1)[None, :]
-        return np.where(self._mask, i * (self.n_w + 2) + j, self.n_t * (self.n_w + 1))
-
-    @cached_property
-    def _column_idx(self) -> np.ndarray:
-        """The x-index j of each triangle entry, in `triangle` order."""
-        return self._triangle_idx % (self.n_w + 1)
-
     # Fields may carry leading axes (a stack of paths); the helpers below act
-    # on the last two axes, or on the last axis of triangle entries, and keep
-    # the leading ones.
+    # on the last two axes and keep the leading ones.
 
     def triangle(self, field) -> np.ndarray:
         """The entries of field on the triangle, in row-major order, along one last axis."""
-        field = np.asarray(field, dtype=float)
-        flat = field.reshape(field.shape[:-2] + (field.shape[-2] * field.shape[-1],))
-        return flat.take(self._triangle_idx, axis=-1)
-
-    def curve_on_triangle(self, curve: np.ndarray) -> np.ndarray:
-        """A curve on the wide x-grid read at each triangle entry (i, j), curve(x_j),
-        in `triangle` order."""
-        return curve.take(self._column_idx)
-
-    def _moving(self, En: np.ndarray) -> np.ndarray:
-        """The field E[i, j] = En[i, i + j] of the natural-frame En, NaN beyond
-        the triangle: every node there reads En[n_t, 0], which lies below the
-        diagonal (T = 0 < n_t), where no triangle node reads, and is set to NaN."""
-        En[..., -1, 0] = np.nan
-        return En.reshape(En.shape[:-2] + (-1,)).take(self._moving_idx, axis=-1)
+        return np.asarray(field, dtype=float)[..., self._mask]
 
     def shifted(self, curve: np.ndarray) -> np.ndarray:
-        """The curve read in the moving frame, curve(t_i + x_j), on the triangle."""
-        # in the natural frame the read is curve(T) in every row
-        return self._moving(np.tile(np.asarray(curve[: self.n_w + 1], dtype=float), (self.n_t + 1, 1)))
+        """The curve read in the moving frame, curve(t_i + x_j), on the triangle,
+        NaN beyond it: a read-only view of the curve padded with n_t NaNs."""
+        padded = np.concatenate((curve[: self.n_w + 1], np.full(self.n_t, np.nan)))
+        return sliding_window_view(padded, self.n_w + 1)
 
-    def sum_along_t(self, values: np.ndarray, rule: str = "trapezoid") -> np.ndarray:
-        """The field E[i, j] = sum_{k <= i} w_k G[k, i - k + j] of the G whose
-        `triangle` entries are values; NaN beyond the triangle.
+    def _natural(self, padded: np.ndarray) -> np.ndarray:
+        """The natural frame Gn[i, T] = G[i, T - i] of a field G stored in rows
+        of n_w + 2: read in rows of n_w + 1, node (i, T) lies at flat offset
+        i (n_w + 1) + T = i (n_w + 2) + (T - i), and for T < i it lands on row
+        i - 1's spare entries beyond the triangle."""
+        lead = padded.shape[:-2]
+        n = (self.n_t + 1) * (self.n_w + 1)
+        return padded.reshape(lead + (-1,))[..., :n].reshape(lead + self._mask.shape)
+
+    def sum_along_t(self, G: np.ndarray, rule: str = "trapezoid") -> np.ndarray:
+        """The field E[i, j] = sum_{k <= i} w_k G[k, i - k + j] of the field G
+        (broadcast to the field's shape, so a curve on the wide x-grid is the
+        field that repeats it in every row); NaN beyond the triangle, and G is
+        never read there.
 
         rule "trapezoid": w_0 = w_i = 1/2, 1 in between, E[0] = 0;
         rule "left": w_k = 1 for k < i, w_i = 0.  E is one cumulative sum
-        down each column of the natural frame Gn[i, T] = G[i, T - i] (0 for
-        T < i).  The terms are summed in order of k, so E equals the
-        row-by-row loop over k bit for bit, and nothing is subtracted, so an
-        infinite term never turns into NaN.
+        down each column of the natural frame (`_natural`, 0 for T < i).  The
+        terms are summed in order of k, so E equals the row-by-row loop over
+        k bit for bit, and nothing is subtracted, so an infinite term never
+        turns into NaN.
         """
         if rule not in ("trapezoid", "left"):
             raise ValueError(f"rule must be 'trapezoid' or 'left', got {rule!r}")
-        lead = values.shape[:-1]
-        # values, padded with the 0 that the nodes T < i read
-        Gn = np.concatenate((values, np.zeros(lead + (1,))), axis=-1).take(self._natural_idx, axis=-1)
+        shape = G.shape[:-2] + (self.n_t + 1, self.n_w + 2)
+        Gp = np.zeros(shape)
+        np.copyto(Gp[..., :-1], G, where=self._mask)
+        Gn = self._natural(Gp)
         if rule == "trapezoid":
             Gn[..., 0, :] *= 0.5
-        En = np.zeros_like(Gn)
+        Ep = np.zeros(shape)
+        En = self._natural(Ep)
         np.cumsum(Gn[..., :-1, :], axis=-2, out=En[..., 1:, :])
         if rule == "trapezoid":
             Gn[..., 1:, :] *= 0.5
             En[..., 1:, :] += Gn[..., 1:, :]
-        return self._moving(En)
+        E = Ep[..., :-1]
+        np.copyto(E, np.nan, where=~self._mask)
+        return E

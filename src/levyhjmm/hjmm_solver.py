@@ -87,8 +87,8 @@ def _domain_fault(z: np.ndarray, vals: np.ndarray, domain_sup: float) -> np.ndar
 
 
 def _on_triangle(fn, z: np.ndarray, grid: SolveGrid, what: str, domain_sup: float) -> np.ndarray:
-    """fn(z) in one call over the valid triangle of every field in z, as
-    `grid.triangle` entries.
+    """fn(z) in one call over every field in z, NaN beyond the triangle: z is
+    overwritten with NaN there first, and fn gives NaN at NaN.
 
     A field with a negative z (outside the domain the exponent is evaluated
     on) or a domain fault (`_domain_fault`) raises ExponentDomainError for
@@ -97,8 +97,8 @@ def _on_triangle(fn, z: np.ndarray, grid: SolveGrid, what: str, domain_sup: floa
     such field raises, and the error's `path` attribute is its index along
     the (flattened) leading axes.
     """
-    zs = grid.triangle(z)
-    rows = zs.reshape(-1, zs.shape[-1])
+    np.copyto(z, np.nan, where=~grid.valid_mask())
+    rows = z.reshape(-1, z.shape[-2] * z.shape[-1])
     has_neg = (rows < 0.0).any(axis=-1)
     n_ok = int(np.argmax(has_neg)) if has_neg.any() else rows.shape[0]
     # fields from the first one with a negative z on are not evaluated
@@ -110,7 +110,7 @@ def _on_triangle(fn, z: np.ndarray, grid: SolveGrid, what: str, domain_sup: floa
     elif n_ok < rows.shape[0]:
         path, z_bad = n_ok, rows[n_ok, int(np.argmax(rows[n_ok] < 0.0))]
     else:
-        return vals.reshape(zs.shape)
+        return vals.reshape(z.shape)
     err = ExponentDomainError(z_bad, what=what)
     err.path = path
     raise err
@@ -137,7 +137,7 @@ def apply_K(h: np.ndarray, factor: RandomFactorField, exponent: ExponentHandle) 
 
     h may be a stack of fields over leading axes, with factor.a stacked
     alike, or one field for every path of the stack; lambda is read from
-    factor.lam_w.  J' lambda goes into sum_along_t as triangle entries.
+    factor.lam_w, and multiplies J' in every row.
     factor.a is NaN beyond the triangle, as compute_a makes it, and so is
     K(h).  Raises ExponentDomainError when a needed argument of J' is
     negative or J' has a domain fault there.
@@ -146,7 +146,7 @@ def apply_K(h: np.ndarray, factor: RandomFactorField, exponent: ExponentHandle) 
     cum = cumulative_trapezoid(lam_w * h, grid.dt)
     with np.errstate(over="ignore"):
         G = _on_triangle(exponent.J_prime, cum, grid, "J'", exponent.domain_sup)
-        G *= grid.curve_on_triangle(lam_w)
+        G *= lam_w
         # row 0 sums nothing, so exp(0) keeps it equal to a(0, x)
         return factor.a * np.exp(grid.dt * grid.sum_along_t(G))
 
@@ -301,10 +301,11 @@ def solve_batch(
         if h_next is None:
             break
         # the stop rules run per path on floats, one list of each norm per stack
-        sups = np.nanmax(np.abs(h_next), axis=(-2, -1)).tolist()
+        # fmax skips the NaNs beyond the triangle without copying the field
+        sups = np.fmax.reduce(np.abs(h_next), axis=(-2, -1)).tolist()
         l2s = np.max(_row_norms(h_next, grid.dt, weights, off_panels), axis=-1).tolist()
         with np.errstate(invalid="ignore"):  # inf - inf only where the cap was hit
-            changes = np.nanmax(np.abs(h_next - h), axis=(-2, -1)).tolist()
+            changes = np.fmax.reduce(np.abs(h_next - h), axis=(-2, -1)).tolist()
         keep = []
         for k, p in enumerate(active):
             sup, change = sups[k], changes[k]
@@ -392,9 +393,9 @@ def mild_residual(
 
     jp = _on_triangle(exponent.J_prime, cum, grid, "J'", exponent.domain_sup)
     lam_r = lam_w * r
-    drift = dt * grid.sum_along_t(jp * grid.triangle(lam_r))
+    drift = dt * grid.sum_along_t(jp * lam_r)
     dLc_rows = np.append(dLc, 0.0)[:, None]
-    rhs = grid.shifted(r0.values) + drift + grid.sum_along_t(grid.triangle(lam_r * dLc_rows), rule="left")
+    rhs = grid.shifted(r0.values) + drift + grid.sum_along_t(lam_r * dLc_rows, rule="left")
     for s_m, y_m in zip(path.jump_times, path.jump_sizes):
         # the jump enters every row with t_i >= s_m, at the field's left limit
         i0 = int(np.searchsorted(grid.t, s_m, side="left"))
@@ -431,9 +432,9 @@ def gronwall_check(
     dv = np.where(mask, d, np.nan)
     if np.nanmin(dv) < 0.0:
         raise ValueError("d must be nonnegative")
-    inner = cumulative_trapezoid(np.where(mask, d, 0.0), grid.dt)
+    inner = cumulative_trapezoid(d, grid.dt)
     dt = grid.dt
-    rhs = grid.sum_along_t(grid.triangle(inner)) * dt
+    rhs = grid.sum_along_t(inner) * dt
     bad = d > C * rhs + atol
     holds = not np.any(bad)
     witness = None
@@ -492,10 +493,10 @@ def strong_residual(
         r0p = np.asarray(r0_prime, dtype=float)[: grid.n_w + 1]
 
     r = report.field
-    cum = cumulative_trapezoid(lam * np.where(grid.valid_mask(), r, 0.0), grid.dt)
+    cum = cumulative_trapezoid(lam * r, grid.dt)
     jpp = _on_triangle(exponent.J_second, cum, grid, "J''", exponent.domain_sup)
     dt = grid.dt
-    term = grid.sum_along_t(jpp * grid.triangle(r)) * (dt * lam * lam)
+    term = grid.sum_along_t(jpp * r) * (dt * lam * lam)
     rhs = r * (grid.shifted(r0p) / grid.shifted(r0v) + term)
     n_t, n_x = grid.n_t, grid.n_x
     # d/dx r on x <= x_max of each row, as np.gradient of its whole valid

@@ -52,8 +52,9 @@ class SimConfig:
     max_jumps: int = 1_000_000
 
     def __post_init__(self):
-        if self.t_star <= 0.0 or self.dt <= 0.0:
-            raise ValueError("t_star and dt must be positive")
+        for name in ("t_star", "dt"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
         n = round(self.t_star / self.dt)
         if n < 1 or abs(n * self.dt - self.t_star) > 1e-12 * max(1.0, self.t_star):
             raise ValueError(f"dt={self.dt} must divide t_star={self.t_star}")

@@ -159,7 +159,7 @@ def _I1(paths: list[LevyPathRecord], vol: Volatility, lam_w: np.ndarray, grid: S
     L = np.stack([p.grid_values[: grid.n_t + 1] for p in paths])[..., None]
     out = lam_w * L
     if not vol.is_constant:
-        out = out + grid.dt * grid.sum_along_t(grid.triangle(vol.lam_prime(grid.x_wide) * L))
+        out = out + grid.dt * grid.sum_along_t(vol.lam_prime(grid.x_wide) * L)
     return np.where(grid.valid_mask(), out, np.nan)
 
 
@@ -229,7 +229,7 @@ def compute_a(
         # trapezoid of a constant is exact
         Q = np.where(mask, lam_sq[0] * grid.t[:, None], np.nan)
     else:
-        Q = grid.dt * grid.sum_along_t(grid.curve_on_triangle(lam_sq))
+        Q = grid.dt * grid.sum_along_t(lam_sq)
 
     with np.errstate(over="ignore"):
         b = np.exp(I1 - 0.5 * q * Q) * I2

@@ -7,6 +7,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -55,7 +56,7 @@ class Scenario:
     solver: SolverConfig
     seed: int
 
-    @property
+    @cached_property
     def scenario_hash(self) -> str:
         return hashlib.sha256(
             json.dumps(self.raw, sort_keys=True).encode()

@@ -203,32 +203,60 @@ class TestNaturalFrameKernel:
             want = loop_apply_K(h, factor, vol, handle)
             assert_same_triangle(grid, apply_K(h, factor, handle), want, 1e-14)
 
+    @pytest.mark.parametrize("dt", [1.0 / 8, 1.0 / 16])
+    @pytest.mark.parametrize("stack", [False, True])
+    def test_apply_K_is_causal(self, dt, stack):
+        # K(h) on row i reads h on rows <= i of the triangle only, bit for bit
+        grid = SolveGrid(t_star=1.0, dt=dt, x_max=1.0)
+        model = LevyModel(a=0.2, q=1.0, nu=LevyMeasureSpec(atoms=((1.0, 0.5), (-0.2, 0.3))))
+        vol = ExpAffineVol(c0=0.2, c1=0.1, beta=1.0)
+        r0 = WeightedCurve(dx=dt, values=np.exp(-grid.x_wide), gamma=1.0)
+        paths = [simulate(model, SimConfig(t_star=1.0, dt=dt, seed=seed)) for seed in (3, 4, 5)]
+        factors = compute_a(paths, vol, r0, model.q, grid)
+        factor = dataclasses.replace(factors[0], a=np.stack([f.a for f in factors])) if stack else factors[0]
+        handle = ExponentHandle(model)
+        mask = grid.valid_mask()
+        rng = np.random.default_rng(int(1 / dt))
+        h, other = (np.where(mask, rng.uniform(0.0, 2.0, size=factor.a.shape), np.nan) for _ in range(2))
+        K = apply_K(h, factor, handle)
+        for i in range(grid.n_t):
+            later = h.copy()
+            later[..., i + 1 :, :] = other[..., i + 1 :, :]
+            assert np.array_equal(apply_K(later, factor, handle)[..., : i + 1, :], K[..., : i + 1, :], equal_nan=True)
+        for fill in (np.nan, np.inf, -np.inf, 1e308):
+            with np.errstate(over="ignore"):  # the x-integral of 1e308 overflows beyond the triangle
+                got = apply_K(np.where(mask, h, fill), factor, handle)
+            assert np.array_equal(got, K, equal_nan=True)
+
     @pytest.mark.parametrize("rule", ["trapezoid", "left"])
     def test_sum_along_t_matches_loop(self, rule):
         for t_star, dt in [(0.75, 0.125), (0.5, 1.0 / 128), (1.0, 1.0 / 16)]:
             grid = SolveGrid(t_star=t_star, dt=dt, x_max=0.5)
-            G = np.random.default_rng(9).normal(size=grid.valid_mask().shape)
-            got = grid.sum_along_t(grid.triangle(G), rule=rule)
-            assert np.array_equal(got, loop_sum(grid, G, rule), equal_nan=True)
-            assert np.array_equal(np.isnan(got), ~grid.valid_mask())
+            mask = grid.valid_mask()
+            G = np.random.default_rng(9).normal(size=mask.shape)
+            # beyond the triangle, values that poison any sum they enter
+            junk = np.where(mask, G, np.resize([np.nan, np.inf, -np.inf, 1e308], mask.shape))
+            for field in (G, junk):
+                got = grid.sum_along_t(field, rule=rule)
+                assert np.array_equal(got, loop_sum(grid, G, rule), equal_nan=True)
+                assert np.array_equal(np.isnan(got), ~mask)
 
     def test_sum_along_t_rejects_unknown_rule(self):
         with pytest.raises(ValueError):
-            GRID.sum_along_t(GRID.triangle(np.zeros(GRID.valid_mask().shape)), rule="midpoint")
+            GRID.sum_along_t(np.zeros(GRID.valid_mask().shape), rule="midpoint")
 
     def test_frame_round_trip(self):
         # triangle order is row-major, and sum_along_t reads each entry at its
-        # place: with rule "left", the G that is one at (k, m) and zero
-        # elsewhere sums to one at (i, k + m - i) for k < i <= k + m, and to
-        # zero at every other node of the triangle
+        # place: with rule "left", the field that is one at (k, m) and zero
+        # elsewhere on the triangle sums to one at (i, k + m - i) for
+        # k < i <= k + m, and to zero at every other node of the triangle
         grid = SolveGrid(t_star=0.75, dt=0.125, x_max=0.5)
         mask = grid.valid_mask()
         r = np.where(mask, np.random.default_rng(4).normal(size=mask.shape), np.nan)
         np.testing.assert_array_equal(grid.triangle(r), r[mask])
-        rows, cols = np.nonzero(mask)
-        for p, (k, m) in enumerate(zip(rows, cols)):
-            unit = np.zeros(rows.size)
-            unit[p] = 1.0
+        for k, m in zip(*np.nonzero(mask)):
+            unit = np.where(mask, 0.0, np.nan)
+            unit[k, m] = 1.0
             want = np.where(mask, 0.0, np.nan)
             for i in range(k + 1, min(k + m, grid.n_t) + 1):
                 want[i, k + m - i] = 1.0
@@ -236,7 +264,6 @@ class TestNaturalFrameKernel:
         curve = np.arange(grid.n_w + 1.0)
         i, j = np.indices(mask.shape)
         np.testing.assert_array_equal(grid.shifted(curve), np.where(mask, i + j, np.nan))
-        np.testing.assert_array_equal(grid.curve_on_triangle(curve), cols)
 
     def test_grid_caches(self):
         grid = SolveGrid(t_star=0.75, dt=0.125, x_max=0.5)
@@ -249,6 +276,17 @@ class TestNaturalFrameKernel:
         assert hash(grid) == hash(SolveGrid(t_star=0.75, dt=0.125, x_max=0.5))
         with pytest.raises(ValueError):
             SolveGrid(t_star=0.7, dt=0.125, x_max=0.5)
+
+    @pytest.mark.parametrize(
+        "cls, name",
+        [(SolveGrid, "t_star"), (SolveGrid, "dt"), (SolveGrid, "x_max"), (SimConfig, "t_star"), (SimConfig, "dt")],
+    )
+    @pytest.mark.parametrize("value", [math.inf, math.nan, -1.0, 0.0])
+    def test_grid_rejects_bad_span(self, cls, name, value):
+        base = {"t_star": 1.0, "dt": 0.125}
+        base.update({"x_max": 1.0} if cls is SolveGrid else {"seed": 1})
+        with pytest.raises(ValueError, match=f"^{name} must be finite and positive"):
+            cls(**{**base, name: value})
 
 
 class TestSolverConfig:
