@@ -349,10 +349,14 @@ def _parser() -> argparse.ArgumentParser:
 def _flag_error(sc: Scenario, args) -> str | None:
     """Why a flag's value cannot be used with the others or on the grid, if
     it cannot: the checks argparse cannot make alone."""
-    if args.command == "sweep-explosion" and args.k_min_exp > args.k_max_exp:
-        return f"argument --k-max-exp: {args.k_max_exp} is below --k-min-exp {args.k_min_exp}"
-    if args.command == "sweep-explosion" and sc.solver.cap is not None:
-        return "solver.cap: sweep-explosion caps each level k at 1e8 (1 + k) and takes no cap"
+    if args.command == "sweep-explosion":
+        if args.k_min_exp > args.k_max_exp:
+            return f"argument --k-max-exp: {args.k_max_exp} is below --k-min-exp {args.k_min_exp}"
+        for flag, k in (("--k-min-exp", args.k_min_exp), ("--k-max-exp", args.k_max_exp)):
+            if not -1074 <= k <= 1023:  # 2.0**k is a positive finite double
+                return f"argument {flag}: 2**{k} is not a positive finite double (k must lie in [-1074, 1023])"
+        if sc.solver.cap is not None:
+            return "solver.cap: sweep-explosion caps each level k at 1e8 (1 + k) and takes no cap"
     if args.command == "check-martingale":
         try:
             _resolve_points(sc.grid, *_martingale_points(sc, args))

@@ -34,10 +34,6 @@ STATUS_CONVERGED = "Converged"
 STATUS_EXPLOSION = "ExplosionDetected"
 STATUS_MAX_ITER = "MaxIterReached"
 
-#: consecutive sup-norm growth factors above this for 3 iterations flag explosion
-_GROWTH_FACTOR = 10.0
-_GROWTH_STREAK = 3
-
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -199,11 +195,11 @@ def solve_monotone(
 ) -> SolveReport:
     """Iterate h_{n+1} = K(h_n) from h_0 = 0 to the minimal solution.
 
-    Stops Converged when the relative sup change drops below tol,
-    ExplosionDetected when an iterate tops the cap or the sup norm grows by
-    more than a factor 10 for 3 consecutive iterations, MaxIterReached
-    otherwise; detail["rule"] names the rule that fired.  h0="factor" seeds
-    the iteration at a instead (used by the two-start uniqueness check).
+    Stops ExplosionDetected when an iterate's sup norm is not finite or
+    tops the cap, Converged when the relative sup change drops below tol,
+    MaxIterReached otherwise; detail["rule"] names the rule that fired.
+    h0="factor" seeds the iteration at a instead (used by the two-start
+    uniqueness check).
     This is solve_batch on a batch of one.
     """
     return solve_batch([factor], vol, exponent, cfg, h0=h0, keep_iterates=keep_iterates)[0]
@@ -280,7 +276,6 @@ def solve_batch(
     h = np.where(grid.valid_mask(), 0.0, np.nan)[None] if h0 == "zero" else a
     sup_hist: list[list[float]] = [[] for _ in range(n_paths)]
     l2_hist: list[list[float]] = [[] for _ in range(n_paths)]
-    streak = [0] * n_paths
     last_change = [0.0] * n_paths
     iterates: list[list[np.ndarray]] = [[] for _ in range(n_paths)]
     done: dict[int, tuple] = {}  # path -> (status, rule, field, n_iters)
@@ -314,14 +309,8 @@ def solve_batch(
             last_change[p] = change
             if keep_iterates:
                 iterates[p].append(h_next[k].copy())
-            if n >= 1 and sup > _GROWTH_FACTOR * sup_hist[p][-2] > 0.0:
-                streak[p] += 1
-            else:
-                streak[p] = 0
             if not math.isfinite(sup) or sup > caps[p]:
                 done[p] = (STATUS_EXPLOSION, "cap", h_next[k], n + 1)
-            elif streak[p] >= _GROWTH_STREAK:
-                done[p] = (STATUS_EXPLOSION, f"growth-streak x{_GROWTH_FACTOR}", h_next[k], n + 1)
             elif change < cfg.tol * (1.0 + sup):
                 done[p] = (STATUS_CONVERGED, "tol", h_next[k], n + 1)
             else:

@@ -46,8 +46,10 @@ class PowerLaw:
     def __post_init__(self):
         lo, hi = _as_interval(self.support)
         object.__setattr__(self, "support", (lo, hi))
-        if self.c <= 0:
-            raise ValueError("PowerLaw coefficient c must be positive")
+        if not 0 < self.c < INF:
+            raise ValueError(f"PowerLaw coefficient c must be positive and finite, got {self.c}")
+        if not math.isfinite(self.alpha):
+            raise ValueError(f"PowerLaw exponent alpha must be finite, got {self.alpha}")
         touches_zero = lo == 0.0 or hi == 0.0
         unbounded = lo == -INF or hi == INF
         if touches_zero and self.alpha >= 2.0:
@@ -73,10 +75,10 @@ class Exponential:
     def __post_init__(self):
         lo, hi = _as_interval(self.support)
         object.__setattr__(self, "support", (lo, hi))
-        if self.c <= 0:
-            raise ValueError("Exponential coefficient c must be positive")
-        if self.beta <= 0:
-            raise ValueError("Exponential rate beta must be positive")
+        if not 0 < self.c < INF:
+            raise ValueError(f"Exponential coefficient c must be positive and finite, got {self.c}")
+        if not 0 < self.beta < INF:
+            raise ValueError(f"Exponential rate beta must be positive and finite, got {self.beta}")
 
 
 @dataclass(frozen=True)
@@ -89,8 +91,8 @@ class Uniform:
     def __post_init__(self):
         lo, hi = _as_interval(self.support)
         object.__setattr__(self, "support", (lo, hi))
-        if self.c <= 0:
-            raise ValueError("Uniform coefficient c must be positive")
+        if not 0 < self.c < INF:
+            raise ValueError(f"Uniform coefficient c must be positive and finite, got {self.c}")
         if lo == -INF or hi == INF:
             raise ValueError("Uniform support must be bounded (tail mass diverges)")
 
@@ -154,8 +156,10 @@ class LevyModel:
     nu: LevyMeasureSpec = field(default_factory=LevyMeasureSpec)
 
     def __post_init__(self):
-        if self.q < 0:
-            raise ValueError(f"Gaussian variance q must be >= 0, got {self.q}")
+        if not math.isfinite(self.a):
+            raise ValueError(f"drift a must be finite, got {self.a}")
+        if not 0 <= self.q < INF:
+            raise ValueError(f"Gaussian variance q must be >= 0 and finite, got {self.q}")
 
 
 # ---------------------------------------------------------------------------
@@ -405,50 +409,3 @@ def small_jump_profile(nu: LevyMeasureSpec, x: float) -> float:
     if not 0.0 < x <= 1.0:
         raise ValueError(f"x must lie in (0, 1], got {x}")
     return moment_integral(nu, 2, (0.0, x), open_lo=True)
-
-
-# ---------------------------------------------------------------------------
-# JSON sub-schema
-# ---------------------------------------------------------------------------
-
-_PART_KINDS = {"power_law": PowerLaw, "exponential": Exponential, "uniform": Uniform}
-
-
-def _endpoint_from_json(v, side: str) -> float:
-    if v is None:
-        return -INF if side == "lo" else INF
-    if isinstance(v, str):
-        s = v.strip().lower()
-        if s in ("inf", "+inf", "infinity"):
-            return INF
-        if s in ("-inf", "-infinity"):
-            return -INF
-        raise ValueError(f"bad interval endpoint {v!r}")
-    return float(v)
-
-
-def density_part_from_dict(d: dict) -> DensityPart:
-    kind = d.get("kind")
-    if kind not in _PART_KINDS:
-        raise ValueError(f"unknown density part kind {kind!r}")
-    sup = d.get("support")
-    if not isinstance(sup, (list, tuple)) or len(sup) != 2:
-        raise ValueError("density part support must be a 2-element interval")
-    support = (_endpoint_from_json(sup[0], "lo"), _endpoint_from_json(sup[1], "hi"))
-    if kind == "power_law":
-        return PowerLaw(c=float(d["c"]), alpha=float(d["alpha"]), support=support)
-    if kind == "exponential":
-        return Exponential(c=float(d["c"]), beta=float(d["beta"]), support=support)
-    return Uniform(c=float(d["c"]), support=support)
-
-
-def levy_model_from_dict(d: dict) -> LevyModel:
-    """Build a LevyModel from the JSON sub-schema 'levy_model'."""
-    nu_d = d.get("nu", {}) or {}
-    atoms = tuple((float(y), float(m)) for y, m in nu_d.get("atoms", []))
-    parts = tuple(density_part_from_dict(pd) for pd in nu_d.get("density_parts", []))
-    return LevyModel(
-        a=float(d.get("a", 0.0)),
-        q=float(d.get("q", 0.0)),
-        nu=LevyMeasureSpec(atoms=atoms, density_parts=parts),
-    )

@@ -6,7 +6,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -14,7 +14,7 @@ import numpy as np
 from .function_space import WeightedCurve, read_curve_csv
 from .grids import SolveGrid
 from .hjmm_solver import SolverConfig
-from .levy_model import LevyModel, levy_model_from_dict
+from .levy_model import INF, Exponential, LevyMeasureSpec, LevyModel, PowerLaw, Uniform
 from .random_factor import ConstantVol, ExpAffineVol, TabulatedVol, Volatility
 
 
@@ -61,6 +61,59 @@ class Scenario:
         return hashlib.sha256(
             json.dumps(self.raw, sort_keys=True).encode()
         ).hexdigest()[:16]
+
+
+_PART_KINDS = {"power_law": PowerLaw, "exponential": Exponential, "uniform": Uniform}
+_INF_SPELLINGS = {"inf": INF, "+inf": INF, "infinity": INF, "-inf": -INF, "-infinity": -INF}
+
+
+def _endpoint(v, unbounded: float, path: str) -> float:
+    """An interval endpoint: null is the unbounded side, and inf may also be
+    spelled as a string or an infinite number."""
+    if v is None:
+        return unbounded
+    if isinstance(v, str) and v.strip().lower() in _INF_SPELLINGS:
+        return _INF_SPELLINGS[v.strip().lower()]
+    if isinstance(v, float) and math.isinf(v):
+        return v
+    return _number(v, path)
+
+
+def _build_part(d: dict, path: str):
+    kind = _need(d, "kind", path)
+    if kind not in _PART_KINDS:
+        raise ScenarioError(f"{path}.kind", f"unknown density part kind {kind!r}")
+    sup = _need(d, "support", path)
+    if not isinstance(sup, list) or len(sup) != 2:
+        raise ScenarioError(f"{path}.support", "must be a 2-element interval")
+    support = (_endpoint(sup[0], -INF, f"{path}.support[0]"), _endpoint(sup[1], INF, f"{path}.support[1]"))
+    cls = _PART_KINDS[kind]
+    params = {f.name: _number(_need(d, f.name, path), f"{path}.{f.name}") for f in fields(cls) if f.name != "support"}
+    return cls(support=support, **params)
+
+
+def levy_model_from_dict(d: dict) -> LevyModel:
+    """Build a LevyModel from the scenario section 'levy_model'; an error is
+    a ScenarioError naming the field, or the section for a rule over several
+    fields (a power law's support and alpha, say)."""
+    try:
+        nu = d.get("nu") or {}
+        atoms = tuple(
+            (_number(y, f"levy_model.nu.atoms[{i}][0]"), _number(m, f"levy_model.nu.atoms[{i}][1]"))
+            for i, (y, m) in enumerate(nu.get("atoms", []))
+        )
+        parts = tuple(
+            _build_part(pd, f"levy_model.nu.density_parts[{i}]") for i, pd in enumerate(nu.get("density_parts", []))
+        )
+        return LevyModel(
+            a=_number(d.get("a", 0.0), "levy_model.a"),
+            q=_number(d.get("q", 0.0), "levy_model.q"),
+            nu=LevyMeasureSpec(atoms=atoms, density_parts=parts),
+        )
+    except ScenarioError:
+        raise
+    except (ValueError, TypeError, AttributeError) as exc:
+        raise ScenarioError("levy_model", str(exc)) from exc
 
 
 def _read_curve(d: dict, key: str, gamma: float, path: str) -> WeightedCurve:
@@ -163,12 +216,7 @@ def load_scenario(source, overrides: dict | None = None) -> Scenario:
         if overrides.get(key) is not None:
             solver_raw[key] = overrides[key]
 
-    try:
-        model = levy_model_from_dict(_need(raw, "levy_model", "<root>"))
-    except ScenarioError:
-        raise
-    except (ValueError, TypeError, KeyError) as exc:
-        raise ScenarioError("levy_model", str(exc)) from exc
+    model = levy_model_from_dict(_need(raw, "levy_model", "<root>"))
 
     vol = _build_vol(_need(raw, "volatility", "<root>"), "volatility")
 

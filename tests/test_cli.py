@@ -64,7 +64,7 @@ class TestSolve:
         assert main(["solve", path, "--out-dir", str(tmp_path / "out")]) == 4
         report = json.loads((tmp_path / "out" / "solve_report.json").read_text())
         assert report["status"] == "ExplosionDetected"
-        assert report["detail"]["rule"] in ("cap", "growth-streak x10.0")
+        assert report["detail"]["rule"] == "cap"
 
     def test_exponent_domain_exit_code(self, tmp_path):
         # heavy negative exponential tail: J' is infinite beyond z = 0.2, and
@@ -454,6 +454,9 @@ class TestFlagValidation:
             (["check-martingale", "--maturities", "5"], "--maturities"),
             (["check-martingale", "--maturities", "0.25", "--checkpoints", "0.5"], "--maturities"),
             (["sweep-explosion", "--cap", "2"], "--cap"),
+            # 2.0**k overflows from k = 1024 and is 0.0 below k = -1074
+            (["sweep-explosion", "--k-max-exp", "1024"], "--k-max-exp"),
+            (["sweep-explosion", "--k-min-exp", "-1075", "--k-max-exp", "0"], "--k-min-exp"),
         ],
     )
     def test_bad_flag_exits_2(self, tmp_path, capsys, cmd, flag):
@@ -590,6 +593,69 @@ class TestNonFiniteNumbers:
         assert main(["solve", write_scenario(tmp_path, POISSON), "--out-dir", str(out), flag, "nan"]) == 2
         assert f"scenario error: {field}: must be finite, got nan" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestLevyModelFields:
+    """Every number of the levy_model section is checked where it is read,
+    and an error names its field path."""
+
+    JUMPS = {
+        **POISSON,
+        "levy_model": {
+            "a": 0.0,
+            "q": 0.0,
+            "nu": {
+                "atoms": [[1.0, 0.5]],
+                "density_parts": [{"kind": "exponential", "c": 1.0, "beta": 2.0, "support": [0.0, None]}],
+            },
+        },
+    }
+    PART = ("nu", "density_parts", 0)
+
+    @pytest.mark.parametrize(
+        "keys, value, message",
+        [
+            pytest.param(("a",), math.nan, "levy_model.a: must be finite, got nan", id="a-nan"),
+            pytest.param(("a",), math.inf, "levy_model.a: must be finite, got inf", id="a-inf"),
+            pytest.param(("q",), math.nan, "levy_model.q: must be finite, got nan", id="q-nan"),
+            pytest.param(("a",), True, "levy_model.a: expected a number, got bool", id="a-bool"),
+            pytest.param(("q",), "0.5", "levy_model.q: expected a number, got str", id="q-str"),
+            pytest.param(
+                ("nu", "atoms", 0, 1), math.nan, "levy_model.nu.atoms[0][1]: must be finite, got nan", id="atom-mass-nan"
+            ),
+            pytest.param(
+                (*PART, "c"), math.nan, "levy_model.nu.density_parts[0].c: must be finite, got nan", id="part-c-nan"
+            ),
+            pytest.param(
+                (*PART, "c"), math.inf, "levy_model.nu.density_parts[0].c: must be finite, got inf", id="part-c-inf"
+            ),
+            pytest.param(
+                (*PART, "beta"), None, "levy_model.nu.density_parts[0].beta: missing required field", id="part-beta-missing"
+            ),
+            pytest.param(
+                (*PART, "support", 0), math.nan, "levy_model.nu.density_parts[0].support[0]: must be finite",
+                id="part-support-nan",
+            ),
+        ],
+    )
+    def test_rejected_naming_the_field(self, tmp_path, capsys, keys, value, message):
+        scen = json.loads(json.dumps(self.JUMPS))
+        node = scen["levy_model"]
+        for key in keys[:-1]:
+            node = node[key]
+        if value is None:
+            del node[keys[-1]]
+        else:
+            node[keys[-1]] = value
+        out = tmp_path / "out"
+        assert main(["solve", write_scenario(tmp_path, scen), "--out-dir", str(out)]) == 2
+        assert f"scenario error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_infinite_endpoint_accepted(self, tmp_path):
+        scen = json.loads(json.dumps(self.JUMPS))
+        scen["levy_model"]["nu"]["density_parts"][0]["support"] = [0.0, math.inf]
+        assert main(["solve", write_scenario(tmp_path, scen), "--out-dir", str(tmp_path / "out")]) == 0
 
 
 class TestParserReuse:

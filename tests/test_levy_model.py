@@ -16,12 +16,12 @@ from levyhjmm.levy_model import (
     LevyModel,
     PowerLaw,
     Uniform,
-    levy_model_from_dict,
     moment_integral,
     pow_exp_integral,
     small_jump_profile,
     support_lower_bound,
 )
+from levyhjmm.scenario import levy_model_from_dict
 
 
 class TestMomentIntegral:
@@ -243,6 +243,24 @@ class TestConstructorValidation:
     def test_negative_q_rejected(self):
         with pytest.raises(ValueError):
             LevyModel(q=-0.1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda v: LevyModel(a=v),
+            lambda v: LevyModel(q=v),
+            lambda v: PowerLaw(c=v, alpha=0.5, support=(0.0, 1.0)),
+            lambda v: PowerLaw(c=1.0, alpha=v, support=(0.5, 1.0)),
+            lambda v: Exponential(c=v, beta=1.0, support=(0.0, INF)),
+            lambda v: Exponential(c=1.0, beta=v, support=(0.0, INF)),
+            lambda v: Uniform(c=v, support=(0.0, 1.0)),
+        ],
+        ids=["a", "q", "power_law.c", "power_law.alpha", "exponential.c", "exponential.beta", "uniform.c"],
+    )
+    def test_non_finite_parameter_rejected(self, build, bad):
+        with pytest.raises(ValueError, match="finite"):
+            build(bad)
 
 
 class TestJsonSchema:
