@@ -26,8 +26,6 @@ from .hjmm_solver import (
 from .path_sim import SimConfig, jump_law, simulate_paths
 from .random_factor import Volatility, compute_a
 
-FRAME_MOVING = "Moving"
-
 #: martingale_mc solves its paths in blocks of at most this many field
 #: entries, paths x (n_t + 1) x (n_w + 1): enough paths that the per-call cost
 #: of an iteration is shared (29 at dt = 1/16 on [0, 1]^2), few enough that
@@ -39,14 +37,10 @@ _BLOCK_ENTRIES = 1 << 14
 class ForwardField:
     """Forward-rate field in the moving frame (NaN outside its domain)."""
 
-    frame: str
     values: np.ndarray
     grid: SolveGrid
-    gamma: float
 
     def __post_init__(self):
-        if self.frame != FRAME_MOVING:
-            raise ValueError(f"unknown frame {self.frame!r}")
         expected = (self.grid.n_t + 1, self.grid.n_w + 1)
         if self.values.shape != expected:
             raise ValueError(f"field shape {self.values.shape} != {expected}")
@@ -219,7 +213,7 @@ def martingale_mc(
             first = {}
             for key, path in zip(keys, paths):
                 first.setdefault(key, path)
-            factors = compute_a(list(first.values()), vol, r0, model.q, grid)
+            factors = compute_a(list(first.values()), vol, r0, grid)
             report_of = dict(zip(first, solve_batch(factors, vol, exponent, solver_cfg)))
             for rep in map(report_of.__getitem__, keys):
                 n_iters.append(rep.n_iters)

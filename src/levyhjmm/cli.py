@@ -103,18 +103,18 @@ def _tx_cells(g, widths) -> tuple[list[str], list[str]]:
 
 
 def _z0_for(sc: Scenario) -> float:
-    sup_r0 = float(np.max(np.abs(sc.r0.values)))
-    return sc.vol.lambda_bar * sc.grid.t_star * sup_r0 / math.sqrt(sc.solver.gamma)
+    # sup |r0| over the nodes a solve reads, x <= x_max + t_star
+    sup_r0 = float(np.max(np.abs(sc.r0.values[: sc.grid.n_w + 1])))
+    return sc.vol.lambda_bar * sc.grid.t_star * sup_r0 / math.sqrt(sc.r0.gamma)
 
 
 def _solve_scenario(sc: Scenario):
     path = simulate(
         sc.model, SimConfig(t_star=sc.grid.t_star, dt=sc.grid.dt, seed=sc.seed)
     )
-    factor = compute_a(path, sc.vol, sc.r0, sc.model.q, sc.grid)
-    exponent = ExponentHandle(sc.model)
-    report = solve_monotone(factor, sc.vol, exponent, sc.solver)
-    return path, factor, exponent, report
+    factor = compute_a(path, sc.vol, sc.r0, sc.grid)
+    report = solve_monotone(factor, sc.vol, ExponentHandle(sc.model), sc.solver)
+    return path, factor, report
 
 
 def cmd_report_exponent(sc: Scenario, out: Path, args) -> int:
@@ -152,7 +152,7 @@ def cmd_simulate_path(sc: Scenario, out: Path, args) -> int:
         note=f" rng={RNG_ALGORITHM}", trailer="# jumps: " + json.dumps(jumps) + "\n",
     )
     if args.dump_factor:
-        factor = compute_a(path, sc.vol, sc.r0, sc.model.q, sc.grid)
+        factor = compute_a(path, sc.vol, sc.r0, sc.grid)
         g = sc.grid
         t, x = _tx_cells(g, [g.row_width(i) + 1 for i in range(g.n_t + 1)])
         I1, I2, a = (_reprs(g.triangle(v)) for v in (factor.I1, factor.I2, factor.a))
@@ -161,10 +161,10 @@ def cmd_simulate_path(sc: Scenario, out: Path, args) -> int:
 
 
 def cmd_solve(sc: Scenario, out: Path, args) -> int:
-    path, factor, exponent, report = _solve_scenario(sc)
+    path, factor, report = _solve_scenario(sc)
     residuals = {}
     if report.status == STATUS_CONVERGED:
-        res = mild_residual(report, path, factor, sc.vol, exponent, sc.r0)
+        res = mild_residual(report, path, factor, sc.vol)
         residuals["mild_l2_max"] = float(np.max(res))
     g = sc.grid
     rect = report.field[:, : g.n_x + 1]
@@ -183,7 +183,7 @@ def cmd_solve(sc: Scenario, out: Path, args) -> int:
             "tol": sc.solver.tol,
             "max_iter": sc.solver.max_iter,
             "cap": report.detail.get("cap"),
-            "gamma": sc.solver.gamma,
+            "gamma": report.gamma,
             "grid": {"t_star": g.t_star, "dt": g.dt, "x_max": g.x_max},
         },
         **_meta(sc),
@@ -204,7 +204,7 @@ def cmd_sweep_explosion(sc: Scenario, out: Path, args) -> int:
         seed=sc.seed,
         tol=sc.solver.tol,
         max_iter=sc.solver.max_iter,
-        gamma=sc.solver.gamma,
+        gamma=sc.r0.gamma,
     )
     rows = result.rows
     columns = [
@@ -226,7 +226,7 @@ def cmd_sweep_explosion(sc: Scenario, out: Path, args) -> int:
 
 
 def cmd_price(sc: Scenario, out: Path, args) -> int:
-    _, _, _, report = _solve_scenario(sc)
+    _, _, report = _solve_scenario(sc)
     if report.status != STATUS_CONVERGED:
         print(f"solve status: {report.status}", file=sys.stderr)
         return EXIT_EXPLOSION if report.status == STATUS_EXPLOSION else EXIT_NOT_CONVERGED

@@ -69,10 +69,35 @@ class WeightedCurve:
         return WeightedCurve(dx=self.dx, values=alpha * self.values, gamma=self.gamma)
 
 
+def weighted_l2(
+    y: np.ndarray, dx: float, weights: np.ndarray, bound: np.ndarray | float, off_panels: np.ndarray | None = None
+) -> np.ndarray:
+    """Trapezoidal (int |y|^2 w dx)^(1/2) of each row of y (its last axis).
+
+    bound, broadcast against y.shape[:-1], is each row's size (its sup, or
+    a stand-in held fixed): y is divided by the power of two just above it
+    before it is squared, and the root multiplied back.  That is exact, so
+    every finite, normal result has the unscaled formula's bits, and rows
+    up to the top of the double range do not overflow.  off_panels marks
+    trapezoid panels (of y[..., 1:]) to leave out, such as those beyond
+    the triangle of a field that is NaN there.
+    """
+    e = np.frexp(bound)[1]  # bound < 2^e
+    with np.errstate(over="ignore"):
+        y = np.ldexp(y, -e[..., None])
+        y *= y
+        y *= weights
+        panels = y[..., 1:] + y[..., :-1]
+        panels *= dx
+        panels /= 2.0
+        if off_panels is not None:
+            np.copyto(panels, 0.0, where=off_panels)
+        return np.ldexp(np.sqrt(panels.sum(axis=-1)), e)
+
+
 def norm_l2gamma(c: WeightedCurve) -> float:
     """Trapezoidal (int |h|^2 e^{gamma x} dx)^(1/2) over the grid."""
-    w = c.values**2 * np.exp(c.gamma * c.x)
-    return math.sqrt(trapezoid(w, dx=c.dx))
+    return float(weighted_l2(c.values, c.dx, np.exp(c.gamma * c.x), np.max(np.abs(c.values))))
 
 
 def norm_h1gamma(c: WeightedCurve) -> float:

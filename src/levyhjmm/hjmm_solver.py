@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .function_space import WeightedCurve, cumulative_trapezoid, trapezoid
+from .function_space import WeightedCurve, cumulative_trapezoid, weighted_l2
 from .grids import SolveGrid
 from .levy_analysis import ExponentDomainError, ExponentHandle
 from .path_sim import LevyPathRecord, SimConfig, simulate
@@ -45,12 +45,10 @@ class SolverConfig:
     tol: float = 1e-10
     max_iter: int = 200
     cap: float | None = None
-    gamma: float = 1.0
 
     def __post_init__(self):
-        for name in ("tol", "gamma"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError(f"tol must be finite and positive, got {self.tol}")
         if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
             raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
         if self.cap is not None and math.isnan(self.cap):
@@ -110,22 +108,6 @@ def _on_triangle(fn, z: np.ndarray, grid: SolveGrid, what: str, domain_sup: floa
     err = ExponentDomainError(z_bad, what=what)
     err.path = path
     raise err
-
-
-def _row_norms(h: np.ndarray, dt: float, weights: np.ndarray, off_panels: np.ndarray) -> np.ndarray:
-    """Weighted L2 norm of each time slice over its valid x-range, for a
-    field (or stack) that is NaN beyond the triangle; weights is e^{gamma x}
-    on the wide x-grid, and off_panels marks the panels whose right node is
-    off the triangle (~valid_mask()[:, 1:]).  The trapezoid panels are summed
-    in rows of n_w, zero-padded, as one row of the field at a time would be."""
-    with np.errstate(over="ignore"):
-        y = h * h
-        y *= weights
-        panels = y[..., 1:] + y[..., :-1]
-        panels *= dt
-        panels /= 2.0
-        np.copyto(panels, 0.0, where=off_panels)
-        return np.sqrt(panels.sum(axis=-1))
 
 
 def apply_K(h: np.ndarray, factor: RandomFactorField, exponent: ExponentHandle) -> np.ndarray:
@@ -217,7 +199,8 @@ def solve_batch(
 
     Every path keeps its own cap, stopping rule and iteration count; a path
     that stops leaves the stack, and its report equals the one-path solve
-    bit for bit.  When a path fails (cap below sup r0, or a domain fault of
+    bit for bit.  The weighted norms (of the iterates' rows, and ||r0|| in
+    c1) are those of the factors' r0, whose gamma all paths must share.  When a path fails (cap below sup r0, or a domain fault of
     J' at its probe or during an iteration), it and every later path are
     dropped, and after the stack is done the error of the lowest failing
     path is raised, as solving the paths one after the other would.  A J'
@@ -228,11 +211,13 @@ def solve_batch(
         raise ValueError(f"h0 must be 'zero' or 'factor', got {h0!r}")
     if not factors:
         return []
-    grid, lam_w = factors[0].grid, factors[0].lam_w
+    grid, lam_w, gamma = factors[0].grid, factors[0].lam_w, factors[0].r0.gamma
     if any(f.grid != grid for f in factors):
         raise ValueError("all factors of a batch must share one grid")
     if not all(f.lam_w is lam_w or np.array_equal(f.lam_w, lam_w) for f in factors):
         raise ValueError("all factors of a batch must share one volatility")
+    if any(f.r0.gamma != gamma for f in factors):
+        raise ValueError("all factors of a batch must share one r0 gamma")
     n_paths = len(factors)
     error: Exception | None = None
     active = list(range(n_paths))
@@ -243,21 +228,21 @@ def solve_batch(
         error, active = err, active[:k]
 
     r0 = np.stack([f.r0.values[: grid.n_w + 1] for f in factors])
-    sup_r0 = np.max(np.abs(r0), axis=-1).tolist()
-    caps = [cfg.cap if cfg.cap is not None else 1e8 * (1.0 + s) for s in sup_r0]
+    sup_r0 = np.max(np.abs(r0), axis=-1)
+    caps = [cfg.cap if cfg.cap is not None else 1e8 * (1.0 + s) for s in sup_r0.tolist()]
     for p in range(n_paths):
         if caps[p] <= sup_r0[p]:
             fail(p, ValueError(f"cap={caps[p]} must exceed sup r0={sup_r0[p]}"))
             break
 
-    weights = np.exp(cfg.gamma * grid.x_wide)  # of the weighted norms, fixed for the solve
+    # the weights of the norms, and each path's scale of them (sup r0), are fixed for the solve
+    weights = np.exp(gamma * grid.x_wide)
     off_panels = ~grid.valid_mask()[:, 1:]
-    r0_norms = np.sqrt(trapezoid(r0**2 * weights, dx=grid.dt, axis=-1))
-    B = np.array([f.b_bar for f in factors]) * r0_norms
-    c1s = a_priori_c1(B, vol.lambda_bar, grid.t_star, cfg.gamma, exponent)
+    B = np.array([f.b_bar for f in factors]) * weighted_l2(r0, grid.dt, weights, sup_r0)
+    c1s = a_priori_c1(B, vol.lambda_bar, grid.t_star, gamma, exponent)
     # fail fast if J' is unreachable on the region the iteration can visit
     z_probe = np.array([
-        vol.lambda_bar * c1 / math.sqrt(cfg.gamma)
+        vol.lambda_bar * c1 / math.sqrt(gamma)
         if c1 is not None
         else vol.lambda_bar * cap * grid.x_max
         for c1, cap in zip(c1s, caps)
@@ -298,7 +283,7 @@ def solve_batch(
         # the stop rules run per path on floats, one list of each norm per stack
         # fmax skips the NaNs beyond the triangle without copying the field
         sups = np.fmax.reduce(np.abs(h_next), axis=(-2, -1)).tolist()
-        l2s = np.max(_row_norms(h_next, grid.dt, weights, off_panels), axis=-1).tolist()
+        l2s = np.max(weighted_l2(h_next, grid.dt, weights, sup_r0[active, None], off_panels), axis=-1).tolist()
         with np.errstate(invalid="ignore"):  # inf - inf only where the cap was hit
             changes = np.fmax.reduce(np.abs(h_next - h), axis=(-2, -1)).tolist()
         keep = []
@@ -339,7 +324,7 @@ def solve_batch(
                 c1=c1s[p],
                 n_iters=n_iters,
                 grid=grid,
-                gamma=cfg.gamma,
+                gamma=gamma,
                 detail=detail,
                 iterates=iterates[p] if keep_iterates else None,
             )
@@ -353,15 +338,11 @@ def solve_batch(
 
 
 def mild_residual(
-    report: SolveReport,
-    path: LevyPathRecord,
-    factor: RandomFactorField,
-    vol: Volatility,
-    exponent: ExponentHandle,
-    r0: WeightedCurve,
+    report: SolveReport, path: LevyPathRecord, factor: RandomFactorField, vol: Volatility
 ) -> np.ndarray:
     """Weighted L2 distance, per grid time, between r and the discretized
-    mild form (shifted initial curve + drift convolution + stochastic sum).
+    mild form (shifted initial curve + drift convolution + stochastic sum),
+    for the path's model and the factor's r0.
 
     The stochastic integral is a left-point sum over grid increments of the
     compensated drift+Brownian part plus the recorded jumps evaluated at
@@ -372,10 +353,10 @@ def mild_residual(
     grid = report.grid
     r = report.field
     model = path.model
+    exponent = ExponentHandle(model)
     lam_w = factor.lam_w
     cum = cumulative_trapezoid(lam_w[None, :] * r, grid.dt)
     dt = grid.dt
-    weights = np.exp(report.gamma * grid.x_wide)
 
     dW = path.brownian_increments
     dLc = (model.a - path.m_n) * dt + dW[: grid.n_t] if dW.size else np.full(grid.n_t, (model.a - path.m_n) * dt)
@@ -384,7 +365,7 @@ def mild_residual(
     lam_r = lam_w * r
     drift = dt * grid.sum_along_t(jp * lam_r)
     dLc_rows = np.append(dLc, 0.0)[:, None]
-    rhs = grid.shifted(r0.values) + drift + grid.sum_along_t(lam_r * dLc_rows, rule="left")
+    rhs = grid.shifted(factor.r0.values) + drift + grid.sum_along_t(lam_r * dLc_rows, rule="left")
     for s_m, y_m in zip(path.jump_times, path.jump_sizes):
         # the jump enters every row with t_i >= s_m, at the field's left limit
         i0 = int(np.searchsorted(grid.t, s_m, side="left"))
@@ -394,7 +375,8 @@ def mild_residual(
         r_left = np.interp(args, grid.x_wide[: wk + 1], r[k, : wk + 1])
         rhs[i0:] += vol.lam(args) * r_left * y_m
     diff = (r - rhs)[:, : grid.n_x + 1]
-    return np.sqrt(trapezoid(diff**2 * weights[: grid.n_x + 1], dx=dt, axis=1))
+    weights = np.exp(report.gamma * grid.x_wide)[: grid.n_x + 1]
+    return weighted_l2(diff, dt, weights, np.max(np.abs(diff), axis=1))
 
 
 @dataclass(frozen=True)
@@ -496,26 +478,21 @@ def strong_residual(
     lhs[:n_t] = np.gradient(r[:n_t, : n_x + 2], dt, axis=1, edge_order=2)[:, : n_x + 1]
     lhs[n_t] = np.gradient(r[n_t, : n_x + 1], dt, edge_order=2 if n_x >= 2 else 1)
     diff = lhs - rhs[:, : n_x + 1]
-    weights = np.exp(report.gamma * grid.x_wide)[: n_x + 1]
-    per_t = np.sqrt(trapezoid(diff**2 * weights, dx=dt, axis=1))
-    return StrongResidual(sup=float(np.max(np.abs(diff))), l2=float(np.max(per_t)), per_t=per_t)
+    row_sups = np.max(np.abs(diff), axis=1)
+    per_t = weighted_l2(diff, dt, np.exp(report.gamma * grid.x_wide)[: n_x + 1], row_sups)
+    return StrongResidual(sup=float(np.max(row_sups)), l2=float(np.max(per_t)), per_t=per_t)
 
 
 def uniqueness_constant(
-    factor: RandomFactorField,
-    vol: Volatility,
-    exponent: ExponentHandle,
-    gamma: float,
-    norms_a: float,
-    norms_b: float,
+    factor: RandomFactorField, vol: Volatility, exponent: ExponentHandle, norms_a: float, norms_b: float
 ) -> float:
     """The Gronwall constant from the uniqueness argument for two solutions
-    with weighted-norm bounds norms_a, norms_b."""
+    with bounds norms_a, norms_b in the weighted norm of the factor's r0."""
     grid = factor.grid
     sup_r0 = float(np.max(factor.r0.values[: grid.n_w + 1]))
     B = factor.b_bar
     lb = vol.lambda_bar
-    z = lb * max(norms_a, norms_b) / math.sqrt(gamma)
+    z = lb * max(norms_a, norms_b) / math.sqrt(factor.r0.gamma)
     jp = float(np.abs(exponent.J_prime(np.array([z])))[0])
     jpp0 = float(exponent.J_second(np.array([0.0]))[0])
     return sup_r0 * B * math.exp(lb * grid.t_star * jp) * jpp0 * lb * lb
@@ -561,10 +538,10 @@ def explosion_sweep(
     path = simulate(model, SimConfig(t_star=grid.t_star, dt=grid.dt, seed=seed, n_threshold=n_threshold))
     levels = sorted(float(k) for k in r0_levels)
     factors = [
-        compute_a(path, vol, WeightedCurve(dx=grid.dt, values=np.full(grid.n_w + 1, k), gamma=gamma), model.q, grid)
+        compute_a(path, vol, WeightedCurve(dx=grid.dt, values=np.full(grid.n_w + 1, k), gamma=gamma), grid)
         for k in levels
     ]
-    reports = solve_batch(factors, vol, exponent, SolverConfig(tol=tol, max_iter=max_iter, gamma=gamma))
+    reports = solve_batch(factors, vol, exponent, SolverConfig(tol=tol, max_iter=max_iter))
     rows = tuple(
         SweepRow(level=k, status=rep.status, n_iters=rep.n_iters, max_sup=rep.iterate_sup_norms[-1])
         for k, rep in zip(levels, reports)

@@ -5,9 +5,9 @@ Given a simulated path L and a volatility curve lambda, the field
     a(t,x) = r0(t+x) * exp(I1(t,x) - q/2 * int_0^t lambda^2(t-s+x) ds) * I2(t,x)
 
 multiplies the nonlinear exponential in the fixed-point equation (q is the
-variance of the Gaussian part, as in the exponent J).  I1 is the
-stochastic integral int_0^t lambda(t-s+x) dL(s) evaluated through the
-integration-by-parts identity
+variance of the Gaussian part of the path's model, as in the exponent J).
+I1 is the stochastic integral int_0^t lambda(t-s+x) dL(s) evaluated through
+the integration-by-parts identity
 
     I1(t,x) = lambda(x) L(t) + int_0^t lambda'(t-s+x) L(s) ds,
 
@@ -191,10 +191,10 @@ def compute_a(
     paths: LevyPathRecord | Sequence[LevyPathRecord],
     vol: Volatility,
     r0: WeightedCurve,
-    q: float,
     grid: SolveGrid,
 ) -> RandomFactorField | list[RandomFactorField]:
-    """Assemble the random factor a(t,x) = r0(t+x) exp(I1 - q/2 Q) I2.
+    """Assemble the random factor a(t,x) = r0(t+x) exp(I1 - q/2 Q) I2, q of
+    each path's model.
 
     paths is one LevyPathRecord, which gives its field, or a sequence of
     paths on the grid, which gives the list of their fields: views into one
@@ -223,13 +223,13 @@ def compute_a(
 
     mask = grid.valid_mask()
     lam_sq = lam_w**2
-    if q == 0.0:
-        Q = np.where(mask, 0.0, np.nan)
-    elif vol.is_constant:
+    if vol.is_constant:
         # trapezoid of a constant is exact
         Q = np.where(mask, lam_sq[0] * grid.t[:, None], np.nan)
     else:
         Q = grid.dt * grid.sum_along_t(lam_sq)
+    # q Q is 0 on the triangle for q = 0, so such a path's I1 keeps its bits
+    q = np.array([path.model.q for path in stack])[:, None, None]
 
     with np.errstate(over="ignore"):
         b = np.exp(I1 - 0.5 * q * Q) * I2

@@ -232,8 +232,8 @@ def load_scenario(source, overrides: dict | None = None) -> Scenario:
     except ValueError as exc:
         raise ScenarioError("grid", str(exc)) from exc
 
-    gamma = _number(raw.get("gamma", 1.0), "gamma", True)
-    r0 = _build_r0(_need(raw, "r0", "<root>"), grid, gamma, "r0")
+    # the weight of r0's space, and so of every weighted norm of the solve
+    r0 = _build_r0(_need(raw, "r0", "<root>"), grid, _number(raw.get("gamma", 1.0), "gamma", True), "r0")
 
     tol = _number(solver_raw.get("tol", 1e-10), "solver.tol", True)
     max_iter = _number(solver_raw.get("max_iter", 200), "solver.max_iter", True)
@@ -256,6 +256,6 @@ def load_scenario(source, overrides: dict | None = None) -> Scenario:
         vol=vol,
         grid=grid,
         r0=r0,
-        solver=SolverConfig(tol=tol, max_iter=int(max_iter), cap=cap, gamma=gamma),
+        solver=SolverConfig(tol=tol, max_iter=int(max_iter), cap=cap),
         seed=seed,
     )

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from levyhjmm.bond_market import (
-    FRAME_MOVING,
     ForwardField,
     bond_price,
     hjm_drift_check,
@@ -69,9 +68,9 @@ def exp_decay_r0(grid, gamma=1.0, scale=1.0):
 def solve_scenario(model, vol, grid, seed, r0=None, gamma=1.0, **cfg_kw):
     path = simulate(model, SimConfig(t_star=grid.t_star, dt=grid.dt, seed=seed))
     r0 = r0 or exp_decay_r0(grid, gamma)
-    factor = compute_a(path, vol, r0, model.q, grid)
+    factor = compute_a(path, vol, r0, grid)
     handle = ExponentHandle(model)
-    report = solve_monotone(factor, vol, handle, SolverConfig(gamma=gamma, **cfg_kw))
+    report = solve_monotone(factor, vol, handle, SolverConfig(**cfg_kw))
     return path, factor, handle, r0, report
 
 
@@ -172,7 +171,7 @@ def test_criterion_5_monotone_iteration():
                 model, SimConfig(t_star=1.0, dt=grid.dt, seed=int(rng.integers(1 << 30)))
             )
             r0 = exp_decay_r0(grid, scale=scale)
-            factor = compute_a(path, vol, r0, model.q, grid)
+            factor = compute_a(path, vol, r0, grid)
             rep = solve_monotone(
                 factor, vol, ExponentHandle(model), SolverConfig(), keep_iterates=True
             )
@@ -199,10 +198,10 @@ def test_criterion_6_mild_residual_order():
         for p in paths:
             grid = SolveGrid(t_star=1.0, dt=p.dt, x_max=1.0)
             r0 = exp_decay_r0(grid)
-            factor = compute_a(p, vol, r0, 0.0, grid)
+            factor = compute_a(p, vol, r0, grid)
             rep = solve_monotone(factor, vol, handle, SolverConfig())
             assert rep.status == STATUS_CONVERGED
-            residuals.append(float(np.max(mild_residual(rep, p, factor, vol, handle, r0))))
+            residuals.append(float(np.max(mild_residual(rep, p, factor, vol))))
         for coarse, fine in zip(residuals, residuals[1:]):
             assert 0.4 <= fine / coarse <= 0.6, f"residuals {residuals}"
 
@@ -237,7 +236,7 @@ def test_criterion_8_uniqueness_two_start():
                 model, SimConfig(t_star=1.0, dt=grid.dt, seed=int(rng.integers(1 << 30)))
             )
             r0 = exp_decay_r0(grid, scale=scale)
-            factor = compute_a(path, vol, r0, model.q, grid)
+            factor = compute_a(path, vol, r0, grid)
             handle = ExponentHandle(model)
             ra = solve_monotone(factor, vol, handle, SolverConfig(), h0="zero")
             rb = solve_monotone(factor, vol, handle, SolverConfig(), h0="factor")
@@ -245,7 +244,7 @@ def test_criterion_8_uniqueness_two_start():
             sup_d = grid.nan_sup(ra.field - rb.field)
             assert sup_d < 1e-8, f"case {case}: two starts disagree by {sup_d}"
             C = uniqueness_constant(
-                factor, vol, handle, 1.0, max(ra.iterate_l2_norms), max(rb.iterate_l2_norms)
+                factor, vol, handle, max(ra.iterate_l2_norms), max(rb.iterate_l2_norms)
             )
             d = np.where(grid.valid_mask(), np.abs(ra.field - rb.field), np.nan)
             res = gronwall_check(d, C, grid, atol=1e-8)
@@ -277,21 +276,19 @@ def test_criterion_10_finance_layer():
         vol = ConstantVol(0.3)
         grid = SolveGrid(t_star=1.0, dt=1.0 / 16, x_max=1.0)
         _, _, _, _, rep = solve_scenario(model, vol, grid, seed=10)
-        field = ForwardField(FRAME_MOVING, rep.field, grid, 1.0)
+        field = ForwardField(rep.field, grid)
         assert bond_price(field, 0.5, 0.5) == 1.0
 
         # flat 5% curve, horizon 2
         gridf = SolveGrid(t_star=0.5, dt=1.0 / 128, x_max=2.0)
-        flat = ForwardField(
-            FRAME_MOVING, np.where(gridf.valid_mask(), 0.05, np.nan), gridf, 1.0
-        )
+        flat = ForwardField(np.where(gridf.valid_mask(), 0.05, np.nan), gridf)
         assert bond_price(flat, 0.0, 2.0) == pytest.approx(math.exp(-0.1), abs=1e-10)
 
         # drift-condition residual at dt = 1e-3 on the pure-drift scenario
         gridd = SolveGrid(t_star=1.0, dt=1e-3, x_max=1.0)
         dmodel = LevyModel(a=1.0)
         _, _, handle, _, drep = solve_scenario(dmodel, ConstantVol(0.5), gridd, seed=1)
-        dfield = ForwardField(FRAME_MOVING, drep.field, gridd, 1.0)
+        dfield = ForwardField(drep.field, gridd)
         _, res = hjm_drift_check(dfield, ConstantVol(0.5), handle, 0.5)
         assert np.max(res) < 1e-8
 

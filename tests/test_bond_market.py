@@ -14,7 +14,6 @@ from levyhjmm.random_factor import ConstantVol, ExpAffineVol, compute_a
 from levyhjmm.function_space import trapezoid
 from levyhjmm.hjmm_solver import SolverConfig, solve_monotone
 from levyhjmm.bond_market import (
-    FRAME_MOVING,
     ForwardField,
     MartingaleReport,
     MartingaleRow,
@@ -27,29 +26,25 @@ GRID = SolveGrid(t_star=1.0, dt=1.0 / 16, x_max=1.0)
 POISSON = LevyModel(nu=LevyMeasureSpec(atoms=((1.0, 0.5),)))
 
 
-def constant_field(value, grid=GRID, gamma=1.0):
-    vals = np.where(grid.valid_mask(), value, np.nan)
-    return ForwardField(FRAME_MOVING, vals, grid, gamma)
+def constant_field(value, grid=GRID):
+    return ForwardField(np.where(grid.valid_mask(), value, np.nan), grid)
 
 
 def solved_field(model, grid=GRID, seed=3, vol=ConstantVol(0.5), gamma=1.0):
     r0 = WeightedCurve(dx=grid.dt, values=np.exp(-grid.x_wide), gamma=gamma)
     path = simulate(model, SimConfig(t_star=grid.t_star, dt=grid.dt, seed=seed))
-    factor = compute_a(path, vol, r0, model.q, grid)
-    rep = solve_monotone(factor, vol, ExponentHandle(model), SolverConfig(gamma=gamma))
+    factor = compute_a(path, vol, r0, grid)
+    rep = solve_monotone(factor, vol, ExponentHandle(model), SolverConfig())
     assert rep.status == "Converged"
-    return ForwardField(FRAME_MOVING, rep.field, grid, gamma), rep, r0, vol
+    return ForwardField(rep.field, grid), rep, r0, vol
 
 
 class TestFrames:
     def test_frame_guards(self):
         # a field is stored in the moving frame; only SolveGrid.sum_along_t reads it in the natural frame
         vals = constant_field(0.05).values
-        for frame in ("Natural", "moving"):
-            with pytest.raises(ValueError, match="unknown frame"):
-                ForwardField(frame, vals, GRID, 1.0)
         with pytest.raises(ValueError, match="field shape"):
-            ForwardField(FRAME_MOVING, vals[:, :-1], GRID, 1.0)
+            ForwardField(vals[:, :-1], GRID)
 
 
 class TestBondPrice:
@@ -70,7 +65,7 @@ class TestBondPrice:
         g = field.grid
         for i in (0, g.n_t // 2, g.n_t):
             w = g.row_width(i)
-            curve = WeightedCurve(dx=g.dt, values=field.values[i, : w + 1], gamma=field.gamma)
+            curve = WeightedCurve(dx=g.dt, values=field.values[i, : w + 1], gamma=r0.gamma)
             check = l1_bound_check(curve)
             floor = math.exp(-check.bound)
             t = float(g.t[i])
@@ -195,7 +190,7 @@ class TestMartingale:
         iters = []
         for ps in np.random.SeedSequence(1010).generate_state(16, dtype=np.uint64):
             path = simulate(POISSON, SimConfig(t_star=GRID.t_star, dt=GRID.dt, seed=int(ps)))
-            factor = compute_a(path, vol, r0, POISSON.q, GRID)
+            factor = compute_a(path, vol, r0, GRID)
             iters.append(solve_monotone(factor, vol, ExponentHandle(POISSON), cfg).n_iters)
         assert (rep.n_iters_min, rep.n_iters_median, rep.n_iters_max) == (
             min(iters), float(np.median(iters)), max(iters)
@@ -230,7 +225,7 @@ class TestMartingale:
         for ps in np.random.SeedSequence(seed).generate_state(n_paths, dtype=np.uint64):
             cfg = SimConfig(t_star=grid.t_star, dt=grid.dt, seed=int(ps), max_jumps=max_jumps)
             try:
-                factor = compute_a(simulate(model, cfg), ConstantVol(0.5), r0, 0.0, grid)
+                factor = compute_a(simulate(model, cfg), ConstantVol(0.5), r0, grid)
                 solve_monotone(factor, ConstantVol(0.5), ExponentHandle(model), SolverConfig())
                 outcomes.append(None)
             except (ExponentDomainError, JumpCapacityError) as err:
@@ -292,7 +287,7 @@ def serial_martingale(model, vol, r0, grid, cfg, n_paths, maturities, t_checkpoi
     reference, n_exploded, n_not_converged, n_iters = {}, 0, 0, []
     for ps in np.random.SeedSequence(seed).generate_state(n_paths, dtype=np.uint64):
         path = simulate(model, SimConfig(t_star=grid.t_star, dt=grid.dt, seed=int(ps)))
-        rep = solve_monotone(compute_a(path, vol, r0, model.q, grid), vol, exponent, cfg)
+        rep = solve_monotone(compute_a(path, vol, r0, grid), vol, exponent, cfg)
         n_iters.append(rep.n_iters)
         if rep.status == "ExplosionDetected":
             n_exploded += 1
@@ -300,7 +295,7 @@ def serial_martingale(model, vol, r0, grid, cfg, n_paths, maturities, t_checkpoi
             n_not_converged += 1
         if rep.status != "Converged":
             continue
-        field = ForwardField(FRAME_MOVING, rep.field, grid, cfg.gamma)
+        field = ForwardField(rep.field, grid)
         if not reference:
             reference = {T: bond_price(field, 0.0, T) for T in maturities}
         for t in t_checkpoints:

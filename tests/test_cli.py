@@ -148,6 +148,40 @@ class TestClassify:
         assert report["regime"] == "GlobalSafe"
         assert report["lambda_bar_t_star"] == 0.5
 
+    def test_z0_reads_only_the_solved_nodes(self, tmp_path):
+        # r0 = 0.3 on the n_w + 1 nodes a solve reads (x <= 2), then out to
+        # x = 4, where its last node is 50: z0 = lambda_bar t* sup r0 / sqrt(gamma)
+        dt = DEGENERATE["grid"]["dt"]
+        values = [0.3] * 64 + [50.0]
+        curve_file = tmp_path / "r0.csv"
+        curve_file.write_text("x,value\n" + "".join(f"{k * dt!r},{v!r}\n" for k, v in enumerate(values)))
+        scen = write_scenario(tmp_path, {**POISSON, "r0": {"kind": "csv", "path": str(curve_file)}, "gamma": 0.25})
+        assert main(["classify", scen, "--out-dir", str(tmp_path / "out")]) == 0
+        report = json.loads((tmp_path / "out" / "classify.json").read_text())
+        assert report["z0"] == 0.5 * 1.0 * 0.3 / math.sqrt(0.25)
+
+
+class TestHugeCurves:
+    """A flat r0 of 1e200 is finite, and so are its weighted norms: they
+    are taken without squaring past the double range (the suite turns the
+    RuntimeWarning of an overflow into an error)."""
+
+    def test_solve_writes_finite_norms(self, tmp_path):
+        scen = write_scenario(tmp_path, {**POISSON, "r0": {"kind": "flat", "level": 1e200}})
+        assert main(["solve", scen, "--out-dir", str(tmp_path / "out")]) == 0
+        report = json.loads((tmp_path / "out" / "solve_report.json").read_text())
+        assert report["status"] == "Converged"
+        # the path has no jump (b = 1) and J' <= 0, so c1 = ||r0|| = every iterate's norm
+        assert math.isfinite(report["c1"]) and report["c1"] > 1e200
+        assert report["iterate_l2_norms"] == [report["c1"]] * report["n_iters"]
+        assert math.isfinite(report["residuals"]["mild_l2_max"])
+
+    def test_sweep_at_2_to_the_600(self, tmp_path):
+        scen = write_scenario(tmp_path, POISSON)
+        argv = ["sweep-explosion", scen, "--k-min-exp", "600", "--k-max-exp", "600", "--out-dir", str(tmp_path)]
+        assert main(argv) == 0
+        assert (tmp_path / "sweep.csv").read_text().splitlines()[2].split(",")[1] == "Converged"
+
 
 class TestSweep:
     def test_wiener_sweep_has_explosion(self, tmp_path):
@@ -253,7 +287,7 @@ class TestCsvContents:
         import numpy as np
 
         from levyhjmm import __version__
-        from levyhjmm.bond_market import FRAME_MOVING, ForwardField, bond_price
+        from levyhjmm.bond_market import ForwardField, bond_price
         from levyhjmm.hjmm_solver import explosion_sweep, solve_monotone
         from levyhjmm.levy_analysis import ExponentHandle
         from levyhjmm.path_sim import RNG_ALGORITHM, SimConfig, simulate
@@ -277,17 +311,17 @@ class TestCsvContents:
         ts, xs = g.t.tolist(), g.x_wide.tolist()
         path = simulate(sc.model, SimConfig(t_star=g.t_star, dt=g.dt, seed=sc.seed))
         assert path.jump_times.size == 4
-        factor = compute_a(path, sc.vol, sc.r0, sc.model.q, g)
+        factor = compute_a(path, sc.vol, sc.r0, g)
         exponent = ExponentHandle(sc.model)
         field = solve_monotone(factor, sc.vol, exponent, sc.solver).field
-        moving = ForwardField(FRAME_MOVING, field, g, sc.solver.gamma)
+        moving = ForwardField(field, g)
         I1, I2, a = factor.I1.tolist(), factor.I2.tolist(), factor.a.tolist()
         zs = np.linspace(0.0, 5.0, 11)
         J, Jp, Jpp = exponent.J(zs), exponent.J_prime(zs), exponent.J_second(zs)
         levels = [2.0**k for k in range(5)]
         cfg = sc.solver
         sweep = explosion_sweep(
-            sc.model, sc.vol, levels, g, seed=sc.seed, tol=cfg.tol, max_iter=cfg.max_iter, gamma=cfg.gamma
+            sc.model, sc.vol, levels, g, seed=sc.seed, tol=cfg.tol, max_iter=cfg.max_iter, gamma=sc.r0.gamma
         )
         jumps = [[float(s), float(y)] for s, y in zip(path.jump_times, path.jump_sizes)]
         rect = [(i, j) for i in range(g.n_t + 1) for j in range(g.n_x + 1)]
@@ -735,7 +769,7 @@ class TestFrozenWriter:
         g = sc.grid
         assert (g.n_t, g.n_x) == (16, 32)
         path = simulate(sc.model, SimConfig(t_star=g.t_star, dt=g.dt, seed=sc.seed))
-        factor = compute_a(path, sc.vol, sc.r0, sc.model.q, g)
+        factor = compute_a(path, sc.vol, sc.r0, g)
         field = solve_monotone(factor, sc.vol, ExponentHandle(sc.model), sc.solver).field
         rect = field[:, : g.n_x + 1]
         prices = np.array([exp_neg_integrals(field[:, : j + 1], g.dt) for j in range(g.n_x + 1)]).T

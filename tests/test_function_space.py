@@ -11,6 +11,8 @@ from levyhjmm.function_space import (
     read_curve_csv,
     shift,
     sup_bound_check,
+    trapezoid,
+    weighted_l2,
 )
 
 
@@ -49,6 +51,29 @@ class TestL2Norm:
         rng = np.random.default_rng(0)
         c = random_spline_curve(rng)
         assert norm_l2gamma(c.scaled(3.0)) == pytest.approx(3.0 * norm_l2gamma(c), rel=1e-15)
+
+    @pytest.mark.parametrize("k", [-530, 600, 1000])
+    def test_power_of_two_scales_exactly(self, k):
+        # |h|^2 is subnormal at 2^-530 and beyond double range at 2^600
+        c = random_spline_curve(np.random.default_rng(1))
+        assert norm_l2gamma(c.scaled(2.0**k)) == 2.0**k * norm_l2gamma(c)
+
+
+class TestWeightedL2:
+    def test_rows_match_the_trapezoid_formula_bit_for_bit(self):
+        rng = np.random.default_rng(2)
+        y = rng.standard_normal((3, 4, 50)) * 10.0 ** rng.uniform(-20, 20, size=(3, 4, 1))
+        weights = np.exp(0.7 * 0.05 * np.arange(50))
+        want = np.sqrt(trapezoid(y**2 * weights, dx=0.05, axis=-1))
+        # any fixed bound will do, its row sup included
+        for bound in (np.max(np.abs(y), axis=-1), np.full((3, 1), 7.5), 0.0):
+            assert np.array_equal(weighted_l2(y, 0.05, weights, bound), want)
+
+    def test_off_panels_are_left_out(self):
+        y = np.array([[1.0, 2.0, np.nan, np.nan], [3.0, 4.0, 5.0, np.nan]])
+        off = np.array([[False, True, True], [False, False, True]])
+        got = weighted_l2(y, 0.5, np.ones(4), np.array([2.0, 5.0]), off)
+        assert np.array_equal(got, [math.sqrt(0.25 * (1 + 4)), math.sqrt(0.25 * (9 + 2 * 16 + 25))])
 
 
 class TestH1Norm:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from levyhjmm.function_space import WeightedCurve, cumulative_trapezoid, trapezoid
+from levyhjmm.function_space import WeightedCurve, cumulative_trapezoid, norm_l2gamma, trapezoid
 from levyhjmm.grids import SolveGrid
 from levyhjmm.levy_analysis import (
     REGIME_EXPLOSION,
@@ -46,7 +46,7 @@ def r0_exp(grid=GRID, gamma=1.0):
 def setup(model, grid=GRID, seed=1, vol=VOL, gamma=1.0, r0=None):
     path = simulate(model, SimConfig(t_star=grid.t_star, dt=grid.dt, seed=seed))
     r0 = r0 or r0_exp(grid, gamma)
-    factor = compute_a(path, vol, r0, model.q, grid)
+    factor = compute_a(path, vol, r0, grid)
     return path, factor, ExponentHandle(model), r0
 
 
@@ -212,7 +212,7 @@ class TestNaturalFrameKernel:
         vol = ExpAffineVol(c0=0.2, c1=0.1, beta=1.0)
         r0 = WeightedCurve(dx=dt, values=np.exp(-grid.x_wide), gamma=1.0)
         paths = [simulate(model, SimConfig(t_star=1.0, dt=dt, seed=seed)) for seed in (3, 4, 5)]
-        factors = compute_a(paths, vol, r0, model.q, grid)
+        factors = compute_a(paths, vol, r0, grid)
         factor = dataclasses.replace(factors[0], a=np.stack([f.a for f in factors])) if stack else factors[0]
         handle = ExponentHandle(model)
         mask = grid.valid_mask()
@@ -300,8 +300,6 @@ class TestSolverConfig:
             ("max_iter", True),
             ("tol", math.nan),
             ("tol", math.inf),
-            ("gamma", math.nan),
-            ("gamma", math.inf),
             ("cap", math.nan),
         ],
     )
@@ -332,7 +330,7 @@ class TestSolveMonotone:
         grid = SolveGrid(t_star=1.0, dt=1.0 / 16, x_max=1.0)
         r0 = WeightedCurve(dx=grid.dt, values=np.full(grid.n_w + 1, 64.0), gamma=1.0)
         path = simulate(model, SimConfig(t_star=1.0, dt=grid.dt, seed=21))
-        factor = compute_a(path, ConstantVol(1.0), r0, 1.0, grid)
+        factor = compute_a(path, ConstantVol(1.0), r0, grid)
         rep = solve_monotone(factor, ConstantVol(1.0), ExponentHandle(model), SolverConfig())
         assert rep.status == STATUS_EXPLOSION
         assert_cap_stop(rep)
@@ -369,7 +367,7 @@ class TestSolveMonotone:
         for p in paths:
             grid = SolveGrid(t_star=1.0, dt=p.dt, x_max=1.0)
             r0 = r0_exp(grid)
-            factor = compute_a(p, VOL, r0, 0.0, grid)
+            factor = compute_a(p, VOL, r0, grid)
             rep = solve_monotone(factor, VOL, ExponentHandle(POISSON), SolverConfig())
             fields.append((grid, rep.field))
         g0, f0 = fields[0]
@@ -402,10 +400,10 @@ class TestSolveMonotone:
         r0 = r0_exp(grid)
         handle = ExponentHandle(POISSON)
         rep_a = solve_monotone(
-            compute_a(path, vol_a, r0, 0.0, grid), vol_a, handle, SolverConfig()
+            compute_a(path, vol_a, r0, grid), vol_a, handle, SolverConfig()
         )
         rep_t = solve_monotone(
-            compute_a(path, vol_t, r0, 0.0, grid), vol_t, handle, SolverConfig()
+            compute_a(path, vol_t, r0, grid), vol_t, handle, SolverConfig()
         )
         assert rep_a.status == rep_t.status == STATUS_CONVERGED
         sup_field = grid.nan_sup(rep_a.field)
@@ -431,14 +429,14 @@ class TestMildResidual:
         model = LevyModel()
         path, factor, handle, r0 = setup(model)
         rep = solve_monotone(factor, VOL, handle, SolverConfig())
-        res = mild_residual(rep, path, factor, VOL, handle, r0)
+        res = mild_residual(rep, path, factor, VOL)
         assert np.max(res) < 1e-13
 
     def test_initial_row_is_zero(self):
         # at t = 0 the drift and stochastic integrals run over [0, 0]
         path, factor, handle, r0 = setup(POISSON)
         rep = solve_monotone(factor, VOL, handle, SolverConfig())
-        res = mild_residual(rep, path, factor, VOL, handle, r0)
+        res = mild_residual(rep, path, factor, VOL)
         assert res[0] == 0.0
         assert np.max(res) > 0.0
 
@@ -447,7 +445,7 @@ class TestMildResidual:
         grid = SolveGrid(t_star=1.0, dt=1.0 / 64, x_max=1.0)
         path, factor, handle, r0 = setup(model, grid=grid)
         rep = solve_monotone(factor, VOL, handle, SolverConfig())
-        res = mild_residual(rep, path, factor, VOL, handle, r0)
+        res = mild_residual(rep, path, factor, VOL)
         assert np.max(res) < 5.0 * grid.dt
 
     def test_compound_poisson_halving(self):
@@ -456,9 +454,9 @@ class TestMildResidual:
         for path in (base, refine_path(base, seed=80)):
             grid = SolveGrid(t_star=1.0, dt=path.dt, x_max=1.0)
             r0 = r0_exp(grid)
-            factor = compute_a(path, VOL, r0, 0.0, grid)
+            factor = compute_a(path, VOL, r0, grid)
             rep = solve_monotone(factor, VOL, ExponentHandle(POISSON), SolverConfig())
-            vals.append(np.max(mild_residual(rep, path, factor, VOL, ExponentHandle(POISSON), r0)))
+            vals.append(np.max(mild_residual(rep, path, factor, VOL)))
         assert 0.4 <= vals[1] / vals[0] <= 0.6
 
     def test_requires_converged(self):
@@ -466,10 +464,10 @@ class TestMildResidual:
         grid = SolveGrid(t_star=1.0, dt=1.0 / 16, x_max=1.0)
         r0 = WeightedCurve(dx=grid.dt, values=np.full(grid.n_w + 1, 64.0), gamma=1.0)
         path = simulate(model, SimConfig(t_star=1.0, dt=grid.dt, seed=21))
-        factor = compute_a(path, ConstantVol(1.0), r0, 1.0, grid)
+        factor = compute_a(path, ConstantVol(1.0), r0, grid)
         rep = solve_monotone(factor, ConstantVol(1.0), ExponentHandle(model), SolverConfig())
         with pytest.raises(RuntimeError):
-            mild_residual(rep, path, factor, ConstantVol(1.0), ExponentHandle(model), r0)
+            mild_residual(rep, path, factor, ConstantVol(1.0))
 
 
 class TestGronwall:
@@ -493,7 +491,7 @@ class TestGronwall:
         d = np.abs(ra.field - rb.field)
         assert GRID.nan_sup(ra.field - rb.field) < 1e-8
         C = uniqueness_constant(
-            factor, VOL, handle, 1.0, max(ra.iterate_l2_norms), max(rb.iterate_l2_norms)
+            factor, VOL, handle, max(ra.iterate_l2_norms), max(rb.iterate_l2_norms)
         )
         res = gronwall_check(np.where(GRID.valid_mask(), d, np.nan), C, GRID, atol=1e-8)
         assert res.holds_on_grid
@@ -551,7 +549,7 @@ class TestStrongResidual:
         grid = GRID
         r0 = WeightedCurve(dx=grid.dt, values=np.zeros(grid.n_w + 1), gamma=1.0)
         path = simulate(LevyModel(), SimConfig(t_star=1.0, dt=grid.dt, seed=1))
-        factor = compute_a(path, VOL, r0, 0.0, grid)
+        factor = compute_a(path, VOL, r0, grid)
         rep = solve_monotone(factor, VOL, ExponentHandle(LevyModel()), SolverConfig())
         with pytest.raises(ValueError):
             strong_residual(rep, r0, VOL, ExponentHandle(LevyModel()))
@@ -582,7 +580,7 @@ class TestExplosionSweep:
         grid = SolveGrid(t_star=1.0, dt=1.0 / 8, x_max=1.0)
         path = simulate(model, SimConfig(t_star=1.0, dt=grid.dt, seed=1010))
         r0 = WeightedCurve(dx=grid.dt, values=np.full(grid.n_w + 1, 2.0**20), gamma=1.0)
-        factor = compute_a(path, ConstantVol(0.3), r0, 0.0, grid)
+        factor = compute_a(path, ConstantVol(0.3), r0, grid)
         rep = solve_monotone(factor, ConstantVol(0.3), ExponentHandle(model), SolverConfig())
         assert (rep.status, rep.detail["rule"]) == (STATUS_EXPLOSION, "cap")
 
@@ -676,7 +674,7 @@ def ref_apply_K(h, factor, exponent):
         return factor.a * np.exp(grid.dt * ref_sum_along_t(jp * lam_w, grid))
 
 
-def ref_field_row_norms(field_mat, grid, weights):
+def ref_l2_per_row(field_mat, grid, weights):
     outside = ~ref_mask(grid)
     with np.errstate(over="ignore"):
         y = field_mat * field_mat
@@ -722,9 +720,10 @@ def serial_solve(factor, vol, exponent, cfg, h0="zero", keep_iterates=False):
     r0v = factor.r0.values[: grid.n_w + 1]
     sup_r0 = float(np.max(np.abs(r0v)))
     cap = cfg.cap if cfg.cap is not None else 1e8 * (1.0 + sup_r0)
-    r0_norm = math.sqrt(trapezoid(r0v**2 * np.exp(cfg.gamma * grid.x_wide), dx=grid.dt))
-    (c1,) = a_priori_c1(np.array([factor.b_bar * r0_norm]), vol.lambda_bar, grid.t_star, cfg.gamma, exponent)
-    z_probe = vol.lambda_bar * c1 / math.sqrt(cfg.gamma) if c1 is not None else vol.lambda_bar * cap * grid.x_max
+    gamma = factor.r0.gamma
+    r0_norm = math.sqrt(trapezoid(r0v**2 * np.exp(gamma * grid.x_wide), dx=grid.dt))
+    (c1,) = a_priori_c1(np.array([factor.b_bar * r0_norm]), vol.lambda_bar, grid.t_star, gamma, exponent)
+    z_probe = vol.lambda_bar * c1 / math.sqrt(gamma) if c1 is not None else vol.lambda_bar * cap * grid.x_max
     jp = exponent.J_prime(np.array([z_probe]))[0]
     if jp == -INF or (jp == INF and z_probe >= exponent.domain_sup):
         raise ExponentDomainError(z_probe)
@@ -736,7 +735,7 @@ def serial_solve(factor, vol, exponent, cfg, h0="zero", keep_iterates=False):
         h_next = ref_apply_K(h, factor, exponent)
         sup = ref_nan_sup(h_next, grid)
         sups.append(sup)
-        l2s.append(float(np.max(ref_field_row_norms(h_next, grid, np.exp(cfg.gamma * grid.x_wide)))))
+        l2s.append(float(np.max(ref_l2_per_row(h_next, grid, np.exp(gamma * grid.x_wide)))))
         iterates.append(h_next.copy())
         if not math.isfinite(sup) or sup > cap:
             status, detail["rule"], h = STATUS_EXPLOSION, "cap", h_next
@@ -751,7 +750,7 @@ def serial_solve(factor, vol, exponent, cfg, h0="zero", keep_iterates=False):
         status, detail["rule"], detail["last_change"] = STATUS_MAX_ITER, "max_iter", change
     return SolveReport(
         status=status, field=h, iterate_sup_norms=sups, iterate_l2_norms=l2s, c1=c1,
-        n_iters=len(sups), grid=grid, gamma=cfg.gamma, detail=detail,
+        n_iters=len(sups), grid=grid, gamma=gamma, detail=detail,
         iterates=iterates if keep_iterates else None,
     )
 
@@ -779,7 +778,7 @@ def assert_same_report(got, want):
 def path_factors(model, vol, grid, r0, n_paths=50, seed=1010):
     seeds = np.random.SeedSequence(seed).generate_state(n_paths, dtype=np.uint64)
     return [
-        compute_a(simulate(model, SimConfig(t_star=grid.t_star, dt=grid.dt, seed=int(s))), vol, r0, model.q, grid)
+        compute_a(simulate(model, SimConfig(t_star=grid.t_star, dt=grid.dt, seed=int(s))), vol, r0, grid)
         for s in seeds
     ]
 
@@ -872,7 +871,7 @@ class TestSolveBatch:
         path = simulate(model, SimConfig(t_star=GRID.t_star, dt=GRID.dt, seed=5))
         for k, row in zip(levels, res.rows):
             r0 = WeightedCurve(dx=GRID.dt, values=np.full(GRID.n_w + 1, k), gamma=1.0)
-            factor = compute_a(path, vol, r0, model.q, GRID)
+            factor = compute_a(path, vol, r0, GRID)
             rep = serial_solve(factor, vol, ExponentHandle(model), SolverConfig(cap=1e8 * (1.0 + k)))
             assert (row.level, row.status, row.n_iters, row.max_sup) == (
                 k, rep.status, rep.n_iters, rep.iterate_sup_norms[-1]
@@ -888,7 +887,7 @@ class TestSolveBatch:
         grid = SolveGrid(t_star=1.0, dt=1.0 / 8, x_max=1.0)
         path = simulate(model, SimConfig(t_star=grid.t_star, dt=grid.dt, seed=7, n_threshold=250))
         factors = [
-            compute_a(path, vol, WeightedCurve(dx=grid.dt, values=np.full(grid.n_w + 1, k), gamma=1.0), model.q, grid)
+            compute_a(path, vol, WeightedCurve(dx=grid.dt, values=np.full(grid.n_w + 1, k), gamma=1.0), grid)
             for k in (16.0, 32.0, 64.0)
         ]
         reports = solve_batch(factors, vol, handle, cfg)
@@ -937,7 +936,7 @@ class TestSolveBatch:
         vol, handle, cfg = ConstantVol(0.5), ExponentHandle(model), SolverConfig()
         grid = SolveGrid(t_star=1.0, dt=1.0 / 8, x_max=1.0)
         paths = [simulate(model, SimConfig(t_star=1.0, dt=grid.dt, seed=s)) for s in (1, 137, 113)]
-        factors = compute_a(paths, vol, r0_exp(grid), 0.0, grid)
+        factors = compute_a(paths, vol, r0_exp(grid), grid)
         assert np.nanmin(factors[1].a) < 0.0
         assert solve_monotone(factors[0], vol, handle, cfg).status == STATUS_CONVERGED
         errors = []
@@ -951,3 +950,41 @@ class TestSolveBatch:
             with pytest.raises(ExponentDomainError) as excinfo:
                 solve_batch([factors[p] for p in order], vol, handle, cfg)
             assert (excinfo.value.z, excinfo.value.what) == (want.z, want.what)
+
+
+class TestWeightedSpace:
+    """The solve's weighted norms are those of r0's space: its gamma, and
+    norm_l2gamma bit for bit."""
+
+    MODEL = LevyModel(nu=LevyMeasureSpec(atoms=((1.0, 0.5),)))  # J' <= 0
+    VOL = ConstantVol(0.3)
+
+    def factor(self, r0):
+        path = simulate(self.MODEL, SimConfig(t_star=GRID.t_star, dt=GRID.dt, seed=7))
+        assert path.jump_times.size == 0  # so b = 1 and a(t, x) = r0(t + x)
+        return compute_a(path, self.VOL, r0, GRID)
+
+    def solve(self, r0):
+        return solve_monotone(self.factor(r0), self.VOL, ExponentHandle(self.MODEL), SolverConfig())
+
+    @pytest.mark.parametrize("gamma", [0.25, 1.0, 2.0])
+    def test_norms_are_those_of_r0(self, gamma):
+        r0 = r0_exp(GRID, gamma)
+        assert r0.values.size == GRID.n_w + 1
+        rep = self.solve(r0)
+        assert rep.gamma == gamma
+        # c1 = b_bar ||r0|| = ||r0|| where J' <= 0; the first iterate is a,
+        # whose largest row is row 0, r0 itself
+        assert rep.iterate_l2_norms[0] == rep.c1 == norm_l2gamma(r0)
+
+    def test_stack_of_mixed_gamma_rejected(self):
+        factors = [self.factor(r0_exp(GRID, gamma)) for gamma in (1.0, 0.5)]
+        with pytest.raises(ValueError, match="gamma"):
+            solve_batch(factors, self.VOL, ExponentHandle(self.MODEL), SolverConfig())
+
+    def test_huge_r0_scales_exactly(self):
+        # r0 = 2^600 e^{-x}: its squares leave double range, its norms do not
+        reps = [self.solve(r0_exp(GRID).scaled(k)) for k in (1.0, 2.0**600)]
+        assert reps[1].status == STATUS_CONVERGED
+        assert reps[1].c1 == 2.0**600 * reps[0].c1
+        assert reps[1].iterate_l2_norms[0] == 2.0**600 * reps[0].iterate_l2_norms[0]

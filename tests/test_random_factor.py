@@ -88,11 +88,11 @@ class TestVolatilitySpecs:
 
 
 def I1_of(path, vol, grid=GRID):
-    return compute_a(path, vol, r0_exp(grid), 0.0, grid).I1
+    return compute_a(path, vol, r0_exp(grid), grid).I1
 
 
 def I2_of(path, vol, grid=GRID):
-    f = compute_a(path, vol, r0_exp(grid), 0.0, grid)
+    f = compute_a(path, vol, r0_exp(grid), grid)
     return f.I2, f.positivity_ok
 
 
@@ -147,7 +147,7 @@ class TestI2:
         L = _grid_values(LevyModel(), grid.dt, 0.0, times, sizes, np.array([1]), np.zeros((1, grid.n_t)))[0]
         path = manual_path(times, sizes, grid=grid)
         path = dataclasses.replace(path, grid_values=L)
-        I2 = compute_a(path, ConstantVol(0.3), r0_exp(grid), 0.0, grid).I2
+        I2 = compute_a(path, ConstantVol(0.3), r0_exp(grid), grid).I2
         first_L = int(np.argmax(L != 0.0))
         first_I2 = int(np.argmax(np.any((I2 != 1.0) & grid.valid_mask(), axis=-1)))
         assert first_I2 == first_L == 5
@@ -162,7 +162,7 @@ class TestI2:
 class TestRandomFactor:
     def test_zero_noise_reduces_to_shifted_curve(self):
         path = simulate(LevyModel(), SimConfig(t_star=1.0, dt=GRID.dt, seed=1))
-        f = compute_a(path, ConstantVol(0.5), r0_exp(), 0.0, GRID)
+        f = compute_a(path, ConstantVol(0.5), r0_exp(), GRID)
         r0v = r0_exp().values
         worst = max(
             float(np.max(np.abs(f.a[i, : GRID.row_width(i) + 1] - r0v[i : i + GRID.row_width(i) + 1])))
@@ -172,7 +172,7 @@ class TestRandomFactor:
 
     def test_pure_drift_closed_form(self):
         path = simulate(LevyModel(a=1.0), SimConfig(t_star=1.0, dt=GRID.dt, seed=1))
-        f = compute_a(path, ConstantVol(0.5), r0_exp(), 0.0, GRID)
+        f = compute_a(path, ConstantVol(0.5), r0_exp(), GRID)
         expect = lambda t, xs: np.exp(-(t + xs)) * math.exp(0.5 * t)
         assert triangle_err(GRID, f.a, expect) < 1e-13
 
@@ -182,20 +182,20 @@ class TestRandomFactor:
         for seed in range(10_000):
             path = simulate(LevyModel(q=1.0), SimConfig(t_star=0.5, dt=1.0 / 8, seed=seed))
             grid = SolveGrid(t_star=0.5, dt=1.0 / 8, x_max=0.5)
-            f = compute_a(path, ConstantVol(1.0), r0_exp(grid), 1.0, grid)
+            f = compute_a(path, ConstantVol(1.0), r0_exp(grid), grid)
             vals.append(f.b[grid.n_t, 0])
         mean, se = np.mean(vals), np.std(vals) / math.sqrt(len(vals))
         assert abs(mean - 1.0) < 3 * se
 
     def test_initial_slice_is_r0(self):
         path = simulate(LevyModel(q=1.0, a=0.2), SimConfig(t_star=1.0, dt=GRID.dt, seed=3))
-        f = compute_a(path, ConstantVol(1.0), r0_exp(), 1.0, GRID)
+        f = compute_a(path, ConstantVol(1.0), r0_exp(), GRID)
         np.testing.assert_array_equal(f.a[0, :], r0_exp().values[: GRID.n_w + 1])
 
     def test_positivity_under_support_bound(self):
         model = LevyModel(nu=LevyMeasureSpec(atoms=((-0.25, 2.0), (1.0, 1.0))))
         path = simulate(model, SimConfig(t_star=1.0, dt=GRID.dt, seed=8))
-        f = compute_a(path, ConstantVol(2.0), r0_exp(), 0.0, GRID)
+        f = compute_a(path, ConstantVol(2.0), r0_exp(), GRID)
         # supp nu >= -1/lambda_bar = -0.5, so every jump factor stays positive
         assert f.positivity_ok
         assert np.nanmin(np.where(GRID.valid_mask(), f.a, np.nan)) >= 0.0
@@ -203,16 +203,16 @@ class TestRandomFactor:
     def test_constant_shortcut_equals_general_path(self):
         model = LevyModel(a=0.5, q=1.0, nu=LevyMeasureSpec(atoms=((0.5, 1.0),)))
         path = simulate(model, SimConfig(t_star=1.0, dt=GRID.dt, seed=4))
-        f_const = compute_a(path, ConstantVol(0.7), r0_exp(), 1.0, GRID)
+        f_const = compute_a(path, ConstantVol(0.7), r0_exp(), GRID)
         tab = TabulatedVol(dx=GRID.dt, values=np.full(GRID.n_w + 1, 0.7))
-        f_tab = compute_a(path, tab, r0_exp(), 1.0, GRID)
+        f_tab = compute_a(path, tab, r0_exp(), GRID)
         assert np.nanmax(np.abs(f_const.a - f_tab.a)) <= 1e-12
 
     def test_bounded_fields_reported(self):
         model = LevyModel(a=0.1, q=0.5, nu=LevyMeasureSpec(atoms=((0.5, 2.0),)))
         path = simulate(model, SimConfig(t_star=1.0, dt=GRID.dt, seed=12))
         vol = ExpAffineVol(c0=0.8, c1=0.4, beta=1.5)
-        f = compute_a(path, vol, r0_exp(), 0.5, GRID)
+        f = compute_a(path, vol, r0_exp(), GRID)
         mask = GRID.valid_mask()
         assert np.isfinite(np.nanmax(np.abs(np.where(mask, f.I1, np.nan))))
         assert np.isfinite(np.nanmax(np.abs(np.where(mask, f.I2, np.nan))))
@@ -222,7 +222,7 @@ class TestRandomFactor:
         short = WeightedCurve(dx=GRID.dt, values=np.ones(GRID.n_w), gamma=1.0)
         path = simulate(LevyModel(), SimConfig(t_star=1.0, dt=GRID.dt, seed=1))
         with pytest.raises(ValueError):
-            compute_a(path, ConstantVol(1.0), short, 0.0, GRID)
+            compute_a(path, ConstantVol(1.0), short, GRID)
 
 
 class TestStackedFactor:
@@ -235,35 +235,34 @@ class TestStackedFactor:
         TabulatedVol(dx=GRID.dt, values=0.6 + 0.2 * np.cos(np.arange(GRID.n_w + 1))),
     )
 
-    @pytest.mark.parametrize("q", [0.0, 0.25])
+    @pytest.mark.parametrize("q", [0.0, 0.25, "mixed"])
     @pytest.mark.parametrize("vol", VOLS, ids=["constant", "exp_affine", "tabulated"])
     def test_stack_equals_single_paths(self, vol, q):
-        # jumps of both signs; the atom at -2 puts 1 + lambda y below 0
-        model = LevyModel(
-            a=0.1,
-            q=q,
-            nu=LevyMeasureSpec(
-                atoms=((0.5, 1.0), (-2.0, 0.3)),
-                density_parts=(
-                    Exponential(c=1.0, beta=3.0, support=(0.0, INF)),
-                    Exponential(c=1.0, beta=3.0, support=(-INF, 0.0)),
-                ),
+        # jumps of both signs; the atom at -2 puts 1 + lambda y below 0.
+        # "mixed": the paths alternate q = 0 and q = 0.25, and each path's
+        # field takes q from its own model
+        nu = LevyMeasureSpec(
+            atoms=((0.5, 1.0), (-2.0, 0.3)),
+            density_parts=(
+                Exponential(c=1.0, beta=3.0, support=(0.0, INF)),
+                Exponential(c=1.0, beta=3.0, support=(-INF, 0.0)),
             ),
         )
-        paths = [simulate(model, SimConfig(t_star=1.0, dt=GRID.dt, seed=s)) for s in range(8)]
+        models = [LevyModel(a=0.1, q=q_k, nu=nu) for q_k in ((0.0, 0.25) if q == "mixed" else (q,))]
+        paths = [simulate(models[s % len(models)], SimConfig(t_star=1.0, dt=GRID.dt, seed=s)) for s in range(8)]
         sizes = np.concatenate([p.jump_sizes for p in paths])
         assert sizes.min() <= -2.0 and sizes.max() > 0.0
-        fields = compute_a(paths, vol, r0_exp(), q, GRID)
+        fields = compute_a(paths, vol, r0_exp(), GRID)
         assert type(fields) is list and len(fields) == len(paths)
         for path, got in zip(paths, fields):
-            one = compute_a(path, vol, r0_exp(), q, GRID)
+            one = compute_a(path, vol, r0_exp(), GRID)
             for name in ("I1", "I2", "a", "b"):
                 assert getattr(got, name).shape == (GRID.n_t + 1, GRID.n_w + 1), name
                 assert np.array_equal(getattr(got, name), getattr(one, name), equal_nan=True), name
             assert type(got.b_bar) is float and type(got.positivity_ok) is bool
             assert (got.b_bar, got.positivity_ok) == (one.b_bar, one.positivity_ok)
             assert np.array_equal(got.lam_w, one.lam_w)
-            (alone,) = compute_a([path], vol, r0_exp(), q, GRID)
+            (alone,) = compute_a([path], vol, r0_exp(), GRID)
             assert np.array_equal(alone.a, one.a, equal_nan=True)
         # the fields are views into one stacked computation, and share lambda
         assert all(f.a.base is fields[0].a.base is not None and f.lam_w is fields[0].lam_w for f in fields)
@@ -271,10 +270,10 @@ class TestStackedFactor:
 
     def test_single_path_has_no_path_axis(self):
         path = simulate(LevyModel(q=1.0), SimConfig(t_star=1.0, dt=GRID.dt, seed=2))
-        f = compute_a(path, ConstantVol(1.0), r0_exp(), 1.0, GRID)
+        f = compute_a(path, ConstantVol(1.0), r0_exp(), GRID)
         assert f.a.shape == (GRID.n_t + 1, GRID.n_w + 1)
         assert type(f.b_bar) is float and type(f.positivity_ok) is bool
 
     def test_empty_stack_rejected(self):
         with pytest.raises(ValueError):
-            compute_a([], ConstantVol(1.0), r0_exp(), 0.0, GRID)
+            compute_a([], ConstantVol(1.0), r0_exp(), GRID)
