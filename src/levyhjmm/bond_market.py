@@ -186,7 +186,6 @@ def martingale_mc(
     maturities = [float(T) for T in maturities]
     t_checkpoints = [float(t) for t in t_checkpoints]
     ref_j, points = _resolve_points(grid, maturities, t_checkpoints)  # before any path
-    exponent = ExponentHandle(model)
     law = jump_law(model, n_threshold)
     seeds = np.random.SeedSequence(seed).generate_state(n_paths, dtype=np.uint64)
     block = max(1, _BLOCK_ENTRIES // ((grid.n_t + 1) * (grid.n_w + 1)))
@@ -214,7 +213,7 @@ def martingale_mc(
             for key, path in zip(keys, paths):
                 first.setdefault(key, path)
             factors = compute_a(list(first.values()), vol, r0, grid)
-            report_of = dict(zip(first, solve_batch(factors, vol, exponent, solver_cfg)))
+            report_of = dict(zip(first, solve_batch(factors, solver_cfg)))
             for rep in map(report_of.__getitem__, keys):
                 n_iters.append(rep.n_iters)
                 if rep.status == STATUS_CONVERGED:

@@ -113,8 +113,7 @@ def _solve_scenario(sc: Scenario):
         sc.model, SimConfig(t_star=sc.grid.t_star, dt=sc.grid.dt, seed=sc.seed)
     )
     factor = compute_a(path, sc.vol, sc.r0, sc.grid)
-    report = solve_monotone(factor, sc.vol, ExponentHandle(sc.model), sc.solver)
-    return path, factor, report
+    return factor, solve_monotone(factor, sc.solver)
 
 
 def cmd_report_exponent(sc: Scenario, out: Path, args) -> int:
@@ -161,10 +160,10 @@ def cmd_simulate_path(sc: Scenario, out: Path, args) -> int:
 
 
 def cmd_solve(sc: Scenario, out: Path, args) -> int:
-    path, factor, report = _solve_scenario(sc)
+    factor, report = _solve_scenario(sc)
     residuals = {}
     if report.status == STATUS_CONVERGED:
-        res = mild_residual(report, path, factor, sc.vol)
+        res = mild_residual(report, factor)
         residuals["mild_l2_max"] = float(np.max(res))
     g = sc.grid
     rect = report.field[:, : g.n_x + 1]
@@ -226,7 +225,7 @@ def cmd_sweep_explosion(sc: Scenario, out: Path, args) -> int:
 
 
 def cmd_price(sc: Scenario, out: Path, args) -> int:
-    _, _, report = _solve_scenario(sc)
+    _, report = _solve_scenario(sc)
     if report.status != STATUS_CONVERGED:
         print(f"solve status: {report.status}", file=sys.stderr)
         return EXIT_EXPLOSION if report.status == STATUS_EXPLOSION else EXIT_NOT_CONVERGED

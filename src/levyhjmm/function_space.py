@@ -61,7 +61,10 @@ class WeightedCurve:
     def from_function(
         cls, f: Callable, dx: float, x_max: float, gamma: float
     ) -> "WeightedCurve":
+        """f on the nodes 0, dx, ..., x_max; dx must divide x_max (within 1e-12)."""
         n = int(round(x_max / dx))
+        if abs(n * dx - x_max) > 1e-12 * max(1.0, x_max):
+            raise ValueError(f"dx={dx} must divide x_max={x_max} (within 1e-12)")
         xs = dx * np.arange(n + 1)
         return cls(dx=dx, values=np.asarray(f(xs), dtype=float), gamma=gamma)
 

@@ -27,7 +27,7 @@ import numpy as np
 from .function_space import WeightedCurve, cumulative_trapezoid, weighted_l2
 from .grids import SolveGrid
 from .levy_analysis import ExponentDomainError, ExponentHandle
-from .path_sim import LevyPathRecord, SimConfig, simulate
+from .path_sim import SimConfig, simulate
 from .random_factor import RandomFactorField, Volatility, compute_a
 
 STATUS_CONVERGED = "Converged"
@@ -39,7 +39,7 @@ STATUS_MAX_ITER = "MaxIterReached"
 class SolverConfig:
     """Stopping rule of the monotone iteration.
 
-    cap = None means 1e8 * (1 + sup r0), fixed when the solve starts.
+    cap = None means 1e8 * (1 + sup |r0|), fixed when the solve starts.
     """
 
     tol: float = 1e-10
@@ -168,14 +168,10 @@ class _FactorStack:
 
 
 def solve_monotone(
-    factor: RandomFactorField,
-    vol: Volatility,
-    exponent: ExponentHandle,
-    cfg: SolverConfig,
-    h0: str = "zero",
-    keep_iterates: bool = False,
+    factor: RandomFactorField, cfg: SolverConfig, h0: str = "zero", keep_iterates: bool = False
 ) -> SolveReport:
-    """Iterate h_{n+1} = K(h_n) from h_0 = 0 to the minimal solution.
+    """Iterate h_{n+1} = K(h_n) from h_0 = 0 to the minimal solution, with
+    J' of the factor's path model and lambda of the factor.
 
     Stops ExplosionDetected when an iterate's sup norm is not finite or
     tops the cap, Converged when the relative sup change drops below tol,
@@ -184,40 +180,43 @@ def solve_monotone(
     uniqueness check).
     This is solve_batch on a batch of one.
     """
-    return solve_batch([factor], vol, exponent, cfg, h0=h0, keep_iterates=keep_iterates)[0]
+    return solve_batch([factor], cfg, h0=h0, keep_iterates=keep_iterates)[0]
 
 
 def solve_batch(
-    factors,
-    vol: Volatility,
-    exponent: ExponentHandle,
-    cfg: SolverConfig,
-    h0: str = "zero",
-    keep_iterates: bool = False,
+    factors, cfg: SolverConfig, h0: str = "zero", keep_iterates: bool = False
 ) -> list[SolveReport]:
     """solve_monotone for several paths on one grid, iterated as one stack.
 
     Every path keeps its own cap, stopping rule and iteration count; a path
     that stops leaves the stack, and its report equals the one-path solve
-    bit for bit.  The weighted norms (of the iterates' rows, and ||r0|| in
-    c1) are those of the factors' r0, whose gamma all paths must share.  When a path fails (cap below sup r0, or a domain fault of
-    J' at its probe or during an iteration), it and every later path are
-    dropped, and after the stack is done the error of the lowest failing
-    path is raised, as solving the paths one after the other would.  A J'
-    beyond double range inside the domain makes the iterate infinite: the
-    path stops ExplosionDetected by the cap rule.
+    bit for bit.  The factors must share one grid, one volatility, one
+    model of their paths (J' is that model's) and one gamma of their r0
+    (the weighted norms, of the iterates' rows and of ||r0|| in c1, are
+    those of r0's space).  When a path fails (cap below sup r0, or a
+    domain fault of J' at its probe or during an iteration), it and every
+    later path are dropped, and after the stack is done the error of the
+    lowest failing path is raised, as solving the paths one after the
+    other would.  A J' beyond double range inside the domain makes the
+    iterate infinite: the path stops ExplosionDetected by the cap rule.
     """
     if h0 not in ("zero", "factor"):
         raise ValueError(f"h0 must be 'zero' or 'factor', got {h0!r}")
     if not factors:
         return []
     grid, lam_w, gamma = factors[0].grid, factors[0].lam_w, factors[0].r0.gamma
+    lambda_bar, model = factors[0].vol.lambda_bar, factors[0].path.model
     if any(f.grid != grid for f in factors):
         raise ValueError("all factors of a batch must share one grid")
-    if not all(f.lam_w is lam_w or np.array_equal(f.lam_w, lam_w) for f in factors):
+    if not all(
+        f.lam_w is lam_w or (np.array_equal(f.lam_w, lam_w) and f.vol.lambda_bar == lambda_bar) for f in factors
+    ):
         raise ValueError("all factors of a batch must share one volatility")
+    if not all(f.path.model is model or f.path.model == model for f in factors):
+        raise ValueError("all factors of a batch must share one path model")
     if any(f.r0.gamma != gamma for f in factors):
         raise ValueError("all factors of a batch must share one r0 gamma")
+    exponent = ExponentHandle(model)
     n_paths = len(factors)
     error: Exception | None = None
     active = list(range(n_paths))
@@ -239,12 +238,12 @@ def solve_batch(
     weights = np.exp(gamma * grid.x_wide)
     off_panels = ~grid.valid_mask()[:, 1:]
     B = np.array([f.b_bar for f in factors]) * weighted_l2(r0, grid.dt, weights, sup_r0)
-    c1s = a_priori_c1(B, vol.lambda_bar, grid.t_star, gamma, exponent)
+    c1s = a_priori_c1(B, lambda_bar, grid.t_star, gamma, exponent)
     # fail fast if J' is unreachable on the region the iteration can visit
     z_probe = np.array([
-        vol.lambda_bar * c1 / math.sqrt(gamma)
+        lambda_bar * c1 / math.sqrt(gamma)
         if c1 is not None
-        else vol.lambda_bar * cap * grid.x_max
+        else lambda_bar * cap * grid.x_max
         for c1, cap in zip(c1s, caps)
     ])[: len(active)]
     fault = _domain_fault(z_probe, exponent.J_prime(z_probe), exponent.domain_sup)
@@ -337,12 +336,10 @@ def solve_batch(
 # ---------------------------------------------------------------------------
 
 
-def mild_residual(
-    report: SolveReport, path: LevyPathRecord, factor: RandomFactorField, vol: Volatility
-) -> np.ndarray:
+def mild_residual(report: SolveReport, factor: RandomFactorField) -> np.ndarray:
     """Weighted L2 distance, per grid time, between r and the discretized
     mild form (shifted initial curve + drift convolution + stochastic sum),
-    for the path's model and the factor's r0.
+    for the path, volatility and r0 the factor was built from.
 
     The stochastic integral is a left-point sum over grid increments of the
     compensated drift+Brownian part plus the recorded jumps evaluated at
@@ -352,7 +349,7 @@ def mild_residual(
         raise RuntimeError("mild residual needs a converged report")
     grid = report.grid
     r = report.field
-    model = path.model
+    path, model = factor.path, factor.path.model
     exponent = ExponentHandle(model)
     lam_w = factor.lam_w
     cum = cumulative_trapezoid(lam_w[None, :] * r, grid.dt)
@@ -373,7 +370,7 @@ def mild_residual(
         wk = grid.row_width(k)
         args = (grid.t[i0:, None] - s_m) + grid.x_wide
         r_left = np.interp(args, grid.x_wide[: wk + 1], r[k, : wk + 1])
-        rhs[i0:] += vol.lam(args) * r_left * y_m
+        rhs[i0:] += factor.vol.lam(args) * r_left * y_m
     diff = (r - rhs)[:, : grid.n_x + 1]
     weights = np.exp(report.gamma * grid.x_wide)[: grid.n_x + 1]
     return weighted_l2(diff, dt, weights, np.max(np.abs(diff), axis=1))
@@ -437,13 +434,10 @@ class StrongResidual:
 
 
 def strong_residual(
-    report: SolveReport,
-    r0: WeightedCurve,
-    vol: Volatility,
-    exponent: ExponentHandle,
-    r0_prime: np.ndarray | None = None,
+    report: SolveReport, factor: RandomFactorField, r0_prime: np.ndarray | None = None
 ) -> StrongResidual:
-    """Pointwise identity between d/dx r and its integral representation.
+    """Pointwise identity between d/dx r and its integral representation,
+    for the path model, volatility and r0 the factor was built from.
 
     Only supported for constant volatility; r0 must stay strictly positive.
     r0_prime supplies analytic derivative values on the wide grid (defaults
@@ -451,6 +445,7 @@ def strong_residual(
     """
     if report.status != STATUS_CONVERGED:
         raise RuntimeError("strong residual needs a converged report")
+    vol, r0, exponent = factor.vol, factor.r0, ExponentHandle(factor.path.model)
     if not vol.is_constant:
         raise ValueError("strong-form check supports constant volatility only")
     grid = report.grid
@@ -483,15 +478,15 @@ def strong_residual(
     return StrongResidual(sup=float(np.max(row_sups)), l2=float(np.max(per_t)), per_t=per_t)
 
 
-def uniqueness_constant(
-    factor: RandomFactorField, vol: Volatility, exponent: ExponentHandle, norms_a: float, norms_b: float
-) -> float:
+def uniqueness_constant(factor: RandomFactorField, norms_a: float, norms_b: float) -> float:
     """The Gronwall constant from the uniqueness argument for two solutions
-    with bounds norms_a, norms_b in the weighted norm of the factor's r0."""
+    with bounds norms_a, norms_b in the weighted norm of the factor's r0,
+    for the path model and volatility the factor was built from."""
     grid = factor.grid
-    sup_r0 = float(np.max(factor.r0.values[: grid.n_w + 1]))
+    sup_r0 = float(np.max(np.abs(factor.r0.values[: grid.n_w + 1])))
     B = factor.b_bar
-    lb = vol.lambda_bar
+    lb = factor.vol.lambda_bar
+    exponent = ExponentHandle(factor.path.model)
     z = lb * max(norms_a, norms_b) / math.sqrt(factor.r0.gamma)
     jp = float(np.abs(exponent.J_prime(np.array([z])))[0])
     jpp0 = float(exponent.J_second(np.array([0.0]))[0])
@@ -534,14 +529,13 @@ def explosion_sweep(
     the default one, 1e8 (1 + k).  Reports per-level status and the
     smallest exploding level, if any.
     """
-    exponent = ExponentHandle(model)
     path = simulate(model, SimConfig(t_star=grid.t_star, dt=grid.dt, seed=seed, n_threshold=n_threshold))
     levels = sorted(float(k) for k in r0_levels)
     factors = [
         compute_a(path, vol, WeightedCurve(dx=grid.dt, values=np.full(grid.n_w + 1, k), gamma=gamma), grid)
         for k in levels
     ]
-    reports = solve_batch(factors, vol, exponent, SolverConfig(tol=tol, max_iter=max_iter))
+    reports = solve_batch(factors, SolverConfig(tol=tol, max_iter=max_iter))
     rows = tuple(
         SweepRow(level=k, status=rep.status, n_iters=rep.n_iters, max_sup=rep.iterate_sup_norms[-1])
         for k, rep in zip(levels, reports)

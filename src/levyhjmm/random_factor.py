@@ -140,7 +140,8 @@ Volatility = ConstantVol | ExpAffineVol | TabulatedVol
 @dataclass(frozen=True)
 class RandomFactorField:
     """a(t,x) of one path with its constituents on the aligned grid (NaN
-    beyond the triangle).  lam_w is lambda on the wide x-grid."""
+    beyond the triangle), and the path, volatility and r0 it was built
+    from.  lam_w is lambda on the wide x-grid."""
 
     grid: SolveGrid
     I1: np.ndarray
@@ -151,6 +152,8 @@ class RandomFactorField:
     r0: WeightedCurve
     positivity_ok: bool
     lam_w: np.ndarray
+    path: LevyPathRecord
+    vol: Volatility
 
 
 def _I1(paths: list[LevyPathRecord], vol: Volatility, lam_w: np.ndarray, grid: SolveGrid) -> np.ndarray:
@@ -236,7 +239,7 @@ def compute_a(
     a = grid.shifted(r0.values) * b
     b_bar = np.nanmax(np.where(mask, b, np.nan), axis=(-2, -1)).tolist()
     fields = [
-        RandomFactorField(grid, I1[k], I2[k], a[k], b[k], b_bar[k], r0, ok, lam_w)
-        for k, ok in enumerate(positivity_ok.tolist())
+        RandomFactorField(grid, I1[k], I2[k], a[k], b[k], b_bar[k], r0, ok, lam_w, path, vol)
+        for k, (path, ok) in enumerate(zip(stack, positivity_ok.tolist()))
     ]
     return fields[0] if isinstance(paths, LevyPathRecord) else fields

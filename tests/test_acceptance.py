@@ -67,11 +67,9 @@ def exp_decay_r0(grid, gamma=1.0, scale=1.0):
 
 def solve_scenario(model, vol, grid, seed, r0=None, gamma=1.0, **cfg_kw):
     path = simulate(model, SimConfig(t_star=grid.t_star, dt=grid.dt, seed=seed))
-    r0 = r0 or exp_decay_r0(grid, gamma)
-    factor = compute_a(path, vol, r0, grid)
-    handle = ExponentHandle(model)
-    report = solve_monotone(factor, vol, handle, SolverConfig(**cfg_kw))
-    return path, factor, handle, r0, report
+    factor = compute_a(path, vol, r0 or exp_decay_r0(grid, gamma), grid)
+    report = solve_monotone(factor, SolverConfig(**cfg_kw))
+    return factor, ExponentHandle(model), report
 
 
 def triangle_err(grid, field, expect):
@@ -149,12 +147,12 @@ def test_criterion_3_regime_classification():
 def test_criterion_4_degenerate_exactness():
     with criterion(4, "degenerate scenarios recover closed forms", 10.0):
         grid = SolveGrid(t_star=1.0, dt=1.0 / 16, x_max=1.0)
-        _, _, _, _, rep = solve_scenario(LevyModel(), ConstantVol(0.5), grid, seed=1)
+        _, _, rep = solve_scenario(LevyModel(), ConstantVol(0.5), grid, seed=1)
         assert rep.status == STATUS_CONVERGED and rep.n_iters <= 2
         assert triangle_err(grid, rep.field, lambda t, xs: np.exp(-(t + xs))) < 1e-12
 
         grid = SolveGrid(t_star=1.0, dt=1.0 / 256, x_max=1.0)
-        _, _, _, _, rep = solve_scenario(LevyModel(a=1.0), ConstantVol(0.5), grid, seed=1)
+        _, _, rep = solve_scenario(LevyModel(a=1.0), ConstantVol(0.5), grid, seed=1)
         assert rep.status == STATUS_CONVERGED
         assert triangle_err(grid, rep.field, lambda t, xs: np.exp(-(t + xs))) < 1e-9
 
@@ -172,9 +170,7 @@ def test_criterion_5_monotone_iteration():
             )
             r0 = exp_decay_r0(grid, scale=scale)
             factor = compute_a(path, vol, r0, grid)
-            rep = solve_monotone(
-                factor, vol, ExponentHandle(model), SolverConfig(), keep_iterates=True
-            )
+            rep = solve_monotone(factor, SolverConfig(), keep_iterates=True)
             assert rep.status == STATUS_CONVERGED, f"case {case} did not converge"
             prev = np.where(mask, 0.0, np.nan)
             for it in rep.iterates:
@@ -189,7 +185,6 @@ def test_criterion_6_mild_residual_order():
     with criterion(6, "mild-form residual halves with dt (3 levels)", 120.0):
         model = LevyModel(nu=LevyMeasureSpec(atoms=((1.0, 2.0),)))
         vol = ConstantVol(0.5)
-        handle = ExponentHandle(model)
         base = simulate(model, SimConfig(t_star=1.0, dt=1.0 / 32, seed=11))
         paths = [base]
         for lvl in range(2):
@@ -199,9 +194,9 @@ def test_criterion_6_mild_residual_order():
             grid = SolveGrid(t_star=1.0, dt=p.dt, x_max=1.0)
             r0 = exp_decay_r0(grid)
             factor = compute_a(p, vol, r0, grid)
-            rep = solve_monotone(factor, vol, handle, SolverConfig())
+            rep = solve_monotone(factor, SolverConfig())
             assert rep.status == STATUS_CONVERGED
-            residuals.append(float(np.max(mild_residual(rep, p, factor, vol))))
+            residuals.append(float(np.max(mild_residual(rep, factor))))
         for coarse, fine in zip(residuals, residuals[1:]):
             assert 0.4 <= fine / coarse <= 0.6, f"residuals {residuals}"
 
@@ -237,15 +232,12 @@ def test_criterion_8_uniqueness_two_start():
             )
             r0 = exp_decay_r0(grid, scale=scale)
             factor = compute_a(path, vol, r0, grid)
-            handle = ExponentHandle(model)
-            ra = solve_monotone(factor, vol, handle, SolverConfig(), h0="zero")
-            rb = solve_monotone(factor, vol, handle, SolverConfig(), h0="factor")
+            ra = solve_monotone(factor, SolverConfig(), h0="zero")
+            rb = solve_monotone(factor, SolverConfig(), h0="factor")
             assert ra.status == rb.status == STATUS_CONVERGED
             sup_d = grid.nan_sup(ra.field - rb.field)
             assert sup_d < 1e-8, f"case {case}: two starts disagree by {sup_d}"
-            C = uniqueness_constant(
-                factor, vol, handle, max(ra.iterate_l2_norms), max(rb.iterate_l2_norms)
-            )
+            C = uniqueness_constant(factor, max(ra.iterate_l2_norms), max(rb.iterate_l2_norms))
             d = np.where(grid.valid_mask(), np.abs(ra.field - rb.field), np.nan)
             res = gronwall_check(d, C, grid, atol=1e-8)
             assert res.holds_on_grid
@@ -256,15 +248,15 @@ def test_criterion_9_strong_residual():
         vol = ConstantVol(0.5)
         model = LevyModel(nu=LevyMeasureSpec(atoms=((1.0, 2.0),)))
         grid = SolveGrid(t_star=1.0, dt=1.0 / 32, x_max=1.0)
-        _, _, handle, r0, rep = solve_scenario(model, vol, grid, seed=11)
-        sr = strong_residual(rep, r0, vol, handle, r0_prime=-np.exp(-grid.x_wide))
+        factor, _, rep = solve_scenario(model, vol, grid, seed=11)
+        sr = strong_residual(rep, factor, r0_prime=-np.exp(-grid.x_wide))
         assert sr.sup < 10.0 * grid.dt
 
         sups = []
         for dt_exp in (4, 5):
             grid = SolveGrid(t_star=1.0, dt=2.0**-dt_exp, x_max=1.0)
-            _, _, handle, r0, rep = solve_scenario(LevyModel(), vol, grid, seed=1)
-            sr = strong_residual(rep, r0, vol, handle, r0_prime=-np.exp(-grid.x_wide))
+            factor, _, rep = solve_scenario(LevyModel(), vol, grid, seed=1)
+            sr = strong_residual(rep, factor, r0_prime=-np.exp(-grid.x_wide))
             sups.append(sr.sup)
         assert 0.15 <= sups[1] / sups[0] <= 0.35  # O(dx^2)
 
@@ -275,7 +267,7 @@ def test_criterion_10_finance_layer():
         model = LevyModel(nu=LevyMeasureSpec(atoms=((1.0, 0.5),)))
         vol = ConstantVol(0.3)
         grid = SolveGrid(t_star=1.0, dt=1.0 / 16, x_max=1.0)
-        _, _, _, _, rep = solve_scenario(model, vol, grid, seed=10)
+        _, _, rep = solve_scenario(model, vol, grid, seed=10)
         field = ForwardField(rep.field, grid)
         assert bond_price(field, 0.5, 0.5) == 1.0
 
@@ -287,7 +279,7 @@ def test_criterion_10_finance_layer():
         # drift-condition residual at dt = 1e-3 on the pure-drift scenario
         gridd = SolveGrid(t_star=1.0, dt=1e-3, x_max=1.0)
         dmodel = LevyModel(a=1.0)
-        _, _, handle, _, drep = solve_scenario(dmodel, ConstantVol(0.5), gridd, seed=1)
+        _, handle, drep = solve_scenario(dmodel, ConstantVol(0.5), gridd, seed=1)
         dfield = ForwardField(drep.field, gridd)
         _, res = hjm_drift_check(dfield, ConstantVol(0.5), handle, 0.5)
         assert np.max(res) < 1e-8

@@ -34,7 +34,7 @@ def solved_field(model, grid=GRID, seed=3, vol=ConstantVol(0.5), gamma=1.0):
     r0 = WeightedCurve(dx=grid.dt, values=np.exp(-grid.x_wide), gamma=gamma)
     path = simulate(model, SimConfig(t_star=grid.t_star, dt=grid.dt, seed=seed))
     factor = compute_a(path, vol, r0, grid)
-    rep = solve_monotone(factor, vol, ExponentHandle(model), SolverConfig())
+    rep = solve_monotone(factor, SolverConfig())
     assert rep.status == "Converged"
     return ForwardField(rep.field, grid), rep, r0, vol
 
@@ -191,7 +191,7 @@ class TestMartingale:
         for ps in np.random.SeedSequence(1010).generate_state(16, dtype=np.uint64):
             path = simulate(POISSON, SimConfig(t_star=GRID.t_star, dt=GRID.dt, seed=int(ps)))
             factor = compute_a(path, vol, r0, GRID)
-            iters.append(solve_monotone(factor, vol, ExponentHandle(POISSON), cfg).n_iters)
+            iters.append(solve_monotone(factor, cfg).n_iters)
         assert (rep.n_iters_min, rep.n_iters_median, rep.n_iters_max) == (
             min(iters), float(np.median(iters)), max(iters)
         )
@@ -226,7 +226,7 @@ class TestMartingale:
             cfg = SimConfig(t_star=grid.t_star, dt=grid.dt, seed=int(ps), max_jumps=max_jumps)
             try:
                 factor = compute_a(simulate(model, cfg), ConstantVol(0.5), r0, grid)
-                solve_monotone(factor, ConstantVol(0.5), ExponentHandle(model), SolverConfig())
+                solve_monotone(factor, SolverConfig())
                 outcomes.append(None)
             except (ExponentDomainError, JumpCapacityError) as err:
                 outcomes.append(err)
@@ -282,12 +282,11 @@ class TestMartingale:
 def serial_martingale(model, vol, r0, grid, cfg, n_paths, maturities, t_checkpoints, seed):
     """martingale_mc as a plain loop: simulate, compute_a, solve_monotone and
     bond_price, one path at a time."""
-    exponent = ExponentHandle(model)
     samples = {(T, t): [] for T in maturities for t in t_checkpoints}
     reference, n_exploded, n_not_converged, n_iters = {}, 0, 0, []
     for ps in np.random.SeedSequence(seed).generate_state(n_paths, dtype=np.uint64):
         path = simulate(model, SimConfig(t_star=grid.t_star, dt=grid.dt, seed=int(ps)))
-        rep = solve_monotone(compute_a(path, vol, r0, grid), vol, exponent, cfg)
+        rep = solve_monotone(compute_a(path, vol, r0, grid), cfg)
         n_iters.append(rep.n_iters)
         if rep.status == "ExplosionDetected":
             n_exploded += 1

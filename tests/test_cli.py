@@ -313,7 +313,7 @@ class TestCsvContents:
         assert path.jump_times.size == 4
         factor = compute_a(path, sc.vol, sc.r0, g)
         exponent = ExponentHandle(sc.model)
-        field = solve_monotone(factor, sc.vol, exponent, sc.solver).field
+        field = solve_monotone(factor, sc.solver).field
         moving = ForwardField(field, g)
         I1, I2, a = factor.I1.tolist(), factor.I2.tolist(), factor.a.tolist()
         zs = np.linspace(0.0, 5.0, 11)
@@ -755,7 +755,6 @@ class TestFrozenWriter:
     def test_grid_with_more_x_than_t_nodes(self, tmp_path):
         from levyhjmm.bond_market import exp_neg_integrals
         from levyhjmm.hjmm_solver import solve_monotone
-        from levyhjmm.levy_analysis import ExponentHandle
         from levyhjmm.path_sim import SimConfig, simulate
         from levyhjmm.random_factor import compute_a
         from levyhjmm.scenario import load_scenario
@@ -770,7 +769,7 @@ class TestFrozenWriter:
         assert (g.n_t, g.n_x) == (16, 32)
         path = simulate(sc.model, SimConfig(t_star=g.t_star, dt=g.dt, seed=sc.seed))
         factor = compute_a(path, sc.vol, sc.r0, g)
-        field = solve_monotone(factor, sc.vol, ExponentHandle(sc.model), sc.solver).field
+        field = solve_monotone(factor, sc.solver).field
         rect = field[:, : g.n_x + 1]
         prices = np.array([exp_neg_integrals(field[:, : j + 1], g.dt) for j in range(g.n_x + 1)]).T
         ref.mkdir()

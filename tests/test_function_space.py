@@ -214,3 +214,9 @@ class TestValidation:
     def test_non_finite_parameter_rejected(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             WeightedCurve(**{"dx": 0.1, "gamma": 1.0, name: value}, values=np.zeros(5))
+
+    @pytest.mark.parametrize("dx", [0.4, 0.3])
+    def test_from_function_rejects_dx_not_dividing_x_max(self, dx):
+        # 0.4 and 0.3 would end the curve at 0.8 and 0.9, short of x_max = 1
+        with pytest.raises(ValueError, match=f"dx={dx} must divide x_max=1.0"):
+            WeightedCurve.from_function(np.exp, dx, 1.0, 1.0)

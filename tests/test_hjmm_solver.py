@@ -15,7 +15,7 @@ from levyhjmm.levy_analysis import (
 )
 from levyhjmm.levy_model import INF, Exponential, LevyMeasureSpec, LevyModel, PowerLaw
 from levyhjmm.path_sim import SimConfig, refine_path, simulate
-from levyhjmm.random_factor import ConstantVol, ExpAffineVol, compute_a
+from levyhjmm.random_factor import ConstantVol, ExpAffineVol, TabulatedVol, compute_a
 from levyhjmm.hjmm_solver import (
     STATUS_CONVERGED,
     STATUS_EXPLOSION,
@@ -45,9 +45,7 @@ def r0_exp(grid=GRID, gamma=1.0):
 
 def setup(model, grid=GRID, seed=1, vol=VOL, gamma=1.0, r0=None):
     path = simulate(model, SimConfig(t_star=grid.t_star, dt=grid.dt, seed=seed))
-    r0 = r0 or r0_exp(grid, gamma)
-    factor = compute_a(path, vol, r0, grid)
-    return path, factor, ExponentHandle(model), r0
+    return compute_a(path, vol, r0 or r0_exp(grid, gamma), grid)
 
 
 def nan_field(grid):
@@ -73,7 +71,8 @@ def triangle_err(grid, field, expect):
 class TestApplyK:
     def test_degenerate_operator_is_constant(self):
         model = LevyModel()
-        _, factor, handle, _ = setup(model)
+        factor = setup(model)
+        handle = ExponentHandle(model)
         rng = np.random.default_rng(0)
         h = zero_field(GRID)
         mask = GRID.valid_mask()
@@ -85,12 +84,14 @@ class TestApplyK:
 
     def test_pure_drift_closed_form(self):
         model = LevyModel(a=1.0)
-        _, factor, handle, _ = setup(model)
+        factor = setup(model)
+        handle = ExponentHandle(model)
         out = apply_K(zero_field(GRID), factor, handle)
         assert triangle_err(GRID, out, lambda t, xs: np.exp(-(t + xs))) < 1e-13
 
     def test_monotone_in_argument(self):
-        _, factor, handle, _ = setup(POISSON, seed=11)
+        factor = setup(POISSON, seed=11)
+        handle = ExponentHandle(POISSON)
         rng = np.random.default_rng(5)
         mask = GRID.valid_mask()
         for _ in range(5):
@@ -106,7 +107,8 @@ class TestApplyK:
         model = LevyModel(
             nu=LevyMeasureSpec(density_parts=(Exponential(c=1.0, beta=0.5, support=(-INF, -1.0)),))
         )
-        _, factor, handle, _ = setup(model, seed=2, vol=ConstantVol(1.0))
+        factor = setup(model, seed=2, vol=ConstantVol(1.0))
+        handle = ExponentHandle(model)
         h = zero_field(GRID)
         mask = GRID.valid_mask()
         h[mask] = 50.0  # pushes the inner integral far beyond beta
@@ -119,6 +121,7 @@ class TestApplyK:
         model = LevyModel(
             nu=LevyMeasureSpec(density_parts=(Exponential(c=1.0, beta=0.5, support=(-INF, -1.0)),))
         )
+        factor = setup(model, seed=2, vol=ConstantVol(1.0))
         handle = ExponentHandle(model)
         field = np.where(GRID.valid_mask(), 50.0, np.nan)
         rep = SolveReport(
@@ -126,7 +129,7 @@ class TestApplyK:
             c1=None, n_iters=1, grid=GRID, gamma=1.0,
         )
         with pytest.raises(ExponentDomainError) as excinfo:
-            strong_residual(rep, r0_exp(), ConstantVol(1.0), handle)
+            strong_residual(rep, factor)
         assert excinfo.value.what == "J''"
         assert np.isinf(handle.J_second(np.array([excinfo.value.z]))[0])
 
@@ -134,7 +137,8 @@ class TestApplyK:
         # J' of a negative atom is finite at every z but leaves double range
         # once 0.25 z > 709: apply_K returns +inf there instead of raising
         atom = ((-0.25, 0.5),)
-        _, factor, handle, _ = setup(LevyModel(nu=LevyMeasureSpec(atoms=atom)), seed=2, vol=ConstantVol(1.0))
+        factor = setup(LevyModel(nu=LevyMeasureSpec(atoms=atom)), seed=2, vol=ConstantVol(1.0))
+        handle = ExponentHandle(factor.path.model)
         assert handle.domain_sup == INF
         h = np.where(GRID.valid_mask(), 5000.0, np.nan)
         assert np.isposinf(GRID.nan_sup(apply_K(h, factor, handle)))
@@ -196,7 +200,8 @@ class TestNaturalFrameKernel:
         grid = SolveGrid(t_star=0.5, dt=dt, x_max=1.0)
         model = LevyModel(a=0.2, q=1.0, nu=LevyMeasureSpec(atoms=((1.0, 0.5), (-0.2, 0.3))))
         r0 = WeightedCurve(dx=dt, values=np.exp(-grid.x_wide), gamma=1.0)
-        _, factor, handle, _ = setup(model, grid=grid, seed=3, vol=vol, r0=r0)
+        factor = setup(model, grid=grid, seed=3, vol=vol, r0=r0)
+        handle = ExponentHandle(model)
         rng = np.random.default_rng(int(1 / dt))
         for _ in range(2):
             h = np.where(grid.valid_mask(), rng.uniform(0.0, 2.0, size=grid.valid_mask().shape), np.nan)
@@ -311,8 +316,8 @@ class TestSolverConfig:
 class TestSolveMonotone:
     def test_degenerate_two_iterations_exact(self):
         model = LevyModel()
-        _, factor, handle, r0 = setup(model)
-        rep = solve_monotone(factor, VOL, handle, SolverConfig())
+        factor = setup(model)
+        rep = solve_monotone(factor, SolverConfig())
         assert rep.status == STATUS_CONVERGED
         assert rep.n_iters <= 2
         assert triangle_err(GRID, rep.field, lambda t, xs: np.exp(-(t + xs))) < 1e-12
@@ -320,8 +325,8 @@ class TestSolveMonotone:
     def test_pure_drift_closed_form(self):
         model = LevyModel(a=1.0)
         grid = SolveGrid(t_star=1.0, dt=1.0 / 256, x_max=1.0)
-        _, factor, handle, _ = setup(model, grid=grid)
-        rep = solve_monotone(factor, VOL, handle, SolverConfig())
+        factor = setup(model, grid=grid)
+        rep = solve_monotone(factor, SolverConfig())
         assert rep.status == STATUS_CONVERGED
         assert triangle_err(grid, rep.field, lambda t, xs: np.exp(-(t + xs))) < 1e-9
 
@@ -331,13 +336,13 @@ class TestSolveMonotone:
         r0 = WeightedCurve(dx=grid.dt, values=np.full(grid.n_w + 1, 64.0), gamma=1.0)
         path = simulate(model, SimConfig(t_star=1.0, dt=grid.dt, seed=21))
         factor = compute_a(path, ConstantVol(1.0), r0, grid)
-        rep = solve_monotone(factor, ConstantVol(1.0), ExponentHandle(model), SolverConfig())
+        rep = solve_monotone(factor, SolverConfig())
         assert rep.status == STATUS_EXPLOSION
         assert_cap_stop(rep)
 
     def test_monotone_positive_iterates(self):
-        _, factor, handle, _ = setup(POISSON, seed=11)
-        rep = solve_monotone(factor, VOL, handle, SolverConfig(), keep_iterates=True)
+        factor = setup(POISSON, seed=11)
+        rep = solve_monotone(factor, SolverConfig(), keep_iterates=True)
         assert rep.status == STATUS_CONVERGED
         mask = GRID.valid_mask()
         prev = zero_field(GRID)
@@ -347,16 +352,17 @@ class TestSolveMonotone:
             prev = it
 
     def test_fixed_point_property(self):
-        _, factor, handle, _ = setup(POISSON, seed=11)
+        factor = setup(POISSON, seed=11)
+        handle = ExponentHandle(POISSON)
         cfg = SolverConfig()
-        rep = solve_monotone(factor, VOL, handle, cfg)
+        rep = solve_monotone(factor, cfg)
         again = apply_K(rep.field, factor, handle)
         gap = GRID.nan_sup(again - rep.field)
         assert gap <= cfg.tol * (1.0 + GRID.nan_sup(rep.field))
 
     def test_c1_bounds_iterate_norms(self):
-        _, factor, handle, _ = setup(POISSON, seed=11)
-        rep = solve_monotone(factor, VOL, handle, SolverConfig())
+        factor = setup(POISSON, seed=11)
+        rep = solve_monotone(factor, SolverConfig())
         assert rep.c1 is not None
         assert max(rep.iterate_l2_norms) <= 1.01 * rep.c1
 
@@ -368,7 +374,7 @@ class TestSolveMonotone:
             grid = SolveGrid(t_star=1.0, dt=p.dt, x_max=1.0)
             r0 = r0_exp(grid)
             factor = compute_a(p, VOL, r0, grid)
-            rep = solve_monotone(factor, VOL, ExponentHandle(POISSON), SolverConfig())
+            rep = solve_monotone(factor, SolverConfig())
             fields.append((grid, rep.field))
         g0, f0 = fields[0]
         g1, f1 = fields[1]
@@ -382,29 +388,22 @@ class TestSolveMonotone:
         model = LevyModel(
             nu=LevyMeasureSpec(density_parts=(Exponential(c=1.0, beta=2.0, support=(-INF, -1.0)),))
         )
-        _, factor, handle, _ = setup(model, seed=2, vol=ConstantVol(1.0))
+        factor = setup(model, seed=2, vol=ConstantVol(1.0))
         with pytest.raises(ExponentDomainError):
-            solve_monotone(factor, ConstantVol(1.0), handle, SolverConfig())
+            solve_monotone(factor, SolverConfig())
 
     def test_tabulated_vol_tracks_analytic_form(self):
         # same solve with lambda given analytically vs sampled on the grid;
         # the only differences are finite-difference lambda' and jump-offset
         # interpolation, both O(dx^2)
-        from levyhjmm.random_factor import ExpAffineVol, TabulatedVol
-
         grid = SolveGrid(t_star=1.0, dt=1.0 / 32, x_max=1.0)
         vol_a = ExpAffineVol(c0=0.5, c1=0.3, beta=1.0)
         xs_fine = (grid.dt / 4.0) * np.arange(4 * grid.n_w + 4 * grid.n_t + 1)
         vol_t = TabulatedVol(dx=grid.dt / 4.0, values=vol_a.lam(xs_fine))
         path = simulate(POISSON, SimConfig(t_star=1.0, dt=grid.dt, seed=11))
         r0 = r0_exp(grid)
-        handle = ExponentHandle(POISSON)
-        rep_a = solve_monotone(
-            compute_a(path, vol_a, r0, grid), vol_a, handle, SolverConfig()
-        )
-        rep_t = solve_monotone(
-            compute_a(path, vol_t, r0, grid), vol_t, handle, SolverConfig()
-        )
+        rep_a = solve_monotone(compute_a(path, vol_a, r0, grid), SolverConfig())
+        rep_t = solve_monotone(compute_a(path, vol_t, r0, grid), SolverConfig())
         assert rep_a.status == rep_t.status == STATUS_CONVERGED
         sup_field = grid.nan_sup(rep_a.field)
         assert grid.nan_sup(rep_a.field - rep_t.field) < 1e-4 * (1.0 + sup_field)
@@ -427,25 +426,25 @@ class TestAPrioriC1:
 class TestMildResidual:
     def test_degenerate_zero(self):
         model = LevyModel()
-        path, factor, handle, r0 = setup(model)
-        rep = solve_monotone(factor, VOL, handle, SolverConfig())
-        res = mild_residual(rep, path, factor, VOL)
+        factor = setup(model)
+        rep = solve_monotone(factor, SolverConfig())
+        res = mild_residual(rep, factor)
         assert np.max(res) < 1e-13
 
     def test_initial_row_is_zero(self):
         # at t = 0 the drift and stochastic integrals run over [0, 0]
-        path, factor, handle, r0 = setup(POISSON)
-        rep = solve_monotone(factor, VOL, handle, SolverConfig())
-        res = mild_residual(rep, path, factor, VOL)
+        factor = setup(POISSON)
+        rep = solve_monotone(factor, SolverConfig())
+        res = mild_residual(rep, factor)
         assert res[0] == 0.0
         assert np.max(res) > 0.0
 
     def test_pure_drift_first_order(self):
         model = LevyModel(a=1.0)
         grid = SolveGrid(t_star=1.0, dt=1.0 / 64, x_max=1.0)
-        path, factor, handle, r0 = setup(model, grid=grid)
-        rep = solve_monotone(factor, VOL, handle, SolverConfig())
-        res = mild_residual(rep, path, factor, VOL)
+        factor = setup(model, grid=grid)
+        rep = solve_monotone(factor, SolverConfig())
+        res = mild_residual(rep, factor)
         assert np.max(res) < 5.0 * grid.dt
 
     def test_compound_poisson_halving(self):
@@ -455,8 +454,8 @@ class TestMildResidual:
             grid = SolveGrid(t_star=1.0, dt=path.dt, x_max=1.0)
             r0 = r0_exp(grid)
             factor = compute_a(path, VOL, r0, grid)
-            rep = solve_monotone(factor, VOL, ExponentHandle(POISSON), SolverConfig())
-            vals.append(np.max(mild_residual(rep, path, factor, VOL)))
+            rep = solve_monotone(factor, SolverConfig())
+            vals.append(np.max(mild_residual(rep, factor)))
         assert 0.4 <= vals[1] / vals[0] <= 0.6
 
     def test_requires_converged(self):
@@ -465,9 +464,9 @@ class TestMildResidual:
         r0 = WeightedCurve(dx=grid.dt, values=np.full(grid.n_w + 1, 64.0), gamma=1.0)
         path = simulate(model, SimConfig(t_star=1.0, dt=grid.dt, seed=21))
         factor = compute_a(path, ConstantVol(1.0), r0, grid)
-        rep = solve_monotone(factor, ConstantVol(1.0), ExponentHandle(model), SolverConfig())
+        rep = solve_monotone(factor, SolverConfig())
         with pytest.raises(RuntimeError):
-            mild_residual(rep, path, factor, ConstantVol(1.0))
+            mild_residual(rep, factor)
 
 
 class TestGronwall:
@@ -484,18 +483,25 @@ class TestGronwall:
         assert res.witness is not None
 
     def test_two_start_difference(self):
-        path, factor, handle, r0 = setup(POISSON, seed=11)
-        ra = solve_monotone(factor, VOL, handle, SolverConfig(), h0="zero")
-        rb = solve_monotone(factor, VOL, handle, SolverConfig(), h0="factor")
+        factor = setup(POISSON, seed=11)
+        ra = solve_monotone(factor, SolverConfig(), h0="zero")
+        rb = solve_monotone(factor, SolverConfig(), h0="factor")
         assert ra.status == rb.status == STATUS_CONVERGED
         d = np.abs(ra.field - rb.field)
         assert GRID.nan_sup(ra.field - rb.field) < 1e-8
-        C = uniqueness_constant(
-            factor, VOL, handle, max(ra.iterate_l2_norms), max(rb.iterate_l2_norms)
-        )
+        C = uniqueness_constant(factor, max(ra.iterate_l2_norms), max(rb.iterate_l2_norms))
         res = gronwall_check(np.where(GRID.valid_mask(), d, np.nan), C, GRID, atol=1e-8)
         assert res.holds_on_grid
         assert res.sup_d_le_bound
+
+    def test_uniqueness_constant_reads_sup_abs_r0(self):
+        # r0 = e^{-x} with its last node at -3: sup |r0| is 3 for r0 and -r0 alike
+        values = np.exp(-GRID.x_wide)
+        values[-1] = -3.0
+        r0 = WeightedCurve(dx=GRID.dt, values=values, gamma=1.0)
+        path = simulate(POISSON, SimConfig(t_star=1.0, dt=GRID.dt, seed=11))
+        pos, neg = (compute_a(path, VOL, curve, GRID) for curve in (r0, r0.scaled(-1.0)))
+        assert uniqueness_constant(pos, 1.0, 1.0) == uniqueness_constant(neg, 1.0, 1.0)
 
     def test_negative_entries_rejected(self):
         d = np.where(GRID.valid_mask(), -1.0, np.nan)
@@ -509,26 +515,24 @@ class TestStrongResidual:
         for dt_exp in (4, 5):
             grid = SolveGrid(t_star=1.0, dt=2.0**-dt_exp, x_max=1.0)
             model = LevyModel()
-            _, factor, handle, r0 = setup(model, grid=grid)
-            rep = solve_monotone(factor, VOL, handle, SolverConfig())
-            sr = strong_residual(rep, r0, VOL, handle, r0_prime=-np.exp(-grid.x_wide))
+            factor = setup(model, grid=grid)
+            rep = solve_monotone(factor, SolverConfig())
+            sr = strong_residual(rep, factor, r0_prime=-np.exp(-grid.x_wide))
             sups.append(sr.sup)
         assert sups[1] / sups[0] == pytest.approx(0.25, abs=0.1)
 
     def test_poisson_within_linear_bound(self):
         grid = SolveGrid(t_star=1.0, dt=1.0 / 32, x_max=1.0)
-        _, factor, handle, r0 = setup(POISSON, grid=grid, seed=11)
-        rep = solve_monotone(factor, VOL, handle, SolverConfig())
-        sr = strong_residual(rep, r0, VOL, handle, r0_prime=-np.exp(-grid.x_wide))
+        factor = setup(POISSON, grid=grid, seed=11)
+        rep = solve_monotone(factor, SolverConfig())
+        sr = strong_residual(rep, factor, r0_prime=-np.exp(-grid.x_wide))
         assert sr.sup < 10.0 * grid.dt
 
     def test_nonconstant_vol_rejected(self):
-        from levyhjmm.random_factor import ExpAffineVol
-
-        _, factor, handle, r0 = setup(POISSON, seed=11)
-        rep = solve_monotone(factor, VOL, handle, SolverConfig())
-        with pytest.raises(ValueError):
-            strong_residual(rep, r0, ExpAffineVol(c0=0.5, c1=0.1, beta=1.0), handle)
+        factor = setup(POISSON, seed=11, vol=ExpAffineVol(c0=0.5, c1=0.1, beta=1.0))
+        rep = solve_monotone(factor, SolverConfig())
+        with pytest.raises(ValueError, match="constant volatility"):
+            strong_residual(rep, factor)
 
     @pytest.mark.parametrize("r0_prime", [False, True])
     @pytest.mark.parametrize("model", [POISSON, LevyModel(a=0.2, q=1.0, nu=LevyMeasureSpec(atoms=((0.5, 1.0),)))])
@@ -536,12 +540,13 @@ class TestStrongResidual:
     def test_matches_row_loop(self, n_x, model, r0_prime):
         # n_x = 1 leaves the last row two nodes, so a first-order end there
         grid = SolveGrid(t_star=0.5, dt=1.0 / 16, x_max=n_x / 16)
-        _, factor, handle, r0 = setup(model, grid=grid, seed=3)
-        rep = solve_monotone(factor, VOL, handle, SolverConfig())
+        factor = setup(model, grid=grid, seed=3)
+        handle = ExponentHandle(model)
+        rep = solve_monotone(factor, SolverConfig())
         assert rep.status == STATUS_CONVERGED
         r0p = -np.exp(-grid.x_wide) if r0_prime else None
-        got = strong_residual(rep, r0, VOL, handle, r0_prime=r0p)
-        want = loop_strong_residual(rep, r0, VOL, handle, r0_prime=r0p)
+        got = strong_residual(rep, factor, r0_prime=r0p)
+        want = loop_strong_residual(rep, factor.r0, VOL, handle, r0_prime=r0p)
         assert (got.sup, got.l2) == (want.sup, want.l2)
         assert np.array_equal(got.per_t, want.per_t)
 
@@ -550,9 +555,9 @@ class TestStrongResidual:
         r0 = WeightedCurve(dx=grid.dt, values=np.zeros(grid.n_w + 1), gamma=1.0)
         path = simulate(LevyModel(), SimConfig(t_star=1.0, dt=grid.dt, seed=1))
         factor = compute_a(path, VOL, r0, grid)
-        rep = solve_monotone(factor, VOL, ExponentHandle(LevyModel()), SolverConfig())
+        rep = solve_monotone(factor, SolverConfig())
         with pytest.raises(ValueError):
-            strong_residual(rep, r0, VOL, ExponentHandle(LevyModel()))
+            strong_residual(rep, factor)
 
 
 class TestExplosionSweep:
@@ -581,7 +586,7 @@ class TestExplosionSweep:
         path = simulate(model, SimConfig(t_star=1.0, dt=grid.dt, seed=1010))
         r0 = WeightedCurve(dx=grid.dt, values=np.full(grid.n_w + 1, 2.0**20), gamma=1.0)
         factor = compute_a(path, ConstantVol(0.3), r0, grid)
-        rep = solve_monotone(factor, ConstantVol(0.3), ExponentHandle(model), SolverConfig())
+        rep = solve_monotone(factor, SolverConfig())
         assert (rep.status, rep.detail["rule"]) == (STATUS_EXPLOSION, "cap")
 
 
@@ -809,10 +814,10 @@ class TestSolveBatch:
         r0 = WeightedCurve(dx=grid.dt, values=k * np.exp(-grid.x_wide), gamma=1.0)
         factors = path_factors(model, vol, grid, r0)
         cfg, handle = SolverConfig(**cfg_kw), ExponentHandle(model)
-        reports = solve_batch(factors, vol, handle, cfg)
+        reports = solve_batch(factors, cfg)
         for f, got in zip(factors, reports):
             assert_same_report(got, serial_solve(f, vol, handle, cfg))
-            assert_same_report(solve_monotone(f, vol, handle, cfg), got)
+            assert_same_report(solve_monotone(f, cfg), got)
         statuses = {rep.status for rep in reports}
         if name in ("mixed_k3", "mixed_k6"):
             assert statuses == {STATUS_CONVERGED, STATUS_EXPLOSION}
@@ -824,7 +829,7 @@ class TestSolveBatch:
         r0 = WeightedCurve(dx=grid.dt, values=k * np.exp(-grid.x_wide), gamma=1.0)
         factors = path_factors(model, vol, grid, r0, n_paths=12)
         cfg, handle = SolverConfig(), ExponentHandle(model)
-        reports = solve_batch(factors, vol, handle, cfg, h0="factor", keep_iterates=True)
+        reports = solve_batch(factors, cfg, h0="factor", keep_iterates=True)
         for f, got in zip(factors, reports):
             assert_same_report(got, serial_solve(f, vol, handle, cfg, h0="factor", keep_iterates=True))
 
@@ -836,7 +841,7 @@ class TestSolveBatch:
         cfg, handle = SolverConfig(**cfg_kw), ExponentHandle(model)
         for f in path_factors(model, vol, grid, r0, n_paths=6):
             want = serial_solve(f, vol, handle, cfg, h0=h0, keep_iterates=True)
-            assert_same_report(solve_monotone(f, vol, handle, cfg, h0=h0, keep_iterates=True), want)
+            assert_same_report(solve_monotone(f, cfg, h0=h0, keep_iterates=True), want)
 
     def test_first_iterate_fault_is_path_zero(self):
         # J'(0) = -inf for a power law on (1, inf) with alpha < 1: the first
@@ -851,18 +856,18 @@ class TestSolveBatch:
         want = excinfo.value
         for stack in (factors[:1], factors):
             with pytest.raises(ExponentDomainError) as excinfo:
-                solve_batch(stack, vol, handle, cfg)
+                solve_batch(stack, cfg)
             got = excinfo.value
             assert (str(got), got.z, got.what, got.path) == (str(want), want.z, want.what, want.path)
             assert (str(got), got.z, got.path) == ("J' is infinite at z=0.0", 0.0, 0)
 
     def test_stopping_rule_named(self):
-        _, factor, handle, _ = setup(POISSON, seed=11)
-        rep = solve_monotone(factor, VOL, handle, SolverConfig(max_iter=1))
+        factor = setup(POISSON, seed=11)
+        rep = solve_monotone(factor, SolverConfig(max_iter=1))
         assert rep.status == STATUS_MAX_ITER
         assert rep.detail["rule"] == "max_iter"
         assert rep.detail["last_change"] > 0.0
-        assert solve_monotone(factor, VOL, handle, SolverConfig()).detail["rule"] == "tol"
+        assert solve_monotone(factor, SolverConfig()).detail["rule"] == "tol"
 
     def test_sweep_matches_level_loop(self):
         model, vol = LevyModel(q=1.0), ConstantVol(1.0)
@@ -890,7 +895,7 @@ class TestSolveBatch:
             compute_a(path, vol, WeightedCurve(dx=grid.dt, values=np.full(grid.n_w + 1, k), gamma=1.0), grid)
             for k in (16.0, 32.0, 64.0)
         ]
-        reports = solve_batch(factors, vol, handle, cfg)
+        reports = solve_batch(factors, cfg)
         for f, got in zip(factors, reports):
             assert_same_report(got, serial_solve(f, vol, handle, cfg))
         assert [(rep.detail["rule"], rep.n_iters) for rep in reports] == [
@@ -920,7 +925,7 @@ class TestSolveBatch:
         assert errors[1].path is not None and errors[2].path is None  # iteration vs probe
         for order in ([0, 1, 2], [0, 2, 1], [2, 0, 1], [1, 2]):
             with pytest.raises(ExponentDomainError) as excinfo:
-                solve_batch([factors[p] for p in order], vol, handle, cfg)
+                solve_batch([factors[p] for p in order], cfg)
             want = errors[next(p for p in order if p in errors)]
             assert (excinfo.value.z, excinfo.value.what) == (want.z, want.what)
 
@@ -933,23 +938,49 @@ class TestSolveBatch:
                 atoms=((1.0, 1.0),), density_parts=(Exponential(c=1.0, beta=2.0, support=(-INF, -1.0)),)
             )
         )
-        vol, handle, cfg = ConstantVol(0.5), ExponentHandle(model), SolverConfig()
+        vol, cfg = ConstantVol(0.5), SolverConfig()
         grid = SolveGrid(t_star=1.0, dt=1.0 / 8, x_max=1.0)
         paths = [simulate(model, SimConfig(t_star=1.0, dt=grid.dt, seed=s)) for s in (1, 137, 113)]
         factors = compute_a(paths, vol, r0_exp(grid), grid)
         assert np.nanmin(factors[1].a) < 0.0
-        assert solve_monotone(factors[0], vol, handle, cfg).status == STATUS_CONVERGED
+        assert solve_monotone(factors[0], cfg).status == STATUS_CONVERGED
         errors = []
         for f in factors[1:]:
             with pytest.raises(ExponentDomainError) as excinfo:
-                solve_monotone(f, vol, handle, cfg)
+                solve_monotone(f, cfg)
             errors.append(excinfo.value)
             assert excinfo.value.z < 0.0 and excinfo.value.what == "J'"
             assert "z >= 0" in str(excinfo.value)
         for order, want in (([0, 1, 2], errors[0]), ([0, 2, 1], errors[1]), ([2, 1], errors[1])):
             with pytest.raises(ExponentDomainError) as excinfo:
-                solve_batch([factors[p] for p in order], vol, handle, cfg)
+                solve_batch([factors[p] for p in order], cfg)
             assert (excinfo.value.z, excinfo.value.what) == (want.z, want.what)
+
+
+class TestFactorIsTheOneSource:
+    """A stack is solved with the model and lambda its factors were built from,
+    so its factors must agree on both."""
+
+    def test_stack_of_mixed_models_rejected(self):
+        cfg = SolverConfig()
+        paths = [simulate(m, SimConfig(t_star=1.0, dt=GRID.dt, seed=7)) for m in (POISSON, LevyModel(q=1.0))]
+        with pytest.raises(ValueError, match="model"):
+            solve_batch(compute_a(paths, VOL, r0_exp(), GRID), cfg)
+        # an equal model built apart is the same model
+        twin = simulate(LevyModel(nu=LevyMeasureSpec(atoms=((1.0, 2.0),))), SimConfig(t_star=1.0, dt=GRID.dt, seed=8))
+        factors = compute_a([paths[0], twin], VOL, r0_exp(), GRID)
+        for f, got in zip(factors, solve_batch(factors, cfg)):
+            assert_same_report(got, solve_monotone(f, cfg))
+
+    def test_stack_of_mixed_lambda_bar_rejected(self):
+        # two tables equal on the grid but not beyond it: one lam_w, two lambda_bar
+        n = GRID.n_w + 1
+        vols = [TabulatedVol(dx=GRID.dt, values=np.append(np.full(n, 0.5), top)) for top in (0.5, 2.0)]
+        path = simulate(POISSON, SimConfig(t_star=1.0, dt=GRID.dt, seed=7))
+        factors = [compute_a(path, vol, r0_exp(), GRID) for vol in vols]
+        assert np.array_equal(factors[0].lam_w, factors[1].lam_w)
+        with pytest.raises(ValueError, match="volatility"):
+            solve_batch(factors, SolverConfig())
 
 
 class TestWeightedSpace:
@@ -965,7 +996,7 @@ class TestWeightedSpace:
         return compute_a(path, self.VOL, r0, GRID)
 
     def solve(self, r0):
-        return solve_monotone(self.factor(r0), self.VOL, ExponentHandle(self.MODEL), SolverConfig())
+        return solve_monotone(self.factor(r0), SolverConfig())
 
     @pytest.mark.parametrize("gamma", [0.25, 1.0, 2.0])
     def test_norms_are_those_of_r0(self, gamma):
@@ -980,7 +1011,7 @@ class TestWeightedSpace:
     def test_stack_of_mixed_gamma_rejected(self):
         factors = [self.factor(r0_exp(GRID, gamma)) for gamma in (1.0, 0.5)]
         with pytest.raises(ValueError, match="gamma"):
-            solve_batch(factors, self.VOL, ExponentHandle(self.MODEL), SolverConfig())
+            solve_batch(factors, SolverConfig())
 
     def test_huge_r0_scales_exactly(self):
         # r0 = 2^600 e^{-x}: its squares leave double range, its norms do not

@@ -262,6 +262,8 @@ class TestStackedFactor:
             assert type(got.b_bar) is float and type(got.positivity_ok) is bool
             assert (got.b_bar, got.positivity_ok) == (one.b_bar, one.positivity_ok)
             assert np.array_equal(got.lam_w, one.lam_w)
+            # each field records the path and volatility it was built from
+            assert got.path is one.path is path and got.vol is one.vol is vol
             (alone,) = compute_a([path], vol, r0_exp(), GRID)
             assert np.array_equal(alone.a, one.a, equal_nan=True)
         # the fields are views into one stacked computation, and share lambda
