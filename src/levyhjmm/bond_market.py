@@ -23,7 +23,7 @@ from .hjmm_solver import (
     SolverConfig,
     solve_batch,
 )
-from .path_sim import SimConfig, jump_law, simulate_paths
+from .path_sim import jump_law, simulate_paths
 from .random_factor import Volatility, compute_a
 
 #: martingale_mc solves its paths in blocks of at most this many field
@@ -169,9 +169,9 @@ def martingale_mc(
     excluded and counted apart; the iteration counts of all paths are
     summarised by min, median and max.
 
-    Each path is simulated from its own seed stream, with the model's jump
-    law built once.  The paths then go through in blocks: one
-    simulate_paths, one compute_a, one solve_batch and one pricing
+    Each path is simulated on the solve grid from its own seed stream, with
+    the model's jump law built once.  The paths then go through in blocks:
+    one simulate_paths, one compute_a, one solve_batch and one pricing
     pass per block, with the same result as one path at a time, errors
     included: the first path that fails to simulate or to solve raises.
     Within a block, each distinct path (grid values and jumps) is assembled
@@ -196,13 +196,10 @@ def martingale_mc(
     n_exploded = n_not_converged = 0
     n_iters: list[int] = []
 
-    # the grid, threshold and jump cap of every path; simulate_paths seeds each
-    # path from `seeds` and never reads cfg.seed, so it is left invalid (< 0)
-    sim_cfg = SimConfig(t_star=grid.t_star, dt=grid.dt, seed=-1, n_threshold=n_threshold)
     for start in range(0, n_paths, block):
         # a path that fails to simulate ends the block; its error is raised
         # once the paths before it are solved, as one path at a time would
-        paths, failure = simulate_paths(model, sim_cfg, seeds[start : start + block], law)
+        paths, failure = simulate_paths(law, grid, seeds[start : start + block])
         fields = []
         if paths:
             # a path's a(t, x), and so its solve, reads only these three fields;

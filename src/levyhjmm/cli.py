@@ -38,7 +38,7 @@ from .hjmm_solver import (
     solve_monotone,
 )
 from .levy_analysis import ExponentDomainError, ExponentHandle, classify
-from .path_sim import RNG_ALGORITHM, SimConfig, simulate
+from .path_sim import RNG_ALGORITHM, simulate
 from .random_factor import compute_a
 from .scenario import Scenario, ScenarioError, load_scenario
 
@@ -109,9 +109,7 @@ def _z0_for(sc: Scenario) -> float:
 
 
 def _solve_scenario(sc: Scenario):
-    path = simulate(
-        sc.model, SimConfig(t_star=sc.grid.t_star, dt=sc.grid.dt, seed=sc.seed)
-    )
+    path = simulate(sc.model, sc.grid, sc.seed)
     factor = compute_a(path, sc.vol, sc.r0, sc.grid)
     return factor, solve_monotone(factor, sc.solver)
 
@@ -142,9 +140,7 @@ def cmd_classify(sc: Scenario, out: Path, args) -> int:
 
 
 def cmd_simulate_path(sc: Scenario, out: Path, args) -> int:
-    path = simulate(
-        sc.model, SimConfig(t_star=sc.grid.t_star, dt=sc.grid.dt, seed=sc.seed)
-    )
+    path = simulate(sc.model, sc.grid, sc.seed)
     jumps = np.column_stack([path.jump_times, path.jump_sizes]).tolist()
     _write_csv(
         out / "path.csv", sc, "t,L", [_reprs(path.t), _reprs(path.grid_values)],

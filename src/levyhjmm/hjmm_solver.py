@@ -20,14 +20,14 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .function_space import WeightedCurve, cumulative_trapezoid, weighted_l2
 from .grids import SolveGrid
 from .levy_analysis import ExponentDomainError, ExponentHandle
-from .path_sim import SimConfig, simulate
+from .path_sim import simulate
 from .random_factor import RandomFactorField, Volatility, compute_a
 
 STATUS_CONVERGED = "Converged"
@@ -363,9 +363,10 @@ def mild_residual(report: SolveReport, factor: RandomFactorField) -> np.ndarray:
     drift = dt * grid.sum_along_t(jp * lam_r)
     dLc_rows = np.append(dLc, 0.0)[:, None]
     rhs = grid.shifted(factor.r0.values) + drift + grid.sum_along_t(lam_r * dLc_rows, rule="left")
-    for s_m, y_m in zip(path.jump_times, path.jump_sizes):
+    for i0, s_m, y_m in zip(path.jump_rows.tolist(), path.jump_times, path.jump_sizes):
+        if i0 > grid.n_t:
+            break
         # the jump enters every row with t_i >= s_m, at the field's left limit
-        i0 = int(np.searchsorted(grid.t, s_m, side="left"))
         k = max(i0 - 1, 0)
         wk = grid.row_width(k)
         args = (grid.t[i0:, None] - s_m) + grid.x_wide
@@ -526,15 +527,15 @@ def explosion_sweep(
     """Solve with flat initial curves r0 = k over a level range, one path.
 
     The levels are solved as one batch (solve_batch); each level's cap is
-    the default one, 1e8 (1 + k).  Reports per-level status and the
-    smallest exploding level, if any.
+    the default one, 1e8 (1 + k).  Only a = r0(t + x) b depends on the
+    level, so the factor is built once, on r0 = 1, and level k's is a = k b.
+    Reports per-level status and the smallest exploding level, if any.
     """
-    path = simulate(model, SimConfig(t_star=grid.t_star, dt=grid.dt, seed=seed, n_threshold=n_threshold))
+    path = simulate(model, grid, seed, n_threshold)
     levels = sorted(float(k) for k in r0_levels)
-    factors = [
-        compute_a(path, vol, WeightedCurve(dx=grid.dt, values=np.full(grid.n_w + 1, k), gamma=gamma), grid)
-        for k in levels
-    ]
+    unit = WeightedCurve(dx=grid.dt, values=np.ones(grid.n_w + 1), gamma=gamma)
+    base = compute_a(path, vol, unit, grid)
+    factors = [replace(base, r0=unit.scaled(k), a=k * base.b) for k in levels]
     reports = solve_batch(factors, SolverConfig(tol=tol, max_iter=max_iter))
     rows = tuple(
         SweepRow(level=k, status=rep.status, n_iters=rep.n_iters, max_sup=rep.iterate_sup_norms[-1])

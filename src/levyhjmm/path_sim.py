@@ -1,11 +1,13 @@
-"""Path simulation of the driving process on [0, T*].
+"""Path simulation of the driving process on the t-nodes of a solve grid.
 
 Small jumps below the threshold 1/n are dropped and compensated by the
 deterministic drift -t*m_n with m_n = int_{1/n < |y| < 1} y nu(dy); the
 band is open at 1 to match the compensation indicator 1_{(-1,1)} inside the
 Laplace exponent.  All randomness comes from one counter-based generator
-(numpy Philox) with a fixed draw order, so a (model, config) pair maps to a
-bit-identical path record.
+(numpy Philox) with a fixed draw order, so a model, threshold, grid and seed
+map to a bit-identical path record.  The path is drawn on the grid the
+equation is solved on (`SolveGrid`: t_star, dt and n_t; x_max is not read),
+and the record says at which row each jump enters (`jump_rows`).
 
 Draw order: jump count, jump times, jump components, jump size uniforms,
 Brownian increments.
@@ -18,6 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .grids import SolveGrid
 from .levy_model import (
     INF,
     DensityPart,
@@ -32,6 +35,9 @@ from .levy_model import (
 
 RNG_ALGORITHM = "numpy-philox-4x64-10"
 
+#: a sampled jump count above this raises JumpCapacityError
+MAX_JUMPS = 1_000_000
+
 
 class JumpCapacityError(RuntimeError):
     """Sampled jump count exceeded the configured cap."""
@@ -39,33 +45,6 @@ class JumpCapacityError(RuntimeError):
 
 def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    """Simulation grid, truncation threshold and seed."""
-
-    t_star: float
-    dt: float
-    seed: int
-    n_threshold: int = 1000
-    max_jumps: int = 1_000_000
-
-    def __post_init__(self):
-        for name in ("t_star", "dt"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
-        n = round(self.t_star / self.dt)
-        if n < 1 or abs(n * self.dt - self.t_star) > 1e-12 * max(1.0, self.t_star):
-            raise ValueError(f"dt={self.dt} must divide t_star={self.t_star}")
-        if self.n_threshold < 1:
-            raise ValueError("n_threshold must be >= 1 (threshold 1/n <= 1)")
-        if self.max_jumps < 1:
-            raise ValueError("max_jumps must be positive")
-
-    @property
-    def n_steps(self) -> int:
-        return round(self.t_star / self.dt)
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +132,13 @@ class LevyPathRecord:
     def t(self) -> np.ndarray:
         return self.dt * np.arange(self.grid_values.size)
 
+    @property
+    def jump_rows(self) -> np.ndarray:
+        """The row of each jump: the first node t_i at or after its time, the
+        row from which L(t_i) includes it (len(t) for a jump past the last
+        node)."""
+        return np.searchsorted(self.t, self.jump_times, side="left")
+
     def value_at(self, t: float) -> float:
         """L(t), counting the jumps at times <= t; the Brownian part is
         linearly interpolated between nodes."""
@@ -204,64 +190,60 @@ class JumpLaw:
 
 
 def jump_law(model: LevyModel, n_threshold: int) -> JumpLaw:
+    if n_threshold < 1:
+        raise ValueError(f"n_threshold must be >= 1 (threshold 1/n <= 1), got {n_threshold}")
     comps = tuple(jump_components(model.nu, 1.0 / n_threshold))
     lam_total = sum(c.intensity for c in comps)
     cum = np.cumsum([c.intensity for c in comps]) / lam_total if lam_total else None
     return JumpLaw(model, n_threshold, comps, lam_total, cum, compensator_m_n(model, n_threshold))
 
 
-def simulate(model: LevyModel, cfg: SimConfig) -> LevyPathRecord:
-    """Simulate one truncated-compensated path; bit-reproducible per seed.
+def simulate(model: LevyModel, grid: SolveGrid, seed: int, n_threshold: int = 1000) -> LevyPathRecord:
+    """Simulate one truncated-compensated path on the grid's t-nodes;
+    bit-reproducible per seed.
 
     Jump counts are Poisson with the restricted intensity, times uniform on
     (0, T*], sizes drawn by the inverse CDF of each normalized component;
     Brownian increments are N(0, q dt), q being the Gaussian variance.  A
-    count above max_jumps raises JumpCapacityError rather than truncating
-    silently.  This is simulate_paths on the one seed cfg.seed.
+    count above MAX_JUMPS raises JumpCapacityError rather than truncating
+    silently.  This is simulate_paths on the one seed.
     """
-    paths, failure = simulate_paths(model, cfg, [cfg.seed])
+    paths, failure = simulate_paths(jump_law(model, n_threshold), grid, [seed])
     if failure is not None:
         raise failure
     return paths[0]
 
 
-def simulate_paths(
-    model: LevyModel, cfg: SimConfig, seeds, law: JumpLaw | None = None
-) -> tuple[list[LevyPathRecord], JumpCapacityError | None]:
-    """One path per seed on cfg's grid, threshold and jump cap (cfg.seed is
-    not read), as (records, failure).
+def simulate_paths(law: JumpLaw, grid: SolveGrid, seeds) -> tuple[list[LevyPathRecord], JumpCapacityError | None]:
+    """One path of the law's model and threshold per seed, on the grid's
+    t-nodes t_i = i dt, i <= n_t, as (records, failure).
 
     Every path draws from its own generator, seeded by its seed, in the
     draw order of the module docstring; what is not random (jump sizes from
     their uniforms, time order, grid values) is then done for all paths at
-    once.  Drawing stops at the first path whose jump count tops max_jumps:
+    once.  Drawing stops at the first path whose jump count tops MAX_JUMPS:
     the records of the paths before it come back with that path's
     JumpCapacityError as failure, which is None otherwise.
     """
-    if law is None:
-        law = jump_law(model, cfg.n_threshold)
-    elif law.model is not model or law.n_threshold != cfg.n_threshold:
-        raise ValueError("law was built for another model or threshold")
-    lam_total = law.lam_total
+    model, lam_total, t_star = law.model, law.lam_total, grid.t_star
     seeds = [int(seed) for seed in seeds]
     uniforms, n_jumps, dW, failure = [], [], [], None
     for seed in seeds:
         rng = _rng(seed)
-        n = int(rng.poisson(lam_total * cfg.t_star)) if lam_total > 0.0 else 0
-        if n > cfg.max_jumps:
+        n = int(rng.poisson(lam_total * t_star)) if lam_total > 0.0 else 0
+        if n > MAX_JUMPS:
             failure = JumpCapacityError(
-                f"sampled {n} jumps > max_jumps={cfg.max_jumps} "
-                f"(intensity {lam_total:.4g}, horizon {cfg.t_star})"
+                f"sampled {n} jumps > MAX_JUMPS={MAX_JUMPS} (intensity {lam_total:.4g}, horizon {t_star})"
             )
             break
         uniforms.append(rng.random(3 * n))  # n each for times, components, sizes
         n_jumps.append(n)
         if model.q > 0.0:
-            dW.append(rng.normal(0.0, math.sqrt(model.q * cfg.dt), cfg.n_steps))
+            dW.append(rng.normal(0.0, math.sqrt(model.q * grid.dt), grid.n_t))
     n_paths = len(n_jumps)
     if not n_paths:
         return [], failure
-    dW = np.stack(dW) if dW else np.zeros((n_paths, cfg.n_steps))
+    dW = np.stack(dW) if dW else np.zeros((n_paths, grid.n_t))
     n_jumps = np.array(n_jumps)
     ends = np.cumsum(n_jumps)
     starts = ends - n_jumps
@@ -270,7 +252,7 @@ def simulate_paths(
     u = np.concatenate(uniforms)
     k = np.arange(ends[-1]) + np.repeat(2 * starts, n_jumps)
     n_rep = np.repeat(n_jumps, n_jumps)
-    times = cfg.t_star * (1.0 - u[k])  # uniform on (0, T*]
+    times = t_star * (1.0 - u[k])  # uniform on (0, T*]
     sizes = np.empty(k.size)
     if k.size:
         comp_idx = np.searchsorted(law.cum, u[k + n_rep], side="right")
@@ -282,18 +264,18 @@ def simulate_paths(
     # time order within each path, ties broken by generation order
     order = np.lexsort((times, np.repeat(np.arange(n_paths), n_jumps)))
     times, sizes = times[order], sizes[order]
-    grid_values = _grid_values(model, cfg.dt, law.m_n, times, sizes, n_jumps, dW)
+    grid_values = _grid_values(model, grid.dt, law.m_n, times, sizes, n_jumps, dW)
     paths = [
         LevyPathRecord(
-            t_star=cfg.t_star,
-            dt=cfg.dt,
+            t_star=t_star,
+            dt=grid.dt,
             grid_values=grid_values[p],
             jump_times=times[a:b],
             jump_sizes=sizes[a:b],
             brownian_increments=dW[p],
             m_n=law.m_n,
             model=model,
-            n_threshold=cfg.n_threshold,
+            n_threshold=law.n_threshold,
             seed=seeds[p],
         )
         for p, (a, b) in enumerate(zip(starts.tolist(), ends.tolist()))

@@ -177,11 +177,10 @@ def _I2(paths: list[LevyPathRecord], vol: Volatility, grid: SolveGrid) -> tuple[
     out = np.repeat(np.where(mask, 1.0, np.nan)[None], len(paths), axis=0)
     positivity_ok = np.ones(len(paths), dtype=bool)
     for k, path in enumerate(paths):
-        for s_m, y_m in zip(path.jump_times, path.jump_sizes):
-            if s_m > grid.t_star:
+        # each jump enters at its row, the first one at or after it, as in L(t)
+        for i0, s_m, y_m in zip(path.jump_rows.tolist(), path.jump_times, path.jump_sizes):
+            if i0 > grid.n_t:
                 break
-            # the first row at or after the jump, as in L(t) (path_sim._grid_values)
-            i0 = int(np.searchsorted(grid.t, s_m, side="left"))
             lam_v = vol.lam((grid.t[i0:, None] - s_m) + grid.x_wide)
             factor = 1.0 + lam_v * y_m
             if np.any((factor <= 0.0) & mask[i0:]):

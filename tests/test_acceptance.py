@@ -34,7 +34,7 @@ from levyhjmm.levy_analysis import (
     mgf_consistency,
 )
 from levyhjmm.levy_model import LevyMeasureSpec, LevyModel, PowerLaw
-from levyhjmm.path_sim import SimConfig, refine_path, simulate
+from levyhjmm.path_sim import refine_path, simulate
 from levyhjmm.random_factor import ConstantVol, ExpAffineVol, compute_a
 from levyhjmm.hjmm_solver import (
     STATUS_CONVERGED,
@@ -66,7 +66,7 @@ def exp_decay_r0(grid, gamma=1.0, scale=1.0):
 
 
 def solve_scenario(model, vol, grid, seed, r0=None, gamma=1.0, **cfg_kw):
-    path = simulate(model, SimConfig(t_star=grid.t_star, dt=grid.dt, seed=seed))
+    path = simulate(model, grid, seed)
     factor = compute_a(path, vol, r0 or exp_decay_r0(grid, gamma), grid)
     report = solve_monotone(factor, SolverConfig(**cfg_kw))
     return factor, ExponentHandle(model), report
@@ -165,9 +165,7 @@ def test_criterion_5_monotone_iteration():
         for case in range(20):
             model, vol, scale = random_subordinator_scenario(rng)
             assert classify(model).regime == "GlobalSafe"
-            path = simulate(
-                model, SimConfig(t_star=1.0, dt=grid.dt, seed=int(rng.integers(1 << 30)))
-            )
+            path = simulate(model, grid, int(rng.integers(1 << 30)))
             r0 = exp_decay_r0(grid, scale=scale)
             factor = compute_a(path, vol, r0, grid)
             rep = solve_monotone(factor, SolverConfig(), keep_iterates=True)
@@ -185,7 +183,7 @@ def test_criterion_6_mild_residual_order():
     with criterion(6, "mild-form residual halves with dt (3 levels)", 120.0):
         model = LevyModel(nu=LevyMeasureSpec(atoms=((1.0, 2.0),)))
         vol = ConstantVol(0.5)
-        base = simulate(model, SimConfig(t_star=1.0, dt=1.0 / 32, seed=11))
+        base = simulate(model, SolveGrid(t_star=1.0, dt=1.0 / 32, x_max=1.0), 11)
         paths = [base]
         for lvl in range(2):
             paths.append(refine_path(paths[-1], seed=600 + lvl))
@@ -227,9 +225,7 @@ def test_criterion_8_uniqueness_two_start():
         grid = SolveGrid(t_star=1.0, dt=1.0 / 16, x_max=1.0)
         for case in range(10):
             model, vol, scale = random_subordinator_scenario(rng)
-            path = simulate(
-                model, SimConfig(t_star=1.0, dt=grid.dt, seed=int(rng.integers(1 << 30)))
-            )
+            path = simulate(model, grid, int(rng.integers(1 << 30)))
             r0 = exp_decay_r0(grid, scale=scale)
             factor = compute_a(path, vol, r0, grid)
             ra = solve_monotone(factor, SolverConfig(), h0="zero")

@@ -1,4 +1,3 @@
-import functools
 import math
 
 import numpy as np
@@ -6,10 +5,10 @@ import pytest
 
 from levyhjmm.function_space import WeightedCurve, l1_bound_check
 from levyhjmm.grids import SolveGrid
-from levyhjmm import bond_market
+from levyhjmm import bond_market, path_sim
 from levyhjmm.levy_analysis import ExponentDomainError, ExponentHandle
 from levyhjmm.levy_model import INF, Exponential, LevyMeasureSpec, LevyModel
-from levyhjmm.path_sim import JumpCapacityError, SimConfig, simulate
+from levyhjmm.path_sim import JumpCapacityError, simulate
 from levyhjmm.random_factor import ConstantVol, ExpAffineVol, compute_a
 from levyhjmm.function_space import trapezoid
 from levyhjmm.hjmm_solver import SolverConfig, solve_monotone
@@ -32,7 +31,7 @@ def constant_field(value, grid=GRID):
 
 def solved_field(model, grid=GRID, seed=3, vol=ConstantVol(0.5), gamma=1.0):
     r0 = WeightedCurve(dx=grid.dt, values=np.exp(-grid.x_wide), gamma=gamma)
-    path = simulate(model, SimConfig(t_star=grid.t_star, dt=grid.dt, seed=seed))
+    path = simulate(model, grid, seed)
     factor = compute_a(path, vol, r0, grid)
     rep = solve_monotone(factor, SolverConfig())
     assert rep.status == "Converged"
@@ -189,7 +188,7 @@ class TestMartingale:
         rep = martingale_mc(POISSON, vol, r0, GRID, cfg, n_paths=16, maturities=[1.0], t_checkpoints=[0.5], seed=1010)
         iters = []
         for ps in np.random.SeedSequence(1010).generate_state(16, dtype=np.uint64):
-            path = simulate(POISSON, SimConfig(t_star=GRID.t_star, dt=GRID.dt, seed=int(ps)))
+            path = simulate(POISSON, GRID, int(ps))
             factor = compute_a(path, vol, r0, GRID)
             iters.append(solve_monotone(factor, cfg).n_iters)
         assert (rep.n_iters_min, rep.n_iters_median, rep.n_iters_max) == (
@@ -217,15 +216,14 @@ class TestMartingale:
     )
     TAIL_GRID = SolveGrid(t_star=1.0, dt=1.0 / 8, x_max=1.0)
 
-    def _serial_outcomes(self, seed, n_paths, max_jumps=SimConfig.max_jumps):
+    def _serial_outcomes(self, seed, n_paths):
         """Per path: None, or the error one path at a time meets."""
         grid, model = self.TAIL_GRID, self.TAIL_MODEL
         r0 = WeightedCurve(dx=grid.dt, values=np.exp(-grid.x_wide), gamma=1.0)
         outcomes = []
         for ps in np.random.SeedSequence(seed).generate_state(n_paths, dtype=np.uint64):
-            cfg = SimConfig(t_star=grid.t_star, dt=grid.dt, seed=int(ps), max_jumps=max_jumps)
             try:
-                factor = compute_a(simulate(model, cfg), ConstantVol(0.5), r0, grid)
+                factor = compute_a(simulate(model, grid, int(ps)), ConstantVol(0.5), r0, grid)
                 solve_monotone(factor, SolverConfig())
                 outcomes.append(None)
             except (ExponentDomainError, JumpCapacityError) as err:
@@ -269,9 +267,9 @@ class TestMartingale:
         # seed 4: path 4 (2 jumps) fails its domain probe and path 6 has 3
         # jumps, so the first error depends on max_jumps; all 12 paths share
         # one block, which simulates path 6 before it solves path 4
-        want = next(err for err in self._serial_outcomes(4, 12, max_jumps) if err is not None)
+        monkeypatch.setattr(path_sim, "MAX_JUMPS", max_jumps)
+        want = next(err for err in self._serial_outcomes(4, 12) if err is not None)
         assert type(want) is kind
-        monkeypatch.setattr(bond_market, "SimConfig", functools.partial(SimConfig, max_jumps=max_jumps))
         with pytest.raises(kind) as excinfo:
             self._martingale(4, 12)
         assert str(excinfo.value) == str(want)
@@ -285,7 +283,7 @@ def serial_martingale(model, vol, r0, grid, cfg, n_paths, maturities, t_checkpoi
     samples = {(T, t): [] for T in maturities for t in t_checkpoints}
     reference, n_exploded, n_not_converged, n_iters = {}, 0, 0, []
     for ps in np.random.SeedSequence(seed).generate_state(n_paths, dtype=np.uint64):
-        path = simulate(model, SimConfig(t_star=grid.t_star, dt=grid.dt, seed=int(ps)))
+        path = simulate(model, grid, int(ps))
         rep = solve_monotone(compute_a(path, vol, r0, grid), cfg)
         n_iters.append(rep.n_iters)
         if rep.status == "ExplosionDetected":

@@ -290,7 +290,7 @@ class TestCsvContents:
         from levyhjmm.bond_market import ForwardField, bond_price
         from levyhjmm.hjmm_solver import explosion_sweep, solve_monotone
         from levyhjmm.levy_analysis import ExponentHandle
-        from levyhjmm.path_sim import RNG_ALGORITHM, SimConfig, simulate
+        from levyhjmm.path_sim import RNG_ALGORITHM, simulate
         from levyhjmm.random_factor import compute_a
         from levyhjmm.scenario import load_scenario
 
@@ -309,7 +309,7 @@ class TestCsvContents:
         g = sc.grid
         head = f"# scenario_hash={sc.scenario_hash} seed={sc.seed} version={__version__}"
         ts, xs = g.t.tolist(), g.x_wide.tolist()
-        path = simulate(sc.model, SimConfig(t_star=g.t_star, dt=g.dt, seed=sc.seed))
+        path = simulate(sc.model, g, sc.seed)
         assert path.jump_times.size == 4
         factor = compute_a(path, sc.vol, sc.r0, g)
         exponent = ExponentHandle(sc.model)
@@ -755,7 +755,7 @@ class TestFrozenWriter:
     def test_grid_with_more_x_than_t_nodes(self, tmp_path):
         from levyhjmm.bond_market import exp_neg_integrals
         from levyhjmm.hjmm_solver import solve_monotone
-        from levyhjmm.path_sim import SimConfig, simulate
+        from levyhjmm.path_sim import simulate
         from levyhjmm.random_factor import compute_a
         from levyhjmm.scenario import load_scenario
 
@@ -767,7 +767,7 @@ class TestFrozenWriter:
         sc = load_scenario(scen)
         g = sc.grid
         assert (g.n_t, g.n_x) == (16, 32)
-        path = simulate(sc.model, SimConfig(t_star=g.t_star, dt=g.dt, seed=sc.seed))
+        path = simulate(sc.model, g, sc.seed)
         factor = compute_a(path, sc.vol, sc.r0, g)
         field = solve_monotone(factor, sc.solver).field
         rect = field[:, : g.n_x + 1]

@@ -5,6 +5,7 @@ import pytest
 
 from levyhjmm.function_space import (
     WeightedCurve,
+    cumulative_trapezoid,
     l1_bound_check,
     norm_h1gamma,
     norm_l2gamma,
@@ -74,6 +75,23 @@ class TestWeightedL2:
         off = np.array([[False, True, True], [False, False, True]])
         got = weighted_l2(y, 0.5, np.ones(4), np.array([2.0, 5.0]), off)
         assert np.array_equal(got, [math.sqrt(0.25 * (1 + 4)), math.sqrt(0.25 * (9 + 2 * 16 + 25))])
+
+
+class TestCumulativeTrapezoid:
+    @pytest.mark.parametrize("dx", [1.0 / 16, 0.1, 1.0, 3.0])
+    def test_matches_the_trapezoid_formula_bit_for_bit(self, dx):
+        rng = np.random.default_rng(3)
+        y = rng.standard_normal((3, 40)) * 10.0 ** rng.uniform(-20, 20, size=(3, 1))
+        want = np.zeros_like(y)
+        want[:, 1:] = np.cumsum(0.5 * (y[:, 1:] + y[:, :-1]), axis=-1) * dx
+        assert np.array_equal(cumulative_trapezoid(y, dx), want)
+
+    def test_finite_integral_near_the_double_range(self):
+        # y[0] + y[1] tops the double range, the integral does not
+        y = np.full(4, 2.0**1023)
+        with np.errstate(all="raise"):
+            got = cumulative_trapezoid(y, 1.0 / 16)
+        assert np.array_equal(got, [0.0, 2.0**1019, 2.0**1020, 3 * 2.0**1019])
 
 
 class TestH1Norm:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from levyhjmm import hjmm_solver
 from levyhjmm.function_space import WeightedCurve, cumulative_trapezoid, norm_l2gamma, trapezoid
 from levyhjmm.grids import SolveGrid
 from levyhjmm.levy_analysis import (
@@ -14,7 +15,7 @@ from levyhjmm.levy_analysis import (
     classify,
 )
 from levyhjmm.levy_model import INF, Exponential, LevyMeasureSpec, LevyModel, PowerLaw
-from levyhjmm.path_sim import SimConfig, refine_path, simulate
+from levyhjmm.path_sim import LevyPathRecord, refine_path, simulate
 from levyhjmm.random_factor import ConstantVol, ExpAffineVol, TabulatedVol, compute_a
 from levyhjmm.hjmm_solver import (
     STATUS_CONVERGED,
@@ -22,6 +23,7 @@ from levyhjmm.hjmm_solver import (
     STATUS_MAX_ITER,
     SolveReport,
     SolverConfig,
+    SweepResult,
     StrongResidual,
     a_priori_c1,
     apply_K,
@@ -36,6 +38,9 @@ from levyhjmm.hjmm_solver import (
 
 GRID = SolveGrid(t_star=1.0, dt=1.0 / 16, x_max=1.0)
 POISSON = LevyModel(nu=LevyMeasureSpec(atoms=((1.0, 2.0),)))
+# the benchmark's explosion-prone power law and its jump diffusion
+SWEEP_POWERLAW = LevyModel(nu=LevyMeasureSpec(density_parts=(PowerLaw(c=1.0, alpha=1.5, support=(0.0, 1.0)),)))
+JUMP_DIFFUSION = LevyModel(a=0.2, q=1.0, nu=LevyMeasureSpec(atoms=((1.0, 0.5), (-0.2, 0.3))))
 VOL = ConstantVol(0.5)
 
 
@@ -44,7 +49,7 @@ def r0_exp(grid=GRID, gamma=1.0):
 
 
 def setup(model, grid=GRID, seed=1, vol=VOL, gamma=1.0, r0=None):
-    path = simulate(model, SimConfig(t_star=grid.t_star, dt=grid.dt, seed=seed))
+    path = simulate(model, grid, seed)
     return compute_a(path, vol, r0 or r0_exp(grid, gamma), grid)
 
 
@@ -216,7 +221,7 @@ class TestNaturalFrameKernel:
         model = LevyModel(a=0.2, q=1.0, nu=LevyMeasureSpec(atoms=((1.0, 0.5), (-0.2, 0.3))))
         vol = ExpAffineVol(c0=0.2, c1=0.1, beta=1.0)
         r0 = WeightedCurve(dx=dt, values=np.exp(-grid.x_wide), gamma=1.0)
-        paths = [simulate(model, SimConfig(t_star=1.0, dt=dt, seed=seed)) for seed in (3, 4, 5)]
+        paths = [simulate(model, grid, seed) for seed in (3, 4, 5)]
         factors = compute_a(paths, vol, r0, grid)
         factor = dataclasses.replace(factors[0], a=np.stack([f.a for f in factors])) if stack else factors[0]
         handle = ExponentHandle(model)
@@ -284,12 +289,11 @@ class TestNaturalFrameKernel:
 
     @pytest.mark.parametrize(
         "cls, name",
-        [(SolveGrid, "t_star"), (SolveGrid, "dt"), (SolveGrid, "x_max"), (SimConfig, "t_star"), (SimConfig, "dt")],
+        [(SolveGrid, "t_star"), (SolveGrid, "dt"), (SolveGrid, "x_max")],
     )
     @pytest.mark.parametrize("value", [math.inf, math.nan, -1.0, 0.0])
     def test_grid_rejects_bad_span(self, cls, name, value):
-        base = {"t_star": 1.0, "dt": 0.125}
-        base.update({"x_max": 1.0} if cls is SolveGrid else {"seed": 1})
+        base = {"t_star": 1.0, "dt": 0.125, "x_max": 1.0}
         with pytest.raises(ValueError, match=f"^{name} must be finite and positive"):
             cls(**{**base, name: value})
 
@@ -334,7 +338,7 @@ class TestSolveMonotone:
         model = LevyModel(q=1.0)
         grid = SolveGrid(t_star=1.0, dt=1.0 / 16, x_max=1.0)
         r0 = WeightedCurve(dx=grid.dt, values=np.full(grid.n_w + 1, 64.0), gamma=1.0)
-        path = simulate(model, SimConfig(t_star=1.0, dt=grid.dt, seed=21))
+        path = simulate(model, grid, 21)
         factor = compute_a(path, ConstantVol(1.0), r0, grid)
         rep = solve_monotone(factor, SolverConfig())
         assert rep.status == STATUS_EXPLOSION
@@ -367,7 +371,7 @@ class TestSolveMonotone:
         assert max(rep.iterate_l2_norms) <= 1.01 * rep.c1
 
     def test_grid_refinement_consistency(self):
-        base = simulate(POISSON, SimConfig(t_star=1.0, dt=1.0 / 32, seed=11))
+        base = simulate(POISSON, SolveGrid(t_star=1.0, dt=1.0 / 32, x_max=1.0), 11)
         paths = [base, refine_path(base, seed=70)]
         fields = []
         for p in paths:
@@ -400,7 +404,7 @@ class TestSolveMonotone:
         vol_a = ExpAffineVol(c0=0.5, c1=0.3, beta=1.0)
         xs_fine = (grid.dt / 4.0) * np.arange(4 * grid.n_w + 4 * grid.n_t + 1)
         vol_t = TabulatedVol(dx=grid.dt / 4.0, values=vol_a.lam(xs_fine))
-        path = simulate(POISSON, SimConfig(t_star=1.0, dt=grid.dt, seed=11))
+        path = simulate(POISSON, grid, 11)
         r0 = r0_exp(grid)
         rep_a = solve_monotone(compute_a(path, vol_a, r0, grid), SolverConfig())
         rep_t = solve_monotone(compute_a(path, vol_t, r0, grid), SolverConfig())
@@ -448,7 +452,7 @@ class TestMildResidual:
         assert np.max(res) < 5.0 * grid.dt
 
     def test_compound_poisson_halving(self):
-        base = simulate(POISSON, SimConfig(t_star=1.0, dt=1.0 / 32, seed=11))
+        base = simulate(POISSON, SolveGrid(t_star=1.0, dt=1.0 / 32, x_max=1.0), 11)
         vals = []
         for path in (base, refine_path(base, seed=80)):
             grid = SolveGrid(t_star=1.0, dt=path.dt, x_max=1.0)
@@ -462,7 +466,7 @@ class TestMildResidual:
         model = LevyModel(q=1.0)
         grid = SolveGrid(t_star=1.0, dt=1.0 / 16, x_max=1.0)
         r0 = WeightedCurve(dx=grid.dt, values=np.full(grid.n_w + 1, 64.0), gamma=1.0)
-        path = simulate(model, SimConfig(t_star=1.0, dt=grid.dt, seed=21))
+        path = simulate(model, grid, 21)
         factor = compute_a(path, ConstantVol(1.0), r0, grid)
         rep = solve_monotone(factor, SolverConfig())
         with pytest.raises(RuntimeError):
@@ -499,7 +503,7 @@ class TestGronwall:
         values = np.exp(-GRID.x_wide)
         values[-1] = -3.0
         r0 = WeightedCurve(dx=GRID.dt, values=values, gamma=1.0)
-        path = simulate(POISSON, SimConfig(t_star=1.0, dt=GRID.dt, seed=11))
+        path = simulate(POISSON, GRID, 11)
         pos, neg = (compute_a(path, VOL, curve, GRID) for curve in (r0, r0.scaled(-1.0)))
         assert uniqueness_constant(pos, 1.0, 1.0) == uniqueness_constant(neg, 1.0, 1.0)
 
@@ -553,7 +557,7 @@ class TestStrongResidual:
     def test_vanishing_r0_rejected(self):
         grid = GRID
         r0 = WeightedCurve(dx=grid.dt, values=np.zeros(grid.n_w + 1), gamma=1.0)
-        path = simulate(LevyModel(), SimConfig(t_star=1.0, dt=grid.dt, seed=1))
+        path = simulate(LevyModel(), grid, 1)
         factor = compute_a(path, VOL, r0, grid)
         rep = solve_monotone(factor, SolverConfig())
         with pytest.raises(ValueError):
@@ -579,15 +583,92 @@ class TestExplosionSweep:
         assert all(r.status == STATUS_CONVERGED for r in res.rows)
         assert res.first_explosion_level is None
 
+    def test_no_levels(self):
+        assert explosion_sweep(POISSON, VOL, [], GRID, seed=5) == SweepResult(rows=(), first_explosion_level=None)
 
     def test_overflowing_negative_atom_explodes_by_the_cap(self):
         model = LevyModel(nu=LevyMeasureSpec(atoms=((-0.25, 0.5),)))
         grid = SolveGrid(t_star=1.0, dt=1.0 / 8, x_max=1.0)
-        path = simulate(model, SimConfig(t_star=1.0, dt=grid.dt, seed=1010))
+        path = simulate(model, grid, 1010)
         r0 = WeightedCurve(dx=grid.dt, values=np.full(grid.n_w + 1, 2.0**20), gamma=1.0)
         factor = compute_a(path, ConstantVol(0.3), r0, grid)
         rep = solve_monotone(factor, SolverConfig())
         assert (rep.status, rep.detail["rule"]) == (STATUS_EXPLOSION, "cap")
+
+    @pytest.mark.parametrize(
+        "model, vol, grid, n_threshold",
+        [
+            (SWEEP_POWERLAW, ConstantVol(0.3), SolveGrid(t_star=1.0, dt=1.0 / 8, x_max=1.0), 250),
+            (JUMP_DIFFUSION, ExpAffineVol(c0=0.2, c1=0.1, beta=1.0), SolveGrid(t_star=0.5, dt=1.0 / 32, x_max=1.0), 1000),
+        ],
+        ids=["powerlaw", "jump_diffusion"],
+    )
+    def test_levels_equal_their_own_factors(self, monkeypatch, model, vol, grid, n_threshold):
+        # the sweep builds one factor and scales it by each level: every
+        # level's factor and report equal those of its own compute_a solve
+        seen = []
+
+        def record(factors, cfg):
+            seen.append((factors, cfg, solve_batch(factors, cfg)))
+            return seen[-1][2]
+
+        monkeypatch.setattr(hjmm_solver, "solve_batch", record)
+        levels = [2.0**k for k in range(0, 21, 4)]
+        res = explosion_sweep(model, vol, levels, grid, seed=1010, n_threshold=n_threshold)
+        monkeypatch.undo()
+        (factors, cfg, reports), = seen
+        path = simulate(model, grid, 1010, n_threshold)
+        for k, row, got, rep in zip(levels, res.rows, factors, reports):
+            r0 = WeightedCurve(dx=grid.dt, values=np.full(grid.n_w + 1, k), gamma=1.0)
+            want = compute_a(path, vol, r0, grid)
+            assert np.array_equal(got.r0.values, r0.values) and got.r0.gamma == r0.gamma
+            assert np.array_equal(got.a, want.a, equal_nan=True)
+            assert (got.b_bar, got.positivity_ok) == (want.b_bar, want.positivity_ok)
+            assert_same_report(rep, solve_monotone(want, cfg))
+            assert (row.status, row.n_iters) == (rep.status, rep.n_iters)
+        if model is SWEEP_POWERLAW:
+            assert {row.status for row in res.rows} == {STATUS_CONVERGED, STATUS_EXPLOSION}
+
+    def test_top_of_the_double_range_converges(self):
+        # flat r0 up to 2^1023 under atom jumps: finite integrals whose
+        # trapezoid terms top the double range, with no overflow warning
+        levels = [2.0**k for k in (1021, 1022, 1023)]
+        with np.errstate(over="raise"):
+            res = explosion_sweep(LevyModel(nu=LevyMeasureSpec(atoms=((1.0, 0.5),))), ConstantVol(0.3), levels, GRID, seed=7)
+        assert [row.status for row in res.rows] == [STATUS_CONVERGED] * 3
+
+
+class TestJumpRows:
+    def test_factor_and_mild_residual_read_the_path_rows(self, monkeypatch):
+        # thousands of jumps, half of them beyond the horizon of the solve
+        grid = SolveGrid(t_star=0.5, dt=1.0 / 8, x_max=1.0)
+        path = simulate(SWEEP_POWERLAW, SolveGrid(t_star=1.0, dt=grid.dt, x_max=1.0), 1010, n_threshold=250)
+        assert path.jump_times.size > 2000 and path.jump_rows[-1] > grid.n_t + 1
+        vol = ConstantVol(0.3)
+        r0 = WeightedCurve(dx=grid.dt, values=np.ones(grid.n_w + 1), gamma=1.0)
+
+        def solve():
+            factor = compute_a(path, vol, r0, grid)
+            rep = solve_monotone(factor, SolverConfig())
+            assert rep.status == STATUS_CONVERGED
+            return factor, rep, mild_residual(rep, factor)
+
+        factor, rep, mild = solve()
+        # the jump product with each jump's row searched on the solve grid
+        I2 = np.where(grid.valid_mask(), 1.0, np.nan)
+        for s_m, y_m in zip(path.jump_times, path.jump_sizes):
+            if s_m <= grid.t_star:
+                i0 = int(np.searchsorted(grid.t, s_m, side="left"))
+                lam_v = vol.lam((grid.t[i0:, None] - s_m) + grid.x_wide)
+                I2[i0:] *= (1.0 + lam_v * y_m) * np.exp(-lam_v * y_m)
+        assert np.array_equal(factor.I2, I2, equal_nan=True)
+        monkeypatch.setattr(
+            LevyPathRecord, "jump_rows", property(lambda p: np.searchsorted(grid.t, p.jump_times, side="left"))
+        )
+        want_factor, want_rep, want_mild = solve()
+        assert np.array_equal(factor.a, want_factor.a, equal_nan=True)
+        assert_same_report(rep, want_rep)
+        assert np.array_equal(mild, want_mild)
 
 
 # the explosion boundary across a family: classify (B3/B4 from J) against
@@ -783,7 +864,7 @@ def assert_same_report(got, want):
 def path_factors(model, vol, grid, r0, n_paths=50, seed=1010):
     seeds = np.random.SeedSequence(seed).generate_state(n_paths, dtype=np.uint64)
     return [
-        compute_a(simulate(model, SimConfig(t_star=grid.t_star, dt=grid.dt, seed=int(s))), vol, r0, grid)
+        compute_a(simulate(model, grid, int(s)), vol, r0, grid)
         for s in seeds
     ]
 
@@ -873,7 +954,7 @@ class TestSolveBatch:
         model, vol = LevyModel(q=1.0), ConstantVol(1.0)
         levels = [2.0**k for k in range(0, 13, 3)]
         res = explosion_sweep(model, vol, levels, GRID, seed=5)
-        path = simulate(model, SimConfig(t_star=GRID.t_star, dt=GRID.dt, seed=5))
+        path = simulate(model, GRID, 5)
         for k, row in zip(levels, res.rows):
             r0 = WeightedCurve(dx=GRID.dt, values=np.full(GRID.n_w + 1, k), gamma=1.0)
             factor = compute_a(path, vol, r0, GRID)
@@ -890,7 +971,7 @@ class TestSolveBatch:
         model = LevyModel(nu=LevyMeasureSpec(density_parts=(PowerLaw(c=1.0, alpha=1.5, support=(0.0, 1.0)),)))
         vol, handle, cfg = ConstantVol(0.3), ExponentHandle(model), SolverConfig()
         grid = SolveGrid(t_star=1.0, dt=1.0 / 8, x_max=1.0)
-        path = simulate(model, SimConfig(t_star=grid.t_star, dt=grid.dt, seed=7, n_threshold=250))
+        path = simulate(model, grid, 7, n_threshold=250)
         factors = [
             compute_a(path, vol, WeightedCurve(dx=grid.dt, values=np.full(grid.n_w + 1, k), gamma=1.0), grid)
             for k in (16.0, 32.0, 64.0)
@@ -940,7 +1021,7 @@ class TestSolveBatch:
         )
         vol, cfg = ConstantVol(0.5), SolverConfig()
         grid = SolveGrid(t_star=1.0, dt=1.0 / 8, x_max=1.0)
-        paths = [simulate(model, SimConfig(t_star=1.0, dt=grid.dt, seed=s)) for s in (1, 137, 113)]
+        paths = [simulate(model, grid, s) for s in (1, 137, 113)]
         factors = compute_a(paths, vol, r0_exp(grid), grid)
         assert np.nanmin(factors[1].a) < 0.0
         assert solve_monotone(factors[0], cfg).status == STATUS_CONVERGED
@@ -963,11 +1044,11 @@ class TestFactorIsTheOneSource:
 
     def test_stack_of_mixed_models_rejected(self):
         cfg = SolverConfig()
-        paths = [simulate(m, SimConfig(t_star=1.0, dt=GRID.dt, seed=7)) for m in (POISSON, LevyModel(q=1.0))]
+        paths = [simulate(m, GRID, 7) for m in (POISSON, LevyModel(q=1.0))]
         with pytest.raises(ValueError, match="model"):
             solve_batch(compute_a(paths, VOL, r0_exp(), GRID), cfg)
         # an equal model built apart is the same model
-        twin = simulate(LevyModel(nu=LevyMeasureSpec(atoms=((1.0, 2.0),))), SimConfig(t_star=1.0, dt=GRID.dt, seed=8))
+        twin = simulate(LevyModel(nu=LevyMeasureSpec(atoms=((1.0, 2.0),))), GRID, 8)
         factors = compute_a([paths[0], twin], VOL, r0_exp(), GRID)
         for f, got in zip(factors, solve_batch(factors, cfg)):
             assert_same_report(got, solve_monotone(f, cfg))
@@ -976,7 +1057,7 @@ class TestFactorIsTheOneSource:
         # two tables equal on the grid but not beyond it: one lam_w, two lambda_bar
         n = GRID.n_w + 1
         vols = [TabulatedVol(dx=GRID.dt, values=np.append(np.full(n, 0.5), top)) for top in (0.5, 2.0)]
-        path = simulate(POISSON, SimConfig(t_star=1.0, dt=GRID.dt, seed=7))
+        path = simulate(POISSON, GRID, 7)
         factors = [compute_a(path, vol, r0_exp(), GRID) for vol in vols]
         assert np.array_equal(factors[0].lam_w, factors[1].lam_w)
         with pytest.raises(ValueError, match="volatility"):
@@ -991,7 +1072,7 @@ class TestWeightedSpace:
     VOL = ConstantVol(0.3)
 
     def factor(self, r0):
-        path = simulate(self.MODEL, SimConfig(t_star=GRID.t_star, dt=GRID.dt, seed=7))
+        path = simulate(self.MODEL, GRID, 7)
         assert path.jump_times.size == 0  # so b = 1 and a(t, x) = r0(t + x)
         return compute_a(path, self.VOL, r0, GRID)
 

@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from levyhjmm.function_space import WeightedCurve
 from levyhjmm.grids import SolveGrid
 from levyhjmm.levy_model import INF, Exponential, LevyMeasureSpec, LevyModel
-from levyhjmm.path_sim import LevyPathRecord, SimConfig, _grid_values, simulate
+from levyhjmm.path_sim import LevyPathRecord, _grid_values, simulate
 from levyhjmm.random_factor import (
     ConstantVol,
     ExpAffineVol,
@@ -98,7 +98,7 @@ def I2_of(path, vol, grid=GRID):
 
 class TestI1:
     def test_constant_vol_pure_drift(self):
-        path = simulate(LevyModel(a=1.0), SimConfig(t_star=1.0, dt=GRID.dt, seed=0))
+        path = simulate(LevyModel(a=1.0), GRID, 0)
         I1 = I1_of(path, ConstantVol(2.0))
         assert triangle_err(GRID, I1, lambda t, xs: 2.0 * t * np.ones_like(xs)) < 1e-14
 
@@ -107,7 +107,7 @@ class TestI1:
         dt = 1.0 / 512
         grid = SolveGrid(t_star=0.5, dt=dt, x_max=0.5)
         vol = ExpAffineVol(c0=1.0, c1=1.0, beta=1.0)
-        path = simulate(LevyModel(a=1.0), SimConfig(t_star=0.5, dt=dt, seed=0))
+        path = simulate(LevyModel(a=1.0), grid, 0)
         I1 = I1_of(path, vol, grid)
         for (ti, xj) in [(8, 3), (32, 0), (64, 20)]:
             t, x = grid.t[ti], grid.x_wide[xj]
@@ -122,7 +122,7 @@ class TestI1:
 
 class TestI2:
     def test_no_jumps(self):
-        path = simulate(LevyModel(a=1.0), SimConfig(t_star=1.0, dt=GRID.dt, seed=0))
+        path = simulate(LevyModel(a=1.0), GRID, 0)
         I2, ok = I2_of(path, ConstantVol(1.0))
         assert ok
         assert triangle_err(GRID, I2, lambda t, xs: np.ones_like(xs)) == 0.0
@@ -161,7 +161,7 @@ class TestI2:
 
 class TestRandomFactor:
     def test_zero_noise_reduces_to_shifted_curve(self):
-        path = simulate(LevyModel(), SimConfig(t_star=1.0, dt=GRID.dt, seed=1))
+        path = simulate(LevyModel(), GRID, 1)
         f = compute_a(path, ConstantVol(0.5), r0_exp(), GRID)
         r0v = r0_exp().values
         worst = max(
@@ -171,7 +171,7 @@ class TestRandomFactor:
         assert worst == 0.0
 
     def test_pure_drift_closed_form(self):
-        path = simulate(LevyModel(a=1.0), SimConfig(t_star=1.0, dt=GRID.dt, seed=1))
+        path = simulate(LevyModel(a=1.0), GRID, 1)
         f = compute_a(path, ConstantVol(0.5), r0_exp(), GRID)
         expect = lambda t, xs: np.exp(-(t + xs)) * math.exp(0.5 * t)
         assert triangle_err(GRID, f.a, expect) < 1e-13
@@ -180,21 +180,21 @@ class TestRandomFactor:
         # Wiener q=1, constant lambda: b is a unit-mean exponential martingale
         vals = []
         for seed in range(10_000):
-            path = simulate(LevyModel(q=1.0), SimConfig(t_star=0.5, dt=1.0 / 8, seed=seed))
             grid = SolveGrid(t_star=0.5, dt=1.0 / 8, x_max=0.5)
+            path = simulate(LevyModel(q=1.0), grid, seed)
             f = compute_a(path, ConstantVol(1.0), r0_exp(grid), grid)
             vals.append(f.b[grid.n_t, 0])
         mean, se = np.mean(vals), np.std(vals) / math.sqrt(len(vals))
         assert abs(mean - 1.0) < 3 * se
 
     def test_initial_slice_is_r0(self):
-        path = simulate(LevyModel(q=1.0, a=0.2), SimConfig(t_star=1.0, dt=GRID.dt, seed=3))
+        path = simulate(LevyModel(q=1.0, a=0.2), GRID, 3)
         f = compute_a(path, ConstantVol(1.0), r0_exp(), GRID)
         np.testing.assert_array_equal(f.a[0, :], r0_exp().values[: GRID.n_w + 1])
 
     def test_positivity_under_support_bound(self):
         model = LevyModel(nu=LevyMeasureSpec(atoms=((-0.25, 2.0), (1.0, 1.0))))
-        path = simulate(model, SimConfig(t_star=1.0, dt=GRID.dt, seed=8))
+        path = simulate(model, GRID, 8)
         f = compute_a(path, ConstantVol(2.0), r0_exp(), GRID)
         # supp nu >= -1/lambda_bar = -0.5, so every jump factor stays positive
         assert f.positivity_ok
@@ -202,7 +202,7 @@ class TestRandomFactor:
 
     def test_constant_shortcut_equals_general_path(self):
         model = LevyModel(a=0.5, q=1.0, nu=LevyMeasureSpec(atoms=((0.5, 1.0),)))
-        path = simulate(model, SimConfig(t_star=1.0, dt=GRID.dt, seed=4))
+        path = simulate(model, GRID, 4)
         f_const = compute_a(path, ConstantVol(0.7), r0_exp(), GRID)
         tab = TabulatedVol(dx=GRID.dt, values=np.full(GRID.n_w + 1, 0.7))
         f_tab = compute_a(path, tab, r0_exp(), GRID)
@@ -210,7 +210,7 @@ class TestRandomFactor:
 
     def test_bounded_fields_reported(self):
         model = LevyModel(a=0.1, q=0.5, nu=LevyMeasureSpec(atoms=((0.5, 2.0),)))
-        path = simulate(model, SimConfig(t_star=1.0, dt=GRID.dt, seed=12))
+        path = simulate(model, GRID, 12)
         vol = ExpAffineVol(c0=0.8, c1=0.4, beta=1.5)
         f = compute_a(path, vol, r0_exp(), GRID)
         mask = GRID.valid_mask()
@@ -220,7 +220,7 @@ class TestRandomFactor:
 
     def test_r0_too_short_rejected(self):
         short = WeightedCurve(dx=GRID.dt, values=np.ones(GRID.n_w), gamma=1.0)
-        path = simulate(LevyModel(), SimConfig(t_star=1.0, dt=GRID.dt, seed=1))
+        path = simulate(LevyModel(), GRID, 1)
         with pytest.raises(ValueError):
             compute_a(path, ConstantVol(1.0), short, GRID)
 
@@ -249,7 +249,7 @@ class TestStackedFactor:
             ),
         )
         models = [LevyModel(a=0.1, q=q_k, nu=nu) for q_k in ((0.0, 0.25) if q == "mixed" else (q,))]
-        paths = [simulate(models[s % len(models)], SimConfig(t_star=1.0, dt=GRID.dt, seed=s)) for s in range(8)]
+        paths = [simulate(models[s % len(models)], GRID, s) for s in range(8)]
         sizes = np.concatenate([p.jump_sizes for p in paths])
         assert sizes.min() <= -2.0 and sizes.max() > 0.0
         fields = compute_a(paths, vol, r0_exp(), GRID)
@@ -271,7 +271,7 @@ class TestStackedFactor:
         assert 0 < sum(f.positivity_ok for f in fields) < len(paths)
 
     def test_single_path_has_no_path_axis(self):
-        path = simulate(LevyModel(q=1.0), SimConfig(t_star=1.0, dt=GRID.dt, seed=2))
+        path = simulate(LevyModel(q=1.0), GRID, 2)
         f = compute_a(path, ConstantVol(1.0), r0_exp(), GRID)
         assert f.a.shape == (GRID.n_t + 1, GRID.n_w + 1)
         assert type(f.b_bar) is float and type(f.positivity_ok) is bool
