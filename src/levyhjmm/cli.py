@@ -62,15 +62,32 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2, allow_nan=True) + "\n")
 
 
-def _write_csv(path: Path, sc: Scenario, header: str, columns, note: str = "", trailer: str = "") -> None:
-    """The hash line (with `note` appended), the header, then one row per
-    entry of the columns, each a list of formatted cells, then `trailer`."""
-    lines = [f"# scenario_hash={sc.scenario_hash} seed={sc.seed} version={__version__}{note}", header]
-    lines += map(",".join, zip(*columns))
-    path.write_text("\n".join(lines) + "\n" + trailer)
+def _write_csv(path: Path, sc: Scenario, header: str, cells, keys=None, note: str = "", trailer: str = "") -> None:
+    """The hash line (with `note` appended), the header, one line per row,
+    then `trailer`.
+
+    The file is one bytes template with a %s for each value cell, filled
+    with the cells (bytes, row-major) by one `%`.  Without keys a row holds
+    a cell for each column of the header.  keys = (t, x, widths) are the
+    key cells of a grid table: row i of the grid gives the lines (i, j),
+    j < widths[i], each led by t[i] and, unless x is None, x[j], and the
+    columns after the keys hold value cells.
+    """
+    n_values = header.count(",") + 1
+    if keys is None:
+        rows = [(b"%s" + b",%s" * (n_values - 1) + b"\n") * (len(cells) // n_values)]
+    else:
+        t, x, widths = keys
+        line = b",%s" * (n_values - 1 - (x is not None)) + b"\n"
+        tails = [line] * max(widths) if x is None else [b"," + x_j + line for x_j in x]
+        rows = [t_i + t_i.join(tails[:w]) for t_i, w in zip(t, widths)]
+    head = f"# scenario_hash={sc.scenario_hash} seed={sc.seed} version={__version__}{note}\n{header}\n"
+    # the head and trailer are literal text of the template: a % in them is doubled
+    literal = [text.encode().replace(b"%", b"%%") for text in (head, trailer)]
+    path.write_bytes(b"".join([literal[0], *rows, literal[1]]) % tuple(cells))
 
 
-def _reprs(values) -> list[str]:
+def _reprs(values) -> list[bytes]:
     """repr of each value, as a float, in row-major order.
 
     orjson writes the shortest round-trip digits that repr writes, spelt the
@@ -83,23 +100,21 @@ def _reprs(values) -> list[str]:
     v = np.ascontiguousarray(values, dtype=np.float64).ravel()
     if not v.size:
         return []
-    cells = orjson.dumps(v, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    # split at the commas, then drop the brackets: no copy of the whole text
+    cells = orjson.dumps(v, option=orjson.OPT_SERIALIZE_NUMPY).split(b",")
+    cells[0] = cells[0][1:]
+    cells[-1] = cells[-1][:-1]
     a = np.abs(v)
     redo = np.flatnonzero(~(((a >= 1e-4) & (a < 1e16)) | (a == 0.0)))
     for k, x in zip(redo.tolist(), v[redo].tolist()):
-        cells[k] = repr(x)
+        cells[k] = repr(x).encode()
     return cells
 
 
-def _tx_cells(g, widths) -> tuple[list[str], list[str]]:
-    """The t and x cells of rows t_i covering the first widths[i] x nodes,
-    row-major; each node is formatted once."""
-    t_nodes, x_nodes = _reprs(g.t), _reprs(g.x_wide)
-    t, x = [], []
-    for t_i, width in zip(t_nodes, widths):
-        t += [t_i] * width
-        x += x_nodes[:width]
-    return t, x
+def _grid_keys(g, widths, x: bool = True) -> tuple:
+    """_write_csv's keys for rows t_i covering the first widths[i] x nodes:
+    each t node, and each x node unless x is False, formatted once."""
+    return _reprs(g.t), _reprs(g.x_wide) if x else None, widths
 
 
 def _z0_for(sc: Scenario) -> float:
@@ -117,8 +132,8 @@ def _solve_scenario(sc: Scenario):
 def cmd_report_exponent(sc: Scenario, out: Path, args) -> int:
     zs = np.linspace(args.z_min, args.z_max, args.n_z)
     exponent = ExponentHandle(sc.model)
-    columns = [zs, exponent.J(zs), exponent.J_prime(zs), exponent.J_second(zs)]
-    _write_csv(out / "exponent.csv", sc, "z,J,J_prime,J_second", [_reprs(c) for c in columns])
+    table = np.stack([zs, exponent.J(zs), exponent.J_prime(zs), exponent.J_second(zs)], axis=-1)
+    _write_csv(out / "exponent.csv", sc, "z,J,J_prime,J_second", _reprs(table))
     return EXIT_OK
 
 
@@ -143,15 +158,15 @@ def cmd_simulate_path(sc: Scenario, out: Path, args) -> int:
     path = simulate(sc.model, sc.grid, sc.seed)
     jumps = np.column_stack([path.jump_times, path.jump_sizes]).tolist()
     _write_csv(
-        out / "path.csv", sc, "t,L", [_reprs(path.t), _reprs(path.grid_values)],
+        out / "path.csv", sc, "t,L", _reprs(np.stack([path.t, path.grid_values], axis=-1)),
         note=f" rng={RNG_ALGORITHM}", trailer="# jumps: " + json.dumps(jumps) + "\n",
     )
     if args.dump_factor:
         factor = compute_a(path, sc.vol, sc.r0, sc.grid)
         g = sc.grid
-        t, x = _tx_cells(g, [g.row_width(i) + 1 for i in range(g.n_t + 1)])
-        I1, I2, a = (_reprs(g.triangle(v)) for v in (factor.I1, factor.I2, factor.a))
-        _write_csv(out / "factor.csv", sc, "t,x,I1,I2,a", [t, x, I1, I2, a])
+        keys = _grid_keys(g, [g.row_width(i) + 1 for i in range(g.n_t + 1)])
+        table = np.stack([g.triangle(v) for v in (factor.I1, factor.I2, factor.a)], axis=-1)
+        _write_csv(out / "factor.csv", sc, "t,x,I1,I2,a", _reprs(table), keys)
     return EXIT_OK
 
 
@@ -163,8 +178,7 @@ def cmd_solve(sc: Scenario, out: Path, args) -> int:
         residuals["mild_l2_max"] = float(np.max(res))
     g = sc.grid
     rect = report.field[:, : g.n_x + 1]
-    t, x = _tx_cells(g, [g.n_x + 1] * (g.n_t + 1))
-    _write_csv(out / "field.csv", sc, "t,x,r", [t, x, _reprs(rect)])
+    _write_csv(out / "field.csv", sc, "t,x,r", _reprs(rect), _grid_keys(g, [g.n_x + 1] * (g.n_t + 1)))
     payload = {
         "status": report.status,
         "n_iters": report.n_iters,
@@ -202,13 +216,9 @@ def cmd_sweep_explosion(sc: Scenario, out: Path, args) -> int:
         gamma=sc.r0.gamma,
     )
     rows = result.rows
-    columns = [
-        _reprs([r.level for r in rows]),
-        [r.status for r in rows],
-        [str(r.n_iters) for r in rows],
-        _reprs([r.max_sup for r in rows]),
-    ]
-    _write_csv(out / "sweep.csv", sc, "k,status,n_iters,max_sup", columns)
+    levels, sups = _reprs([r.level for r in rows]), _reprs([r.max_sup for r in rows])
+    cells = [c for k, r, s in zip(levels, rows, sups) for c in (k, r.status.encode(), b"%d" % r.n_iters, s)]
+    _write_csv(out / "sweep.csv", sc, "k,status,n_iters,max_sup", cells)
     _write_json(
         out / "sweep.json",
         {
@@ -228,8 +238,8 @@ def cmd_price(sc: Scenario, out: Path, args) -> int:
     g = sc.grid
     # every row reaches x_max, so column j prices P(t_i, t_i + x_j) for every i
     prices = np.array([exp_neg_integrals(report.field[:, : j + 1], g.dt) for j in range(g.n_x + 1)]).T
-    t, _ = _tx_cells(g, [g.n_x + 1] * (g.n_t + 1))
-    _write_csv(out / "price.csv", sc, "t,T,price", [t, _reprs(g.t[:, None] + g.x), _reprs(prices)])
+    table = np.stack([g.t[:, None] + g.x, prices], axis=-1)
+    _write_csv(out / "price.csv", sc, "t,T,price", _reprs(table), _grid_keys(g, [g.n_x + 1] * (g.n_t + 1), x=False))
     return EXIT_OK
 
 

@@ -23,8 +23,10 @@ import numpy as np
 trapezoid = np.trapezoid if hasattr(np, "trapezoid") else np.trapz
 
 
-def cumulative_trapezoid(y: np.ndarray, dx: float) -> np.ndarray:
-    """Cumulative trapezoid along the last axis with zero at the first node.
+def cumulative_trapezoid(y: np.ndarray, dx: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Cumulative trapezoid along the last axis with zero at the first node,
+    written into out (an array of y's shape, which may be y itself) when it
+    is given.
 
     The terms are scaled by s, a power of two <= dx/2, before they are summed,
     so no partial sum tops the integral it builds: a finite integral of
@@ -33,9 +35,11 @@ def cumulative_trapezoid(y: np.ndarray, dx: float) -> np.ndarray:
     dx * cumsum((y[1:] + y[:-1]) / 2) bit for bit.
     """
     s = math.ldexp(1.0, math.frexp(dx)[1] - 2)
-    out = np.empty_like(y)
+    terms = s * y[..., 1:] + s * y[..., :-1]
+    if out is None:
+        out = np.empty_like(y)
     out[..., 0] = 0.0
-    np.cumsum(s * y[..., 1:] + s * y[..., :-1], axis=-1, out=out[..., 1:])
+    np.cumsum(terms, axis=-1, out=out[..., 1:])
     out[..., 1:] *= 0.5 * dx / s
     return out
 

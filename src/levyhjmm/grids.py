@@ -94,6 +94,13 @@ class SolveGrid:
         mask.flags.writeable = False
         return mask
 
+    @cached_property
+    def off_mask(self) -> np.ndarray:
+        """Read-only boolean matrix of the nodes beyond the triangle, ~valid_mask()."""
+        off = ~self._mask
+        off.flags.writeable = False
+        return off
+
     def valid_mask(self) -> np.ndarray:
         """Read-only boolean matrix of the triangle t + x <= x_max + t_star."""
         return self._mask
@@ -124,7 +131,13 @@ class SolveGrid:
         n = (self.n_t + 1) * (self.n_w + 1)
         return padded.reshape(lead + (-1,))[..., :n].reshape(lead + self._mask.shape)
 
-    def sum_along_t(self, G: np.ndarray, rule: str = "trapezoid") -> np.ndarray:
+    def padded_pair(self, lead: tuple[int, ...] = ()) -> tuple[np.ndarray, np.ndarray]:
+        """Two zeroed buffers of shape lead + (n_t + 1, n_w + 2), `sum_along_t`'s
+        work; leading slices of a stack's pair serve any shorter stack."""
+        shape = lead + (self.n_t + 1, self.n_w + 2)
+        return np.zeros(shape), np.zeros(shape)
+
+    def sum_along_t(self, G: np.ndarray, rule: str = "trapezoid", work=None) -> np.ndarray:
         """The field E[i, j] = sum_{k <= i} w_k G[k, i - k + j] of the field G
         (broadcast to the field's shape, so a curve on the wide x-grid is the
         field that repeats it in every row); NaN beyond the triangle, and G is
@@ -136,21 +149,27 @@ class SolveGrid:
         terms are summed in order of k, so E equals the row-by-row loop over
         k bit for bit, and nothing is subtracted, so an infinite term never
         turns into NaN.
+
+        work: the two padded buffers (`padded_pair`, sliced to G's stack) to
+        use in place of fresh ones; E is then a view of the second.  They
+        may be reused from call to call, whatever was done to E: the first
+        is only written with G on the triangle and halved (its zeros beyond
+        the triangle stay zeros), and every entry of the second that E reads
+        is written here.
         """
         if rule not in ("trapezoid", "left"):
             raise ValueError(f"rule must be 'trapezoid' or 'left', got {rule!r}")
-        shape = G.shape[:-2] + (self.n_t + 1, self.n_w + 2)
-        Gp = np.zeros(shape)
+        Gp, Ep = self.padded_pair(G.shape[:-2]) if work is None else work
         np.copyto(Gp[..., :-1], G, where=self._mask)
         Gn = self._natural(Gp)
         if rule == "trapezoid":
             Gn[..., 0, :] *= 0.5
-        Ep = np.zeros(shape)
         En = self._natural(Ep)
+        En[..., 0, :] = 0.0
         np.cumsum(Gn[..., :-1, :], axis=-2, out=En[..., 1:, :])
         if rule == "trapezoid":
             Gn[..., 1:, :] *= 0.5
             En[..., 1:, :] += Gn[..., 1:, :]
         E = Ep[..., :-1]
-        np.copyto(E, np.nan, where=~self._mask)
+        np.copyto(E, np.nan, where=self.off_mask)
         return E

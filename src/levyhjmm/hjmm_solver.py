@@ -91,7 +91,7 @@ def _on_triangle(fn, z: np.ndarray, grid: SolveGrid, what: str, domain_sup: floa
     such field raises, and the error's `path` attribute is its index along
     the (flattened) leading axes.
     """
-    np.copyto(z, np.nan, where=~grid.valid_mask())
+    np.copyto(z, np.nan, where=grid.off_mask)
     rows = z.reshape(-1, z.shape[-2] * z.shape[-1])
     has_neg = (rows < 0.0).any(axis=-1)
     n_ok = int(np.argmax(has_neg)) if has_neg.any() else rows.shape[0]
@@ -121,12 +121,21 @@ def apply_K(h: np.ndarray, factor: RandomFactorField, exponent: ExponentHandle) 
     negative or J' has a domain fault there.
     """
     grid, lam_w = factor.grid, factor.lam_w
-    cum = cumulative_trapezoid(lam_w * h, grid.dt)
+    # a solve's stack lends its work buffers, cut to h's stack; a factor's are fresh
+    if isinstance(factor, _FactorStack):
+        cum, padded = factor.work(len(h))
+        np.multiply(h, lam_w, out=cum)
+    else:
+        cum, padded = h * lam_w, None
+    cumulative_trapezoid(cum, grid.dt, out=cum)
     with np.errstate(over="ignore"):
         G = _on_triangle(exponent.J_prime, cum, grid, "J'", exponent.domain_sup)
         G *= lam_w
+        # the x-integral is spent: its buffer takes dt times the t-sum, and
         # row 0 sums nothing, so exp(0) keeps it equal to a(0, x)
-        return factor.a * np.exp(grid.dt * grid.sum_along_t(G))
+        np.multiply(grid.sum_along_t(G, work=padded), grid.dt, out=cum)
+        np.exp(cum, out=cum)
+        return factor.a * cum
 
 
 #: a_priori_c1's log grid of c, 60 points per decade from 1e-8 to 1e12, and ln c
@@ -160,11 +169,19 @@ def a_priori_c1(
 
 @dataclass(frozen=True)
 class _FactorStack:
-    """What apply_K reads of a random factor, for a stack of paths."""
+    """What apply_K reads of a random factor, for a stack of paths, and the
+    work buffers of the solve: the x-integral and the padded pair of
+    `SolveGrid.sum_along_t`, each as long as the whole stack."""
 
     grid: SolveGrid
     a: np.ndarray
     lam_w: np.ndarray
+    cum: np.ndarray
+    padded: tuple[np.ndarray, np.ndarray]
+
+    def work(self, n: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+        """The buffers' leading slices for a stack of n fields."""
+        return self.cum[:n], (self.padded[0][:n], self.padded[1][:n])
 
 
 def solve_monotone(
@@ -236,7 +253,7 @@ def solve_batch(
 
     # the weights of the norms, and each path's scale of them (sup r0), are fixed for the solve
     weights = np.exp(gamma * grid.x_wide)
-    off_panels = ~grid.valid_mask()[:, 1:]
+    off_panels = grid.off_mask[:, 1:]
     B = np.array([f.b_bar for f in factors]) * weighted_l2(r0, grid.dt, weights, sup_r0)
     c1s = a_priori_c1(B, lambda_bar, grid.t_star, gamma, exponent)
     # fail fast if J' is unreachable on the region the iteration can visit
@@ -252,7 +269,8 @@ def solve_batch(
         k = int(np.argmax(fault))
         fail(k, ExponentDomainError(z_probe[k]))
 
-    a = np.stack([f.a for f in factors])
+    # a stack of one reads its factor's a in place: one field less held per solve
+    a = factors[0].a[None] if n_paths == 1 else np.stack([f.a for f in factors])
     # h: the last iterate of the active paths, NaN beyond the triangle as K(h)
     # is, so its sup and change over the whole field are those over the
     # triangle.  h0 = 0 is one field for every path, so apply_K finds the
@@ -264,14 +282,17 @@ def solve_batch(
     iterates: list[list[np.ndarray]] = [[] for _ in range(n_paths)]
     done: dict[int, tuple] = {}  # path -> (status, rule, field, n_iters)
 
-    # h and a_act hold the active paths, in order; a failure only shortens them
+    # h and a_act hold the active paths, in order; a failure only shortens them.
+    # apply_K works in buffers held for the solve, whose leading slices serve
+    # the shrinking stack; h_next never aliases them
     a_act = a
+    cum, padded = np.empty((n_paths,) + grid.off_mask.shape), grid.padded_pair((n_paths,))
     for n in range(cfg.max_iter):
         h_next = None
         while active:
             h, a_act = h[: len(active)], a_act[: len(active)]
             try:
-                h_next = apply_K(h, _FactorStack(grid, a_act, lam_w), exponent)
+                h_next = apply_K(h, _FactorStack(grid, a_act, lam_w, cum, padded), exponent)
                 break
             except ExponentDomainError as err:
                 if err.path is None:  # not tied to one path: nothing to drop

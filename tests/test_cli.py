@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from levyhjmm import __version__
-from levyhjmm.cli import EXIT_NOT_CONVERGED, _parser, _reprs, _write_csv, main
+from levyhjmm.cli import EXIT_NOT_CONVERGED, _grid_keys, _parser, _reprs, _write_csv, main
 
 DEGENERATE = {
     "levy_model": {"a": 0.0, "q": 0.0, "nu": {"atoms": [], "density_parts": []}},
@@ -789,11 +789,93 @@ class TestFrozenWriter:
         sc = load_scenario(write_scenario(tmp_path, POISSON))
         columns = [ref_reprs(np.arange(n_rows) / 7), [str(k) for k in range(n_rows)]]
         trailer = "# trailer\n"
-        _write_csv(tmp_path / "new.csv", sc, "v,k", columns, note=" rng=x", trailer=trailer)
+        _write_csv(tmp_path / "new.csv", sc, "v,k", row_major(columns), note=" rng=x", trailer=trailer)
         ref_write_csv(tmp_path / "ref.csv", sc, "v,k", columns, note=" rng=x", trailer=trailer)
         text = (tmp_path / "new.csv").read_text()
         assert text == (tmp_path / "ref.csv").read_text()
         assert len(text.splitlines()) == n_rows + 3
+
+
+def row_major(columns):
+    """The cells of str columns as the writer takes them: bytes, row by row."""
+    return [c.encode() for row in zip(*columns) for c in row]
+
+
+def row_join_csv(sc, header, columns, note="", trailer=""):
+    """The text of a CSV as the row-join writer built it, from str columns."""
+    lines = [f"# scenario_hash={sc.scenario_hash} seed={sc.seed} version={__version__}{note}", header]
+    lines += map(",".join, zip(*columns))
+    return "\n".join(lines) + "\n" + trailer
+
+
+#: values whose cells repr writes in exponent form, or orjson not at all
+REPR_PATH = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e-5, 1e16, 1e300]
+
+
+class TestTemplateWriter:
+    """The template writer against the row-join formula, byte for byte, on a
+    grid whose own t and x nodes (multiples of 2^-14 < 1e-4) take repr's
+    path, with value cells that take it too."""
+
+    GRID = {"t_star": 2.0**-12, "dt": 2.0**-14, "x_max": 2.0**-12}
+
+    @pytest.fixture
+    def sc(self, tmp_path):
+        from levyhjmm.scenario import load_scenario
+
+        sc = load_scenario(write_scenario(tmp_path, {**POISSON, "grid": self.GRID}))
+        assert (sc.grid.n_t, sc.grid.n_x) == (4, 4)
+        return sc
+
+    @staticmethod
+    def values(shape, seed):
+        """Every REPR_PATH value, then values of every size, in a random order."""
+        rng = np.random.default_rng(seed)
+        n = int(np.prod(shape))
+        v = np.concatenate([REPR_PATH, np.exp(rng.uniform(-700.0, 700.0, n))])[:n]
+        return rng.permutation(v * rng.choice([-1.0, 1.0], n)).reshape(shape)
+
+    @staticmethod
+    def check(tmp_path, sc, header, cells, keys, columns):
+        """The writer's file from the cells and keys is the row-join text of
+        the columns (str cells)."""
+        note, trailer = " 5%", "# end %s\n"
+        _write_csv(tmp_path / "new.csv", sc, header, cells, keys, note=note, trailer=trailer)
+        want = row_join_csv(sc, header, columns, note=note, trailer=trailer)
+        assert (tmp_path / "new.csv").read_bytes() == want.encode()
+
+    def test_field(self, tmp_path, sc):
+        g = sc.grid
+        r = self.values((g.n_t + 1, g.n_x + 1), 1)
+        i, j = np.indices(r.shape).reshape(2, -1)
+        columns = [ref_reprs(g.t[i]), ref_reprs(g.x[j]), ref_reprs(r)]
+        assert "6.103515625e-05" in columns[0] and "6.103515625e-05" in columns[1]
+        self.check(tmp_path, sc, "t,x,r", _reprs(r), _grid_keys(g, [g.n_x + 1] * (g.n_t + 1)), columns)
+
+    def test_price(self, tmp_path, sc):
+        g = sc.grid
+        T, price = g.t[:, None] + g.x, self.values((g.n_t + 1, g.n_x + 1), 2)
+        i = np.repeat(np.arange(g.n_t + 1), g.n_x + 1)
+        columns = [ref_reprs(g.t[i]), ref_reprs(T), ref_reprs(price)]
+        keys = _grid_keys(g, [g.n_x + 1] * (g.n_t + 1), x=False)
+        self.check(tmp_path, sc, "t,T,price", _reprs(np.stack([T, price], axis=-1)), keys, columns)
+
+    def test_factor_triangle(self, tmp_path, sc):
+        g = sc.grid
+        fields = [g.triangle(self.values(g.valid_mask().shape, seed)) for seed in (3, 4, 5)]
+        i, j = np.nonzero(g.valid_mask())
+        columns = [ref_reprs(g.t[i]), ref_reprs(g.x_wide[j])] + [ref_reprs(f) for f in fields]
+        keys = _grid_keys(g, [g.row_width(k) + 1 for k in range(g.n_t + 1)])
+        self.check(tmp_path, sc, "t,x,I1,I2,a", _reprs(np.stack(fields, axis=-1)), keys, columns)
+
+    def test_list_table(self, tmp_path, sc):
+        levels, sups = self.values(9, 6), self.values(9, 7)
+        statuses = ["Converged", "ExplosionDetected", "MaxIterReached"] * 3
+        iters = [str(k) for k in range(0, 180, 20)]
+        columns = [ref_reprs(levels), statuses, iters, ref_reprs(sups)]
+        rows = zip(_reprs(levels), statuses, iters, _reprs(sups))
+        cells = [c for k, st, n, s in rows for c in (k, st.encode(), n.encode(), s)]
+        self.check(tmp_path, sc, "k,status,n_iters,max_sup", cells, None, columns)
 
 
 def _neighbours(x):
@@ -807,7 +889,7 @@ class TestReprs:
 
     @staticmethod
     def assert_repr(v):
-        assert _reprs(v) == [repr(float(x)) for x in np.ravel(v)]
+        assert _reprs(v) == [repr(float(x)).encode() for x in np.ravel(v)]
 
     def test_random_bit_patterns(self):
         bits = np.random.default_rng(2024).integers(0, 2**64, 10**6, dtype=np.uint64).view(np.float64)
@@ -836,6 +918,7 @@ class TestReprs:
 
     def test_shapes_and_types(self):
         assert _reprs(np.array([])) == [] and _reprs([]) == []
+        self.assert_repr([0.25])
         m = np.arange(12.0).reshape(3, 4) / 7
         self.assert_repr(m)
         self.assert_repr(m[:, ::2])

@@ -287,6 +287,14 @@ class TestNaturalFrameKernel:
         with pytest.raises(ValueError):
             SolveGrid(t_star=0.7, dt=0.125, x_max=0.5)
 
+    def test_off_mask_is_cached_and_read_only(self):
+        grid = SolveGrid(t_star=0.75, dt=0.125, x_max=0.5)
+        off = grid.off_mask
+        assert off is grid.off_mask
+        np.testing.assert_array_equal(off, ~grid.valid_mask())
+        with pytest.raises(ValueError):
+            off[0, 0] = True
+
     @pytest.mark.parametrize(
         "cls, name",
         [(SolveGrid, "t_star"), (SolveGrid, "dt"), (SolveGrid, "x_max")],
@@ -1036,6 +1044,59 @@ class TestSolveBatch:
             with pytest.raises(ExponentDomainError) as excinfo:
                 solve_batch([factors[p] for p in order], cfg)
             assert (excinfo.value.z, excinfo.value.what) == (want.z, want.what)
+
+
+def solve_fine_factor():
+    """The random factor of the solve_fine benchmark's scenario (seed 1010)."""
+    grid = SolveGrid(t_star=0.5, dt=1.0 / 128, x_max=1.0)
+    return compute_a(simulate(JUMP_DIFFUSION, grid, 1010), ExpAffineVol(c0=0.2, c1=0.1, beta=1.0), r0_exp(grid), grid)
+
+
+def mixed_stack():
+    """Six paths that stop at different iterations, by both rules."""
+    model, vol, grid, k, _ = BATCH_SCENARIOS["mixed_k3"]
+    r0 = WeightedCurve(dx=grid.dt, values=k * np.exp(-grid.x_wide), gamma=1.0)
+    return path_factors(model, vol, grid, r0, n_paths=6, seed=3)
+
+
+def bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+class TestWorkBuffers:
+    """The solve's held work buffers carry nothing from one iteration, stack
+    or solve to the next."""
+
+    @pytest.mark.parametrize("stack", [lambda: [solve_fine_factor()], mixed_stack])
+    def test_each_iterate_is_the_public_K_of_the_last(self, stack):
+        factors = stack()
+        reports = solve_batch(factors, SolverConfig(), keep_iterates=True)
+        if len(factors) > 1:
+            assert len({rep.n_iters for rep in reports}) >= 3
+            assert {rep.status for rep in reports} == {STATUS_CONVERGED, STATUS_EXPLOSION}
+        for f, rep in zip(factors, reports):
+            exponent = ExponentHandle(f.path.model)
+            h = np.where(f.grid.valid_mask(), 0.0, np.nan)
+            for it in rep.iterates:
+                assert bits(apply_K(h, f, exponent)) == bits(it)
+                h = it
+            assert bits(rep.field) == bits(h)
+
+    def test_solves_in_turn_match(self):
+        def solve(factors):
+            reports = solve_batch(factors, SolverConfig(), keep_iterates=True)
+            kept = [(bits(rep.field), [bits(it) for it in rep.iterates]) for rep in reports]
+            return reports, kept
+
+        stack_a, stack_b = mixed_stack(), [solve_fine_factor()]
+        assert stack_a[0].grid != stack_b[0].grid
+        first, kept = solve(stack_a)
+        solve(stack_b)
+        again, _ = solve(stack_a)
+        for got, want in zip(again, first):
+            assert_same_report(got, want)
+        # no report field or iterate is a view of a buffer a later solve wrote
+        assert [(bits(rep.field), [bits(it) for it in rep.iterates]) for rep in first] == kept
 
 
 class TestFactorIsTheOneSource:
