@@ -235,6 +235,11 @@ def solve_batch(
         raise ValueError("all factors of a batch must share one r0 gamma")
     exponent = ExponentHandle(model)
     n_paths = len(factors)
+    # apply_K works in buffers held for the solve, whose leading slices serve
+    # the shrinking stack; h_next never aliases them.  They are allocated
+    # before the solve's other arrays: allocated after them, they left a CLI
+    # solve with three to five times the minor page faults
+    cum, padded = np.empty((n_paths,) + grid.off_mask.shape), grid.padded_pair((n_paths,))
     error: Exception | None = None
     active = list(range(n_paths))
 
@@ -282,11 +287,8 @@ def solve_batch(
     iterates: list[list[np.ndarray]] = [[] for _ in range(n_paths)]
     done: dict[int, tuple] = {}  # path -> (status, rule, field, n_iters)
 
-    # h and a_act hold the active paths, in order; a failure only shortens them.
-    # apply_K works in buffers held for the solve, whose leading slices serve
-    # the shrinking stack; h_next never aliases them
+    # h and a_act hold the active paths, in order; a failure only shortens them
     a_act = a
-    cum, padded = np.empty((n_paths,) + grid.off_mask.shape), grid.padded_pair((n_paths,))
     for n in range(cfg.max_iter):
         h_next = None
         while active:
