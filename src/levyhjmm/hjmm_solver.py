@@ -110,7 +110,7 @@ def _on_triangle(fn, z: np.ndarray, grid: SolveGrid, what: str, domain_sup: floa
     raise err
 
 
-def apply_K(h: np.ndarray, factor: RandomFactorField, exponent: ExponentHandle) -> np.ndarray:
+def apply_K(h: np.ndarray, factor: RandomFactorField, exponent: ExponentHandle, work=None) -> np.ndarray:
     """One application of the fixed-point operator on the grid.
 
     h may be a stack of fields over leading axes, with factor.a stacked
@@ -119,14 +119,18 @@ def apply_K(h: np.ndarray, factor: RandomFactorField, exponent: ExponentHandle) 
     factor.a is NaN beyond the triangle, as compute_a makes it, and so is
     K(h).  Raises ExponentDomainError when a needed argument of J' is
     negative or J' has a domain fault there.
+
+    work: three buffers at least as long as h's stack (h stacked along one
+    leading axis), whose leading slices serve it in place of fresh arrays:
+    the x-integral, holding anything, and a `SolveGrid.padded_pair` that
+    only `sum_along_t` has written since.  K(h) never aliases them.
     """
     grid, lam_w = factor.grid, factor.lam_w
-    # a solve's stack lends its work buffers, cut to h's stack; a factor's are fresh
-    if isinstance(factor, _FactorStack):
-        cum, padded = factor.work(len(h))
-        np.multiply(h, lam_w, out=cum)
-    else:
+    if work is None:
         cum, padded = h * lam_w, None
+    else:
+        cum, *padded = (w[: len(h)] for w in work)
+        np.multiply(h, lam_w, out=cum)
     cumulative_trapezoid(cum, grid.dt, out=cum)
     with np.errstate(over="ignore"):
         G = _on_triangle(exponent.J_prime, cum, grid, "J'", exponent.domain_sup)
@@ -167,23 +171,6 @@ def a_priori_c1(
     return [float(_C1_GRID[np.argmax(row)]) if row.any() else None for row in ok]
 
 
-@dataclass(frozen=True)
-class _FactorStack:
-    """What apply_K reads of a random factor, for a stack of paths, and the
-    work buffers of the solve: the x-integral and the padded pair of
-    `SolveGrid.sum_along_t`, each as long as the whole stack."""
-
-    grid: SolveGrid
-    a: np.ndarray
-    lam_w: np.ndarray
-    cum: np.ndarray
-    padded: tuple[np.ndarray, np.ndarray]
-
-    def work(self, n: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-        """The buffers' leading slices for a stack of n fields."""
-        return self.cum[:n], (self.padded[0][:n], self.padded[1][:n])
-
-
 def solve_monotone(
     factor: RandomFactorField, cfg: SolverConfig, h0: str = "zero", keep_iterates: bool = False
 ) -> SolveReport:
@@ -207,11 +194,13 @@ def solve_batch(
 
     Every path keeps its own cap, stopping rule and iteration count; a path
     that stops leaves the stack, and its report equals the one-path solve
-    bit for bit.  The factors must share one grid, one volatility, one
-    model of their paths (J' is that model's) and one gamma of their r0
-    (the weighted norms, of the iterates' rows and of ||r0|| in c1, are
-    those of r0's space).  When a path fails (cap below sup r0, or a
-    domain fault of J' at its probe or during an iteration), it and every
+    bit for bit.  Each report is made before the first iteration and filled
+    in as its path iterates; every apply_K of the solve works in buffers
+    held for the whole solve.  The factors must share one grid, one
+    volatility, one model of their paths (J' is that model's) and one gamma
+    of their r0 (the weighted norms, of the iterates' rows and of ||r0|| in
+    c1, are those of r0's space).  When a path fails (cap below sup r0, or
+    a domain fault of J' at its probe or during an iteration), it and every
     later path are dropped, and after the stack is done the error of the
     lowest failing path is raised, as solving the paths one after the
     other would.  A J' beyond double range inside the domain makes the
@@ -235,11 +224,10 @@ def solve_batch(
         raise ValueError("all factors of a batch must share one r0 gamma")
     exponent = ExponentHandle(model)
     n_paths = len(factors)
-    # apply_K works in buffers held for the solve, whose leading slices serve
-    # the shrinking stack; h_next never aliases them.  They are allocated
-    # before the solve's other arrays: allocated after them, they left a CLI
-    # solve with three to five times the minor page faults
-    cum, padded = np.empty((n_paths,) + grid.off_mask.shape), grid.padded_pair((n_paths,))
+    # apply_K's work, held for the solve; leading slices serve the shrinking
+    # stack.  Allocated before the solve's other arrays: after them, it left a
+    # CLI solve with three to five times the minor page faults
+    work = (np.empty((n_paths,) + grid.off_mask.shape), *grid.padded_pair((n_paths,)))
     error: Exception | None = None
     active = list(range(n_paths))
 
@@ -263,9 +251,7 @@ def solve_batch(
     c1s = a_priori_c1(B, lambda_bar, grid.t_star, gamma, exponent)
     # fail fast if J' is unreachable on the region the iteration can visit
     z_probe = np.array([
-        lambda_bar * c1 / math.sqrt(gamma)
-        if c1 is not None
-        else lambda_bar * cap * grid.x_max
+        lambda_bar * c1 / math.sqrt(gamma) if c1 is not None else lambda_bar * cap * grid.x_max
         for c1, cap in zip(c1s, caps)
     ])[: len(active)]
     fault = _domain_fault(z_probe, exponent.J_prime(z_probe), exponent.domain_sup)
@@ -274,6 +260,16 @@ def solve_batch(
         k = int(np.argmax(fault))
         fail(k, ExponentDomainError(z_probe[k]))
 
+    # each path's report, filled in as it iterates: a stop rule sets its
+    # status, rule, field and count, and a path that none stops keeps these
+    reports = [
+        SolveReport(
+            status=STATUS_MAX_ITER, field=None, iterate_sup_norms=[], iterate_l2_norms=[], c1=c1,
+            n_iters=cfg.max_iter, grid=grid, gamma=gamma, detail={"h0": h0, "cap": cap, "rule": "max_iter"},
+            iterates=[] if keep_iterates else None,
+        )
+        for c1, cap in zip(c1s, caps)
+    ]
     # a stack of one reads its factor's a in place: one field less held per solve
     a = factors[0].a[None] if n_paths == 1 else np.stack([f.a for f in factors])
     # h: the last iterate of the active paths, NaN beyond the triangle as K(h)
@@ -281,25 +277,20 @@ def solve_batch(
     # triangle.  h0 = 0 is one field for every path, so apply_K finds the
     # first exponent term once and broadcasts it against each path's a
     h = np.where(grid.valid_mask(), 0.0, np.nan)[None] if h0 == "zero" else a
-    sup_hist: list[list[float]] = [[] for _ in range(n_paths)]
-    l2_hist: list[list[float]] = [[] for _ in range(n_paths)]
-    last_change = [0.0] * n_paths
-    iterates: list[list[np.ndarray]] = [[] for _ in range(n_paths)]
-    done: dict[int, tuple] = {}  # path -> (status, rule, field, n_iters)
-
-    # h and a_act hold the active paths, in order; a failure only shortens them
-    a_act = a
+    # h and the stack's a hold the active paths, in order: the stack is the first
+    # factor with their a (apply_K reads no more of it), rebuilt as paths leave
+    h, stack = h[: len(active)], replace(factors[0], a=a[: len(active)])
     for n in range(cfg.max_iter):
         h_next = None
         while active:
-            h, a_act = h[: len(active)], a_act[: len(active)]
             try:
-                h_next = apply_K(h, _FactorStack(grid, a_act, lam_w, cum, padded), exponent)
+                h_next = apply_K(h, stack, exponent, work)
                 break
             except ExponentDomainError as err:
                 if err.path is None:  # not tied to one path: nothing to drop
                     raise
                 fail(err.path, err)
+                h, stack = h[: len(active)], replace(stack, a=stack.a[: len(active)])
         if h_next is None:
             break
         # the stop rules run per path on floats, one list of each norm per stack
@@ -310,47 +301,30 @@ def solve_batch(
             changes = np.fmax.reduce(np.abs(h_next - h), axis=(-2, -1)).tolist()
         keep = []
         for k, p in enumerate(active):
-            sup, change = sups[k], changes[k]
-            sup_hist[p].append(sup)
-            l2_hist[p].append(l2s[k])
-            last_change[p] = change
+            rep, sup = reports[p], sups[k]
+            rep.iterate_sup_norms.append(sup)
+            rep.iterate_l2_norms.append(l2s[k])
+            rep.detail["last_change"] = changes[k]
             if keep_iterates:
-                iterates[p].append(h_next[k].copy())
+                rep.iterates.append(h_next[k].copy())
             if not math.isfinite(sup) or sup > caps[p]:
-                done[p] = (STATUS_EXPLOSION, "cap", h_next[k], n + 1)
-            elif change < cfg.tol * (1.0 + sup):
-                done[p] = (STATUS_CONVERGED, "tol", h_next[k], n + 1)
+                del rep.detail["last_change"]
+                rep.status, rep.detail["rule"] = STATUS_EXPLOSION, "cap"
+            elif changes[k] < cfg.tol * (1.0 + sup):
+                rep.status, rep.detail["rule"] = STATUS_CONVERGED, "tol"
             else:
                 keep.append(k)
+                continue
+            rep.field, rep.n_iters = h_next[k], n + 1
         if len(keep) < len(active):
             active = [active[k] for k in keep]
-            h_next, a_act = h_next[keep], a_act[keep]
+            h_next, stack = h_next[keep], replace(stack, a=stack.a[keep])
         h = h_next
     for k, p in enumerate(active):
-        done[p] = (STATUS_MAX_ITER, "max_iter", h[k], cfg.max_iter)
+        reports[p].field = h[k]
 
     if error is not None:
         raise error
-    reports = []
-    for p in range(n_paths):
-        status, rule, fld, n_iters = done[p]
-        detail: dict = {"h0": h0, "cap": caps[p], "rule": rule}
-        if status != STATUS_EXPLOSION:
-            detail["last_change"] = last_change[p]
-        reports.append(
-            SolveReport(
-                status=status,
-                field=fld,
-                iterate_sup_norms=sup_hist[p],
-                iterate_l2_norms=l2_hist[p],
-                c1=c1s[p],
-                n_iters=n_iters,
-                grid=grid,
-                gamma=gamma,
-                detail=detail,
-                iterates=iterates[p] if keep_iterates else None,
-            )
-        )
     return reports
 
 

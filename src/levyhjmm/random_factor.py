@@ -223,11 +223,10 @@ def compute_a(
     I1 = _I1(stack, vol, lam_w, grid)
     I2, positivity_ok = _I2(stack, vol, grid)
 
-    mask = grid.valid_mask()
     lam_sq = lam_w**2
     if vol.is_constant:
-        # trapezoid of a constant is exact
-        Q = np.where(mask, lam_sq[0] * grid.t[:, None], np.nan)
+        # trapezoid of a constant is exact; I1 is NaN beyond the triangle, so b is too
+        Q = lam_sq[0] * grid.t[:, None]
     else:
         Q = grid.dt * grid.sum_along_t(lam_sq)
     # q Q is 0 on the triangle for q = 0, so such a path's I1 keeps its bits
@@ -236,7 +235,7 @@ def compute_a(
     with np.errstate(over="ignore"):
         b = np.exp(I1 - 0.5 * q * Q) * I2
     a = grid.shifted(r0.values) * b
-    b_bar = np.nanmax(np.where(mask, b, np.nan), axis=(-2, -1)).tolist()
+    b_bar = np.nanmax(b, axis=(-2, -1)).tolist()
     fields = [
         RandomFactorField(grid, I1[k], I2[k], a[k], b[k], b_bar[k], r0, ok, lam_w, path, vol)
         for k, (path, ok) in enumerate(zip(stack, positivity_ok.tolist()))

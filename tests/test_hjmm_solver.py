@@ -1082,6 +1082,30 @@ class TestWorkBuffers:
                 h = it
             assert bits(rep.field) == bits(h)
 
+    @pytest.mark.parametrize("case", ["full_stack", "shorter_stack", "zero_broadcast"])
+    def test_lent_buffers_give_the_bits_of_fresh_ones(self, case):
+        factors = mixed_stack()
+        grid, exponent = factors[0].grid, ExponentHandle(factors[0].path.model)
+        a = np.stack([f.a for f in factors])
+        work = cum, Gp, Ep = (np.empty(a.shape), *grid.padded_pair((len(a),)))
+        # what the buffers hold must not reach K(h): all of the x-integral and
+        # of the second padded buffer, and the first on the triangle, the only
+        # entries sum_along_t writes there (its zeros beyond stay zeros)
+        junk = [np.nan, np.inf, -np.inf, 1e300]
+        cum[...], Ep[...] = np.resize(junk, cum.shape), np.resize(junk, Ep.shape)
+        np.copyto(Gp[..., :-1], np.resize(junk, cum.shape), where=grid.valid_mask())
+        if case == "full_stack":
+            h = a
+        elif case == "shorter_stack":  # the buffers' leading slices serve it
+            h, a = 0.5 * a[:4], a[:4]
+        else:  # the first iterate from h0 = 0: one field against each path's a
+            h = np.where(grid.valid_mask(), 0.0, np.nan)[None]
+        stack = dataclasses.replace(factors[0], a=a)
+        got = apply_K(h, stack, exponent, work)
+        assert got.shape == a.shape
+        assert bits(got) == bits(apply_K(h, stack, exponent))
+        assert not any(np.shares_memory(got, w) for w in work)
+
     def test_solves_in_turn_match(self):
         def solve(factors):
             reports = solve_batch(factors, SolverConfig(), keep_iterates=True)

@@ -259,6 +259,9 @@ class TestStackedFactor:
             for name in ("I1", "I2", "a", "b"):
                 assert getattr(got, name).shape == (GRID.n_t + 1, GRID.n_w + 1), name
                 assert np.array_equal(getattr(got, name), getattr(one, name), equal_nan=True), name
+                # NaN exactly beyond the triangle: b_bar is the nanmax of b itself
+                assert np.array_equal(np.isnan(getattr(one, name)), GRID.off_mask), name
+            assert one.b_bar == np.max(one.b[GRID.valid_mask()])
             assert type(got.b_bar) is float and type(got.positivity_ok) is bool
             assert (got.b_bar, got.positivity_ok) == (one.b_bar, one.positivity_ok)
             assert np.array_equal(got.lam_w, one.lam_w)
