@@ -278,6 +278,7 @@ def cmd_check_martingale(sc: Scenario, out: Path, args) -> int:
         "n_iters_min": report.n_iters_min,
         "n_iters_median": report.n_iters_median,
         "n_iters_max": report.n_iters_max,
+        "region": list(report.region),
         "note": report.note,
         "rng_algorithm": RNG_ALGORITHM,
         **_meta(sc),

@@ -82,6 +82,21 @@ class SolveGrid:
     def x(self) -> np.ndarray:
         return _nodes(self.dt, self.n_x)
 
+    def crop(self, t_star: float, T_max: float) -> SolveGrid:
+        """The sub-grid on the same dt whose triangle holds the nodes t <= t_star,
+        t + x <= T_max: n_t = max(1, index of t_star), n_x = max(1, index of
+        T_max - n_t), so its nodes are this grid's floats.  K is causal in t
+        and in T = t + x, so each iterate of a solve on the crop is the whole
+        grid's iterate there, bit for bit (the stop rules read the crop
+        alone).  A crop that covers the grid is the grid itself."""
+        n_t = max(1, round(t_star / self.dt))
+        n_x = max(1, round(T_max / self.dt) - n_t)
+        if n_t > self.n_t or n_t + n_x > self.n_w:
+            raise ValueError(f"crop t_star={t_star}, T_max={T_max} is not inside the grid")
+        if (n_t, n_x) == (self.n_t, self.n_x):
+            return self
+        return SolveGrid(t_star=n_t * self.dt, dt=self.dt, x_max=n_x * self.dt)
+
     def row_width(self, i: int) -> int:
         """Last valid x-index of row i (inclusive)."""
         return self.n_w - i

@@ -182,33 +182,62 @@ class TestMartingale:
         assert rep.rows[0].n_paths == 0
 
     def test_iteration_spread_matches_serial(self):
-        # the benchmark's 16-path criterion-10 set-up
+        # the benchmark's 16-path criterion-10 set-up; paths are simulated on
+        # GRID and solved on the region priced
         r0 = WeightedCurve(dx=GRID.dt, values=np.exp(-GRID.x_wide), gamma=1.0)
         vol, cfg = ConstantVol(0.3), SolverConfig()
         rep = martingale_mc(POISSON, vol, r0, GRID, cfg, n_paths=16, maturities=[1.0], t_checkpoints=[0.5], seed=1010)
+        crop = GRID.crop(0.5, 1.0)
+        assert rep.region == (0.5, 1.0) and (crop.n_t, crop.n_x) == (8, 8)
         iters = []
         for ps in np.random.SeedSequence(1010).generate_state(16, dtype=np.uint64):
             path = simulate(POISSON, GRID, int(ps))
-            factor = compute_a(path, vol, r0, GRID)
+            factor = compute_a(path, vol, r0, crop)
             iters.append(solve_monotone(factor, cfg).n_iters)
         assert (rep.n_iters_min, rep.n_iters_median, rep.n_iters_max) == (
             min(iters), float(np.median(iters)), max(iters)
         )
 
+    # seed 21 of this set-up: paths 1, 3 and 4 explode on the whole grid
+    EXPLODING = (
+        LevyModel(q=1.0, nu=LevyMeasureSpec(atoms=((0.5, 1.0),))),
+        ConstantVol(1.0),
+        WeightedCurve(dx=GRID.dt, values=3.0 * np.exp(-GRID.x_wide), gamma=1.0),
+    )
+
     def test_blocks_do_not_change_the_report(self, monkeypatch):
-        # 10 paths in blocks of 4 (the last one short) against one path per block
-        r0 = WeightedCurve(dx=GRID.dt, values=3.0 * np.exp(-GRID.x_wide), gamma=1.0)
-        model, vol = LevyModel(q=1.0, nu=LevyMeasureSpec(atoms=((0.5, 1.0),))), ConstantVol(1.0)
+        # 10 paths in blocks of 4 (the last one short) against one path per
+        # block; checkpoint 1.0 makes the region read the whole grid
+        model, vol, r0 = self.EXPLODING
         per_path = (GRID.n_t + 1) * (GRID.n_w + 1)
         reports = []
         for block in (4, 1):
             monkeypatch.setattr(bond_market, "_BLOCK_ENTRIES", block * per_path)
             reports.append(
                 martingale_mc(model, vol, r0, GRID, SolverConfig(), n_paths=10, maturities=[1.0, 2.0],
-                              t_checkpoints=[0.5], seed=21)
+                              t_checkpoints=[0.5, 1.0], seed=21)
             )
         assert reports[0] == reports[1]
+        assert reports[0].region == (1.0, 2.0)
         assert 0 < reports[0].n_exploded < 10
+
+    def test_exclusion_counts_only_the_region_read(self):
+        # the paths of seed 21 that explode on the whole grid converge on the
+        # region that checkpoint 0.5 reads, and are priced
+        model, vol, r0 = self.EXPLODING
+        cfg = SolverConfig()
+        args = dict(n_paths=10, maturities=[1.0, 2.0], seed=21)
+        whole = martingale_mc(model, vol, r0, GRID, cfg, t_checkpoints=[0.5, 1.0], **args)
+        read = martingale_mc(model, vol, r0, GRID, cfg, t_checkpoints=[0.5], **args)
+        assert (whole.n_exploded, read.n_exploded, read.n_not_converged) == (3, 0, 0)
+        assert read.region == (0.5, 2.0) and read.rows[0].n_paths == 10
+        crop = GRID.crop(0.5, 2.0)
+        statuses = []
+        for ps in np.random.SeedSequence(21).generate_state(10, dtype=np.uint64):
+            path = simulate(model, GRID, int(ps))
+            statuses.append(tuple(solve_monotone(compute_a(path, vol, r0, g), cfg).status for g in (GRID, crop)))
+        assert [k for k, (on_grid, _) in enumerate(statuses) if on_grid == "ExplosionDetected"] == [1, 3, 4]
+        assert all(on_crop == "Converged" for _, on_crop in statuses)
 
     # J' is infinite past z = 2 on this model; some paths fail their domain probe
     TAIL_MODEL = LevyModel(
@@ -216,25 +245,27 @@ class TestMartingale:
     )
     TAIL_GRID = SolveGrid(t_star=1.0, dt=1.0 / 8, x_max=1.0)
 
-    def _serial_outcomes(self, seed, n_paths):
-        """Per path: None, or the error one path at a time meets."""
+    def _serial_outcomes(self, seed, n_paths, maturity=1.0, checkpoint=0.5):
+        """Per path: None, or the error one path at a time meets, solved on
+        the region that _martingale's points read."""
         grid, model = self.TAIL_GRID, self.TAIL_MODEL
         r0 = WeightedCurve(dx=grid.dt, values=np.exp(-grid.x_wide), gamma=1.0)
+        crop = grid.crop(checkpoint, maturity)
         outcomes = []
         for ps in np.random.SeedSequence(seed).generate_state(n_paths, dtype=np.uint64):
             try:
-                factor = compute_a(simulate(model, grid, int(ps)), ConstantVol(0.5), r0, grid)
+                factor = compute_a(simulate(model, grid, int(ps)), ConstantVol(0.5), r0, crop)
                 solve_monotone(factor, SolverConfig())
                 outcomes.append(None)
             except (ExponentDomainError, JumpCapacityError) as err:
                 outcomes.append(err)
         return outcomes
 
-    def _martingale(self, seed, n_paths):
+    def _martingale(self, seed, n_paths, maturity=1.0, checkpoint=0.5):
         grid = self.TAIL_GRID
         r0 = WeightedCurve(dx=grid.dt, values=np.exp(-grid.x_wide), gamma=1.0)
         return martingale_mc(self.TAIL_MODEL, ConstantVol(0.5), r0, grid, SolverConfig(), n_paths=n_paths,
-                             maturities=[1.0], t_checkpoints=[0.5], seed=seed)
+                             maturities=[maturity], t_checkpoints=[checkpoint], seed=seed)
 
     @pytest.mark.parametrize(
         "maturities, t_checkpoints, message",
@@ -255,36 +286,40 @@ class TestMartingale:
                           maturities=maturities, t_checkpoints=t_checkpoints, seed=1)
 
     def test_domain_error_matches_serial_loop(self):
-        outcomes = self._serial_outcomes(3, 12)
+        # maturity 2.0 and checkpoint 1.0 read the whole grid, where seed 3 meets J' at z = 1e8
+        outcomes = self._serial_outcomes(3, 12, 2.0, 1.0)
         assert outcomes[0] is None and any(outcomes)
         want = next(err for err in outcomes if err is not None)
+        assert want.z == 1e8
         with pytest.raises(ExponentDomainError) as excinfo:
-            self._martingale(3, 12)
+            self._martingale(3, 12, 2.0, 1.0)
         assert (excinfo.value.z, excinfo.value.what) == (want.z, want.what)
 
     @pytest.mark.parametrize("max_jumps, kind", [(2, ExponentDomainError), (1, JumpCapacityError)])
     def test_simulation_error_keeps_path_order(self, monkeypatch, max_jumps, kind):
         # seed 4: path 4 (2 jumps) fails its domain probe and path 6 has 3
         # jumps, so the first error depends on max_jumps; all 12 paths share
-        # one block, which simulates path 6 before it solves path 4
+        # one block, which simulates path 6 before it solves path 4; the
+        # region read is the whole grid
         monkeypatch.setattr(path_sim, "MAX_JUMPS", max_jumps)
-        want = next(err for err in self._serial_outcomes(4, 12) if err is not None)
+        want = next(err for err in self._serial_outcomes(4, 12, 2.0, 1.0) if err is not None)
         assert type(want) is kind
         with pytest.raises(kind) as excinfo:
-            self._martingale(4, 12)
+            self._martingale(4, 12, 2.0, 1.0)
         assert str(excinfo.value) == str(want)
         if kind is ExponentDomainError:
             assert (excinfo.value.z, excinfo.value.what) == (want.z, want.what)
 
 
 def serial_martingale(model, vol, r0, grid, cfg, n_paths, maturities, t_checkpoints, seed):
-    """martingale_mc as a plain loop: simulate, compute_a, solve_monotone and
-    bond_price, one path at a time."""
+    """martingale_mc as a plain loop: simulate on the grid, then compute_a,
+    solve_monotone and bond_price on the region priced, one path at a time."""
     samples = {(T, t): [] for T in maturities for t in t_checkpoints}
     reference, n_exploded, n_not_converged, n_iters = {}, 0, 0, []
+    crop = grid.crop(max(t_checkpoints), max(maturities))
     for ps in np.random.SeedSequence(seed).generate_state(n_paths, dtype=np.uint64):
         path = simulate(model, grid, int(ps))
-        rep = solve_monotone(compute_a(path, vol, r0, grid), cfg)
+        rep = solve_monotone(compute_a(path, vol, r0, crop), cfg)
         n_iters.append(rep.n_iters)
         if rep.status == "ExplosionDetected":
             n_exploded += 1
@@ -292,7 +327,7 @@ def serial_martingale(model, vol, r0, grid, cfg, n_paths, maturities, t_checkpoi
             n_not_converged += 1
         if rep.status != "Converged":
             continue
-        field = ForwardField(rep.field, grid)
+        field = ForwardField(rep.field, crop)
         if not reference:
             reference = {T: bond_price(field, 0.0, T) for T in maturities}
         for t in t_checkpoints:
@@ -322,6 +357,7 @@ def serial_martingale(model, vol, r0, grid, cfg, n_paths, maturities, t_checkpoi
         n_iters_min=min(n_iters),
         n_iters_median=float(np.median(n_iters)),
         n_iters_max=max(n_iters),
+        region=(crop.t_star, crop.x_max + crop.t_star),
     )
 
 
@@ -378,29 +414,32 @@ class TestBlockPipeline:
         monkeypatch.setattr(bond_market, "_BLOCK_ENTRIES", 4 * (GRID.n_t + 1) * (GRID.n_w + 1))
         r0 = WeightedCurve(dx=GRID.dt, values=3.0 * np.exp(-GRID.x_wide), gamma=1.0)
         model, vol = LevyModel(q=1.0, nu=LevyMeasureSpec(atoms=((0.5, 1.0),))), ConstantVol(1.0)
-        args = (model, vol, r0, GRID, SolverConfig(), 10, [1.0, 2.0], [0.0, 0.5], 21)
+        # checkpoint 1.0 makes the region read the whole grid
+        args = (model, vol, r0, GRID, SolverConfig(), 10, [1.0, 2.0], [0.0, 0.5, 1.0], 21)
         got = martingale_mc(*args)
         assert got == serial_martingale(*args)
         assert 0 < got.n_exploded < 10
 
     def test_benchmark_report_pinned(self):
-        # the 16-path criterion-10 set-up of the benchmark, seed 1010
+        # the 16-path criterion-10 set-up of the benchmark, seed 1010, solved on t <= 0.5, T <= 1
         r0 = WeightedCurve(dx=GRID.dt, values=np.exp(-GRID.x_wide), gamma=1.0)
         rep = martingale_mc(POISSON, ConstantVol(0.3), r0, GRID, SolverConfig(), n_paths=16,
                             maturities=[1.0], t_checkpoints=[0.5], seed=1010)
         assert rep.rows == (
             MartingaleRow(maturity=1.0, t_checkpoint=0.5, mean_discounted=0.5392688766635385,
-                          std_error=0.005125556720530461, reference=0.5313542653330348, n_paths=16),
+                          std_error=0.005125556720530418, reference=0.5313542653330348, n_paths=16),
         )
         assert (rep.n_paths, rep.n_exploded, rep.n_not_converged) == (16, 0, 0)
-        assert (rep.n_iters_min, rep.n_iters_median, rep.n_iters_max) == (5, 5.0, 6)
+        assert (rep.n_iters_min, rep.n_iters_median, rep.n_iters_max) == (5, 5.0, 5)
+        assert rep.region == (0.5, 1.0)
 
     def test_negative_argument_error_keeps_path_order(self):
-        # seed 36: paths 9 and 11 reach J' at a negative argument (a < 0
-        # after a jump below -2), path 10 fails no check; 0 .. 8 converge
-        outcomes = TestMartingale()._serial_outcomes(36, 12)
+        # seed 36, on the whole grid: paths 9 and 11 reach J' at a negative
+        # argument (a < 0 after a jump below -2), path 10 fails no check;
+        # 0 .. 8 converge
+        outcomes = TestMartingale()._serial_outcomes(36, 12, 2.0, 1.0)
         first = next(k for k, err in enumerate(outcomes) if err is not None)
-        assert first == 9 and outcomes[9].z < 0.0
+        assert first == 9 and outcomes[9].z < 0.0 and outcomes[11].z < 0.0
         with pytest.raises(ExponentDomainError) as excinfo:
-            TestMartingale()._martingale(36, 12)
+            TestMartingale()._martingale(36, 12, 2.0, 1.0)
         assert (excinfo.value.z, excinfo.value.what) == (outcomes[9].z, outcomes[9].what)

@@ -269,6 +269,8 @@ class TestOtherCommands:
         assert report["rows"][0]["n_paths"] == 40
         assert report["n_exploded"] == 0 and report["n_not_converged"] == 0
         assert 1 <= report["n_iters_min"] <= report["n_iters_median"] <= report["n_iters_max"]
+        # solved on t <= t*/2, T <= t*: the default checkpoint and maturity
+        assert report["region"] == [0.5, 1.0]
         assert "note" in report
 
 

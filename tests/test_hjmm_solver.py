@@ -1185,3 +1185,49 @@ class TestWeightedSpace:
         assert reps[1].status == STATUS_CONVERGED
         assert reps[1].c1 == 2.0**600 * reps[0].c1
         assert reps[1].iterate_l2_norms[0] == 2.0**600 * reps[0].iterate_l2_norms[0]
+
+
+class TestCrop:
+    """A solve on `SolveGrid.crop` equals the whole grid's solve on the crop:
+    K is causal in t and in the natural maturity T = t + x."""
+
+    VOLS = {
+        "constant": ConstantVol(0.5),
+        "exp_affine": ExpAffineVol(c0=0.2, c1=0.3, beta=1.5),
+        "tabulated": TabulatedVol(dx=GRID.dt, values=0.4 + 0.2 * np.cos(np.arange(GRID.n_w + 1) / 3.0)),
+    }
+    # (t_star, T_max) inside GRID: the middle, the whole t-range, the whole T-range, the edge cases
+    CROPS = [(0.5, 1.0), (1.0, 1.25), (0.25, 2.0), (0.0, 0.5), (0.5, 0.5)]
+
+    @pytest.mark.parametrize("n_paths", [1, 6])
+    @pytest.mark.parametrize("vol", sorted(VOLS))
+    def test_iterates_equal_the_whole_solve_on_the_crop(self, vol, n_paths):
+        vol = self.VOLS[vol]
+        cfg, r0 = SolverConfig(max_iter=8), r0_exp()
+        paths = [simulate(JUMP_DIFFUSION, GRID, int(s)) for s in np.random.SeedSequence(27).generate_state(n_paths)]
+        whole = solve_batch(compute_a(paths, vol, r0, GRID), cfg, keep_iterates=True)
+        for t_star, T_max in self.CROPS:
+            crop = GRID.crop(t_star, T_max)
+            mask, rows, cols = crop.valid_mask(), crop.n_t + 1, crop.n_w + 1
+            for w, c in zip(whole, solve_batch(compute_a(paths, vol, r0, crop), cfg, keep_iterates=True)):
+                assert len(c.iterates) >= 4
+                for h_crop, h_whole in zip(c.iterates, w.iterates):
+                    assert h_crop[mask].tobytes() == h_whole[:rows, :cols][mask].tobytes()
+                    assert np.isnan(h_crop[~mask]).all()
+
+    def test_crop_sizes(self):
+        # a checkpoint at t = 0 gives one t-cell, a maturity at the checkpoint one x-cell
+        assert (GRID.crop(0.0, 0.5).n_t, GRID.crop(0.0, 0.5).n_x) == (1, 7)
+        assert (GRID.crop(0.5, 0.5).n_t, GRID.crop(0.5, 0.5).n_x) == (8, 1)
+        assert (GRID.crop(0.0, 0.0).n_t, GRID.crop(0.0, 0.0).n_x) == (1, 1)
+        assert GRID.crop(0.5, 1.0) == SolveGrid(t_star=0.5, dt=GRID.dt, x_max=0.5)
+        np.testing.assert_array_equal(GRID.crop(0.25, 2.0).x_wide, GRID.x_wide)
+        # a crop that covers the grid is the grid itself
+        assert GRID.crop(GRID.t_star, GRID.x_max + GRID.t_star) is GRID
+        grid = SolveGrid(t_star=0.3, dt=0.1, x_max=0.7)
+        assert grid.crop(grid.t_star, grid.x_max + grid.t_star) is grid
+
+    @pytest.mark.parametrize("t_star, T_max", [(1.5, 2.0), (1.0, 2.5), (0.0, 2.5)])
+    def test_crop_beyond_the_grid_rejected(self, t_star, T_max):
+        with pytest.raises(ValueError, match="not inside the grid"):
+            GRID.crop(t_star, T_max)
