@@ -5,8 +5,8 @@ Submodules
 ----------
 levy_model      Levy triplet (a, q, nu) and moment integrals of the jump measure.
 levy_analysis   Laplace exponent, growth/regularity conditions, regime classification.
-function_space  Weighted curves, L2/H1 norms with exponential weight, shift semigroup.
-grids           Aligned dt = dx space-time grids.
+function_space  Weighted curves, L2/H1 norms with exponential weight, embedding bounds.
+grids           Aligned dt = dx space-time grids, their node rule and shift semigroup.
 path_sim        Path simulation with small-jump truncation and compensation.
 random_factor   The pathwise multiplicative field entering the integral equation.
 hjmm_solver     Monotone fixed-point iteration, explosion detection, residual checks.

@@ -47,22 +47,12 @@ class ForwardField:
             raise ValueError(f"field shape {self.values.shape} != {expected}")
 
 
-def _time_index(grid: SolveGrid, t: float, what: str) -> int:
-    i = int(round(t / grid.dt))
-    if abs(i * grid.dt - t) > 1e-9 * max(1.0, t) or not 0 <= i <= grid.n_t:
-        raise ValueError(f"{what}={t} is not on the time grid [0, {grid.t_star}]")
-    return i
-
-
 def _maturity_index(grid: SolveGrid, t: float, T: float) -> tuple[int, int]:
     """(i, j) with t = t_i and T - t = x_j, both on the grid."""
     if T < t:
         raise ValueError(f"maturity T={T} before t={t}")
-    i = _time_index(grid, t, "t")
-    j = int(round((T - t) / grid.dt))
-    if abs(j * grid.dt - (T - t)) > 1e-9 * max(1.0, T) or j > grid.row_width(i):
-        raise ValueError(f"T-t={T - t} not within the grid for t={t}")
-    return i, j
+    i = grid.node(t, grid.n_t, f"t={t} is not on the time grid [0, {grid.t_star}]")
+    return i, grid.node(T - t, grid.row_width(i), f"T-t={T - t} not within the grid for t={t}")
 
 
 def _resolve_points(grid: SolveGrid, maturities, t_checkpoints) -> tuple[dict, list]:
@@ -73,7 +63,7 @@ def _resolve_points(grid: SolveGrid, maturities, t_checkpoints) -> tuple[dict, l
     ref_j = {T: _maturity_index(grid, 0.0, T)[1] for T in maturities}
     points = []
     for t in t_checkpoints:
-        i = _time_index(grid, t, "t_checkpoint")
+        i = grid.node(t, grid.n_t, f"t_checkpoint={t} is not on the time grid [0, {grid.t_star}]")
         points.append((t, i, [(T, _maturity_index(grid, t, T)[1]) for T in maturities]))
     return ref_j, points
 
@@ -108,7 +98,7 @@ def hjm_drift_check(
     int J'(Sigma) dSigma = J(Sigma).  Returns (maturities, residuals).
     """
     g = field.grid
-    i = _time_index(g, t, "t")
+    i = g.node(t, g.n_t, f"t={t} is not on the time grid [0, {g.t_star}]")
     w = g.row_width(i)
     xs = g.x_wide[: w + 1]
     sigma = vol.lam(xs) * field.values[i, : w + 1]

@@ -1,5 +1,6 @@
 """Weighted-space machinery: curves on a uniform x-grid, the exponentially
-weighted L2/H1 norms, the shift semigroup and the embedding bound checks.
+weighted L2/H1 norms and the embedding bound checks.  The shift semigroup
+S_t h = h(t + .) is `grids.SolveGrid.shifted`, on the aligned grid.
 
 A curve lives on x = k*dx, k = 0..n-1 together with the weight parameter
 gamma; all integrals are trapezoidal on that grid and the tail beyond the
@@ -13,7 +14,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,17 +69,6 @@ class WeightedCurve:
     def x(self) -> np.ndarray:
         return self.dx * np.arange(self.values.size)
 
-    @classmethod
-    def from_function(
-        cls, f: Callable, dx: float, x_max: float, gamma: float
-    ) -> "WeightedCurve":
-        """f on the nodes 0, dx, ..., x_max; dx must divide x_max (within 1e-12)."""
-        n = int(round(x_max / dx))
-        if abs(n * dx - x_max) > 1e-12 * max(1.0, x_max):
-            raise ValueError(f"dx={dx} must divide x_max={x_max} (within 1e-12)")
-        xs = dx * np.arange(n + 1)
-        return cls(dx=dx, values=np.asarray(f(xs), dtype=float), gamma=gamma)
-
     def scaled(self, alpha: float) -> "WeightedCurve":
         return WeightedCurve(dx=self.dx, values=alpha * self.values, gamma=self.gamma)
 
@@ -122,26 +112,6 @@ def norm_h1gamma(c: WeightedCurve) -> float:
     d = np.gradient(c.values, c.dx)  # central inside, one-sided at the two boundary nodes
     total = trapezoid(c.values**2 * w, dx=c.dx) + trapezoid(d**2 * w, dx=c.dx)
     return math.sqrt(total)
-
-
-def shift(c: WeightedCurve, t: float) -> WeightedCurve:
-    """Shift semigroup S_t h = h(t + .) on the grid; t must be grid-aligned.
-
-    The right boundary is padded with the last value (flat extrapolation).
-    """
-    if t < 0.0:
-        raise ValueError(f"shift time must be nonnegative, got {t}")
-    k = int(round(t / c.dx))
-    if abs(t - k * c.dx) > 1e-9 * max(1.0, abs(t)):
-        raise ValueError(f"shift t={t} is not an integer multiple of dx={c.dx}")
-    if k == 0:
-        return c
-    n = c.values.size
-    if k >= n:
-        values = np.full(n, c.values[-1])
-    else:
-        values = np.concatenate([c.values[k:], np.full(k, c.values[-1])])
-    return WeightedCurve(dx=c.dx, values=values, gamma=c.gamma)
 
 
 class BoundCheck(NamedTuple):

@@ -82,17 +82,27 @@ class SolveGrid:
     def x(self) -> np.ndarray:
         return _nodes(self.dt, self.n_x)
 
+    def node(self, t: float, last: int, error: str) -> int:
+        """The i in [0, last] with |i dt - t| <= 1e-9 max(1, |t|), else ValueError(error)."""
+        i = round(t / self.dt)
+        if abs(i * self.dt - t) > 1e-9 * max(1.0, abs(t)) or not 0 <= i <= last:
+            raise ValueError(error)
+        return i
+
     def crop(self, t_star: float, T_max: float) -> SolveGrid:
         """The sub-grid on the same dt whose triangle holds the nodes t <= t_star,
         t + x <= T_max: n_t = max(1, index of t_star), n_x = max(1, index of
         T_max - n_t), so its nodes are this grid's floats.  K is causal in t
         and in T = t + x, so each iterate of a solve on the crop is the whole
         grid's iterate there, bit for bit (the stop rules read the crop
-        alone).  A crop that covers the grid is the grid itself."""
-        n_t = max(1, round(t_star / self.dt))
-        n_x = max(1, round(T_max / self.dt) - n_t)
-        if n_t > self.n_t or n_t + n_x > self.n_w:
-            raise ValueError(f"crop t_star={t_star}, T_max={T_max} is not inside the grid")
+        alone).  A crop that covers the grid is the grid itself.  t_star and
+        T_max must be nodes (`node`) of the grid's t- and T-ranges, T_max >= t_star."""
+        i_t = self.node(t_star, self.n_t, f"crop t_star={t_star} is not inside the grid on a node")
+        i_T = self.node(T_max, self.n_w, f"crop T_max={T_max} is not inside the grid on a node")
+        if i_T < i_t:
+            raise ValueError(f"crop T_max={T_max} is before t_star={t_star}")
+        n_t = max(1, i_t)
+        n_x = max(1, i_T - n_t)
         if (n_t, n_x) == (self.n_t, self.n_x):
             return self
         return SolveGrid(t_star=n_t * self.dt, dt=self.dt, x_max=n_x * self.dt)

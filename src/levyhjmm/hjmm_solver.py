@@ -348,15 +348,14 @@ def mild_residual(report: SolveReport, factor: RandomFactorField) -> np.ndarray:
     r = report.field
     path, model = factor.path, factor.path.model
     exponent = ExponentHandle(model)
-    lam_w = factor.lam_w
-    cum = cumulative_trapezoid(lam_w[None, :] * r, grid.dt)
+    lam_r = factor.lam_w * r
+    cum = cumulative_trapezoid(lam_r, grid.dt)
     dt = grid.dt
 
-    dW = path.brownian_increments
-    dLc = (model.a - path.m_n) * dt + dW[: grid.n_t] if dW.size else np.full(grid.n_t, (model.a - path.m_n) * dt)
+    # the path's n_t increments (zeros when q = 0), cut to the grid solved on
+    dLc = (model.a - path.m_n) * dt + path.brownian_increments[: grid.n_t]
 
     jp = _on_triangle(exponent.J_prime, cum, grid, "J'", exponent.domain_sup)
-    lam_r = lam_w * r
     drift = dt * grid.sum_along_t(jp * lam_r)
     dLc_rows = np.append(dLc, 0.0)[:, None]
     rhs = grid.shifted(factor.r0.values) + drift + grid.sum_along_t(lam_r * dLc_rows, rule="left")

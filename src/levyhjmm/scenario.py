@@ -181,7 +181,7 @@ def _build_r0(d: dict, grid: SolveGrid, gamma: float, path: str) -> WeightedCurv
 
 
 def load_scenario(source, overrides: dict | None = None) -> Scenario:
-    """Parse and validate a scenario (dict, JSON string or file path).
+    """Parse and validate a scenario, given as a dict or as the path of a JSON file.
 
     overrides: optional {seed, grid_dt, tol, max_iter, cap} from CLI flags;
     they are applied before the effective scenario is hashed.
@@ -189,16 +189,11 @@ def load_scenario(source, overrides: dict | None = None) -> Scenario:
     if isinstance(source, dict):
         raw = json.loads(json.dumps(source))
     else:
-        text = None
-        s = str(source)
-        if s.lstrip().startswith("{"):
-            text = s
-        else:
-            try:
-                with open(s) as fh:
-                    text = fh.read()
-            except OSError as exc:
-                raise ScenarioError("<file>", f"cannot read scenario: {exc}") from exc
+        try:
+            with open(str(source)) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ScenarioError("<file>", f"cannot read scenario: {exc}") from exc
         try:
             raw = json.loads(text)
         except json.JSONDecodeError as exc:

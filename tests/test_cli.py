@@ -132,6 +132,35 @@ class TestSolve:
         assert main(["solve", path, "--out-dir", str(tmp_path / "out")]) == 2
         assert "grid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            (None, "<file>: cannot read scenario"),
+            ('{"grid": ', "<file>: invalid JSON"),
+            (json.dumps([DEGENERATE]), "<root>: scenario must be a JSON object"),
+        ],
+        ids=["missing_file", "invalid_json", "top_level_array"],
+    )
+    def test_scenario_file_errors(self, tmp_path, capsys, text, error):
+        path = tmp_path / "scen.json"
+        if text is not None:
+            path.write_text(text)
+        assert main(["solve", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+        assert f"scenario error: {error}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_json_text_is_read_as_a_path(self, tmp_path, monkeypatch, capsys):
+        # a scenario is a dict or a file: JSON text names no file, even here
+        from levyhjmm.scenario import ScenarioError, load_scenario
+
+        monkeypatch.chdir(tmp_path)
+        text = json.dumps(DEGENERATE)
+        with pytest.raises(ScenarioError, match="cannot read scenario") as err:
+            load_scenario(text)
+        assert err.value.field_path == "<file>"
+        assert main(["solve", text, "--out-dir", "out"]) == 2
+        assert "scenario error: <file>: cannot read scenario" in capsys.readouterr().err
+
 
 class TestClassify:
     def test_wiener_explosion_prone(self, tmp_path):

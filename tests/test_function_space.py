@@ -10,15 +10,20 @@ from levyhjmm.function_space import (
     norm_h1gamma,
     norm_l2gamma,
     read_curve_csv,
-    shift,
     sup_bound_check,
     trapezoid,
     weighted_l2,
 )
+from levyhjmm.grids import SolveGrid
+
+
+def curve(f, dx, x_max, gamma=1.0):
+    """f on the nodes 0, dx, ..., x_max."""
+    return WeightedCurve(dx, f(dx * np.arange(round(x_max / dx) + 1)), gamma)
 
 
 def exp_curve(dx=1e-3, x_max=40.0, gamma=1.0):
-    return WeightedCurve.from_function(lambda x: np.exp(-x), dx, x_max, gamma)
+    return curve(lambda x: np.exp(-x), dx, x_max, gamma)
 
 
 def random_spline_curve(rng, dx=1.0 / 256, x_max=8.0, gamma=1.0):
@@ -45,7 +50,7 @@ class TestL2Norm:
     def test_shifted_exponential(self):
         # e^{-(t+x)} with t = ln 2 scales the norm by e^{-t} = 1/2
         t = math.log(2.0)
-        c = WeightedCurve.from_function(lambda x: np.exp(-(t + x)), 1e-3, 40.0, 1.0)
+        c = curve(lambda x: np.exp(-(t + x)), 1e-3, 40.0)
         assert norm_l2gamma(c) == pytest.approx(0.5, abs=1e-5)
 
     def test_homogeneity_exact(self):
@@ -106,7 +111,7 @@ class TestH1Norm:
         # oracle (scipy.integrate.quad, run separately):
         #   int x^2 e^{-2x} e^x dx = 2, int (1-x)^2 e^{-2x} e^x dx = 1
         # frozen value sqrt(3)
-        c = WeightedCurve.from_function(lambda x: x * np.exp(-x), 1e-3, 40.0, 1.0)
+        c = curve(lambda x: x * np.exp(-x), 1e-3, 40.0)
         assert norm_h1gamma(c) == pytest.approx(1.7320508075688772, abs=1e-4)
 
     def test_too_few_points(self):
@@ -116,28 +121,21 @@ class TestH1Norm:
     def test_discretization_second_order(self):
         errs = []
         for dx in (2.0**-6, 2.0**-7):
-            c = WeightedCurve.from_function(lambda x: np.exp(-x), dx, 30.0, 1.0)
+            c = exp_curve(dx, 30.0)
             errs.append(abs(norm_l2gamma(c) - 1.0))
         assert errs[1] / errs[0] == pytest.approx(0.25, abs=0.1)
 
 
 class TestShift:
-    def test_identity(self):
-        c = exp_curve(dx=0.25, x_max=4.0)
-        assert shift(c, 0.0) is c
-
-    def test_pointwise_definition(self):
-        c = exp_curve(dx=0.25, x_max=4.0)
-        s = shift(c, 1.0)
-        n_keep = c.values.size - 4
-        np.testing.assert_allclose(s.values[:n_keep], np.exp(-(1.0 + c.x[:n_keep])), rtol=1e-14)
-        # flat right padding
-        assert np.all(s.values[n_keep:] == c.values[-1])
+    """The shift semigroup S_t h = h(t + .): row i of `SolveGrid.shifted`,
+    valid up to the row's width."""
 
     def test_norm_contraction_bound(self):
         # change of variables: ||S_t h||^2 = e^{-gamma t} int_t^inf h^2 e^{gamma u} du
-        c = exp_curve(dx=1e-3, x_max=40.0)
-        s = shift(c, 1.0)
+        grid = SolveGrid(t_star=1.0, dt=1e-3, x_max=39.0)
+        c = WeightedCurve(grid.dt, np.exp(-grid.x_wide), 1.0)
+        i = grid.n_t  # t = 1
+        s = WeightedCurve(grid.dt, grid.shifted(c.values)[i, : grid.row_width(i) + 1], 1.0)
         bound = math.exp(-0.5) * norm_l2gamma(c)
         got = norm_l2gamma(s)
         assert got <= bound + 1e-6
@@ -145,15 +143,11 @@ class TestShift:
         assert got == pytest.approx(math.exp(-1.0), abs=1e-4)
 
     def test_semigroup_law(self):
-        c = exp_curve(dx=0.125, x_max=8.0)
-        a = shift(shift(c, 0.5), 1.0)
-        b = shift(c, 1.5)
-        # identical up to the (identical) flat padding
-        np.testing.assert_array_equal(a.values, b.values)
-
-    def test_non_aligned_rejected(self):
-        with pytest.raises(ValueError):
-            shift(exp_curve(dx=0.25, x_max=4.0), 0.3)
+        # S_{1/2} S_{1/2} h = S_1 h: row 4 read from node 4 is row 8, NaN beyond the triangle included
+        grid = SolveGrid(t_star=1.0, dt=0.125, x_max=8.0)
+        rows = grid.shifted(np.exp(-grid.x_wide))
+        np.testing.assert_array_equal(grid.shifted(rows[4])[4], rows[8])
+        assert np.isnan(rows[8, grid.row_width(8) + 1 :]).all()
 
 
 class TestEmbeddingBounds:
@@ -232,9 +226,3 @@ class TestValidation:
     def test_non_finite_parameter_rejected(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             WeightedCurve(**{"dx": 0.1, "gamma": 1.0, name: value}, values=np.zeros(5))
-
-    @pytest.mark.parametrize("dx", [0.4, 0.3])
-    def test_from_function_rejects_dx_not_dividing_x_max(self, dx):
-        # 0.4 and 0.3 would end the curve at 0.8 and 0.9, short of x_max = 1
-        with pytest.raises(ValueError, match=f"dx={dx} must divide x_max=1.0"):
-            WeightedCurve.from_function(np.exp, dx, 1.0, 1.0)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -1231,3 +1232,38 @@ class TestCrop:
     def test_crop_beyond_the_grid_rejected(self, t_star, T_max):
         with pytest.raises(ValueError, match="not inside the grid"):
             GRID.crop(t_star, T_max)
+
+    @pytest.mark.parametrize(
+        "t_star, T_max, error",
+        [
+            (-0.5, 1.0, "crop t_star=-0.5 is not inside the grid on a node"),
+            (0.33, 1.0, "crop t_star=0.33 is not inside the grid on a node"),
+            (0.5, 1.03, "crop T_max=1.03 is not inside the grid on a node"),
+            (0.5, 0.25, "crop T_max=0.25 is before t_star=0.5"),
+        ],
+        ids=["negative_t_star", "off_node_t_star", "off_node_T_max", "T_max_before_t_star"],
+    )
+    def test_bad_point_rejected(self, t_star, T_max, error):
+        # each was snapped to a node before: t_star 0.0625 and 0.3125, T_max 1.0, x_max = dt
+        with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+            GRID.crop(t_star, T_max)
+
+
+class TestGridNodes:
+    @pytest.mark.parametrize("dt", [0.4, 0.3])
+    def test_dt_not_dividing_x_max_rejected(self, dt):
+        # 0.4 and 0.3 would end the grid at 0.8 and 0.9, short of x_max = 1
+        with pytest.raises(ValueError, match=f"dt={dt} must divide x_max=1.0"):
+            SolveGrid(t_star=dt, dt=dt, x_max=1.0)
+
+    def test_node_within_its_tolerance(self):
+        # 3 * 0.1 is 0.30000000000000004, and 0.3 / 0.1 is 2.9999999999999996
+        grid = SolveGrid(t_star=0.3, dt=0.1, x_max=0.7)
+        assert grid.node(0.3, grid.n_t, "t") == grid.node(3 * 0.1, grid.n_t, "t") == 3
+        assert grid.node(1.0 + 0.9e-9, grid.n_w, "T") == 10
+        assert grid.node(-0.9e-9, 0, "t") == 0
+
+    @pytest.mark.parametrize("t, last", [(1.0 + 1.1e-9, 10), (0.35, 10), (-0.1, 10), (0.4, 3)])
+    def test_off_node_or_beyond_last_raises_the_given_error(self, t, last):
+        with pytest.raises(ValueError, match="^t=.* is off$"):
+            SolveGrid(t_star=0.3, dt=0.1, x_max=0.7).node(t, last, f"t={t} is off")
