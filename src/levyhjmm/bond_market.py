@@ -23,7 +23,7 @@ from .hjmm_solver import (
     SolverConfig,
     solve_batch,
 )
-from .path_sim import jump_law, simulate_paths
+from .path_sim import N_THRESHOLD, jump_law, simulate_paths
 from .random_factor import Volatility, compute_a
 
 #: martingale_mc solves its paths in blocks of at most this many field
@@ -150,7 +150,6 @@ def martingale_mc(
     maturities,
     t_checkpoints,
     seed: int,
-    n_threshold: int = 1000,
 ) -> MartingaleReport:
     """Monte Carlo check that discounted bond prices are constant in mean.
 
@@ -186,7 +185,7 @@ def martingale_mc(
     maturities = [float(T) for T in maturities]
     t_checkpoints = [float(t) for t in t_checkpoints]
     ref_j, points = _resolve_points(grid, maturities, t_checkpoints)  # before any path
-    law = jump_law(model, n_threshold)
+    law = jump_law(model, N_THRESHOLD)
     seeds = np.random.SeedSequence(seed).generate_state(n_paths, dtype=np.uint64)
     crop = grid.crop(max(t_checkpoints), max(maturities))
     block = max(1, _BLOCK_ENTRIES // ((crop.n_t + 1) * (crop.n_w + 1)))

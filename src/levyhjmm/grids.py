@@ -83,7 +83,9 @@ class SolveGrid:
         return _nodes(self.dt, self.n_x)
 
     def node(self, t: float, last: int, error: str) -> int:
-        """The i in [0, last] with |i dt - t| <= 1e-9 max(1, |t|), else ValueError(error)."""
+        """The i in [0, last] with |i dt - t| <= 1e-9 max(1, |t|), else (a non-finite t too) ValueError(error)."""
+        if not math.isfinite(t):
+            raise ValueError(error)
         i = round(t / self.dt)
         if abs(i * self.dt - t) > 1e-9 * max(1.0, abs(t)) or not 0 <= i <= last:
             raise ValueError(error)

@@ -27,7 +27,7 @@ import numpy as np
 from .function_space import WeightedCurve, cumulative_trapezoid, weighted_l2
 from .grids import SolveGrid
 from .levy_analysis import ExponentDomainError, ExponentHandle
-from .path_sim import simulate
+from .path_sim import N_THRESHOLD, simulate
 from .random_factor import RandomFactorField, Volatility, compute_a
 
 STATUS_CONVERGED = "Converged"
@@ -518,7 +518,7 @@ def explosion_sweep(
     tol: float = 1e-10,
     max_iter: int = 200,
     gamma: float = 1.0,
-    n_threshold: int = 1000,
+    n_threshold: int = N_THRESHOLD,
 ) -> SweepResult:
     """Solve with flat initial curves r0 = k over a level range, one path.
 

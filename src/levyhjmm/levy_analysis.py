@@ -346,11 +346,11 @@ def mgf_consistency(
     t: float,
     n_paths: int,
     seed: int,
-    n_threshold: int = 1000,
 ) -> list[dict]:
     """Per-z gap |log E^ exp(-z L(t)) - t J(z)| with Monte Carlo standard errors.
 
-    z values outside the exponent domain are reported as skipped.
+    L(t) is sampled at the default truncation `path_sim.N_THRESHOLD`; z values
+    outside the exponent domain are reported as skipped.
     """
     from .path_sim import sample_terminal
 
@@ -364,7 +364,7 @@ def mgf_consistency(
             rows.append({"z": z, "skipped": True, "reason": "outside exponent domain"})
             continue
         if samples is None:
-            samples = sample_terminal(model, t, n_paths, seed, n_threshold=n_threshold)
+            samples = sample_terminal(model, t, n_paths, seed)
         w = np.exp(-z * samples)
         mean = float(np.mean(w))
         se_mean = float(np.std(w, ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0

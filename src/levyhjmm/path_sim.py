@@ -38,6 +38,9 @@ RNG_ALGORITHM = "numpy-philox-4x64-10"
 #: a sampled jump count above this raises JumpCapacityError
 MAX_JUMPS = 1_000_000
 
+#: the default truncation n: jumps with |y| <= 1/n are compensated, not simulated
+N_THRESHOLD = 1000
+
 
 class JumpCapacityError(RuntimeError):
     """Sampled jump count exceeded the configured cap."""
@@ -198,7 +201,7 @@ def jump_law(model: LevyModel, n_threshold: int) -> JumpLaw:
     return JumpLaw(model, n_threshold, comps, lam_total, cum, compensator_m_n(model, n_threshold))
 
 
-def simulate(model: LevyModel, grid: SolveGrid, seed: int, n_threshold: int = 1000) -> LevyPathRecord:
+def simulate(model: LevyModel, grid: SolveGrid, seed: int, n_threshold: int = N_THRESHOLD) -> LevyPathRecord:
     """Simulate one truncated-compensated path on the grid's t-nodes;
     bit-reproducible per seed.
 
@@ -301,7 +304,7 @@ def refine_path(path: LevyPathRecord, seed: int) -> LevyPathRecord:
 
 
 def sample_terminal(
-    model: LevyModel, t: float, n_paths: int, seed: int, n_threshold: int = 1000
+    model: LevyModel, t: float, n_paths: int, seed: int, n_threshold: int = N_THRESHOLD
 ) -> np.ndarray:
     """Vectorized draws of L(t) (no path record); same scheme as simulate."""
     if t <= 0.0:

@@ -92,28 +92,40 @@ def _build_part(d: dict, path: str):
     return cls(support=support, **params)
 
 
-def levy_model_from_dict(d: dict) -> LevyModel:
-    """Build a LevyModel from the scenario section 'levy_model'; an error is
-    a ScenarioError naming the field, or the section for a rule over several
-    fields (a power law's support and alpha, say)."""
+def _section(path: str, d, build, *args):
+    """build(d, path, *args) for the scenario section at path, an object: a
+    ScenarioError inside keeps its own field path, any other bad value is the section's."""
+    if not isinstance(d, dict):
+        raise ScenarioError(path, f"expected an object, got {type(d).__name__}")
     try:
-        nu = d.get("nu") or {}
-        atoms = tuple(
-            (_number(y, f"levy_model.nu.atoms[{i}][0]"), _number(m, f"levy_model.nu.atoms[{i}][1]"))
-            for i, (y, m) in enumerate(nu.get("atoms", []))
-        )
-        parts = tuple(
-            _build_part(pd, f"levy_model.nu.density_parts[{i}]") for i, pd in enumerate(nu.get("density_parts", []))
-        )
-        return LevyModel(
-            a=_number(d.get("a", 0.0), "levy_model.a"),
-            q=_number(d.get("q", 0.0), "levy_model.q"),
-            nu=LevyMeasureSpec(atoms=atoms, density_parts=parts),
-        )
+        return build(d, path, *args)
     except ScenarioError:
         raise
-    except (ValueError, TypeError, AttributeError) as exc:
-        raise ScenarioError("levy_model", str(exc)) from exc
+    except (ValueError, TypeError, AttributeError, OSError) as exc:
+        raise ScenarioError(path, str(exc)) from exc
+
+
+def _build_levy_model(d: dict, path: str) -> LevyModel:
+    nu = d.get("nu") or {}
+    atoms = tuple(
+        (_number(y, f"{path}.nu.atoms[{i}][0]"), _number(m, f"{path}.nu.atoms[{i}][1]"))
+        for i, (y, m) in enumerate(nu.get("atoms", []))
+    )
+    parts = tuple(
+        _section(f"{path}.nu.density_parts[{i}]", pd, _build_part) for i, pd in enumerate(nu.get("density_parts", []))
+    )
+    return LevyModel(
+        a=_number(d.get("a", 0.0), f"{path}.a"),
+        q=_number(d.get("q", 0.0), f"{path}.q"),
+        nu=LevyMeasureSpec(atoms=atoms, density_parts=parts),
+    )
+
+
+def levy_model_from_dict(d: dict) -> LevyModel:
+    """Build a LevyModel from the scenario section 'levy_model'; an error is a
+    ScenarioError naming the field, else its density part (a power law's support
+    and alpha, say) or the section, and a section or part must be an object."""
+    return _section("levy_model", d, _build_levy_model)
 
 
 def _read_curve(d: dict, key: str, gamma: float, path: str) -> WeightedCurve:
@@ -127,64 +139,77 @@ def _read_curve(d: dict, key: str, gamma: float, path: str) -> WeightedCurve:
 
 def _build_vol(d: dict, path: str) -> Volatility:
     kind = _need(d, "kind", path)
-    try:
-        if kind == "constant":
-            return ConstantVol(_number(_need(d, "value", path), f"{path}.value", True))
-        if kind == "exp_affine":
-            return ExpAffineVol(
-                c0=_number(_need(d, "c0", path), f"{path}.c0"),
-                c1=_number(_need(d, "c1", path), f"{path}.c1"),
-                beta=_number(_need(d, "beta", path), f"{path}.beta", True),
-            )
-        if kind == "tabulated":
-            if "csv" in d:
-                curve = _read_curve(d, "csv", 1.0, path)
-                return TabulatedVol(dx=curve.dx, values=curve.values)
-            return TabulatedVol(
-                dx=_number(_need(d, "dx", path), f"{path}.dx", True),
-                values=np.asarray(_need(d, "values", path), dtype=float),
-            )
-    except ScenarioError:
-        raise
-    except (ValueError, TypeError) as exc:
-        raise ScenarioError(path, str(exc)) from exc
+    if kind == "constant":
+        return ConstantVol(_number(_need(d, "value", path), f"{path}.value", True))
+    if kind == "exp_affine":
+        return ExpAffineVol(
+            c0=_number(_need(d, "c0", path), f"{path}.c0"),
+            c1=_number(_need(d, "c1", path), f"{path}.c1"),
+            beta=_number(_need(d, "beta", path), f"{path}.beta", True),
+        )
+    if kind == "tabulated":
+        if "csv" in d:
+            curve = _read_curve(d, "csv", 1.0, path)
+            return TabulatedVol(dx=curve.dx, values=curve.values)
+        return TabulatedVol(
+            dx=_number(_need(d, "dx", path), f"{path}.dx", True),
+            values=np.asarray(_need(d, "values", path), dtype=float),
+        )
     raise ScenarioError(f"{path}.kind", f"unknown volatility kind {kind!r}")
 
 
-def _build_r0(d: dict, grid: SolveGrid, gamma: float, path: str) -> WeightedCurve:
+def _build_grid(d: dict, path: str, overrides: dict) -> SolveGrid:
+    if overrides.get("grid_dt") is not None:
+        d["dt"] = float(overrides["grid_dt"])
+    return SolveGrid(
+        t_star=_number(_need(d, "t_star", path), f"{path}.t_star", True),
+        dt=_number(_need(d, "dt", path), f"{path}.dt", True),
+        x_max=_number(_need(d, "x_max", path), f"{path}.x_max", True),
+    )
+
+
+def _build_r0(d: dict, path: str, grid: SolveGrid, gamma: float) -> WeightedCurve:
     kind = _need(d, "kind", path)
     n = grid.n_w
-    xs = grid.x_wide
-    try:
-        if kind == "flat":
-            level = _number(_need(d, "level", path), f"{path}.level")
-            return WeightedCurve(dx=grid.dt, values=np.full(n + 1, level), gamma=gamma)
-        if kind == "exp_decay":
-            beta = _number(_need(d, "beta", path), f"{path}.beta", True)
-            scale = _number(d.get("scale", 1.0), f"{path}.scale")
-            return WeightedCurve(dx=grid.dt, values=scale * np.exp(-beta * xs), gamma=gamma)
-        if kind == "csv":
-            curve = _read_curve(d, "path", gamma, path)
-            if abs(curve.dx - grid.dt) > 1e-12 * grid.dt:
-                raise ScenarioError(f"{path}.path", f"curve dx={curve.dx} != grid dt={grid.dt}")
-            if curve.values.size < n + 1:
-                raise ScenarioError(
-                    f"{path}.path",
-                    f"curve too short: need {n + 1} nodes up to x_max + t_star",
-                )
-            return curve
-    except ScenarioError:
-        raise
-    except (ValueError, TypeError, OSError) as exc:
-        raise ScenarioError(path, str(exc)) from exc
+    if kind == "flat":
+        level = _number(_need(d, "level", path), f"{path}.level")
+        return WeightedCurve(dx=grid.dt, values=np.full(n + 1, level), gamma=gamma)
+    if kind == "exp_decay":
+        beta = _number(_need(d, "beta", path), f"{path}.beta", True)
+        scale = _number(d.get("scale", 1.0), f"{path}.scale")
+        return WeightedCurve(dx=grid.dt, values=scale * np.exp(-beta * grid.x_wide), gamma=gamma)
+    if kind == "csv":
+        curve = _read_curve(d, "path", gamma, path)
+        if abs(curve.dx - grid.dt) > 1e-12 * grid.dt:
+            raise ScenarioError(f"{path}.path", f"curve dx={curve.dx} != grid dt={grid.dt}")
+        if curve.values.size < n + 1:
+            raise ScenarioError(f"{path}.path", f"curve too short: need {n + 1} nodes up to x_max + t_star")
+        return curve
     raise ScenarioError(f"{path}.kind", f"unknown r0 kind {kind!r}")
 
 
-def load_scenario(source, overrides: dict | None = None) -> Scenario:
-    """Parse and validate a scenario, given as a dict or as the path of a JSON file.
+def _build_solver(d: dict, path: str, grid: SolveGrid, r0: WeightedCurve, overrides: dict) -> SolverConfig:
+    d.update((key, overrides[key]) for key in ("tol", "max_iter", "cap") if overrides.get(key) is not None)
+    tol = _number(d.get("tol", 1e-10), f"{path}.tol", True)
+    max_iter = _number(d.get("max_iter", 200), f"{path}.max_iter", True)
+    if not max_iter.is_integer():
+        raise ScenarioError(f"{path}.max_iter", f"must be an integer >= 1, got {max_iter}")
+    cap = d.get("cap")
+    if cap is not None:
+        cap = _number(cap, f"{path}.cap", True)
+        # the solver's own check, on the nodes it reads
+        sup_r0 = float(np.max(np.abs(r0.values[: grid.n_w + 1])))
+        if cap <= sup_r0:
+            raise ScenarioError(f"{path}.cap", f"cap={cap} must exceed sup |r0|={sup_r0}")
+    return SolverConfig(tol=tol, max_iter=int(max_iter), cap=cap)
 
-    overrides: optional {seed, grid_dt, tol, max_iter, cap} from CLI flags;
-    they are applied before the effective scenario is hashed.
+
+def load_scenario(source, overrides: dict | None = None) -> Scenario:
+    """Parse and validate a scenario, given as a dict or as the path of a JSON file;
+    each section goes through `_section`, so an error names its field or section.
+
+    overrides: optional {seed, grid_dt, tol, max_iter, cap} from CLI flags, written
+    into their sections once found to be objects, before the scenario is hashed.
     """
     if isinstance(source, dict):
         raw = json.loads(json.dumps(source))
@@ -192,7 +217,7 @@ def load_scenario(source, overrides: dict | None = None) -> Scenario:
         try:
             with open(str(source)) as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ScenarioError("<file>", f"cannot read scenario: {exc}") from exc
         try:
             raw = json.loads(text)
@@ -204,43 +229,13 @@ def load_scenario(source, overrides: dict | None = None) -> Scenario:
     overrides = overrides or {}
     if overrides.get("seed") is not None:
         raw["seed"] = int(overrides["seed"])
-    if overrides.get("grid_dt") is not None:
-        raw.setdefault("grid", {})["dt"] = float(overrides["grid_dt"])
-    solver_raw = raw.setdefault("solver", {})
-    for key in ("tol", "max_iter", "cap"):
-        if overrides.get(key) is not None:
-            solver_raw[key] = overrides[key]
 
     model = levy_model_from_dict(_need(raw, "levy_model", "<root>"))
-
-    vol = _build_vol(_need(raw, "volatility", "<root>"), "volatility")
-
-    grid_d = _need(raw, "grid", "<root>")
-    try:
-        grid = SolveGrid(
-            t_star=_number(_need(grid_d, "t_star", "grid"), "grid.t_star", True),
-            dt=_number(_need(grid_d, "dt", "grid"), "grid.dt", True),
-            x_max=_number(_need(grid_d, "x_max", "grid"), "grid.x_max", True),
-        )
-    except ScenarioError:
-        raise
-    except ValueError as exc:
-        raise ScenarioError("grid", str(exc)) from exc
-
+    vol = _section("volatility", _need(raw, "volatility", "<root>"), _build_vol)
+    grid = _section("grid", _need(raw, "grid", "<root>"), _build_grid, overrides)
     # the weight of r0's space, and so of every weighted norm of the solve
-    r0 = _build_r0(_need(raw, "r0", "<root>"), grid, _number(raw.get("gamma", 1.0), "gamma", True), "r0")
-
-    tol = _number(solver_raw.get("tol", 1e-10), "solver.tol", True)
-    max_iter = _number(solver_raw.get("max_iter", 200), "solver.max_iter", True)
-    if not max_iter.is_integer():
-        raise ScenarioError("solver.max_iter", f"must be an integer >= 1, got {max_iter}")
-    cap = solver_raw.get("cap")
-    if cap is not None:
-        cap = _number(cap, "solver.cap", True)
-        # the solver's own check, on the nodes it reads
-        sup_r0 = float(np.max(np.abs(r0.values[: grid.n_w + 1])))
-        if cap <= sup_r0:
-            raise ScenarioError("solver.cap", f"cap={cap} must exceed sup |r0|={sup_r0}")
+    r0 = _section("r0", _need(raw, "r0", "<root>"), _build_r0, grid, _number(raw.get("gamma", 1.0), "gamma", True))
+    solver = _section("solver", raw.setdefault("solver", {}), _build_solver, grid, r0, overrides)
     seed = raw.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise ScenarioError("seed", f"expected a non-negative integer, got {seed!r}")
@@ -251,6 +246,6 @@ def load_scenario(source, overrides: dict | None = None) -> Scenario:
         vol=vol,
         grid=grid,
         r0=r0,
-        solver=SolverConfig(tol=tol, max_iter=int(max_iter), cap=cap),
+        solver=solver,
         seed=seed,
     )

@@ -149,6 +149,13 @@ class TestSolve:
         assert f"scenario error: {error}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_undecodable_file(self, tmp_path, capsys):
+        path = tmp_path / "scen.json"
+        path.write_bytes(bytes.fromhex("fffe7b7d"))  # a UTF-16 byte order mark, then {}
+        assert main(["solve", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+        assert "scenario error: <file>: cannot read scenario: 'utf-8' codec" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_json_text_is_read_as_a_path(self, tmp_path, monkeypatch, capsys):
         # a scenario is a dict or a file: JSON text names no file, even here
         from levyhjmm.scenario import ScenarioError, load_scenario
@@ -402,6 +409,22 @@ class TestScenarioInputs:
         report = json.loads((tmp_path / "out" / "solve_report.json").read_text())
         assert report["status"] == "Converged"
 
+    def test_tabulated_vol_from_csv_equals_inline(self, tmp_path):
+        # the same table as a file and inline solves to the same field, bit for
+        # bit; only the scenario hash in the comment line differs
+        dt = 0.0625
+        values = [0.4 + 0.1 * math.cos(k / 3.0) for k in range(33)]
+        curve_file = tmp_path / "vol.csv"
+        curve_file.write_text("x,value\n" + "".join(f"{k * dt!r},{v!r}\n" for k, v in enumerate(values)))
+        fields = []
+        for name, vol in (("csv", {"csv": str(curve_file)}), ("inline", {"dx": dt, "values": values})):
+            path = write_scenario(tmp_path, {**POISSON, "volatility": {"kind": "tabulated", **vol}}, f"{name}.json")
+            assert main(["solve", path, "--out-dir", str(tmp_path / name)]) == 0
+            fields.append((tmp_path / name / "field.csv").read_text().splitlines())
+        (csv_hash, *csv_body), (inline_hash, *inline_body) = fields
+        assert csv_hash.startswith("# scenario_hash=") and csv_hash != inline_hash
+        assert csv_body == inline_body
+
     def test_short_csv_curve_rejected(self, tmp_path):
         curve_file = tmp_path / "short.csv"
         curve_file.write_text("x,value\n" + "".join(f"{k * 0.0625!r},1.0\n" for k in range(5)))
@@ -446,6 +469,57 @@ class TestScenarioInputs:
         path = write_scenario(tmp_path, scen)
         assert main(["solve", path, "--out-dir", str(tmp_path / "out")]) == 2
         assert field in capsys.readouterr().err
+
+
+class TestSections:
+    """Every scenario section must be an object: anything else is a schema
+    error naming it, with or without an override flag written into it."""
+
+    @pytest.mark.parametrize(
+        "section, value, flags, message",
+        [
+            ("volatility", 5, [], "volatility: expected an object, got int"),
+            ("volatility", None, [], "volatility: expected an object, got NoneType"),
+            ("r0", 5, [], "r0: expected an object, got int"),
+            ("r0", None, [], "r0: expected an object, got NoneType"),
+            ("r0", "flat", [], "r0: expected an object, got str"),
+            ("grid", 5, [], "grid: expected an object, got int"),
+            ("grid", 5, ["--grid-dt", "0.125"], "grid: expected an object, got int"),
+            ("solver", 5, [], "solver: expected an object, got int"),
+            ("solver", [1], [], "solver: expected an object, got list"),
+            ("solver", [1], ["--tol", "1e-9"], "solver: expected an object, got list"),
+            ("levy_model", 5, [], "levy_model: expected an object, got int"),
+            (
+                "levy_model",
+                {"nu": {"density_parts": [5]}},
+                [],
+                "levy_model.nu.density_parts[0]: expected an object, got int",
+            ),
+            (
+                "levy_model",
+                {"nu": {"density_parts": [{"kind": "power_law", "c": 1.0, "alpha": 2.5, "support": [0.0, 1.0]}]}},
+                [],
+                "levy_model.nu.density_parts[0]: PowerLaw with support touching 0 needs alpha < 2",
+            ),
+        ],
+        ids=[
+            "volatility-int", "volatility-null", "r0-int", "r0-null", "r0-str", "grid-int", "grid-int-grid-dt",
+            "solver-int", "solver-list", "solver-list-tol", "levy_model-int", "part-int", "part-rule",
+        ],
+    )
+    def test_rejected_naming_the_section(self, tmp_path, capsys, section, value, flags, message):
+        out = tmp_path / "out"
+        path = write_scenario(tmp_path, {**POISSON, section: value})
+        assert main(["solve", path, "--out-dir", str(out), *flags]) == 2
+        assert f"scenario error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_levy_model_from_dict_names_the_section(self):
+        from levyhjmm.scenario import ScenarioError, levy_model_from_dict
+
+        with pytest.raises(ScenarioError, match=r"^levy_model: expected an object, got list$") as err:
+            levy_model_from_dict([])
+        assert err.value.field_path == "levy_model"
 
 
 class TestOverrides:
@@ -522,6 +596,10 @@ class TestFlagValidation:
             # 2.0**k overflows from k = 1024 and is 0.0 below k = -1074
             (["sweep-explosion", "--k-max-exp", "1024"], "--k-max-exp"),
             (["sweep-explosion", "--k-min-exp", "-1075", "--k-max-exp", "0"], "--k-min-exp"),
+            # a non-finite point is refused before it is rounded to a node
+            (["check-martingale", "--maturities", "inf"], "--maturities"),
+            (["check-martingale", "--checkpoints", "inf"], "--checkpoints"),
+            (["check-martingale", "--checkpoints", "nan"], "--checkpoints"),
         ],
     )
     def test_bad_flag_exits_2(self, tmp_path, capsys, cmd, flag):

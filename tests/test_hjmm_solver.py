@@ -1019,6 +1019,24 @@ class TestSolveBatch:
             want = errors[next(p for p in order if p in errors)]
             assert (excinfo.value.z, excinfo.value.what) == (want.z, want.what)
 
+    def test_cap_not_above_sup_r0_rejected(self):
+        # flat r0 = 1, 3 and 5 under cap 2: the last two fail the check before
+        # any iteration, and a stack raises the error of the lowest of them
+        grid = SolveGrid(t_star=1.0, dt=1.0 / 8, x_max=1.0)
+        path = simulate(POISSON, grid, 3)
+        factors = [
+            compute_a(path, VOL, WeightedCurve(dx=grid.dt, values=np.full(grid.n_w + 1, k), gamma=1.0), grid)
+            for k in (1.0, 3.0, 5.0)
+        ]
+        cfg = SolverConfig(cap=2.0)
+        with pytest.raises(ValueError, match=r"^cap=2.0 must exceed sup r0=3.0$"):
+            solve_monotone(factors[1], cfg)
+        with pytest.raises(ValueError, match=r"^cap=2.0 must exceed sup r0=3.0$"):
+            solve_batch(factors[1:2], cfg)
+        for order, sup in (([0, 1, 2], 3.0), ([0, 2, 1], 5.0), ([2, 1], 5.0)):
+            with pytest.raises(ValueError, match=rf"^cap=2.0 must exceed sup r0={sup}$"):
+                solve_batch([factors[p] for p in order], cfg)
+
     def test_negative_argument_is_a_domain_error(self):
         # the jump below -1/lambda = -2 makes a(t, x) < 0 on seed 137, so the
         # inner integral of an iterate turns negative, where J' is not
@@ -1240,8 +1258,10 @@ class TestCrop:
             (0.33, 1.0, "crop t_star=0.33 is not inside the grid on a node"),
             (0.5, 1.03, "crop T_max=1.03 is not inside the grid on a node"),
             (0.5, 0.25, "crop T_max=0.25 is before t_star=0.5"),
+            (math.inf, 1.0, "crop t_star=inf is not inside the grid on a node"),
+            (0.5, math.nan, "crop T_max=nan is not inside the grid on a node"),
         ],
-        ids=["negative_t_star", "off_node_t_star", "off_node_T_max", "T_max_before_t_star"],
+        ids=["negative_t_star", "off_node_t_star", "off_node_T_max", "T_max_before_t_star", "inf_t_star", "nan_T_max"],
     )
     def test_bad_point_rejected(self, t_star, T_max, error):
         # each was snapped to a node before: t_star 0.0625 and 0.3125, T_max 1.0, x_max = dt
@@ -1263,7 +1283,10 @@ class TestGridNodes:
         assert grid.node(1.0 + 0.9e-9, grid.n_w, "T") == 10
         assert grid.node(-0.9e-9, 0, "t") == 0
 
-    @pytest.mark.parametrize("t, last", [(1.0 + 1.1e-9, 10), (0.35, 10), (-0.1, 10), (0.4, 3)])
+    @pytest.mark.parametrize(
+        "t, last",
+        [(1.0 + 1.1e-9, 10), (0.35, 10), (-0.1, 10), (0.4, 3), (math.inf, 10), (-math.inf, 10), (math.nan, 10)],
+    )
     def test_off_node_or_beyond_last_raises_the_given_error(self, t, last):
         with pytest.raises(ValueError, match="^t=.* is off$"):
             SolveGrid(t_star=0.3, dt=0.1, x_max=0.7).node(t, last, f"t={t} is off")

@@ -136,6 +136,19 @@ class TestSimulate:
         mean, se = np.mean(vals), np.std(vals) / math.sqrt(vals.size)
         assert abs(mean - expected) < 3 * se
 
+    def test_log_uniform_sizes_at_alpha_zero(self):
+        # alpha = 0: the restricted density 1/y on [lo, hi] has the quantile
+        # lo (hi / lo)^u, so ln(size) is uniform on [ln lo, ln hi]
+        lo, hi = 1e-3, 2.0
+        nu = LevyMeasureSpec(density_parts=(PowerLaw(c=1.0, alpha=0.0, support=(0.0, hi)),))
+        (comp,) = path_sim.jump_components(nu, lo)
+        assert (comp.lo, comp.hi) == (lo, hi)
+        sizes = comp.sizes(np.random.default_rng(5).random(100_000))
+        assert np.all((sizes >= lo) & (sizes <= hi))
+        log_sizes = np.log(sizes)
+        se = (math.log(hi) - math.log(lo)) / math.sqrt(12.0 * sizes.size)
+        assert abs(np.mean(log_sizes) - 0.5 * (math.log(lo) + math.log(hi))) < 4 * se
+
     def test_capacity_error(self, monkeypatch):
         monkeypatch.setattr(path_sim, "MAX_JUMPS", 10)
         model = LevyModel(nu=LevyMeasureSpec(atoms=((1.0, 500.0),)))

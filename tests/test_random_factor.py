@@ -224,6 +224,21 @@ class TestRandomFactor:
         with pytest.raises(ValueError):
             compute_a(path, ConstantVol(1.0), short, GRID)
 
+    def test_path_on_another_dt_rejected(self):
+        path = simulate(LevyModel(), SolveGrid(t_star=1.0, dt=1.0 / 8, x_max=1.0), 1)
+        with pytest.raises(ValueError, match=r"^path dt=0.125 does not match grid dt=0.0625$"):
+            compute_a(path, ConstantVol(1.0), r0_exp(), GRID)
+
+    def test_path_shorter_than_the_grid_rejected(self):
+        path = simulate(LevyModel(), SolveGrid(t_star=0.5, dt=GRID.dt, x_max=1.0), 1)
+        with pytest.raises(ValueError, match="^path horizon shorter than the grid horizon$"):
+            compute_a([simulate(LevyModel(), GRID, 2), path], ConstantVol(1.0), r0_exp(), GRID)
+
+    def test_r0_on_another_dx_rejected(self):
+        coarse = SolveGrid(t_star=1.0, dt=1.0 / 8, x_max=1.0)
+        with pytest.raises(ValueError, match=r"^r0 grid dx=0.125 does not match grid dt=0.0625$"):
+            compute_a(simulate(LevyModel(), GRID, 1), ConstantVol(1.0), r0_exp(coarse), GRID)
+
 
 class TestStackedFactor:
     """compute_a over a sequence of paths gives the fields of compute_a path
